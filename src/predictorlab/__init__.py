@@ -16,8 +16,8 @@ from .errors import (ConfigError, DegeneracyError, ModelValidationError,
                      OracleDisagreementError, PredictorLabError, RegimeError,
                      TruncationError)
 from .explicit import (BetaSeq, DeltaBlock, DVectors, ExplicitPredictor,
-                       SeriesTerms, TailStrategy, TruncationPolicy, beta_for_model,
-                       beta_seq, d_vectors, delta_block, finite_predictor_explicit,
+                       SeriesTerms, TruncationPolicy, beta_for_model, d_vectors,
+                       delta_block, finite_predictor_explicit,
                        finite_predictor_multistep, hankel_apply,
                        projection_iterates)
 from .levinson import (PredictorSource, PredictorTable, durbin_levinson,
@@ -33,9 +33,9 @@ __all__ = [
     "DVectors", "ExplicitModel", "ExplicitPredictor", "Farima",
     "ModelValidationError", "OracleDisagreementError", "PredictorLabError",
     "PredictorSource", "PredictorTable", "ProcessModel", "RateReport",
-    "RealPolynomial", "Regime", "RegimeError", "SeriesTerms", "TailStrategy",
+    "RealPolynomial", "Regime", "RegimeError", "SeriesTerms",
     "TruncationError", "TruncationPolicy", "autocov", "baxter_experiment",
-    "beta_for_model", "beta_seq", "d_vectors", "delta_block",
+    "beta_for_model", "d_vectors", "delta_block",
     "dk_scaling_experiment", "durbin_levinson", "ell_estimate", "expand_ar",
     "expand_ma", "f_u", "finite_predictor_explicit",
     "finite_predictor_multistep", "fk0", "hankel_apply", "infinite_predictor",

@@ -17,17 +17,17 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate
 
 from .coeffs import autocov, expand_ar, expand_ma, infinite_predictor, tail_sum_phi
-from .errors import OracleDisagreementError, RegimeError
+from .errors import ConfigError, OracleDisagreementError, RegimeError
 from .explicit import (DEFAULT_POLICY, TruncationPolicy, _required_beta_len,
                        beta_for_model, d_vectors, finite_predictor_explicit)
 from .levinson import durbin_levinson
-from .models import Farima, ProcessModel, Regime, memory_exponent, regime
+from .models import ProcessModel, Regime, memory_exponent, regime
 
 __all__ = [
     "RateReport",
@@ -144,7 +144,15 @@ class DkScalingReport:
 
 def _max_workers(n_tasks: int) -> int:
     env = os.environ.get("PREDICTORLAB_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
+    cap = os.cpu_count() or 1
+    if env:
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise ConfigError(
+                f"PREDICTORLAB_THREADS must be an integer >= 1, got {env!r}")
     return max(1, min(n_tasks, cap, 8))
 
 
@@ -177,9 +185,9 @@ def _explicit_phi_checked(model: ProcessModel, n: int,
     return phi
 
 
-def _run_ordered(fn, args_list, n_tasks_hint=None):
+def _run_ordered(fn, args_list):
     """Map fn over args concurrently, returning results in input order."""
-    workers = _max_workers(n_tasks_hint or len(args_list))
+    workers = _max_workers(len(args_list))
     if workers <= 1 or len(args_list) <= 1:
         return [fn(a) for a in args_list]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -268,9 +276,7 @@ def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
     s = np.sin(np.pi * d)
     targets = {k: float(f * s ** k) for k, f in zip(range(1, kmax + 1), fk0(kmax))}
 
-    depth_policy = TruncationPolicy(V=policy.V, K=kmax, tol_term=policy.tol_term,
-                                    tail_strategy=policy.tail_strategy,
-                                    tol_tail=policy.tol_tail, levels=policy.levels)
+    depth_policy = replace(policy, K=kmax)
     lmax = max(n + 2 * policy.resolve_scales(model, n)[-1] for n in n_list)
     beta = beta_for_model(model, lmax)
 

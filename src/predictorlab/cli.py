@@ -371,7 +371,7 @@ def _cmd_predict(cfg: dict):
         diff = np.abs(phi_lev - phi_exp)
         resid = max(s.tail_estimate for s in series)
         tol = max(CROSS_CHECK_TOL, 8.0 * resid)
-        max_diff = float(np.max(diff)) if n else 0.0
+        max_diff = float(np.max(diff))
         if max_diff > tol:
             raise OracleDisagreementError(
                 f"the two predictor routes disagree at n = {n}: "

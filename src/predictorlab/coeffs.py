@@ -22,8 +22,7 @@ from scipy import signal
 from scipy.linalg import toeplitz
 
 from .errors import DegeneracyError, TruncationError
-from .models import (Ar1, ExplicitModel, Farima, ProcessModel, Regime,
-                     memory_exponent, regime)
+from .models import Ar1, ExplicitModel, Farima, ProcessModel, Regime, regime
 
 __all__ = [
     "CoeffKind",

@@ -20,13 +20,13 @@ and the series depth (cutoff K, geometric decay under long memory).  The
 inner truncation error of the summed series under long memory follows a
 ladder of powers C_1 V^{-p} + C_2 V^{-2p} + ... with p = 1 - 2d (measured
 against exact closed-form predictors over five V-doublings; the exponent
-matches the autocovariance tail and is stable in n and d).  The default
-tail strategy therefore evaluates the whole pipeline at a geometric ladder
-of cutoffs V, 2V, ..., 2^{L-1} V and eliminates the leading L-1 powers by
-solving the small Vandermonde system in V^{-p}; the reported residual is
-the difference between the last two elimination orders.  The alternative
-strategy runs one scale and reports a comparison bound built from the same
-power law, without correcting the value.
+matches the autocovariance tail and is stable in n and d).  The pipeline
+therefore runs at a geometric ladder of cutoffs V, 2V, ..., 2^{L-1} V and
+eliminates the leading L-1 powers by solving the small Vandermonde system in
+V^{-p}; the reported residual is the difference between the last two
+elimination orders.  With one level the value stays uncorrected and the
+residual comes from one extra run at half the cutoff: under the same power
+law the remaining doublings sum to |x_V - x_{V/2}| / (2^p - 1).
 
 Everything the FFT touches here is noise-free in the structurally-zero case:
 a finitely supported beta stays exactly zero under rfft/irfft of zero blocks,
@@ -36,7 +36,6 @@ and the ladder collapses to a single exact evaluation.
 
 from __future__ import annotations
 
-import enum
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -46,21 +45,18 @@ from scipy import signal
 from scipy.fft import next_fast_len
 from scipy.linalg import hankel as _hankel_matrix
 
-from .coeffs import CoeffKind, CoeffSeq, expand_ar, expand_ma
+from .coeffs import expand_ar, expand_ma
 from .errors import TruncationError
 from .levinson import PredictorSource, PredictorTable
-from .models import (Ar1, ExplicitModel, Farima, ProcessModel, Regime,
-                     memory_exponent, regime)
+from .models import ProcessModel, Regime, memory_exponent, regime
 
 __all__ = [
-    "TailStrategy",
     "TruncationPolicy",
     "BetaSeq",
     "SeriesTerms",
     "DVectors",
     "DeltaBlock",
     "ExplicitPredictor",
-    "beta_seq",
     "beta_for_model",
     "hankel_apply",
     "d_vectors",
@@ -83,32 +79,25 @@ _K_CAP = 20000
 _STOP_FLOOR = 1e-14
 
 
-class TailStrategy(str, enum.Enum):
-    RICHARDSON_DOUBLE = "richardson-double"
-    INTEGRAL_BOUND = "integral-bound"
-
-
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Controls for the two truncation axes of the explicit series.
 
-    V: base inner-index cutoff (None -> max(8192, 32 n)).  Under the default
-    RichardsonDouble strategy the pipeline runs at the doubling ladder
-    V, 2V, ..., 2^{levels-1} V and eliminates the leading truncation powers.
+    V: base inner-index cutoff (None -> max(8192, 32 n)).  The pipeline runs
+    at the doubling ladder V, 2V, ..., 2^{levels-1} V and eliminates the
+    leading truncation powers.
     K: maximum series depth (None -> from the geometric decay rate).
     tol_term: absolute stopping tolerance for the k-series.
-    tail_strategy: RichardsonDouble (ladder elimination, default) or
-    IntegralBound (single scale, bound reported, value uncorrected).
     tol_tail: cap on the estimated inner-truncation residual of the final
     coefficients; exceeded -> TruncationError.
     levels: ladder length (None -> by memory regime: 2 for short memory,
-    3 to 5 for long memory depending on d).
+    3 to 6 for long memory depending on d).  levels=1 runs one scale,
+    uncorrected, with a half-cutoff residual estimate.
     """
 
     V: int | None = None
     K: int | None = None
     tol_term: float = 1e-10
-    tail_strategy: TailStrategy = TailStrategy.RICHARDSON_DOUBLE
     tol_tail: float = 1e-6
     levels: int | None = None
 
@@ -121,8 +110,6 @@ class TruncationPolicy:
             raise ValueError(f"tol_term must be > 0, got {self.tol_term}")
         if self.levels is not None and self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
-        if not isinstance(self.tail_strategy, TailStrategy):
-            object.__setattr__(self, "tail_strategy", TailStrategy(self.tail_strategy))
 
     def resolve_v(self, n: int, model: ProcessModel | None = None) -> int:
         if self.V is not None:
@@ -148,10 +135,8 @@ class TruncationPolicy:
         return 6
 
     def resolve_scales(self, model: ProcessModel | None, n: int) -> list[int]:
-        """The doubling ladder of inner cutoffs the default strategy runs at."""
+        """The doubling ladder of inner cutoffs the explicit series runs at."""
         base = self.resolve_v(n, model)
-        if self.tail_strategy is TailStrategy.INTEGRAL_BOUND:
-            return [base]
         return [base << i for i in range(self.resolve_levels(model))]
 
     def resolve_k(self, model: ProcessModel, tol: float | None = None) -> int:
@@ -363,40 +348,6 @@ def beta_for_model(model: ProcessModel, L: int, inner_len: int | None = None) ->
                    tail_estimate=bound, exact=exact)
 
 
-def beta_seq(c: CoeffSeq, a: CoeffSeq, L: int,
-             model: ProcessModel | None = None) -> BetaSeq:
-    """Correlation beta_i = sum_v c_v a_{v+i} for i = 0..L from given expansions.
-
-    Parameters
-    ----------
-    c, a : CoeffSeq
-        Paired MA/AR expansions of one model, truncated long enough that the
-        inner-sum tail at their length is below the caller's tolerance.
-    L : int
-        Largest index.
-    model : ProcessModel, optional
-        Regime tag.  For a long-memory model the analytic tail correction is
-        applied (and the residual reported); otherwise the finite correlation
-        of the given data is returned as-is with a decay-based bound.
-
-    Raises
-    ------
-    TruncationError
-        If the AR data is shorter than L (no way to form the sum).
-    """
-    cv = np.asarray(c.values if isinstance(c, CoeffSeq) else c, dtype=float)
-    av = np.asarray(a.values if isinstance(a, CoeffSeq) else a, dtype=float)
-    if len(av) < L + 1:
-        raise TruncationError(
-            f"AR expansion of length {len(av)} cannot reach beta index {L}")
-    if model is not None and regime(model) is Regime.LONG:
-        return beta_for_model(model, L)
-    M = min(len(cv) - 1, len(av) - 1 - L)
-    out = signal.fftconvolve(av[:M + L + 1], cv[:M + 1][::-1], mode="valid")
-    bound = float(abs(cv[M]) * np.max(np.abs(av)) * 8.0) if M + 1 < len(cv) else 0.0
-    return BetaSeq(out, model=model, tail_estimate=bound)
-
-
 # ---------------------------------------------------------------------------
 # Hankel kernel machinery
 
@@ -505,33 +456,62 @@ def _ladder_weights(p: float, scales: list[int]) -> np.ndarray:
     return np.linalg.solve(A.T, e0)
 
 
-def _stop_tol(policy: TruncationPolicy, weights: np.ndarray) -> float:
-    """Per-term stopping tolerance tight enough that ladder weights cannot
-    amplify the k-series stopping noise into the tail budget."""
-    amp = float(np.sum(np.abs(weights)))
-    return min(policy.tol_term, max(policy.tol_tail / (16.0 * amp), _STOP_FLOOR))
+def _ladder(run, scales: list[int], p: float,
+            floor: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Run one computation across the cutoff ladder, finest cutoff first,
+    and eliminate the leading inner-truncation powers.
+
+    ``run(V, gain)`` returns the result at cutoff V; ``gain`` = sum |w| of
+    the elimination weights bounds how much they amplify a run's stopping
+    noise.  Runs are compared on the shared prefix of their last axis.
+    Returns (value, per-entry residual): |value - the elimination over the
+    coarser sub-ladder|.  With one scale the value is that run, reported
+    uncorrected, and the residual 1.5 |x - x_half| / (2^p - 1) from one more
+    run at half the cutoff (never below ``floor``).
+    """
+    if len(scales) == 1:
+        x = run(scales[0], 1.0)
+        half = run(max(scales[0] // 2, floor), 1.0)
+        width = min(x.shape[-1], half.shape[-1])
+        return x, 1.5 * np.abs(x[..., :width] - half[..., :width]) / (2.0 ** p - 1.0)
+    weights = _ladder_weights(p, scales)
+    gain = float(np.sum(np.abs(weights)))
+    runs = [run(V, gain) for V in reversed(scales)][::-1]
+    width = min(r.shape[-1] for r in runs)
+    stack = np.stack([r[..., :width] for r in runs])
+    flat = stack.reshape(len(scales), -1)
+    value = (weights @ flat).reshape(stack.shape[1:])
+    sub = (_ladder_weights(p, scales[1:]) @ flat[1:]).reshape(stack.shape[1:])
+    return value, np.abs(value - sub)
+
+
+def _stop_tol(policy: TruncationPolicy, gain: float) -> float:
+    """Per-term stopping tolerance tight enough that ladder weights of total
+    magnitude ``gain`` cannot amplify the k-series stopping noise into the
+    tail budget."""
+    return min(policy.tol_term, max(policy.tol_tail / (16.0 * gain), _STOP_FLOOR))
 
 
 # ---------------------------------------------------------------------------
 # d_k vectors and delta blocks
 
-def _d_run(beta_vals: np.ndarray, n: int, V: int, K: int, tol_term: float,
-           k_exact: int | None = None) -> tuple[np.ndarray, bool]:
-    """Iterate d_1 = beta slice, d_{k+1} = H d_k at offset n.  Returns
-    (stack of K_used vectors, stopped-by-tolerance flag)."""
+def _delta_run(beta_vals: np.ndarray, n: int, v_max: int, V: int, K: int,
+               tol_term: float, k_exact: int | None = None) -> np.ndarray:
+    """Iterate delta_1(n, ., v) = beta_{n+v+.}, delta_{k+1} = H delta_k at
+    offset n, for v = 0..v_max at inner cutoff V.
+
+    Returns the stages, shape (K_used, v_max + 1, V).  Iteration stops at K
+    stages or once a stage's sup-norm falls below tol_term; ``k_exact``
+    forces exactly that many stages instead.
+    """
     eng = _HankelFFT(beta_vals, n, V)
-    d = beta_vals[n:n + V].copy()
-    out = [d]
-    target = k_exact if k_exact is not None else K
-    stopped = k_exact is None and np.max(np.abs(d)) < tol_term
-    k = 1
-    while k < target and not stopped:
-        d = eng.apply(d)
-        out.append(d)
-        k += 1
-        if k_exact is None and np.max(np.abs(d)) < tol_term:
-            stopped = True
-    return np.array(out), stopped
+    cols = np.stack([beta_vals[n + v:n + v + V] for v in range(v_max + 1)])
+    out = [cols]
+    target = k_exact or K
+    while len(out) < target and (k_exact or np.max(np.abs(cols)) >= tol_term):
+        cols = eng.apply(cols)
+        out.append(cols)
+    return np.array(out)
 
 
 def d_vectors(beta: BetaSeq, n: int, policy: TruncationPolicy = DEFAULT_POLICY,
@@ -539,10 +519,8 @@ def d_vectors(beta: BetaSeq, n: int, policy: TruncationPolicy = DEFAULT_POLICY,
     """Iterated kernel vectors d_k(n, u), u = 0..V-1, k = 1..K_used.
 
     d_1 is the beta slice at offset n; each further vector is one Hankel
-    apply.  Iteration stops when the sup-norm falls below tol_term or the
-    depth budget K is reached.  Under the RichardsonDouble strategy the
-    vectors are extrapolated from runs at V and 2V with the model's
-    inner-truncation exponent.
+    apply.  This is the v = 0 column of delta_block, so it runs the same
+    cutoff ladder with the same stopping rule and residual estimate.
 
     Raises
     ------
@@ -550,58 +528,9 @@ def d_vectors(beta: BetaSeq, n: int, policy: TruncationPolicy = DEFAULT_POLICY,
         When strict and the budget K is exhausted above tol_term (suggests
         a larger K).
     """
-    vals = beta.values if isinstance(beta, BetaSeq) else np.asarray(beta, dtype=float)
-    model = beta.model if isinstance(beta, BetaSeq) else None
-    V = policy.resolve_v(n, model)
-    K = policy.resolve_k(model) if model is not None else (policy.K or 64)
-
-    if policy.tail_strategy is TailStrategy.RICHARDSON_DOUBLE:
-        scales = policy.resolve_scales(model, n)
-        p = _elimination_exponent(model)
-        weights = _ladder_weights(p, scales)
-        fine, stopped = _d_run(vals, n, scales[-1], K, policy.tol_term)
-        runs = []
-        for W in scales[:-1]:
-            r, _ = _d_run(vals, n, W, K, policy.tol_term, k_exact=len(fine))
-            runs.append(r[:, :V])
-        runs.append(fine[:, :V])
-        stack = np.stack(runs)
-        vecs = np.tensordot(weights, stack, axes=1)
-        if len(scales) > 1:
-            sub = np.tensordot(_ladder_weights(p, scales[1:]), stack[1:], axes=1)
-            tail = float(np.max(np.abs(vecs - sub)))
-        else:
-            tail = 0.0
-    else:
-        vecs, stopped = _d_run(vals, n, V, K, policy.tol_term)
-        # analytic single-scale bound: the neglected inner tail pairs the
-        # ~1/(n+V) kernel decay against the computed partner magnitude
-        tail = float(np.max(np.abs(vals[n + V:n + 2 * V - 1])) * np.max(np.abs(vecs)) * V
-                     ) if len(vals) > n + V else 0.0
-    if strict and not stopped and np.max(np.abs(vecs[-1])) >= policy.tol_term:
-        raise TruncationError(
-            f"d_k iteration did not reach tol_term = {policy.tol_term:g} within "
-            f"K = {K} stages at n = {n}; increase K",
-            achieved=float(np.max(np.abs(vecs[-1]))), required=policy.tol_term)
-    return DVectors(n=n, vectors=vecs, converged=bool(stopped), tail_estimate=tail)
-
-
-def _delta_run(beta_vals: np.ndarray, n: int, v_max: int, V: int, K: int,
-               tol_term: float, k_exact: int | None = None) -> tuple[np.ndarray, bool]:
-    """delta_k columns at offset n; cols[v] = delta_k(n, ., v)."""
-    eng = _HankelFFT(beta_vals, n, V)
-    cols = np.stack([beta_vals[n + v:n + v + V] for v in range(v_max + 1)])
-    out = [cols]
-    target = k_exact if k_exact is not None else K
-    stopped = k_exact is None and np.max(np.abs(cols)) < tol_term
-    k = 1
-    while k < target and not stopped:
-        cols = eng.apply(cols)
-        out.append(cols)
-        k += 1
-        if k_exact is None and np.max(np.abs(cols)) < tol_term:
-            stopped = True
-    return np.array(out), stopped
+    block = delta_block(beta, n, 0, policy, strict)
+    return DVectors(n=n, vectors=block.values[:, :, 0], converged=block.converged,
+                    tail_estimate=block.tail_estimate)
 
 
 def delta_block(beta: BetaSeq, n: int, v_max: int,
@@ -611,49 +540,49 @@ def delta_block(beta: BetaSeq, n: int, v_max: int,
 
     delta_1(n, u, v) = beta_{n+u+v}; each stage applies the offset-n Hankel
     kernel to every column.  values[k-1, u, v]; v = 0 reproduces d_vectors.
+    Iteration stops when the sup-norm falls below tol_term or the depth
+    budget K is reached, at the finest cutoff; the others run as many stages.
+
+    Raises
+    ------
+    TruncationError
+        When strict and the budget K is exhausted above tol_term.
     """
     if v_max < 0:
         raise ValueError(f"v_max must be >= 0, got {v_max}")
     vals = beta.values if isinstance(beta, BetaSeq) else np.asarray(beta, dtype=float)
     model = beta.model if isinstance(beta, BetaSeq) else None
-    V = policy.resolve_v(n, model)
     K = policy.resolve_k(model) if model is not None else (policy.K or 64)
+    runs: list[np.ndarray] = []
 
-    if policy.tail_strategy is TailStrategy.RICHARDSON_DOUBLE:
-        scales = policy.resolve_scales(model, n)
-        p = _elimination_exponent(model)
-        weights = _ladder_weights(p, scales)
-        fine, stopped = _delta_run(vals, n, v_max, scales[-1], K, policy.tol_term)
-        runs = []
-        for W in scales[:-1]:
-            r, _ = _delta_run(vals, n, v_max, W, K, policy.tol_term, k_exact=len(fine))
-            runs.append(r[:, :, :V])
-        runs.append(fine[:, :, :V])
-        stack = np.stack(runs)
-        block = np.tensordot(weights, stack, axes=1)
-        if len(scales) > 1:
-            sub = np.tensordot(_ladder_weights(p, scales[1:]), stack[1:], axes=1)
-            tail = float(np.max(np.abs(block - sub)))
-        else:
-            tail = 0.0
-    else:
-        block, stopped = _delta_run(vals, n, v_max, V, K, policy.tol_term)
-        tail = float(np.max(np.abs(vals[n + V:n + 2 * V - 1])) * np.max(np.abs(block)) * V
-                     ) if len(vals) > n + V else 0.0
-    if strict and not stopped:
+    def run(V: int, gain: float) -> np.ndarray:
+        # the finest cutoff runs first and sets the stage count of the others
+        out = _delta_run(vals, n, v_max, V, K, policy.tol_term,
+                         k_exact=len(runs[0]) if runs else None)
+        runs.append(out)
+        return out
+
+    block, resid = _ladder(run, policy.resolve_scales(model, n),
+                           _elimination_exponent(model))
+    # a run without k_exact ends early only once a stage is below tol_term
+    stopped = bool(np.max(np.abs(runs[0][-1])) < policy.tol_term)
+    last = float(np.max(np.abs(block[-1])))
+    if strict and not stopped and last >= policy.tol_term:
         raise TruncationError(
-            f"delta iteration did not converge within K = {K} at n = {n}; increase K")
+            f"kernel iteration did not reach tol_term = {policy.tol_term:g} within "
+            f"K = {K} stages at n = {n}; increase K",
+            achieved=last, required=policy.tol_term)
     # (k, v, u) -> (k, u, v)
     return DeltaBlock(n=n, values=np.transpose(block, (0, 2, 1)),
-                      converged=bool(stopped), tail_estimate=tail)
+                      converged=stopped, tail_estimate=float(np.max(resid)))
 
 
 # ---------------------------------------------------------------------------
 # predictor series engine
 
 def _g_terms_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
-                 n: int, m: int, V: int, K: int, tol_term: float,
-                 k_exact: int | None = None) -> tuple[np.ndarray, bool]:
+                 n: int, m: int, V: int, K: int,
+                 tol_term: float) -> tuple[np.ndarray, bool]:
     """One full series evaluation at inner cutoff V.
 
     Returns (terms matrix, rows k = 1..K_used, columns j = 1..n; stopped
@@ -670,36 +599,33 @@ def _g_terms_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
     win = np.stack([a_vals[1 + v:1 + v + n] for v in range(m + 1)])
     g1 = c_rev @ win if m > 0 else c_head[0] * a_vals[1:1 + n]
     terms = [g1]
-    target = k_exact if k_exact is not None else K
-    prev_max = float(np.max(np.abs(g1))) if n else 0.0
+    prev_max = float(np.max(np.abs(g1)))
     ratios: list[float] = []
     consec = 1 if prev_max < tol_term else 0
-    stopped = k_exact is None and consec >= 2
-    if target >= 2 and not stopped:
+    stopped = False
+    if K >= 2:
         eng = _HankelFFT(beta_vals, n + 1, V, a_vals=a_vals, n_out=n)
         # delta_1(n+1, u, v) = beta_{n+1+u+v}: direct slices
         cols = np.stack([beta_vals[n + 1 + v:n + 1 + v + V] for v in range(m + 1)])
-        for k in range(2, target + 1):
+        for k in range(2, K + 1):
             fx = eng.forward(cols)
             bvec = c_rev @ eng.a_correlate_from(fx)
             gk = bvec if k % 2 == 1 else bvec[::-1]
             terms.append(gk)
-            if k_exact is None:
-                cur = float(np.max(np.abs(gk)))
-                if prev_max > 0.0 and cur > 0.0:
-                    ratios.append(min(cur / prev_max, 0.999))
-                r = max(ratios[-3:], default=0.999)
-                bound = cur * r / (1.0 - r)
-                if cur < tol_term and bound < tol_term:
-                    consec += 1
-                    if consec >= 2:
-                        stopped = True
-                        prev_max = cur
-                        break
-                else:
-                    consec = 0
-                prev_max = cur
-            if k < target:
+            cur = float(np.max(np.abs(gk)))
+            if prev_max > 0.0 and cur > 0.0:
+                ratios.append(min(cur / prev_max, 0.999))
+            r = max(ratios[-3:], default=0.999)
+            bound = cur * r / (1.0 - r)
+            if cur < tol_term and bound < tol_term:
+                consec += 1
+                if consec >= 2:
+                    stopped = True
+                    break
+            else:
+                consec = 0
+            prev_max = cur
+            if k < K:
                 cols = eng.apply_from(fx)
     return np.array(terms), stopped
 
@@ -775,36 +701,23 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
         # finite-support kernel: every stage is exact at any cutoff wide
         # enough; one scale, no elimination, nothing to estimate
         scales = scales[:1]
-    p = _elimination_exponent(model)
-    weights = _ladder_weights(p, scales)
-    tol_stop = _stop_tol(policy, weights)
-    K = policy.resolve_k(model, tol_stop)
     a_vals = expand_ar(model, n + scales[-1]).values
+    runs: list[tuple[np.ndarray, bool]] = []
 
-    runs = []
-    for V in scales:
-        t, s = _g_terms_run(beta.values, a_vals, c_head, n, m, V, K, tol_stop)
-        runs.append((t, s, _phi_from_terms(t)))
-    terms, stopped, _ = runs[-1]
+    def run(V: int, gain: float) -> np.ndarray:
+        tol_stop = _stop_tol(policy, gain)
+        t, s = _g_terms_run(beta.values, a_vals, c_head, n, m, V,
+                            policy.resolve_k(model, tol_stop), tol_stop)
+        runs.append((t, s))
+        return _phi_from_terms(t)
 
-    if len(scales) == 1:
-        phi = runs[0][2]
-        if beta.exact:
-            tail_j = np.zeros(n)
-        else:
-            # single-scale comparison bound from the power law: the ladder of
-            # remaining doublings sums to diff / (2^p - 1); measured with one
-            # half-cutoff run, reported but not applied
-            th, _ = _g_terms_run(beta.values, a_vals, c_head, n, m,
-                                 max(scales[0] // 2, m + 1), K, tol_stop)
-            phi_half = _phi_from_terms(th)
-            tail_j = 1.5 * np.abs(phi - phi_half) / (2.0 ** p - 1.0)
+    if beta.exact:
+        phi, tail_j = run(scales[0], 1.0), np.zeros(n)
     else:
-        stack = np.stack([r[2] for r in runs])
-        phi = weights @ stack
-        sub = _ladder_weights(p, scales[1:]) @ stack[1:]
-        tail_j = np.abs(phi - sub)
-    tail_resid = float(np.max(tail_j)) + beta.tail_estimate * 4.0 if n else 0.0
+        phi, tail_j = _ladder(run, scales, _elimination_exponent(model), floor=m + 1)
+    # the finest cutoff runs first; its terms are the per-j diagnostics
+    terms, stopped = runs[0]
+    tail_resid = float(np.max(tail_j)) + beta.tail_estimate * 4.0
 
     if tail_resid > policy.tol_tail:
         raise TruncationError(

@@ -11,7 +11,7 @@ plenty at desk scale and keeps the code obviously correct.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, toeplitz

@@ -10,7 +10,6 @@ Models are frozen (hashable) so expansions can be memoized on the model itself.
 
 from __future__ import annotations
 
-import cmath
 import enum
 from dataclasses import dataclass, field
 

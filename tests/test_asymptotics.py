@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import predictorlab as pl
-from predictorlab import (OracleDisagreementError, RegimeError,
+from predictorlab import (ConfigError, OracleDisagreementError, RegimeError,
                           TruncationPolicy, f_u, fk0, richardson,
                           semigroup_integral)
 
@@ -182,3 +182,11 @@ class TestCrossChecking:
         capped = pl.rate_experiment(pl.Farima(0.3), 1, [16, 32])
         assert capped.entries == report.entries
         assert capped.extrapolated == report.extrapolated
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_thread_cap_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("PREDICTORLAB_THREADS", value)
+        with pytest.raises(ConfigError, match="PREDICTORLAB_THREADS") as err:
+            pl.dk_scaling_experiment(pl.Farima(0.3), [1], 0, [64],
+                                     TruncationPolicy(V=64, levels=1))
+        assert repr(value) in str(err.value)

@@ -294,6 +294,14 @@ class TestExitCodes:
         assert code == 4
         assert "error=truncation" in err
 
+    def test_bad_thread_cap_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("PREDICTORLAB_THREADS", "abc")
+        code, out, err = run(capsys, "dkscale", "--model", "farima", "--d", "0.3",
+                             "--n", "64", "--k", "1", "--vmax", "64", "--levels", "1")
+        assert code == 2 and out == ""
+        assert "error=config" in err
+        assert "PREDICTORLAB_THREADS" in err and "'abc'" in err
+
     def test_route_disagreement(self, capsys, monkeypatch):
         real = pl.durbin_levinson
 

@@ -47,15 +47,6 @@ class TestBeta:
             # the direct sum still misses ~1/M of tail; compare at that scale
             assert abs(beta[i] - direct) < 5e-7
 
-    def test_beta_seq_from_expansions(self):
-        m = pl.Farima(0.3)
-        L = 64
-        lead = 1 << 15
-        got = pl.beta_seq(pl.expand_ma(m, lead + L), pl.expand_ar(m, lead + L),
-                          L, model=m)
-        want = pl.beta_for_model(m, L)
-        np.testing.assert_allclose(got.values, want.values, atol=1e-4)
-
 
 class TestHankelApply:
     def test_unit_vector_extracts_column(self):
@@ -120,6 +111,32 @@ class TestDVectors:
                     assert np.all(head > 0.0)
                     bound = f[k - 1] * (r * np.sin(np.pi * d)) ** k / n
                     assert np.max(head) <= bound * (1.0 + eps)
+
+    @pytest.mark.parametrize("d", [0.1, 0.3])
+    def test_single_scale_tail_covers_ladder_correction(self, d):
+        # one scale is left uncorrected, so its reported residual must cover
+        # what a four-level ladder still moves
+        model, n = pl.Farima(d), 64
+        ladder = TruncationPolicy(K=8, levels=4)
+        beta = pl.beta_for_model(model, n + 2 * ladder.resolve_scales(model, n)[-1])
+        one = pl.d_vectors(beta, n, TruncationPolicy(K=8, levels=1), strict=False)
+        ref = pl.d_vectors(beta, n, ladder, strict=False)
+        k, w = min(one.k_used, ref.k_used), ref.vectors.shape[1]
+        moved = float(np.max(np.abs(one.vectors[:k, :w] - ref.vectors[:k, :w])))
+        assert moved > 0.0
+        assert one.tail_estimate >= moved
+
+    @pytest.mark.parametrize("v_max", [None, 2])
+    def test_exhausted_budget_raises_with_bounds(self, v_max):
+        beta = pl.beta_for_model(pl.Farima(0.3), 32 + 4 * 256)
+        pol = TruncationPolicy(V=256, K=2, levels=2)
+        with pytest.raises(TruncationError) as err:
+            if v_max is None:
+                pl.d_vectors(beta, 32, pol)
+            else:
+                pl.delta_block(beta, 32, v_max, pol, strict=True)
+        assert err.value.required == pol.tol_term
+        assert err.value.achieved >= pol.tol_term
 
 
 class TestDeltaBlock:
