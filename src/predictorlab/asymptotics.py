@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate
 
 from .coeffs import autocov, expand_ar, expand_ma, infinite_predictor, tail_sum_phi
-from .errors import ConfigError, OracleDisagreementError, RegimeError
+from .errors import ConfigError, OracleDisagreementError, RegimeError, TruncationError
 from .explicit import (DEFAULT_POLICY, TruncationPolicy, _required_beta_len,
                        beta_for_model, d_vectors, finite_predictor_explicit)
 from .levinson import durbin_levinson
@@ -264,7 +264,11 @@ def baxter_experiment(model: ProcessModel, n_list,
 
 def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
                           policy: TruncationPolicy = DEFAULT_POLICY) -> DkScalingReport:
-    """Tabulate n d_k(n, u) against the limit f_k(0) sin^k(pi d)."""
+    """Tabulate n d_k(n, u) against the limit f_k(0) sin^k(pi d).
+
+    Raises TruncationError when the inner-truncation residual of the d_k
+    vectors at some n exceeds policy.tol_tail.
+    """
     d = _require_long_memory(model, "d_k scaling experiment")
     if u < 0:
         raise ValueError(f"u must be >= 0, got {u}")
@@ -285,6 +289,11 @@ def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
             raise ValueError(
                 f"u = {u} outside inner cutoff V = {policy.resolve_v(n, model)}")
         dv = d_vectors(beta, n, depth_policy, strict=False)
+        if dv.tail_estimate > policy.tol_tail:
+            raise TruncationError(
+                f"d_k inner-truncation residual {dv.tail_estimate:.3e} exceeds "
+                f"tol_tail {policy.tol_tail:g} at n = {n}; increase V or levels",
+                achieved=dv.tail_estimate, required=policy.tol_tail)
         return [(k, n, float(n * dv.vectors[k - 1][u]), targets[k])
                 for k in k_list if k <= dv.k_used]
 

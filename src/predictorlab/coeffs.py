@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import signal
+from scipy.fft import next_fast_len
 from scipy.linalg import toeplitz
 
 from .errors import DegeneracyError, TruncationError
@@ -142,6 +143,31 @@ def _truncated_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if n <= 4096:
         return np.convolve(u, v)[:n]
     return signal.fftconvolve(u, v)[:n]
+
+
+def _window_fft_len(len_x: int, len_y: int, lo: int, count: int) -> int:
+    """Fast FFT length at which entries lo..lo+count-1 of the linear
+    convolution of a length-len_x and a length-len_y sequence are unaliased.
+
+    A circular convolution of length N adds linear entry i + N onto entry i.
+    The window is read back below N, so N >= lo + count; and every entry that
+    wraps onto it lies at or beyond lo + N, past the last linear entry
+    len_x + len_y - 2 once N >= len_x + len_y - 1 - lo.  This is shorter than
+    the full convolution length len_x + len_y - 1 unless lo = 0 or the window
+    reaches the last entry.
+    """
+    return next_fast_len(max(lo + count, len_x + len_y - 1 - lo), real=True)
+
+
+def _convolve_window(x: np.ndarray, y: np.ndarray, lo: int, count: int) -> np.ndarray:
+    """Entries lo..lo+count-1 of the linear convolution x * y, by FFT at the
+    length of _window_fft_len.  An input longer than that length is cut to
+    it, which drops only terms that land past the window."""
+    npts = _window_fft_len(len(x), len(y), lo, count)
+    fx = np.fft.rfft(x, npts)
+    fx *= np.fft.rfft(y, npts)
+    # a copy, so that a cached window does not keep the whole transform alive
+    return np.fft.irfft(fx, npts)[lo:lo + count].copy()
 
 
 def _is_unit_poly(coeffs: tuple[float, ...]) -> bool:
@@ -288,7 +314,7 @@ def autocov(model: ProcessModel, N: int, M: int | None = None,
         raise ValueError(f"M = {M} must be >= N = {N}")
 
     c = _expansion(model, M + 1, CoeffKind.MA)
-    raw = signal.fftconvolve(c, c[::-1])[M:M + N + 1]
+    raw = _convolve_window(c, c[::-1], M, N + 1)
 
     if long_memory:
         d = model.d

@@ -32,6 +32,14 @@ Everything the FFT touches here is noise-free in the structurally-zero case:
 a finitely supported beta stays exactly zero under rfft/irfft of zero blocks,
 so short-memory models with exact support produce exact zeros for all k >= 2
 and the ladder collapses to a single exact evaluation.
+
+Every correlation here (beta, the Hankel apply, the AR correlation) keeps a
+window of a linear convolution, so its FFT runs at the shortest circular
+length that leaves the window unaliased, max(lo + count, total - lo) for a
+window lo..lo+count-1 of a length-total convolution, rather than at the full
+length: the entries that wrap around land below the window.  That is about
+2V instead of 3V points per Hankel apply and M + L instead of 2M + L for
+beta; the window is exact either way, so only rounding changes.
 """
 
 from __future__ import annotations
@@ -41,11 +49,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal
-from scipy.fft import next_fast_len
 from scipy.linalg import hankel as _hankel_matrix
 
-from .coeffs import expand_ar, expand_ma
+from .coeffs import _convolve_window, _window_fft_len, expand_ar, expand_ma
 from .errors import TruncationError
 from .levinson import PredictorSource, PredictorTable
 from .models import ProcessModel, Regime, memory_exponent, regime
@@ -307,7 +313,7 @@ def _beta_values(model: ProcessModel, L: int,
         M = inner_len or (1 << 17)
         c = expand_ma(model, M).values
         a = expand_ar(model, M + L).values
-        out = signal.fftconvolve(a, c[::-1], mode="valid")
+        out = _convolve_window(a, c[::-1], M, L + 1)
         bound = float(np.sum(np.abs(c[-(M // 8):])) * np.max(np.abs(a)) * 4.0)
         return out, bound, M, False
 
@@ -315,7 +321,7 @@ def _beta_values(model: ProcessModel, L: int,
     d = model.d
     c = expand_ma(model, M).values
     a = expand_ar(model, M + L).values
-    raw = signal.fftconvolve(a, c[::-1], mode="valid")
+    raw = _convolve_window(a, c[::-1], M, L + 1)
     k0 = M + 0.5
     idx = np.arange(L + 1, dtype=float)
     corr = _beta_tail_correction(d, idx, k0)
@@ -357,6 +363,14 @@ class _HankelFFT:
     The kernel matrix is constant along anti-diagonals, so the product is a
     correlation: precompute the rfft of the kernel band once and reuse it for
     every apply (the series iteration applies the same kernel K times).
+
+    Both products read a window of a linear convolution with the reversed
+    input, so the transform length is the aliasing-free one of
+    ``coeffs._window_fft_len``, not the full convolution length: the kernel
+    apply keeps entries V-1..2V-2 of a (2V-1) * V convolution, exact at 2V-1
+    points (the full length is 3V-2), and the AR correlation keeps entries
+    V..V+n_out-1 of an (n_out+V) * V one, exact at n_out+V points.  What
+    wraps around lands below the window.
     """
 
     def __init__(self, beta_vals: np.ndarray, offset: int, V: int,
@@ -367,10 +381,11 @@ class _HankelFFT:
                 f"have {len(beta_vals) - 1}")
         self.V = V
         self.n_out = n_out
-        need = 3 * V - 2
+        # kernel window: entries V-1..2V-2 of band * reversed x
+        self.npts = _window_fft_len(2 * V - 1, V, V - 1, V)
         if a_vals is not None:
-            need = max(need, n_out + 2 * V - 1)
-        self.npts = next_fast_len(need, real=True)
+            # AR window: entries V..V+n_out-1 of a[:n_out+V] * reversed x
+            self.npts = max(self.npts, _window_fft_len(n_out + V, V, V, n_out))
         self.rb = np.fft.rfft(beta_vals[offset:offset + 2 * V - 1], self.npts)
         self.ra = None
         if a_vals is not None:

@@ -7,8 +7,8 @@ import pytest
 
 import predictorlab as pl
 from predictorlab import (ConfigError, OracleDisagreementError, RegimeError,
-                          TruncationPolicy, f_u, fk0, richardson,
-                          semigroup_integral)
+                          TruncationError, TruncationPolicy, f_u, fk0,
+                          richardson, semigroup_integral)
 
 
 class TestFk0:
@@ -146,6 +146,14 @@ class TestDkScalingExperiment:
         for k, n, val, target in report.entries:
             assert n == 512
             assert abs(val - target) / target < 0.01
+
+    def test_tail_over_tol_raises(self):
+        # one uncorrected scale leaves n d_3 ~14% off at n = 512
+        with pytest.raises(TruncationError) as err:
+            pl.dk_scaling_experiment(pl.Farima(0.3), [1, 2, 3], 0, [512],
+                                     TruncationPolicy(levels=1))
+        assert err.value.required == 1e-6
+        assert err.value.achieved > err.value.required
 
     def test_validation(self):
         model = pl.Farima(0.3)

@@ -294,6 +294,12 @@ class TestExitCodes:
         assert code == 4
         assert "error=truncation" in err
 
+    def test_dkscale_tail_over_tol(self, capsys):
+        code, out, err = run(capsys, "dkscale", "--model", "farima", "--d", "0.3",
+                             "--n", "512", "--k", "1,2,3", "--u", "0", "--levels", "1")
+        assert code == 4 and out == ""
+        assert "error=truncation" in err
+
     def test_bad_thread_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PREDICTORLAB_THREADS", "abc")
         code, out, err = run(capsys, "dkscale", "--model", "farima", "--d", "0.3",

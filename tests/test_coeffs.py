@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
+from scipy import signal
 from scipy.special import gamma as Gamma
 
 import predictorlab as pl
 from predictorlab import DegeneracyError
+from predictorlab.coeffs import _autocov_tail_correction, _convolve_window, ell_estimate
 
 from conftest import (any_model, farima_a_oracle, farima_c_oracle,
                       farima_gamma_oracle, series_by_cauchy)
@@ -110,6 +112,22 @@ class TestAutocov:
         with pytest.raises(DegeneracyError):
             pl.AutocovSeq(np.array([1.0, 1.0, 1.0]))
 
+    @pytest.mark.parametrize("model, M", [
+        (pl.Farima(0.3), 1 << 18),
+        (pl.Farima(0.0, ma_poly=pl.RealPolynomial((1.0, 0.9))), 1 << 12),
+    ], ids=["long", "short"])
+    def test_matches_full_length_convolution(self, model, M):
+        # reference: the full-length scipy convolution sliced to the lags
+        N = 300
+        c = pl.expand_ma(model, M).values
+        ref = signal.fftconvolve(c, c[::-1])[M:M + N + 1]
+        if model.d > 0.0:
+            lags = np.arange(N + 1, dtype=float)
+            ref = ref + _autocov_tail_correction(
+                model.d, ell_estimate(model, min(M, 1 << 17)), lags, M - lags + 0.5)
+        got = pl.autocov(model, N, M).values
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
 
 class TestInfinitePredictor:
     def test_phi_is_scaled_ar(self):
@@ -166,3 +184,30 @@ def test_convolution_identity(model):
     expected = np.zeros(n_check)
     expected[0] = -1.0
     np.testing.assert_allclose(conv[:n_check], expected, atol=1e-10)
+
+
+@st.composite
+def _windows(draw):
+    """(len_x, len_y, lo, count) with the window inside the linear convolution."""
+    len_x = draw(st.integers(min_value=1, max_value=300))
+    len_y = draw(st.integers(min_value=1, max_value=300))
+    total = len_x + len_y - 1
+    lo = draw(st.integers(min_value=0, max_value=total - 1))
+    count = draw(st.integers(min_value=1, max_value=total - lo))
+    return len_x, len_y, lo, count
+
+
+@settings(deadline=None, max_examples=200)
+@given(_windows(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example((1, 1, 0, 1), 0)      # len(x) = 1, lo = 0, count = 1
+@example((1, 40, 0, 40), 1)    # len(x) = 1, the whole convolution
+@example((37, 5, 0, 1), 2)     # lo = 0, count = 1
+@example((37, 5, 40, 1), 3)    # count = 1 at the last entry
+@example((64, 64, 63, 64), 4)  # the Hankel kernel window, lo = V - 1
+def test_convolve_window_matches_direct(window, seed):
+    len_x, len_y, lo, count = window
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(-1.0, 1.0, len_x), rng.uniform(-1.0, 1.0, len_y)
+    got = _convolve_window(x, y, lo, count)
+    assert got.shape == (count,)
+    np.testing.assert_allclose(got, np.convolve(x, y)[lo:lo + count], rtol=0, atol=1e-12)

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import signal
 
 import predictorlab as pl
 from predictorlab import TruncationError, TruncationPolicy
 from predictorlab.asymptotics import fk0
+from predictorlab.explicit import _HankelFFT, _beta_tail_correction
 
 from conftest import exact_phi, farima_a_oracle, farima_c_oracle
 
@@ -47,6 +49,24 @@ class TestBeta:
             # the direct sum still misses ~1/M of tail; compare at that scale
             assert abs(beta[i] - direct) < 5e-7
 
+    @pytest.mark.parametrize("model", [
+        pl.Farima(0.3),
+        # AR expansion decays like 0.9^n without underflowing: no exact support
+        pl.Farima(0.0, ma_poly=pl.RealPolynomial((1.0, 0.9))),
+    ], ids=["long", "short-inexact"])
+    def test_matches_full_length_convolution(self, model):
+        # reference: scipy's "valid" correlation, padded to the full length
+        L = 300
+        beta = pl.beta_for_model(model, L)
+        assert not beta.exact
+        M = beta.inner_len
+        c = pl.expand_ma(model, M).values
+        a = pl.expand_ar(model, M + L).values
+        ref = signal.fftconvolve(a, c[::-1], mode="valid")
+        if model.d > 0.0:
+            ref = ref + _beta_tail_correction(model.d, np.arange(L + 1.0), M + 0.5)
+        assert np.max(np.abs(beta.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
 
 class TestHankelApply:
     def test_unit_vector_extracts_column(self):
@@ -69,6 +89,23 @@ class TestHankelApply:
         fast = pl.hankel_apply(beta, 7, x, method="fft")
         direct = pl.hankel_apply(beta, 7, x, method="direct")
         np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("n_out", ["1", "V", "2V+3"])
+    @pytest.mark.parametrize("V", [1, 2, 3, 5, 64])
+    def test_windows_against_direct_sums(self, V, n_out):
+        n_out = {"1": 1, "V": V, "2V+3": 2 * V + 3}[n_out]
+        rng = np.random.default_rng(100 * V + n_out)
+        offset = 3
+        beta_vals = rng.uniform(-1.0, 1.0, offset + 2 * V - 1)
+        a_vals = rng.uniform(-1.0, 1.0, n_out + V)
+        x = rng.uniform(-1.0, 1.0, (2, V))
+        eng = _HankelFFT(beta_vals, offset, V, a_vals=a_vals, n_out=n_out)
+        kernel = np.array([[beta_vals[offset + j + v] for v in range(V)] for j in range(V)])
+        np.testing.assert_allclose(eng.apply(x), x @ kernel.T, rtol=0, atol=1e-12)
+        # t_j = sum_{u<V} a_{j+u} x_u for j = 1..n_out
+        corr = np.array([[a_vals[j + u] for u in range(V)] for j in range(1, n_out + 1)])
+        np.testing.assert_allclose(eng.a_correlate_from(eng.forward(x)), x @ corr.T,
+                                   rtol=0, atol=1e-12)
 
     def test_insufficient_beta_rejected(self):
         beta = pl.beta_for_model(pl.Farima(0.3), 50)
