@@ -15,7 +15,6 @@ so an asymptotic "pass" can never be an artifact of one broken route.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -23,9 +22,10 @@ import numpy as np
 from scipy import integrate
 
 from .coeffs import autocov, expand_ar, expand_ma, infinite_predictor, tail_sum_phi
-from .errors import ConfigError, OracleDisagreementError, RegimeError, TruncationError
-from .explicit import (DEFAULT_POLICY, TruncationPolicy, _required_beta_len,
-                       beta_for_model, d_vectors, finite_predictor_explicit)
+from .errors import OracleDisagreementError, RegimeError, TruncationError
+from .explicit import (DEFAULT_POLICY, TruncationPolicy, _max_workers,
+                       _required_beta_len, beta_for_model, d_vectors,
+                       finite_predictor_explicit)
 from .levinson import durbin_levinson
 from .models import ProcessModel, Regime, memory_exponent, regime
 
@@ -140,20 +140,6 @@ class DkScalingReport:
 
     u: int
     entries: tuple[tuple[int, int, float, float], ...]
-
-
-def _max_workers(n_tasks: int) -> int:
-    env = os.environ.get("PREDICTORLAB_THREADS")
-    cap = os.cpu_count() or 1
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise ConfigError(
-                f"PREDICTORLAB_THREADS must be an integer >= 1, got {env!r}")
-    return max(1, min(n_tasks, cap, 8))
 
 
 def _require_long_memory(model: ProcessModel, what: str) -> float:

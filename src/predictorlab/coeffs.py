@@ -216,10 +216,10 @@ def _expansion_cached(model: ProcessModel, n_terms: int, kind: CoeffKind) -> np.
 
 
 def _expansion(model: ProcessModel, min_terms: int, kind: CoeffKind) -> np.ndarray:
-    # round the cached length up to a power of two so repeated requests share
-    n_terms = 1 << max(0, int(min_terms - 1).bit_length())
-    if n_terms < min_terms:
-        n_terms = min_terms
+    # round the truncation index min_terms - 1 up to a power of two so
+    # repeated requests share one entry; rounding the length instead would
+    # double the common 2^k + 1 requests (c_0..c_{2^k})
+    n_terms = (1 << max(0, min_terms - 2).bit_length()) + 1
     return _expansion_cached(model, n_terms, kind)[:min_terms]
 
 

@@ -40,11 +40,22 @@ window lo..lo+count-1 of a length-total convolution, rather than at the full
 length: the entries that wrap around land below the window.  That is about
 2V instead of 3V points per Hankel apply and M + L instead of 2M + L for
 beta; the window is exact either way, so only rounding changes.
+
+The ladder's runs are independent of one another, so they run on two lanes:
+the calling thread runs the finest cutoff, and one worker thread runs the
+coarser ones, finest first.  Because V doubles, the finest run costs about
+as much as all coarser runs together (2^{L-1} : 2^{L-1} - 1), so a third lane
+would not shorten the critical path; two lanes is the optimum at any core
+count.  Each run is deterministic and the elimination reads them in the same
+finest-first order, so the result is bitwise that of the serial ladder.
+``PREDICTORLAB_THREADS=1``, or a single CPU, runs the ladder serially.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -52,7 +63,7 @@ import numpy as np
 from scipy.linalg import hankel as _hankel_matrix
 
 from .coeffs import _convolve_window, _window_fft_len, expand_ar, expand_ma
-from .errors import TruncationError
+from .errors import ConfigError, TruncationError
 from .levinson import PredictorSource, PredictorTable
 from .models import ProcessModel, Regime, memory_exponent, regime
 
@@ -471,6 +482,40 @@ def _ladder_weights(p: float, scales: list[int]) -> np.ndarray:
     return np.linalg.solve(A.T, e0)
 
 
+def _max_workers(n_tasks: int) -> int:
+    """Thread cap for n_tasks independent tasks: PREDICTORLAB_THREADS if
+    set, else the CPU count, and never more than 8."""
+    env = os.environ.get("PREDICTORLAB_THREADS")
+    cap = os.cpu_count() or 1
+    if env:
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise ConfigError(
+                f"PREDICTORLAB_THREADS must be an integer >= 1, got {env!r}")
+    return max(1, min(n_tasks, cap, 8))
+
+
+def _run_lanes(run, cutoffs: list[int], gain: float) -> list[np.ndarray]:
+    """``run(V, gain)`` at each cutoff, finest first: the calling thread runs
+    the first cutoff while one worker thread runs the others in order.
+    Results come back in the order of ``cutoffs``."""
+    if _max_workers(len(cutoffs)) < 2:
+        return [run(V, gain) for V in cutoffs]
+    with ThreadPoolExecutor(max_workers=1) as lane:
+        coarse = lane.submit(lambda: [run(V, gain) for V in cutoffs[1:]])
+        finest = run(cutoffs[0], gain)
+        return [finest, *coarse.result()]
+
+
+def _shared_prefix(runs: list[np.ndarray]) -> list[np.ndarray]:
+    """Each run cut to the prefix, along every axis, that all runs share."""
+    shape = np.min([r.shape for r in runs], axis=0)
+    return [r[tuple(slice(0, k) for k in shape)] for r in runs]
+
+
 def _ladder(run, scales: list[int], p: float,
             floor: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Run one computation across the cutoff ladder, finest cutoff first,
@@ -478,22 +523,22 @@ def _ladder(run, scales: list[int], p: float,
 
     ``run(V, gain)`` returns the result at cutoff V; ``gain`` = sum |w| of
     the elimination weights bounds how much they amplify a run's stopping
-    noise.  Runs are compared on the shared prefix of their last axis.
-    Returns (value, per-entry residual): |value - the elimination over the
-    coarser sub-ladder|.  With one scale the value is that run, reported
-    uncorrected, and the residual 1.5 |x - x_half| / (2^p - 1) from one more
-    run at half the cutoff (never below ``floor``).
+    noise.  The runs go on two lanes (``_run_lanes``), so ``run`` must not
+    depend on the order in which they finish.  Runs are compared on the
+    prefix they share along every axis.  Returns (value, per-entry
+    residual): |value - the elimination over the coarser sub-ladder|.  With
+    one scale the value is that run, reported uncorrected, and the residual
+    1.5 |x - x_half| / (2^p - 1) from one more run at half the cutoff (never
+    below ``floor``).
     """
     if len(scales) == 1:
-        x = run(scales[0], 1.0)
-        half = run(max(scales[0] // 2, floor), 1.0)
-        width = min(x.shape[-1], half.shape[-1])
-        return x, 1.5 * np.abs(x[..., :width] - half[..., :width]) / (2.0 ** p - 1.0)
+        x, half = _run_lanes(run, [scales[0], max(scales[0] // 2, floor)], 1.0)
+        x_cut, half = _shared_prefix([x, half])
+        return x, 1.5 * np.abs(x_cut - half) / (2.0 ** p - 1.0)
     weights = _ladder_weights(p, scales)
     gain = float(np.sum(np.abs(weights)))
-    runs = [run(V, gain) for V in reversed(scales)][::-1]
-    width = min(r.shape[-1] for r in runs)
-    stack = np.stack([r[..., :width] for r in runs])
+    runs = _run_lanes(run, scales[::-1], gain)[::-1]
+    stack = np.stack(_shared_prefix(runs))
     flat = stack.reshape(len(scales), -1)
     value = (weights @ flat).reshape(stack.shape[1:])
     sub = (_ladder_weights(p, scales[1:]) @ flat[1:]).reshape(stack.shape[1:])
@@ -511,19 +556,18 @@ def _stop_tol(policy: TruncationPolicy, gain: float) -> float:
 # d_k vectors and delta blocks
 
 def _delta_run(beta_vals: np.ndarray, n: int, v_max: int, V: int, K: int,
-               tol_term: float, k_exact: int | None = None) -> np.ndarray:
+               tol_term: float) -> np.ndarray:
     """Iterate delta_1(n, ., v) = beta_{n+v+.}, delta_{k+1} = H delta_k at
     offset n, for v = 0..v_max at inner cutoff V.
 
     Returns the stages, shape (K_used, v_max + 1, V).  Iteration stops at K
-    stages or once a stage's sup-norm falls below tol_term; ``k_exact``
-    forces exactly that many stages instead.
+    stages or once a stage's sup-norm falls below tol_term (never, at
+    tol_term = 0).
     """
     eng = _HankelFFT(beta_vals, n, V)
     cols = np.stack([beta_vals[n + v:n + v + V] for v in range(v_max + 1)])
     out = [cols]
-    target = k_exact or K
-    while len(out) < target and (k_exact or np.max(np.abs(cols)) >= tol_term):
+    while len(out) < K and np.max(np.abs(cols)) >= tol_term:
         cols = eng.apply(cols)
         out.append(cols)
     return np.array(out)
@@ -568,19 +612,19 @@ def delta_block(beta: BetaSeq, n: int, v_max: int,
     vals = beta.values if isinstance(beta, BetaSeq) else np.asarray(beta, dtype=float)
     model = beta.model if isinstance(beta, BetaSeq) else None
     K = policy.resolve_k(model) if model is not None else (policy.K or 64)
-    runs: list[np.ndarray] = []
+    scales = policy.resolve_scales(model, n)
+    runs: dict[int, np.ndarray] = {}
 
     def run(V: int, gain: float) -> np.ndarray:
-        # the finest cutoff runs first and sets the stage count of the others
-        out = _delta_run(vals, n, v_max, V, K, policy.tol_term,
-                         k_exact=len(runs[0]) if runs else None)
-        runs.append(out)
+        # the finest cutoff sets the stage count; the coarser ones run all K
+        # stages and the ladder cuts them to the finest's count
+        tol = policy.tol_term if V == scales[-1] else 0.0
+        out = runs[V] = _delta_run(vals, n, v_max, V, K, tol)
         return out
 
-    block, resid = _ladder(run, policy.resolve_scales(model, n),
-                           _elimination_exponent(model))
-    # a run without k_exact ends early only once a stage is below tol_term
-    stopped = bool(np.max(np.abs(runs[0][-1])) < policy.tol_term)
+    block, resid = _ladder(run, scales, _elimination_exponent(model))
+    # the finest run ends early only once a stage is below tol_term
+    stopped = bool(np.max(np.abs(runs[scales[-1]][-1])) < policy.tol_term)
     last = float(np.max(np.abs(block[-1])))
     if strict and not stopped and last >= policy.tol_term:
         raise TruncationError(
@@ -717,21 +761,20 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
         # enough; one scale, no elimination, nothing to estimate
         scales = scales[:1]
     a_vals = expand_ar(model, n + scales[-1]).values
-    runs: list[tuple[np.ndarray, bool]] = []
+    runs: dict[int, tuple[np.ndarray, bool]] = {}
 
     def run(V: int, gain: float) -> np.ndarray:
         tol_stop = _stop_tol(policy, gain)
-        t, s = _g_terms_run(beta.values, a_vals, c_head, n, m, V,
-                            policy.resolve_k(model, tol_stop), tol_stop)
-        runs.append((t, s))
-        return _phi_from_terms(t)
+        out = runs[V] = _g_terms_run(beta.values, a_vals, c_head, n, m, V,
+                                     policy.resolve_k(model, tol_stop), tol_stop)
+        return _phi_from_terms(out[0])
 
     if beta.exact:
-        phi, tail_j = run(scales[0], 1.0), np.zeros(n)
+        phi, tail_j = _run_lanes(run, scales, 1.0)[0], np.zeros(n)
     else:
         phi, tail_j = _ladder(run, scales, _elimination_exponent(model), floor=m + 1)
-    # the finest cutoff runs first; its terms are the per-j diagnostics
-    terms, stopped = runs[0]
+    # the finest cutoff's terms are the per-j diagnostics
+    terms, stopped = runs[scales[-1]]
     tail_resid = float(np.max(tail_j)) + beta.tail_estimate * 4.0
 
     if tail_resid > policy.tol_tail:

@@ -9,6 +9,7 @@ import predictorlab as pl
 from predictorlab import (ConfigError, OracleDisagreementError, RegimeError,
                           TruncationError, TruncationPolicy, f_u, fk0,
                           richardson, semigroup_integral)
+from predictorlab.cli import main as cli_main
 
 
 class TestFk0:
@@ -184,12 +185,18 @@ class TestCrossChecking:
         with pytest.raises(OracleDisagreementError):
             pl.rate_experiment(pl.Farima(0.3), 1, [8, 16])
 
-    def test_thread_cap_env_does_not_change_results(self, monkeypatch):
+    def test_thread_cap_env_does_not_change_results(self, monkeypatch, capsys):
+        predict = ["predict", "--model", "farima", "--d", "0.3", "--n", "16",
+                   "--source", "both", "--terms"]
         report = pl.rate_experiment(pl.Farima(0.3), 1, [16, 32])
+        assert cli_main(predict) == 0
+        printed = capsys.readouterr()
         monkeypatch.setenv("PREDICTORLAB_THREADS", "1")
         capped = pl.rate_experiment(pl.Farima(0.3), 1, [16, 32])
         assert capped.entries == report.entries
         assert capped.extrapolated == report.extrapolated
+        assert cli_main(predict) == 0
+        assert capsys.readouterr() == printed
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_thread_cap_env_rejected(self, monkeypatch, value):

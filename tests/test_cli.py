@@ -308,6 +308,14 @@ class TestExitCodes:
         assert "error=config" in err
         assert "PREDICTORLAB_THREADS" in err and "'abc'" in err
 
+    @pytest.mark.parametrize("model", [("farima", "--d", "0.3"), ("ar1", "--r", "0.5")])
+    def test_bad_thread_cap_env_predict(self, capsys, monkeypatch, model):
+        monkeypatch.setenv("PREDICTORLAB_THREADS", "abc")
+        code, out, err = run(capsys, "predict", "--model", *model, "--n", "8")
+        assert code == 2 and out == ""
+        assert "error=config" in err
+        assert "PREDICTORLAB_THREADS" in err and "'abc'" in err
+
     def test_route_disagreement(self, capsys, monkeypatch):
         real = pl.durbin_levinson
 

@@ -8,7 +8,8 @@ from scipy.special import gamma as Gamma
 
 import predictorlab as pl
 from predictorlab import DegeneracyError
-from predictorlab.coeffs import _autocov_tail_correction, _convolve_window, ell_estimate
+from predictorlab.coeffs import (CoeffKind, _autocov_tail_correction, _convolve_window,
+                                 _expansion_cached, ell_estimate)
 
 from conftest import (any_model, farima_a_oracle, farima_c_oracle,
                       farima_gamma_oracle, series_by_cauchy)
@@ -35,6 +36,22 @@ class TestExpansions:
         a = pl.expand_ar(m, 40).values
         np.testing.assert_allclose(a, series_by_cauchy(lambda z: -1.0 / h(z), 40),
                                    atol=1e-11)
+
+    def test_power_of_two_index_cached_unrounded(self):
+        # c_0..c_{2^20} is 2^20 + 1 entries; it must not be cached as 2^21
+        model = pl.Farima(0.31)
+        _expansion_cached.cache_clear()
+        pl.expand_ma(model, 1 << 20)
+        _expansion_cached(model, (1 << 20) + 1, CoeffKind.MA)
+        info = _expansion_cached.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("model", [pl.Farima(0.3), pl.Farima(0.45), pl.Ar1(0.7)])
+    @pytest.mark.parametrize("kind", list(CoeffKind))
+    def test_prefix_independent_of_cached_length(self, model, kind):
+        short = _expansion_cached(model, (1 << 12) + 1, kind)
+        long = _expansion_cached(model, 1 << 18, kind)
+        np.testing.assert_array_equal(long[:len(short)], short)
 
     def test_ar1_closed_forms(self):
         c = pl.expand_ma(pl.Ar1(0.5), 10).values

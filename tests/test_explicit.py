@@ -1,12 +1,17 @@
 """Explicit-series machinery: beta, Hankel kernel, d_k/delta_k, predictors."""
 
+import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import signal
 
 import predictorlab as pl
-from predictorlab import TruncationError, TruncationPolicy
+from predictorlab import TruncationError, TruncationPolicy, explicit
 from predictorlab.asymptotics import fk0
 from predictorlab.explicit import _HankelFFT, _beta_tail_correction
 
@@ -273,6 +278,109 @@ class TestFinitePredictor:
             pl.finite_predictor_explicit(pl.Farima(0.3), 0)
         with pytest.raises(ValueError):
             pl.finite_predictor_multistep(pl.Farima(0.3), 4, -1)
+
+
+def _outcome(fn):
+    """fn()'s result, or the type and message of what it raised."""
+    try:
+        return fn()
+    except TruncationError as exc:
+        return type(exc), str(exc)
+
+
+def _serial_and_two_lanes(monkeypatch, fn):
+    monkeypatch.setenv("PREDICTORLAB_THREADS", "1")
+    serial = _outcome(fn)
+    monkeypatch.setenv("PREDICTORLAB_THREADS", "2")
+    return serial, _outcome(fn)
+
+
+def _assert_same_fields(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, tuple):  # both raised
+        assert a == b
+        return
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            np.testing.assert_array_equal(x, y, strict=True)
+        else:
+            assert x == y, f.name
+
+
+_LANE_MODELS = [pl.Farima(0.1), pl.Farima(0.3), pl.Farima(0.3, ar_poly=(1.0, -0.5)),
+                pl.Ar1(0.5)]
+
+
+class TestLanes:
+    """The cutoff ladder on two lanes gives bitwise the serial result."""
+
+    @pytest.mark.parametrize("model", _LANE_MODELS, ids=repr)
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("levels", [None, 1])
+    def test_multistep_serial_equals_two_lanes(self, monkeypatch, model, m, levels):
+        policy = TruncationPolicy(V=256, levels=levels, tol_tail=1.0)
+        serial, lanes = _serial_and_two_lanes(
+            monkeypatch, lambda: pl.finite_predictor_multistep(model, 16, m, policy))
+        _assert_same_fields(serial.table, lanes.table)
+        assert len(serial.series) == len(lanes.series) == 16
+        for a, b in zip(serial.series, lanes.series):
+            _assert_same_fields(a, b)
+
+    @pytest.mark.parametrize("model", _LANE_MODELS, ids=repr)
+    @pytest.mark.parametrize("levels", [None, 1])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_delta_block_serial_equals_two_lanes(self, monkeypatch, model, levels, strict):
+        beta = pl.beta_for_model(model, 16 + 2 * (256 << 5))
+        for K in (None, 6):
+            policy = TruncationPolicy(V=256, K=K, levels=levels)
+            _assert_same_fields(*_serial_and_two_lanes(
+                monkeypatch, lambda: pl.delta_block(beta, 16, 2, policy, strict)))
+            _assert_same_fields(*_serial_and_two_lanes(
+                monkeypatch, lambda: pl.d_vectors(beta, 16, policy, strict)))
+
+    def test_concurrent_calls_under_fast_switching(self, monkeypatch):
+        # eight calls on four threads, each with its own lane, switching
+        # every microsecond: a lost per-cutoff record would change a result
+        model, policy = pl.Farima(0.3), TruncationPolicy(V=256, tol_tail=1.0)
+        monkeypatch.setenv("PREDICTORLAB_THREADS", "1")
+        want = pl.finite_predictor_multistep(model, 16, 0, policy)
+        monkeypatch.setenv("PREDICTORLAB_THREADS", "2")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(pl.finite_predictor_multistep, model, 16, 0, policy)
+                           for _ in range(8)]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for res in got:
+            _assert_same_fields(want.table, res.table)
+            for a, b in zip(want.series, res.series):
+                _assert_same_fields(a, b)
+
+    def test_worker_lane_error_surfaces(self, monkeypatch):
+        class LaneFailure(RuntimeError):
+            pass
+
+        real = explicit._g_terms_run
+        raised_on = []
+
+        def failing(*args):
+            if args[5] == 256:  # the coarsest cutoff, run on the worker lane
+                raised_on.append(threading.get_ident())
+                raise LaneFailure("coarse run failed")
+            return real(*args)
+
+        monkeypatch.setattr(explicit, "_g_terms_run", failing)
+        monkeypatch.setenv("PREDICTORLAB_THREADS", "2")
+        before = set(threading.enumerate())
+        with pytest.raises(LaneFailure, match="coarse run failed"):
+            pl.finite_predictor_multistep(pl.Farima(0.3), 16, 0,
+                                          TruncationPolicy(V=256, tol_tail=1.0))
+        assert raised_on and raised_on[0] != threading.get_ident()
+        assert set(threading.enumerate()) <= before
 
 
 class TestProjectionIterates:
