@@ -23,9 +23,9 @@ from scipy import integrate
 
 from .coeffs import autocov, expand_ar, expand_ma, infinite_predictor, tail_sum_phi
 from .errors import OracleDisagreementError, RegimeError, TruncationError
-from .explicit import (DEFAULT_POLICY, TruncationPolicy, _max_workers,
-                       _required_beta_len, beta_for_model, d_vectors,
-                       finite_predictor_explicit)
+from .explicit import (DEFAULT_POLICY, ExplicitPredictor, TruncationPolicy,
+                       _max_workers, _required_beta_len, beta_for_model,
+                       d_vectors, finite_predictor_explicit)
 from .levinson import durbin_levinson
 from .models import ProcessModel, Regime, memory_exponent, regime
 
@@ -40,6 +40,7 @@ __all__ = [
     "rate_experiment",
     "baxter_experiment",
     "dk_scaling_experiment",
+    "check_routes",
 ]
 
 #: max abs disagreement allowed between the two predictor routes (long memory)
@@ -148,27 +149,32 @@ def _require_long_memory(model: ProcessModel, what: str) -> float:
     return memory_exponent(model)
 
 
-def _explicit_phi_checked(model: ProcessModel, n: int,
-                          policy: TruncationPolicy, beta=None) -> np.ndarray:
-    """Explicit-series phi_{n,.} cross-checked against Durbin-Levinson.
+def check_routes(result: ExplicitPredictor, phi_levinson: np.ndarray) -> float:
+    """Max abs difference between the explicit-series and Levinson weights.
 
-    The tolerance widens with the series' own residual estimate so a run
-    under a deliberately relaxed policy is compared at the accuracy it was
-    asked for, not at the default.
+    The tolerance is max(CROSS_CHECK_TOL, 8 x the series' largest residual
+    estimate), so a run under a deliberately relaxed policy is compared at
+    the accuracy it was asked for, not at the default.
+
+    Raises OracleDisagreementError when the difference exceeds it.
     """
-    res = finite_predictor_explicit(model, n, policy, beta=beta)
-    phi = res.table.coefficients
-    resid = max(s.tail_estimate for s in res.series)
+    resid = max(s.tail_estimate for s in result.series)
     tol = max(CROSS_CHECK_TOL, 8.0 * resid)
-    gamma = autocov(model, n)
-    phi_lev = durbin_levinson(gamma, n)[-1].coefficients
-    diff = float(np.max(np.abs(phi - phi_lev)))
+    diff = float(np.max(np.abs(result.table.coefficients - phi_levinson)))
     if diff > tol:
         raise OracleDisagreementError(
-            f"explicit series and Levinson disagree at n = {n}: "
+            f"the two predictor routes disagree at n = {result.table.n}: "
             f"max diff {diff:.3e} > {tol:g}",
             max_diff=diff, tol=tol)
-    return phi
+    return diff
+
+
+def _explicit_phi_checked(model: ProcessModel, n: int,
+                          policy: TruncationPolicy, beta=None) -> np.ndarray:
+    """Explicit-series phi_{n,.} cross-checked against Durbin-Levinson."""
+    res = finite_predictor_explicit(model, n, policy, beta=beta)
+    check_routes(res, durbin_levinson(autocov(model, n), n)[-1].coefficients)
+    return res.table.coefficients
 
 
 def _run_ordered(fn, args_list):
@@ -178,6 +184,22 @@ def _run_ordered(fn, args_list):
         return [fn(a) for a in args_list]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list))
+
+
+def _checked_sweep(model: ProcessModel, n_list: list[int],
+                   policy: TruncationPolicy) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(phi_inf, the cross-checked explicit phi_{n,.} for each n in n_list).
+
+    phi_inf is the infinite predictor to _PHI_TAIL_LEN terms, and one beta
+    computation is shared by the whole sweep.
+    """
+    c = expand_ma(model, 0)
+    a = expand_ar(model, _PHI_TAIL_LEN)
+    phi_inf = infinite_predictor(c, a, _PHI_TAIL_LEN)
+    vtop = max(policy.resolve_scales(model, n)[-1] for n in n_list)
+    beta = beta_for_model(model, _required_beta_len(max(n_list), vtop, 0))
+    phis = _run_ordered(lambda n: _explicit_phi_checked(model, n, policy, beta), n_list)
+    return phi_inf, phis
 
 
 def rate_experiment(model: ProcessModel, j: int, n_list,
@@ -199,16 +221,8 @@ def rate_experiment(model: ProcessModel, j: int, n_list,
     n_list = sorted(int(n) for n in n_list)
     if j > n_list[0]:
         raise ValueError(f"j = {j} exceeds smallest n = {n_list[0]}")
-    c = expand_ma(model, 0)
-    a = expand_ar(model, _PHI_TAIL_LEN)
-    phi_inf = infinite_predictor(c, a, _PHI_TAIL_LEN)
+    phi_inf, phis = _checked_sweep(model, n_list, policy)
     phi_j = float(phi_inf[j - 1])
-
-    # one beta computation shared by the whole sweep
-    vtop = max(policy.resolve_scales(model, n)[-1] for n in n_list)
-    beta = beta_for_model(model, _required_beta_len(max(n_list), vtop, 0))
-
-    phis = _run_ordered(lambda n: _explicit_phi_checked(model, n, policy, beta), n_list)
     entries = []
     for n, phi in zip(n_list, phis):
         phi_nj = float(phi[j - 1])
@@ -231,14 +245,7 @@ def baxter_experiment(model: ProcessModel, n_list,
     """
     d = _require_long_memory(model, "Baxter experiment")
     n_list = sorted(int(n) for n in n_list)
-    c = expand_ma(model, 0)
-    a = expand_ar(model, _PHI_TAIL_LEN)
-    phi_inf = infinite_predictor(c, a, _PHI_TAIL_LEN)
-
-    vtop = max(policy.resolve_scales(model, n)[-1] for n in n_list)
-    beta = beta_for_model(model, _required_beta_len(max(n_list), vtop, 0))
-
-    phis = _run_ordered(lambda n: _explicit_phi_checked(model, n, policy, beta), n_list)
+    phi_inf, phis = _checked_sweep(model, n_list, policy)
     entries = []
     for n, phi in zip(n_list, phis):
         lhs = float(np.sum(np.abs(phi - phi_inf[:n])))

@@ -128,19 +128,18 @@ class TruncationPolicy:
         if self.levels is not None and self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
 
-    def resolve_v(self, n: int, model: ProcessModel | None = None) -> int:
+    def resolve_v(self, n: int, model: ProcessModel) -> int:
         if self.V is not None:
             return self.V
         # the truncation-error constant grows sharply as d -> 1/2
-        if model is not None and regime(model) is Regime.LONG \
-                and memory_exponent(model) >= 1.0 / 3.0:
+        if memory_exponent(model) >= 1.0 / 3.0:
             return max(16384, 64 * n)
         return max(8192, 32 * n)
 
-    def resolve_levels(self, model: ProcessModel | None) -> int:
+    def resolve_levels(self, model: ProcessModel) -> int:
         if self.levels is not None:
             return self.levels
-        if model is None or regime(model) is Regime.SHORT:
+        if regime(model) is Regime.SHORT:
             return 2
         d = memory_exponent(model)
         if d < 0.1:
@@ -151,7 +150,7 @@ class TruncationPolicy:
             return 5
         return 6
 
-    def resolve_scales(self, model: ProcessModel | None, n: int) -> list[int]:
+    def resolve_scales(self, model: ProcessModel, n: int) -> list[int]:
         """The doubling ladder of inner cutoffs the explicit series runs at."""
         base = self.resolve_v(n, model)
         return [base << i for i in range(self.resolve_levels(model))]
@@ -179,15 +178,15 @@ DEFAULT_POLICY = TruncationPolicy()
 class BetaSeq:
     """Correlation sequence beta_0..beta_L with its truncation residual bound.
 
-    ``model`` tags the generating process (None when built from raw
-    sequences without regime information); ``inner_len`` is the truncation
-    of the defining inner sum; ``tail_estimate`` bounds the absolute error
-    per entry after tail treatment; ``exact`` marks a finite-support
-    correlation computed without truncation error.
+    ``model`` is the generating process, whose memory regime sets the cutoff
+    ladder of every kernel built on it; ``inner_len`` is the truncation of
+    the defining inner sum; ``tail_estimate`` bounds the absolute error per
+    entry after tail treatment; ``exact`` marks a finite-support correlation
+    computed without truncation error.
     """
 
     values: np.ndarray
-    model: ProcessModel | None = None
+    model: ProcessModel
     inner_len: int | None = None
     tail_estimate: float = 0.0
     exact: bool = False
@@ -435,7 +434,7 @@ def hankel_apply(beta: BetaSeq, n: int, x: np.ndarray, method: str = "fft") -> n
         O(V log V) correlation or the O(V^2) reference product; the two agree
         to 1e-12 relative.
     """
-    vals = beta.values if isinstance(beta, BetaSeq) else np.asarray(beta, dtype=float)
+    vals = beta.values
     x = np.asarray(x, dtype=float)
     V = len(x)
     if len(vals) < n + 2 * V - 1:
@@ -451,16 +450,14 @@ def hankel_apply(beta: BetaSeq, n: int, x: np.ndarray, method: str = "fft") -> n
 # ---------------------------------------------------------------------------
 # inner-truncation ladder
 
-def _elimination_exponent(model: ProcessModel | None) -> float:
+def _elimination_exponent(model: ProcessModel) -> float:
     """Leading power of the inner-truncation error, 1/V^p.
 
     Long memory: p = 1 - 2d (measured across models and scales; matches the
-    autocovariance tail exponent).  Short memory and untagged data: the
-    error decays at least as fast as 1/V.
+    autocovariance tail exponent).  Short memory (d = 0): the error decays
+    at least as fast as 1/V.
     """
-    if model is not None and regime(model) is Regime.LONG:
-        return 1.0 - 2.0 * memory_exponent(model)
-    return 1.0
+    return 1.0 - 2.0 * memory_exponent(model)
 
 
 def _ladder_weights(p: float, scales: list[int]) -> np.ndarray:
@@ -609,9 +606,8 @@ def delta_block(beta: BetaSeq, n: int, v_max: int,
     """
     if v_max < 0:
         raise ValueError(f"v_max must be >= 0, got {v_max}")
-    vals = beta.values if isinstance(beta, BetaSeq) else np.asarray(beta, dtype=float)
-    model = beta.model if isinstance(beta, BetaSeq) else None
-    K = policy.resolve_k(model) if model is not None else (policy.K or 64)
+    vals, model = beta.values, beta.model
+    K = policy.resolve_k(model)
     scales = policy.resolve_scales(model, n)
     runs: dict[int, np.ndarray] = {}
 

@@ -9,6 +9,7 @@ import predictorlab as pl
 from predictorlab import (ConfigError, OracleDisagreementError, RegimeError,
                           TruncationError, TruncationPolicy, f_u, fk0,
                           richardson, semigroup_integral)
+from predictorlab.asymptotics import CROSS_CHECK_TOL, check_routes
 from predictorlab.cli import main as cli_main
 
 
@@ -184,6 +185,23 @@ class TestCrossChecking:
                             corrupted)
         with pytest.raises(OracleDisagreementError):
             pl.rate_experiment(pl.Farima(0.3), 1, [8, 16])
+
+    @pytest.mark.parametrize("model, policy", [
+        (pl.Ar1(0.5), TruncationPolicy()),
+        (pl.Farima(0.3), TruncationPolicy(V=64, levels=1, tol_tail=1.0)),
+    ])
+    def test_check_routes_tolerance(self, model, policy):
+        # max(CROSS_CHECK_TOL, 8 x the largest residual estimate): the floor
+        # for the exact AR(1) kernel, the widened tolerance for a coarse run
+        res = pl.finite_predictor_explicit(model, 8, policy)
+        tol = max(CROSS_CHECK_TOL, 8.0 * max(s.tail_estimate for s in res.series))
+        phi = res.table.coefficients
+        assert check_routes(res, phi) == 0.0
+        assert check_routes(res, phi - 0.5 * tol) == pytest.approx(0.5 * tol)
+        with pytest.raises(OracleDisagreementError) as err:
+            check_routes(res, phi + 2.0 * tol)
+        assert err.value.tol == tol
+        assert err.value.max_diff == pytest.approx(2.0 * tol)
 
     def test_thread_cap_env_does_not_change_results(self, monkeypatch, capsys):
         predict = ["predict", "--model", "farima", "--d", "0.3", "--n", "16",

@@ -16,6 +16,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_config_line(err):
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err.startswith("predictorlab: error=config: ")
+
+
 def csv_rows(text):
     lines = text.split("\n")
     assert lines[-1] == ""
@@ -274,8 +279,53 @@ class TestExitCodes:
         assert "error=config" in err
 
     def test_unknown_flag(self, capsys):
-        code, _, _ = run(capsys, "coeffs", "--bogus", "1")
-        assert code == 2
+        code, out, err = run(capsys, "coeffs", "--bogus", "1")
+        assert code == 2 and out == ""
+        assert_one_config_line(err)
+        assert "--bogus" in err
+
+    def test_unknown_model(self, capsys):
+        code, out, err = run(capsys, "coeffs", "--model", "bogus")
+        assert code == 2 and out == ""
+        assert_one_config_line(err)
+        assert "'bogus'" in err
+
+    def test_bad_format_same_from_flag_and_config(self, capsys, tmp_path):
+        cfg = tmp_path / "xml.cfg"
+        cfg.write_text("format = xml\n")
+        base = ("coeffs", "--model", "ar1", "--r", "0.5")
+        flag = run(capsys, *base, "--format", "xml")
+        from_file = run(capsys, *base, "--config", str(cfg))
+        assert flag == from_file
+        assert flag[0] == 2
+        assert_one_config_line(flag[2])
+
+    def test_negative_tol_rejected_by_coeffs(self, capsys):
+        code, out, err = run(capsys, "coeffs", "--model", "ar1", "--r", "0.5",
+                             "--tol", "-1")
+        assert code == 2 and out == ""
+        assert_one_config_line(err)
+
+    @pytest.mark.parametrize("model", [("farima", "--d", "0.3", "--arpoly", "abc"),
+                                       ("explicit", "--arpoly=-1", "--mapoly", "abc")])
+    def test_unparseable_coefficients_are_config_errors(self, capsys, model):
+        code, out, err = run(capsys, "coeffs", "--model", *model)
+        assert code == 2 and out == ""
+        assert_one_config_line(err)
+        assert "'abc'" in err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "predictorlab" in capsys.readouterr().out
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "coeffs", "--model", "ar1", "--r", "0.5",
+                             "--out", str(dest))
+        assert code == 2 and out == ""
+        assert_one_config_line(err)
+        assert str(dest) in err
+        assert not dest.exists()
 
     def test_foreign_model_parameter(self, capsys):
         code, _, err = run(capsys, "predict", "--model", "ar1", "--r", "0.5",
