@@ -156,16 +156,19 @@ _PARSERS = {
 
 #: keys every subcommand accepts; None means unset
 _COMMON = {"model": None, "r": None, "d": None, "arpoly": None, "mapoly": None,
-           "vmax": None, "kmax": None, "tol": None, "levels": None,
            "format": "csv", "out": None}
+
+#: truncation-policy keys, for the subcommands that run the explicit series
+_POLICY = {"vmax": None, "kmax": None, "tol": None, "levels": None}
 
 #: each subcommand's keys with their built-in defaults
 _DEFAULTS = {
     "coeffs": {**_COMMON, "N": "32"},
-    "predict": {**_COMMON, "n": None, "m": "0", "source": "both", "terms": False},
-    "rate": {**_COMMON, "n": "64..512", "j": "1"},
-    "baxter": {**_COMMON, "n": "16..512"},
-    "dkscale": {**_COMMON, "n": "512,1024,2048", "k": "1,2,3", "u": "0"},
+    "predict": {**_COMMON, **_POLICY, "n": None, "m": "0", "source": "both",
+                "terms": False},
+    "rate": {**_COMMON, **_POLICY, "n": "64..512", "j": "1"},
+    "baxter": {**_COMMON, **_POLICY, "n": "16..512"},
+    "dkscale": {**_COMMON, **_POLICY, "n": "512,1024,2048", "k": "1,2,3", "u": "0"},
 }
 
 
@@ -308,7 +311,7 @@ def _meta(cfg: dict, model, extra: dict) -> dict:
         # coefficient sequences print as one comma-separated string
         meta[key] = ",".join(map(_fmt_float, value)) if isinstance(value, tuple) else value
     meta.update(extra)
-    meta.update((key, cfg[key]) for key in ("vmax", "kmax", "tol", "levels", "format"))
+    meta.update((key, cfg[key]) for key in (*_POLICY, "format") if key in cfg)
     return meta
 
 

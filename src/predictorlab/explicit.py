@@ -56,7 +56,7 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -207,18 +207,14 @@ class BetaSeq:
 class SeriesTerms:
     """Per-term diagnostics of the explicit series for one coefficient.
 
-    ``terms[k-1]`` is g^m_k(n, j) evaluated at the finest inner cutoff;
-    ``partial_sums`` are the cumulative sums, i.e. the alternating-projection
-    iterates; ``tail_estimate`` bounds what inner truncation may still move
-    the total after ladder elimination.
+    ``terms[k-1]`` is g^m_k(n, j) evaluated at the finest inner cutoff (their
+    cumulative sums are the alternating-projection iterates);
+    ``tail_estimate`` is the coefficient's inner-truncation residual after
+    ladder elimination, beta's share included: the number the ``tol_tail``
+    check compares.
     """
 
-    n: int
-    j: int
-    m: int
     terms: np.ndarray
-    partial_sums: np.ndarray
-    converged: bool
     tail_estimate: float
 
     @property
@@ -232,18 +228,11 @@ class DVectors:
 
     n: int
     vectors: np.ndarray  # shape (K_used, V)
-    converged: bool
     tail_estimate: float
 
     @property
     def k_used(self) -> int:
         return len(self.vectors)
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __getitem__(self, k_minus_1):
-        return self.vectors[k_minus_1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +245,6 @@ class DeltaBlock:
 
     n: int
     values: np.ndarray  # shape (K_used, V, v_max + 1)
-    converged: bool
     tail_estimate: float
 
     @property
@@ -303,8 +291,7 @@ def _exact_support(a_vals: np.ndarray) -> int | None:
     return None
 
 
-def _beta_values(model: ProcessModel, L: int,
-                 inner_len: int | None) -> tuple[np.ndarray, float, int, bool]:
+def _beta_values(model: ProcessModel, L: int) -> tuple[np.ndarray, float, int, bool]:
     """(beta values 0..L, tail bound, inner length used, exact flag)."""
     long_memory = regime(model) is Regime.LONG
     if not long_memory:
@@ -320,14 +307,14 @@ def _beta_values(model: ProcessModel, L: int,
                 out[i] = np.dot(c[:support - i], a[i:support])
             return out, 0.0, support - 1, True
         # summable but not exactly supported: truncate at the decay floor
-        M = inner_len or (1 << 17)
+        M = 1 << 17
         c = expand_ma(model, M).values
         a = expand_ar(model, M + L).values
         out = _convolve_window(a, c[::-1], M, L + 1)
         bound = float(np.sum(np.abs(c[-(M // 8):])) * np.max(np.abs(a)) * 4.0)
         return out, bound, M, False
 
-    M = inner_len or DEFAULT_BETA_INNER
+    M = DEFAULT_BETA_INNER
     d = model.d
     c = expand_ma(model, M).values
     a = expand_ar(model, M + L).values
@@ -345,21 +332,20 @@ def _beta_values(model: ProcessModel, L: int,
 
 
 @lru_cache(maxsize=6)
-def _beta_cached(model: ProcessModel, L: int,
-                 inner_len: int | None) -> tuple[np.ndarray, float, int, bool]:
-    vals, bound, used, exact = _beta_values(model, L, inner_len)
+def _beta_cached(model: ProcessModel, L: int) -> tuple[np.ndarray, float, int, bool]:
+    vals, bound, used, exact = _beta_values(model, L)
     vals.setflags(write=False)
     return vals, bound, used, exact
 
 
-def beta_for_model(model: ProcessModel, L: int, inner_len: int | None = None) -> BetaSeq:
+def beta_for_model(model: ProcessModel, L: int) -> BetaSeq:
     """Correlation sequence beta_0..beta_L for a model (cached per model).
 
     The cache is keyed on a power-of-two covering length so that experiment
     sweeps over many n share one computation.
     """
     bucket = 1 << max(8, int(L).bit_length())
-    vals, bound, used, exact = _beta_cached(model, bucket, inner_len)
+    vals, bound, used, exact = _beta_cached(model, bucket)
     return BetaSeq(vals[:L + 1], model=model, inner_len=used,
                    tail_estimate=bound, exact=exact)
 
@@ -585,8 +571,7 @@ def d_vectors(beta: BetaSeq, n: int, policy: TruncationPolicy = DEFAULT_POLICY,
         a larger K).
     """
     block = delta_block(beta, n, 0, policy, strict)
-    return DVectors(n=n, vectors=block.values[:, :, 0], converged=block.converged,
-                    tail_estimate=block.tail_estimate)
+    return DVectors(n=n, vectors=block.values[:, :, 0], tail_estimate=block.tail_estimate)
 
 
 def delta_block(beta: BetaSeq, n: int, v_max: int,
@@ -629,7 +614,7 @@ def delta_block(beta: BetaSeq, n: int, v_max: int,
             achieved=last, required=policy.tol_term)
     # (k, v, u) -> (k, u, v)
     return DeltaBlock(n=n, values=np.transpose(block, (0, 2, 1)),
-                      converged=stopped, tail_estimate=float(np.max(resid)))
+                      tail_estimate=float(np.max(resid)))
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +637,7 @@ def _g_terms_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
 
     # stage k = 1: the Wiener weights b_j^m = sum_v c_{m-v} a_{j+v}, exact
     win = np.stack([a_vals[1 + v:1 + v + n] for v in range(m + 1)])
-    g1 = c_rev @ win if m > 0 else c_head[0] * a_vals[1:1 + n]
+    g1 = c_rev @ win
     terms = [g1]
     prev_max = float(np.max(np.abs(g1)))
     ratios: list[float] = []
@@ -708,7 +693,32 @@ def _prop35_warning(model: ProcessModel, n: int) -> None:
     if rho >= 1.0:
         warnings.warn(
             f"short-memory contraction factor {rho:.3g} >= 1 at n = {n}; "
-            f"series convergence not guaranteed", stacklevel=3)
+            f"series convergence not guaranteed", stacklevel=4)
+
+
+def _series_inputs(model: ProcessModel, n: int, m: int, policy: TruncationPolicy,
+                   beta: BetaSeq | None
+                   ) -> tuple[list[int], BetaSeq, np.ndarray, np.ndarray]:
+    """Check (n, m, beta) and gather what a series run reads: (the cutoff
+    ladder, beta, a_0..a_{n+V} for the finest cutoff V, c_0..c_m)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    if beta is not None and beta.model != model:
+        raise ValueError(f"beta was built for {beta.model!r}, not for {model!r}")
+    scales = policy.resolve_scales(model, n)
+    c_head = expand_ma(model, m).values
+    if regime(model) is Regime.SHORT:
+        _prop35_warning(model, n)
+
+    if beta is None or len(beta) < _required_beta_len(n, scales[-1], m):
+        beta = beta_for_model(model, _required_beta_len(n, scales[-1], m))
+    if beta.exact:
+        # finite-support kernel: every stage is exact at any cutoff wide
+        # enough; one scale, no elimination, nothing to estimate
+        scales = scales[:1]
+    return scales, beta, expand_ar(model, n + scales[-1]).values, c_head
 
 
 def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
@@ -725,8 +735,9 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
         Prediction horizon (m = 0: one-step).
     policy : TruncationPolicy
     beta : BetaSeq, optional
-        Precomputed correlation sequence (experiment sweeps share one); must
-        cover the required index range or it is recomputed.
+        Precomputed correlation sequence of ``model`` (experiment sweeps share
+        one); must cover the required index range or it is recomputed.  One
+        built for another model raises ValueError.
 
     Returns
     -------
@@ -741,22 +752,7 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
         Inner-truncation residual above policy.tol_tail, or a diverging
         k-series.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    scales = policy.resolve_scales(model, n)
-    c_head = expand_ma(model, m).values
-    if regime(model) is Regime.SHORT:
-        _prop35_warning(model, n)
-
-    if beta is None or len(beta) < _required_beta_len(n, scales[-1], m):
-        beta = beta_for_model(model, _required_beta_len(n, scales[-1], m))
-    if beta.exact:
-        # finite-support kernel: every stage is exact at any cutoff wide
-        # enough; one scale, no elimination, nothing to estimate
-        scales = scales[:1]
-    a_vals = expand_ar(model, n + scales[-1]).values
+    scales, beta, a_vals, c_head = _series_inputs(model, n, m, policy, beta)
     runs: dict[int, tuple[np.ndarray, bool]] = {}
 
     def run(V: int, gain: float) -> np.ndarray:
@@ -766,12 +762,15 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
         return _phi_from_terms(out[0])
 
     if beta.exact:
-        phi, tail_j = _run_lanes(run, scales, 1.0)[0], np.zeros(n)
+        phi, resid = _run_lanes(run, scales, 1.0)[0], np.zeros(n)
     else:
-        phi, tail_j = _ladder(run, scales, _elimination_exponent(model), floor=m + 1)
+        phi, resid = _ladder(run, scales, _elimination_exponent(model), floor=m + 1)
     # the finest cutoff's terms are the per-j diagnostics
     terms, stopped = runs[scales[-1]]
-    tail_resid = float(np.max(tail_j)) + beta.tail_estimate * 4.0
+    # each coefficient's residual: the ladder's, plus what beta's own
+    # truncation error can move it by
+    tail_j = resid + beta.tail_estimate * 4.0
+    tail_resid = float(np.max(tail_j))
 
     if tail_resid > policy.tol_tail:
         raise TruncationError(
@@ -789,20 +788,9 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
 
     table = PredictorTable(n=n, horizon=m, coefficients=phi,
                            source=PredictorSource.EXPLICIT_SERIES)
-    cums = np.cumsum(terms, axis=0)
-    series = []
-    for j in range(1, n + 1):
-        col = terms[:, j - 1]
-        if len(col) >= 2:
-            conv_j = bool(stopped and abs(col[-1]) < policy.tol_term
-                          and abs(col[-2]) < policy.tol_term)
-        else:
-            conv_j = bool(stopped and abs(col[-1]) < policy.tol_term)
-        series.append(SeriesTerms(n=n, j=j, m=m, terms=col,
-                                  partial_sums=cums[:, j - 1],
-                                  converged=conv_j,
-                                  tail_estimate=float(tail_j[j - 1])))
-    return ExplicitPredictor(table=table, series=tuple(series))
+    series = tuple(SeriesTerms(terms=terms[:, j], tail_estimate=float(tail_j[j]))
+                   for j in range(n))
+    return ExplicitPredictor(table=table, series=series)
 
 
 def finite_predictor_explicit(model: ProcessModel, n: int,
@@ -820,10 +808,14 @@ def projection_iterates(model: ProcessModel, n: int, j: int, m: int = 0,
 
     The k-th entry is the coefficient of X_{-j} after k alternating
     projections (infinite past, then the window back to -n, alternating);
-    the sequence converges to phi^m_{n,j}.
+    the sequence converges to phi^m_{n,j}.  The terms are those that
+    finite_predictor_multistep reports, at the finest cutoff of the policy's
+    ladder, with no stop before K (fewer only if the terms vanish exactly).
     """
     if not 1 <= j <= n:
         raise ValueError(f"need 1 <= j <= n, got j = {j}, n = {n}")
-    forced = replace(policy, K=K, tol_term=1e-300)
-    result = finite_predictor_multistep(model, n, m, forced)
-    return result.series[j - 1].partial_sums
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    scales, beta, a_vals, c_head = _series_inputs(model, n, m, policy, None)
+    terms, _ = _g_terms_run(beta.values, a_vals, c_head, n, m, scales[-1], K, 1e-300)
+    return np.cumsum(terms[:, j - 1])

@@ -77,15 +77,6 @@ class RealPolynomial:
             return np.empty(0, dtype=complex)
         return np.roots(self.coefficients[::-1])
 
-    @classmethod
-    def parse(cls, text: str) -> "RealPolynomial":
-        """Build from a comma-separated coefficient list, constant term first."""
-        try:
-            coeffs = tuple(float(tok) for tok in text.split(","))
-        except ValueError as exc:
-            raise ModelValidationError(f"cannot parse polynomial {text!r}") from exc
-        return cls(coeffs)
-
 
 def _check_roots_outside_disk(poly: RealPolynomial, name: str) -> None:
     for r in poly.roots():

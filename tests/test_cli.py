@@ -71,7 +71,8 @@ class TestCoeffs:
         assert doc["meta"]["model"] == "ar1"
         assert doc["meta"]["r"] == 0.5
         assert doc["meta"]["N"] == 3
-        assert doc["meta"]["vmax"] is None
+        # coeffs runs no explicit series, so it has no policy keys
+        assert not {"vmax", "kmax", "tol", "levels"} & set(doc["meta"])
         assert len(doc["rows"]) == 4
         assert doc["rows"][1][1] == 0.5
 
@@ -305,6 +306,21 @@ class TestExitCodes:
                              "--tol", "-1")
         assert code == 2 and out == ""
         assert_one_config_line(err)
+
+    def test_negative_tol_rejected_by_predict(self, capsys):
+        code, out, err = run(capsys, "predict", "--model", "ar1", "--r", "0.5",
+                             "--n", "4", "--tol", "-1")
+        assert code == 2 and out == ""
+        assert_one_config_line(err)
+        assert "tol must be positive" in err
+
+    @pytest.mark.parametrize("flag", ["--vmax", "--kmax", "--tol", "--levels"])
+    def test_policy_flags_rejected_by_coeffs(self, capsys, flag):
+        code, out, err = run(capsys, "coeffs", "--model", "ar1", "--r", "0.5",
+                             flag, "4096")
+        assert code == 2 and out == ""
+        assert_one_config_line(err)
+        assert flag in err
 
     @pytest.mark.parametrize("model", [("farima", "--d", "0.3", "--arpoly", "abc"),
                                        ("explicit", "--arpoly=-1", "--mapoly", "abc")])

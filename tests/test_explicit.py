@@ -242,11 +242,27 @@ class TestFinitePredictor:
         for j, s in enumerate(res.series, start=1):
             assert s.terms[0] == c0 * a[j]
 
-    def test_partial_sums_are_cumulative(self):
-        res = pl.finite_predictor_explicit(pl.Farima(0.3), 8)
-        for s in res.series:
-            np.testing.assert_allclose(s.partial_sums, np.cumsum(s.terms),
-                                       rtol=1e-15)
+    def test_reported_residual_is_the_checked_one(self):
+        # tol_term alone sets the stop tolerance here, so tol_tail only moves
+        # the check: the largest reported residual passes it, one ulp below
+        # raises, and the error carries that same residual
+        model, n = pl.Farima(0.3), 8
+        policy = TruncationPolicy(V=256, levels=3, tol_term=1e-14, tol_tail=1.0)
+        res = pl.finite_predictor_explicit(model, n, policy)
+        resid = max(s.tail_estimate for s in res.series)
+        pl.finite_predictor_explicit(model, n, dataclasses.replace(policy, tol_tail=resid))
+        below = dataclasses.replace(policy, tol_tail=float(np.nextafter(resid, 0.0)))
+        with pytest.raises(TruncationError) as info:
+            pl.finite_predictor_explicit(model, n, below)
+        assert info.value.achieved == resid
+
+    def test_beta_of_another_model_rejected(self):
+        # long enough to be used as given, but built for another d
+        beta = pl.beta_for_model(pl.Farima(0.1), 2 ** 19 + 100)
+        with pytest.raises(ValueError, match=r"Farima\(d=0\.1.*Farima\(d=0\.3"):
+            pl.finite_predictor_explicit(pl.Farima(0.3), 8, beta=beta)
+        with pytest.raises(ValueError, match="beta was built for"):
+            pl.finite_predictor_multistep(pl.Farima(0.3), 8, 2, beta=beta)
 
     def test_multistep_m0_same_path(self):
         res0 = pl.finite_predictor_explicit(pl.Farima(0.3), 32)
@@ -409,6 +425,20 @@ class TestProjectionIterates:
         ratios = err[12:28:2] / err[10:26:2]
         assert float(ratios.max() / ratios.min()) < 1.01
         assert 0.05 < float(np.mean(ratios)) < 1.05 * np.sin(np.pi * 0.3) ** 2
+
+    @pytest.mark.parametrize("model", [pl.Ar1(0.5), pl.Farima(0.3)], ids=["ar1", "farima"])
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_cumulative_reported_terms(self, model, m):
+        # the iterates are the running sums of the terms the predictor
+        # reports when it runs K stages with no early stop; after K = 12
+        # stages its ladder residual is above the default tol_tail, which
+        # the iterates are not checked against
+        n, K = 8, 12
+        forced = TruncationPolicy(K=K, tol_term=1e-300, tol_tail=1.0)
+        series = pl.finite_predictor_multistep(model, n, m, forced).series
+        for j in (1, 3, n):
+            np.testing.assert_array_equal(pl.projection_iterates(model, n, j, m, K),
+                                          np.cumsum(series[j - 1].terms), strict=True)
 
     def test_bad_j_rejected(self):
         with pytest.raises(ValueError):

@@ -28,14 +28,6 @@ class TestRealPolynomial:
         with pytest.raises(ModelValidationError):
             pl.RealPolynomial((1.0, np.inf))
 
-    def test_parse(self):
-        p = pl.RealPolynomial.parse("1,-0.5,0.25")
-        assert p.coefficients == (1.0, -0.5, 0.25)
-
-    def test_parse_garbage(self):
-        with pytest.raises(ModelValidationError):
-            pl.RealPolynomial.parse("1,x")
-
     def test_evaluation_and_roots(self):
         p = pl.RealPolynomial((1.0, -0.5))
         assert p(0.0) == 1.0
