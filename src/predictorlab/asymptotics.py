@@ -108,13 +108,13 @@ def semigroup_integral(i: int, j: int) -> float:
     return val
 
 
-def richardson(values, exponent: float, ratio: float = 2.0) -> float:
-    """One Richardson step on the last pair of a sequence sampled at
-    geometrically spaced resolutions: eliminates an error term ~ r^{-exponent}."""
+def richardson(values, exponent: float) -> float:
+    """One Richardson step on the last pair of a sequence sampled at doubling
+    resolutions: eliminates an error term ~ r^{-exponent}."""
     values = np.asarray(values, dtype=float)
     if len(values) < 2:
         return float(values[-1])
-    return float(values[-1] + (values[-1] - values[-2]) / (ratio ** exponent - 1.0))
+    return float(values[-1] + (values[-1] - values[-2]) / (2.0 ** exponent - 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +281,7 @@ def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
         if u >= policy.resolve_v(n, model):
             raise ValueError(
                 f"u = {u} outside inner cutoff V = {policy.resolve_v(n, model)}")
-        dv = d_vectors(beta, n, depth_policy, strict=False)
+        dv = d_vectors(beta, n, depth_policy)
         if dv.tail_estimate > policy.tol_tail:
             raise TruncationError(
                 f"d_k inner-truncation residual {dv.tail_estimate:.3e} exceeds "

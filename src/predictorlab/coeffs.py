@@ -283,8 +283,7 @@ def _autocov_tail_correction(d: float, ell: float, n: np.ndarray, k0: np.ndarray
     return (ell * ell * p) * vals @ _GAUSS_W
 
 
-def autocov(model: ProcessModel, N: int, M: int | None = None,
-            tol: float | None = None) -> AutocovSeq:
+def autocov(model: ProcessModel, N: int, M: int | None = None) -> AutocovSeq:
     """Autocovariances gamma(0..N) from the MA expansion.
 
     Parameters
@@ -295,10 +294,6 @@ def autocov(model: ProcessModel, N: int, M: int | None = None,
     M : int, optional
         Inner truncation for the correlation sum (>= N).  Defaults to a
         decay-derived length for short memory and 2^18 for long memory.
-    tol : float, optional
-        Required absolute accuracy per entry.  If the residual bound after
-        tail treatment exceeds it, a TruncationError is raised carrying the
-        achieved bound.
 
     Returns
     -------
@@ -330,10 +325,6 @@ def autocov(model: ProcessModel, N: int, M: int | None = None,
         gamma = raw.copy()
         live = np.abs(c[-(len(c) // 8 or 1):])
         residual = float(np.sum(live) * max(np.max(live), np.max(np.abs(c))) * 4.0)
-    if tol is not None and residual > tol:
-        raise TruncationError(
-            f"autocov tail residual {residual:.3e} exceeds tol {tol:.3e}; increase M",
-            achieved=residual, required=tol)
     return AutocovSeq(gamma, tail_estimate=residual)
 
 

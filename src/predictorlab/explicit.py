@@ -26,7 +26,9 @@ eliminates the leading L-1 powers by solving the small Vandermonde system in
 V^{-p}; the reported residual is the difference between the last two
 elimination orders.  With one level the value stays uncorrected and the
 residual comes from one extra run at half the cutoff: under the same power
-law the remaining doublings sum to |x_V - x_{V/2}| / (2^p - 1).
+law the remaining doublings sum to |x_V - x_{V/2}| / (2^p - 1).  The depth
+error is each run's geometric tail bound beyond its last stage; times the
+elimination gain sum |w|, it joins the same residual.
 
 Everything the FFT touches here is noise-free in the structurally-zero case:
 a finitely supported beta stays exactly zero under rfft/irfft of zero blocks,
@@ -103,10 +105,13 @@ class TruncationPolicy:
     V: base inner-index cutoff (None -> max(8192, 32 n)).  The pipeline runs
     at the doubling ladder V, 2V, ..., 2^{levels-1} V and eliminates the
     leading truncation powers.
-    K: maximum series depth (None -> from the geometric decay rate).
+    K: series depth budget (None -> from the geometric decay rate).  A
+    series still above its stopping tolerance at K stages shows the tail it
+    left out in the residual, so a K too small for the model raises.
     tol_term: absolute stopping tolerance for the k-series.
-    tol_tail: cap on the estimated inner-truncation residual of the final
-    coefficients; exceeded -> TruncationError.
+    tol_tail: cap on the estimated truncation residual of the final
+    coefficients (inner cutoff, beta and series depth); exceeded ->
+    TruncationError.
     levels: ladder length (None -> by memory regime: 2 for short memory,
     3 to 6 for long memory depending on d).  levels=1 runs one scale,
     uncorrected, with a half-cutoff residual estimate.
@@ -125,6 +130,8 @@ class TruncationPolicy:
             raise ValueError(f"K must be >= 1, got {self.K}")
         if not self.tol_term > 0.0:
             raise ValueError(f"tol_term must be > 0, got {self.tol_term}")
+        if not self.tol_tail > 0.0:
+            raise ValueError(f"tol_tail must be > 0, got {self.tol_tail}")
         if self.levels is not None and self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
 
@@ -209,9 +216,10 @@ class SeriesTerms:
 
     ``terms[k-1]`` is g^m_k(n, j) evaluated at the finest inner cutoff (their
     cumulative sums are the alternating-projection iterates);
-    ``tail_estimate`` is the coefficient's inner-truncation residual after
-    ladder elimination, beta's share included: the number the ``tol_tail``
-    check compares.
+    ``tail_estimate`` is the coefficient's truncation residual: the inner
+    one left after ladder elimination, beta's share, and the series tail
+    beyond the last stage times the elimination gain.  It is the number the
+    ``tol_tail`` check compares.
     """
 
     terms: np.ndarray
@@ -481,15 +489,24 @@ def _max_workers(n_tasks: int) -> int:
     return max(1, min(n_tasks, cap, 8))
 
 
-def _run_lanes(run, cutoffs: list[int], gain: float) -> list[np.ndarray]:
-    """``run(V, gain)`` at each cutoff, finest first: the calling thread runs
-    the first cutoff while one worker thread runs the others in order.
-    Results come back in the order of ``cutoffs``."""
+def _cutoffs(scales: list[int], floor: int = 1) -> list[int]:
+    """The cutoffs a ladder over ``scales`` runs at, finest first: every
+    scale, or one scale and its half (never below ``floor``)."""
+    if len(scales) == 1:
+        return [scales[0], max(scales[0] // 2, floor)]
+    return scales[::-1]
+
+
+def _run_lanes(run, cutoffs: list[int]) -> list:
+    """``run(V)`` at each cutoff, finest first: the calling thread runs the
+    first cutoff while one worker thread runs the others in order.  Results
+    come back in the order of ``cutoffs``, so ``run`` must not depend on the
+    order in which they finish."""
     if _max_workers(len(cutoffs)) < 2:
-        return [run(V, gain) for V in cutoffs]
+        return [run(V) for V in cutoffs]
     with ThreadPoolExecutor(max_workers=1) as lane:
-        coarse = lane.submit(lambda: [run(V, gain) for V in cutoffs[1:]])
-        finest = run(cutoffs[0], gain)
+        coarse = lane.submit(lambda: [run(V) for V in cutoffs[1:]])
+        finest = run(cutoffs[0])
         return [finest, *coarse.result()]
 
 
@@ -499,31 +516,23 @@ def _shared_prefix(runs: list[np.ndarray]) -> list[np.ndarray]:
     return [r[tuple(slice(0, k) for k in shape)] for r in runs]
 
 
-def _ladder(run, scales: list[int], p: float,
-            floor: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Run one computation across the cutoff ladder, finest cutoff first,
-    and eliminate the leading inner-truncation powers.
+def _eliminate(values: list[np.ndarray], scales: list[int],
+               p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eliminate the leading inner-truncation powers from the runs at
+    ``_cutoffs(scales)``, given finest first.
 
-    ``run(V, gain)`` returns the result at cutoff V; ``gain`` = sum |w| of
-    the elimination weights bounds how much they amplify a run's stopping
-    noise.  The runs go on two lanes (``_run_lanes``), so ``run`` must not
-    depend on the order in which they finish.  Runs are compared on the
-    prefix they share along every axis.  Returns (value, per-entry
-    residual): |value - the elimination over the coarser sub-ladder|.  With
-    one scale the value is that run, reported uncorrected, and the residual
-    1.5 |x - x_half| / (2^p - 1) from one more run at half the cutoff (never
-    below ``floor``).
+    Runs are compared on the prefix they share along every axis.  Returns
+    (value, per-entry residual): |value - the elimination over the coarser
+    sub-ladder|.  With one scale the value is that run, reported
+    uncorrected, and the residual 1.5 |x - x_half| / (2^p - 1) from the run
+    at half the cutoff.
     """
     if len(scales) == 1:
-        x, half = _run_lanes(run, [scales[0], max(scales[0] // 2, floor)], 1.0)
-        x_cut, half = _shared_prefix([x, half])
-        return x, 1.5 * np.abs(x_cut - half) / (2.0 ** p - 1.0)
-    weights = _ladder_weights(p, scales)
-    gain = float(np.sum(np.abs(weights)))
-    runs = _run_lanes(run, scales[::-1], gain)[::-1]
-    stack = np.stack(_shared_prefix(runs))
+        x_cut, half = _shared_prefix(values)
+        return values[0], 1.5 * np.abs(x_cut - half) / (2.0 ** p - 1.0)
+    stack = np.stack(_shared_prefix(values[::-1]))
     flat = stack.reshape(len(scales), -1)
-    value = (weights @ flat).reshape(stack.shape[1:])
+    value = (_ladder_weights(p, scales) @ flat).reshape(stack.shape[1:])
     sub = (_ladder_weights(p, scales[1:]) @ flat[1:]).reshape(stack.shape[1:])
     return value, np.abs(value - sub)
 
@@ -556,62 +565,44 @@ def _delta_run(beta_vals: np.ndarray, n: int, v_max: int, V: int, K: int,
     return np.array(out)
 
 
-def d_vectors(beta: BetaSeq, n: int, policy: TruncationPolicy = DEFAULT_POLICY,
-              strict: bool = True) -> DVectors:
+def d_vectors(beta: BetaSeq, n: int,
+              policy: TruncationPolicy = DEFAULT_POLICY) -> DVectors:
     """Iterated kernel vectors d_k(n, u), u = 0..V-1, k = 1..K_used.
 
     d_1 is the beta slice at offset n; each further vector is one Hankel
     apply.  This is the v = 0 column of delta_block, so it runs the same
     cutoff ladder with the same stopping rule and residual estimate.
-
-    Raises
-    ------
-    TruncationError
-        When strict and the budget K is exhausted above tol_term (suggests
-        a larger K).
     """
-    block = delta_block(beta, n, 0, policy, strict)
+    block = delta_block(beta, n, 0, policy)
     return DVectors(n=n, vectors=block.values[:, :, 0], tail_estimate=block.tail_estimate)
 
 
 def delta_block(beta: BetaSeq, n: int, v_max: int,
-                policy: TruncationPolicy = DEFAULT_POLICY,
-                strict: bool = False) -> DeltaBlock:
+                policy: TruncationPolicy = DEFAULT_POLICY) -> DeltaBlock:
     """Iterated kernel block delta_k(n, u, v) for v = 0..v_max.
 
     delta_1(n, u, v) = beta_{n+u+v}; each stage applies the offset-n Hankel
     kernel to every column.  values[k-1, u, v]; v = 0 reproduces d_vectors.
     Iteration stops when the sup-norm falls below tol_term or the depth
     budget K is reached, at the finest cutoff; the others run as many stages.
-
-    Raises
-    ------
-    TruncationError
-        When strict and the budget K is exhausted above tol_term.
+    Each stage is a returned value, not a term of a sum, so a budget K that
+    ends the iteration above tol_term leaves no returned stage wrong: it
+    only returns fewer stages than tol_term would.
     """
     if v_max < 0:
         raise ValueError(f"v_max must be >= 0, got {v_max}")
     vals, model = beta.values, beta.model
     K = policy.resolve_k(model)
     scales = policy.resolve_scales(model, n)
-    runs: dict[int, np.ndarray] = {}
 
-    def run(V: int, gain: float) -> np.ndarray:
+    def run(V: int) -> np.ndarray:
         # the finest cutoff sets the stage count; the coarser ones run all K
-        # stages and the ladder cuts them to the finest's count
+        # stages and the elimination cuts them to the finest's count
         tol = policy.tol_term if V == scales[-1] else 0.0
-        out = runs[V] = _delta_run(vals, n, v_max, V, K, tol)
-        return out
+        return _delta_run(vals, n, v_max, V, K, tol)
 
-    block, resid = _ladder(run, scales, _elimination_exponent(model))
-    # the finest run ends early only once a stage is below tol_term
-    stopped = bool(np.max(np.abs(runs[scales[-1]][-1])) < policy.tol_term)
-    last = float(np.max(np.abs(block[-1])))
-    if strict and not stopped and last >= policy.tol_term:
-        raise TruncationError(
-            f"kernel iteration did not reach tol_term = {policy.tol_term:g} within "
-            f"K = {K} stages at n = {n}; increase K",
-            achieved=last, required=policy.tol_term)
+    block, resid = _eliminate(_run_lanes(run, _cutoffs(scales)), scales,
+                              _elimination_exponent(model))
     # (k, v, u) -> (k, u, v)
     return DeltaBlock(n=n, values=np.transpose(block, (0, 2, 1)),
                       tail_estimate=float(np.max(resid)))
@@ -622,14 +613,15 @@ def delta_block(beta: BetaSeq, n: int, v_max: int,
 
 def _g_terms_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
                  n: int, m: int, V: int, K: int,
-                 tol_term: float) -> tuple[np.ndarray, bool]:
+                 tol_term: float) -> tuple[np.ndarray, float]:
     """One full series evaluation at inner cutoff V.
 
-    Returns (terms matrix, rows k = 1..K_used, columns j = 1..n; stopped
-    flag).  Stopping requires the geometric tail bound of the remaining
-    series, |g_k| r/(1-r) with r the recent decay ratio, under tol_term on
-    two consecutive stages, so a slowly contracting series is not cut while
-    its remaining mass is still large.
+    Returns (terms matrix, rows k = 1..K_used, columns j = 1..n; what the
+    run left out): the geometric tail bound |g_k| r/(1-r) at the last stage,
+    with r the recent decay ratio (0.999 before one is measured).  Stopping
+    requires that bound and |g_k| under tol_term on two consecutive stages,
+    so a slowly contracting series is not cut while its remaining mass is
+    still large; a run that ends at the budget K reports what it left.
     """
     if m >= V:
         raise ValueError(f"horizon m = {m} must be < V = {V}")
@@ -640,9 +632,9 @@ def _g_terms_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
     g1 = c_rev @ win
     terms = [g1]
     prev_max = float(np.max(np.abs(g1)))
+    left = prev_max * 0.999 / (1.0 - 0.999)
     ratios: list[float] = []
     consec = 1 if prev_max < tol_term else 0
-    stopped = False
     if K >= 2:
         eng = _HankelFFT(beta_vals, n + 1, V, a_vals=a_vals, n_out=n)
         # delta_1(n+1, u, v) = beta_{n+1+u+v}: direct slices
@@ -656,18 +648,17 @@ def _g_terms_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
             if prev_max > 0.0 and cur > 0.0:
                 ratios.append(min(cur / prev_max, 0.999))
             r = max(ratios[-3:], default=0.999)
-            bound = cur * r / (1.0 - r)
-            if cur < tol_term and bound < tol_term:
+            left = cur * r / (1.0 - r)
+            if cur < tol_term and left < tol_term:
                 consec += 1
                 if consec >= 2:
-                    stopped = True
                     break
             else:
                 consec = 0
             prev_max = cur
             if k < K:
                 cols = eng.apply_from(fx)
-    return np.array(terms), stopped
+    return np.array(terms), left
 
 
 def _phi_from_terms(terms: np.ndarray) -> np.ndarray:
@@ -749,42 +740,37 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
     Raises
     ------
     TruncationError
-        Inner-truncation residual above policy.tol_tail, or a diverging
-        k-series.
+        Truncation residual above policy.tol_tail: the ladder's, beta's, or
+        the k-series tail left beyond the depth budget K (which a diverging
+        series also exhausts).
     """
     scales, beta, a_vals, c_head = _series_inputs(model, n, m, policy, beta)
-    runs: dict[int, tuple[np.ndarray, bool]] = {}
+    p = _elimination_exponent(model)
+    gain = float(np.sum(np.abs(_ladder_weights(p, scales))))
+    tol_stop = _stop_tol(policy, gain)
+    K = policy.resolve_k(model, tol_stop)
 
-    def run(V: int, gain: float) -> np.ndarray:
-        tol_stop = _stop_tol(policy, gain)
-        out = runs[V] = _g_terms_run(beta.values, a_vals, c_head, n, m, V,
-                                     policy.resolve_k(model, tol_stop), tol_stop)
-        return _phi_from_terms(out[0])
+    def run(V: int) -> tuple[np.ndarray, float]:
+        return _g_terms_run(beta.values, a_vals, c_head, n, m, V, K, tol_stop)
 
+    runs = _run_lanes(run, scales if beta.exact else _cutoffs(scales, floor=m + 1))
     if beta.exact:
-        phi, resid = _run_lanes(run, scales, 1.0)[0], np.zeros(n)
+        phi, resid = _phi_from_terms(runs[0][0]), np.zeros(n)
     else:
-        phi, resid = _ladder(run, scales, _elimination_exponent(model), floor=m + 1)
+        phi, resid = _eliminate([_phi_from_terms(t) for t, _ in runs], scales, p)
     # the finest cutoff's terms are the per-j diagnostics
-    terms, stopped = runs[scales[-1]]
-    # each coefficient's residual: the ladder's, plus what beta's own
-    # truncation error can move it by
-    tail_j = resid + beta.tail_estimate * 4.0
+    terms = runs[0][0]
+    # each coefficient's residual: the ladder's, what beta's own truncation
+    # error can move it by, and the k-series tail every run left out, as
+    # far as the elimination weights can amplify it
+    tail_j = resid + beta.tail_estimate * 4.0 + gain * max(left for _, left in runs)
     tail_resid = float(np.max(tail_j))
 
     if tail_resid > policy.tol_tail:
         raise TruncationError(
-            f"inner-truncation residual {tail_resid:.3e} exceeds tol_tail "
-            f"{policy.tol_tail:g} at n = {n}; increase V or levels",
+            f"truncation residual {tail_resid:.3e} exceeds tol_tail "
+            f"{policy.tol_tail:g} at n = {n}; increase V, levels or K",
             achieved=tail_resid, required=policy.tol_tail)
-
-    if not stopped:
-        # empirically decaying series gets flagged, a non-decaying one raises
-        tail_mag = np.max(np.abs(terms[-1])) + np.max(np.abs(terms[-2])) if len(terms) > 1 else 0.0
-        head_mag = np.max(np.abs(terms[:2]))
-        if len(terms) >= 6 and tail_mag > head_mag:
-            raise TruncationError(
-                f"k-series not decaying after K = {len(terms)} stages at n = {n}")
 
     table = PredictorTable(n=n, horizon=m, coefficients=phi,
                            source=PredictorSource.EXPLICIT_SERIES)

@@ -360,6 +360,22 @@ class TestExitCodes:
         assert code == 4
         assert "error=truncation" in err
 
+    def test_exhausted_series_depth(self, capsys):
+        # the default short-memory depth runs out near an MA root on the unit
+        # circle; the series tail it leaves is one truncation line, not phi
+        code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0.2",
+                             "--mapoly=1,0.95", "--n", "2", "--source", "explicit")
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 and "error=truncation" in err
+
+    def test_depth_budget_past_exact_zeros(self, capsys):
+        # every AR(1) term after g_1 is an exact zero, so K = 2 leaves nothing
+        code, out, err = run(capsys, "predict", "--model", "ar1", "--r", "0.5",
+                             "--n", "4", "--kmax", "2")
+        assert code == 0 and err == ""
+        _, rows = csv_rows(out)
+        assert [float(r[2]) for r in rows] == [0.5, 0.0, 0.0, 0.0]
+
     def test_dkscale_tail_over_tol(self, capsys):
         code, out, err = run(capsys, "dkscale", "--model", "farima", "--d", "0.3",
                              "--n", "512", "--k", "1,2,3", "--u", "0", "--levels", "1")

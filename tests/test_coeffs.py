@@ -116,11 +116,6 @@ class TestAutocov:
         got = pl.autocov(pl.Farima(0.0), 4).values
         np.testing.assert_allclose(got, [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
 
-    def test_tolerance_gate(self):
-        with pytest.raises(pl.TruncationError) as err:
-            pl.autocov(pl.Farima(0.4), 16, M=4096, tol=1e-12)
-        assert err.value.achieved > 1e-12
-
     def test_degenerate_sequences_rejected(self):
         with pytest.raises(DegeneracyError):
             pl.AutocovSeq(np.array([0.0, 0.0]))

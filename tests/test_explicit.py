@@ -131,7 +131,7 @@ class TestDVectors:
         model = pl.Farima(d)
         pol = TruncationPolicy(K=2)
         beta = pl.beta_for_model(model, n + 2 * pol.resolve_scales(model, n)[-1])
-        dv = pl.d_vectors(beta, n, pol, strict=False)
+        dv = pl.d_vectors(beta, n, pol)
         for k in (1, 2):
             target = fk0(k)[k - 1] * np.sin(np.pi * d) ** k
             assert abs(n * dv.vectors[k - 1][0] - target) / target < 0.005
@@ -145,8 +145,7 @@ class TestDVectors:
             pol = TruncationPolicy(K=3)
             for n in (512, 2048):
                 L = n + 2 * pol.resolve_scales(model, n)[-1]
-                dv = pl.d_vectors(pl.beta_for_model(model, L), n, pol,
-                                  strict=False)
+                dv = pl.d_vectors(pl.beta_for_model(model, L), n, pol)
                 f = fk0(dv.k_used)
                 for k in range(1, dv.k_used + 1):
                     head = dv.vectors[k - 1][:32]
@@ -161,24 +160,12 @@ class TestDVectors:
         model, n = pl.Farima(d), 64
         ladder = TruncationPolicy(K=8, levels=4)
         beta = pl.beta_for_model(model, n + 2 * ladder.resolve_scales(model, n)[-1])
-        one = pl.d_vectors(beta, n, TruncationPolicy(K=8, levels=1), strict=False)
-        ref = pl.d_vectors(beta, n, ladder, strict=False)
+        one = pl.d_vectors(beta, n, TruncationPolicy(K=8, levels=1))
+        ref = pl.d_vectors(beta, n, ladder)
         k, w = min(one.k_used, ref.k_used), ref.vectors.shape[1]
         moved = float(np.max(np.abs(one.vectors[:k, :w] - ref.vectors[:k, :w])))
         assert moved > 0.0
         assert one.tail_estimate >= moved
-
-    @pytest.mark.parametrize("v_max", [None, 2])
-    def test_exhausted_budget_raises_with_bounds(self, v_max):
-        beta = pl.beta_for_model(pl.Farima(0.3), 32 + 4 * 256)
-        pol = TruncationPolicy(V=256, K=2, levels=2)
-        with pytest.raises(TruncationError) as err:
-            if v_max is None:
-                pl.d_vectors(beta, 32, pol)
-            else:
-                pl.delta_block(beta, 32, v_max, pol, strict=True)
-        assert err.value.required == pol.tol_term
-        assert err.value.achieved >= pol.tol_term
 
 
 class TestDeltaBlock:
@@ -187,7 +174,7 @@ class TestDeltaBlock:
         pol = TruncationPolicy(V=256, K=3, levels=2)
         beta = pl.beta_for_model(model, 32 + 4 * 256)
         block = pl.delta_block(beta, 32, 2, pol)
-        dv = pl.d_vectors(beta, 32, pol, strict=False)
+        dv = pl.d_vectors(beta, 32, pol)
         kk = min(block.k_used, dv.k_used)
         np.testing.assert_allclose(block.values[:kk, :, 0], dv.vectors[:kk],
                                    rtol=1e-10, atol=1e-15)
@@ -289,6 +276,35 @@ class TestFinitePredictor:
             pl.finite_predictor_explicit(
                 pl.Farima(0.3), 64, TruncationPolicy(V=64, levels=1))
 
+    @pytest.mark.parametrize("tol_tail", [float("nan"), 0.0, -1.0])
+    def test_tol_tail_must_be_positive(self, tol_tail):
+        # a NaN cap would pass every comparison and switch the gate off
+        with pytest.raises(ValueError, match="tol_tail"):
+            TruncationPolicy(tol_tail=tol_tail)
+
+    def test_exhausted_depth_raises_with_its_error(self):
+        # K = 5 stages cannot reach the default tol_tail at n = 4, and the
+        # raised residual covers what the missing stages change
+        model, n = pl.Farima(0.3), 4
+        relaxed = pl.finite_predictor_explicit(model, n, TruncationPolicy(K=5, tol_tail=1.0))
+        err = float(np.max(np.abs(relaxed.table.coefficients - exact_phi(0.3, n))))
+        assert err >= 3.0e-3
+        with pytest.raises(TruncationError, match="levels or K") as info:
+            pl.finite_predictor_explicit(model, n, TruncationPolicy(K=5))
+        assert info.value.achieved >= err
+
+    @pytest.mark.parametrize("d", [0.1, 0.3])
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_residual_covers_series_depth(self, d, n):
+        # with the cap out of the way, the largest reported residual at a
+        # short depth K covers how far phi is from the default depth's
+        model = pl.Farima(d)
+        want = pl.finite_predictor_explicit(model, n).table.coefficients
+        for K in (3, 5, 8, 12):
+            res = pl.finite_predictor_explicit(model, n, TruncationPolicy(K=K, tol_tail=1.0))
+            moved = float(np.max(np.abs(res.table.coefficients - want)))
+            assert max(s.tail_estimate for s in res.series) >= moved, K
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             pl.finite_predictor_explicit(pl.Farima(0.3), 0)
@@ -334,10 +350,22 @@ class TestLanes:
     @pytest.mark.parametrize("model", _LANE_MODELS, ids=repr)
     @pytest.mark.parametrize("m", [0, 1])
     @pytest.mark.parametrize("levels", [None, 1])
-    def test_multistep_serial_equals_two_lanes(self, monkeypatch, model, m, levels):
-        policy = TruncationPolicy(V=256, levels=levels, tol_tail=1.0)
+    @pytest.mark.parametrize("K", [None, 6])
+    def test_multistep_serial_equals_two_lanes(self, monkeypatch, model, m, levels, K):
+        # K = 6 binds at the default tol_tail: every long-memory model raises,
+        # the same way on both lanes; AR(1) needs one stage and stays exact
+        policy = (TruncationPolicy(V=256, levels=levels, tol_tail=1.0) if K is None
+                  else TruncationPolicy(V=256, K=K, levels=levels))
         serial, lanes = _serial_and_two_lanes(
             monkeypatch, lambda: pl.finite_predictor_multistep(model, 16, m, policy))
+        if K is not None and isinstance(model, pl.Farima):
+            assert serial[0] is TruncationError
+            assert serial == lanes
+            return
+        if K is not None:
+            want = np.zeros(16)
+            want[0] = model.r ** (m + 1)
+            np.testing.assert_array_equal(serial.table.coefficients, want)
         _assert_same_fields(serial.table, lanes.table)
         assert len(serial.series) == len(lanes.series) == 16
         for a, b in zip(serial.series, lanes.series):
@@ -345,15 +373,14 @@ class TestLanes:
 
     @pytest.mark.parametrize("model", _LANE_MODELS, ids=repr)
     @pytest.mark.parametrize("levels", [None, 1])
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_delta_block_serial_equals_two_lanes(self, monkeypatch, model, levels, strict):
+    def test_delta_block_serial_equals_two_lanes(self, monkeypatch, model, levels):
         beta = pl.beta_for_model(model, 16 + 2 * (256 << 5))
         for K in (None, 6):
             policy = TruncationPolicy(V=256, K=K, levels=levels)
             _assert_same_fields(*_serial_and_two_lanes(
-                monkeypatch, lambda: pl.delta_block(beta, 16, 2, policy, strict)))
+                monkeypatch, lambda: pl.delta_block(beta, 16, 2, policy)))
             _assert_same_fields(*_serial_and_two_lanes(
-                monkeypatch, lambda: pl.d_vectors(beta, 16, policy, strict)))
+                monkeypatch, lambda: pl.d_vectors(beta, 16, policy)))
 
     def test_concurrent_calls_under_fast_switching(self, monkeypatch):
         # eight calls on four threads, each with its own lane, switching
