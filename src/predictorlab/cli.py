@@ -33,6 +33,7 @@ import argparse
 import dataclasses
 import sys
 import json
+import warnings
 from functools import partial
 
 import numpy as np
@@ -448,23 +449,32 @@ def _fail(code: int, token: str, exc: Exception) -> int:
     return code
 
 
+def _warn(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as one line, like the errors, without the source
+    location Python's default format adds."""
+    text = " ".join(str(message).split())
+    sys.stderr.write(f"predictorlab: warning: {text}\n")
+
+
 def main(argv=None) -> int:
-    try:
-        cfg = _resolve(_build_parser().parse_args(argv))
-        meta, columns, rows = _HANDLERS[cfg["command"]](cfg)
-        _emit(cfg, meta, columns, rows)
-        return 0
-    except SystemExit as exc:
-        # --help prints and exits; the parser reports every error by raising
-        return 0 if exc.code is None else int(exc.code)
-    except OracleDisagreementError as exc:
-        return _fail(5, "disagreement", exc)
-    except TruncationError as exc:
-        return _fail(4, "truncation", exc)
-    except (ModelValidationError, DegeneracyError) as exc:
-        return _fail(3, "model", exc)
-    except (ConfigError, ValueError) as exc:
-        return _fail(2, "config", exc)
+    with warnings.catch_warnings():
+        warnings.showwarning = _warn
+        try:
+            cfg = _resolve(_build_parser().parse_args(argv))
+            meta, columns, rows = _HANDLERS[cfg["command"]](cfg)
+            _emit(cfg, meta, columns, rows)
+            return 0
+        except SystemExit as exc:
+            # --help prints and exits; the parser reports every error by raising
+            return 0 if exc.code is None else int(exc.code)
+        except OracleDisagreementError as exc:
+            return _fail(5, "disagreement", exc)
+        except TruncationError as exc:
+            return _fail(4, "truncation", exc)
+        except (ModelValidationError, DegeneracyError) as exc:
+            return _fail(3, "model", exc)
+        except (ConfigError, ValueError) as exc:
+            return _fail(2, "config", exc)
 
 
 if __name__ == "__main__":

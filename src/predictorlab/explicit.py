@@ -15,8 +15,16 @@ Partial sums in k are the alternating-projection iterates (project onto the
 span of the infinite past, then onto the past window, alternating), so the
 per-term record doubles as a convergence diagnostic.
 
+The series is a Neumann series in the symmetric kernel H at offset n+1, so
+the predictor's value path does not sum it stage by stage: it solves
+(I - H^2) z = y by conjugate gradients and reads the sum off A H z and
+A z (see _solve_run), in a handful of iterations where the sum takes tens
+of stages.  The per-term record is the stage-by-stage sum at the finest
+cutoff, computed only when a caller reads it.
+
 Two infinite sums are truncated: the inner index (cutoff V, the Hankel apply)
-and the series depth (cutoff K, geometric decay under long memory).  The
+and the series depth (the solve's residual, within a budget of K kernel
+applies per run).  The
 inner truncation error of the summed series under long memory follows a
 ladder of powers C_1 V^{-p} + C_2 V^{-2p} + ... with p = 1 - 2d (measured
 against exact closed-form predictors over five V-doublings; the exponent
@@ -27,8 +35,8 @@ V^{-p}; the reported residual is the difference between the last two
 elimination orders.  With one level the value stays uncorrected and the
 residual comes from one extra run at half the cutoff: under the same power
 law the remaining doublings sum to |x_V - x_{V/2}| / (2^p - 1).  The depth
-error is each run's geometric tail bound beyond its last stage; times the
-elimination gain sum |w|, it joins the same residual.
+error is each run's bound on what its unsolved residual can still move;
+times the elimination gain sum |w|, it joins the same residual.
 
 Everything the FFT touches here is noise-free in the structurally-zero case:
 a finitely supported beta stays exactly zero under rfft/irfft of zero blocks,
@@ -57,9 +65,10 @@ from __future__ import annotations
 
 import os
 import warnings
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import hankel as _hankel_matrix
@@ -105,9 +114,11 @@ class TruncationPolicy:
     V: base inner-index cutoff (None -> max(8192, 32 n)).  The pipeline runs
     at the doubling ladder V, 2V, ..., 2^{levels-1} V and eliminates the
     leading truncation powers.
-    K: series depth budget (None -> from the geometric decay rate).  A
-    series still above its stopping tolerance at K stages shows the tail it
-    left out in the residual, so a K too small for the model raises.
+    K: budget of kernel applies per ladder run of the predictor series
+    (None -> from the geometric decay rate); d_vectors and delta_block
+    return at most K stages.  A run that spends it before its stopping
+    tolerance shows what it left out in the residual, so a K too small for
+    the model raises.
     tol_term: absolute stopping tolerance for the k-series.
     tol_tail: cap on the estimated truncation residual of the final
     coefficients (inner cutoff, beta and series depth); exceeded ->
@@ -169,7 +180,8 @@ class TruncationPolicy:
         d = memory_exponent(model)
         if d > 0.0:
             s = np.sin(np.pi * d)
-            # geometric tail s^K s/(1-s) below t
+            # geometric tail s^K s/(1-s) below t: the stage count of the
+            # summed series, which a solve's kernel applies stay well within
             k = int(np.ceil(np.log(t * (1.0 - s) / s) / np.log(s))) + 8
         else:
             # short memory: geometric products decay at least as fast as the
@@ -215,19 +227,24 @@ class SeriesTerms:
     """Per-term diagnostics of the explicit series for one coefficient.
 
     ``terms[k-1]`` is g^m_k(n, j) evaluated at the finest inner cutoff (their
-    cumulative sums are the alternating-projection iterates);
-    ``tail_estimate`` is the coefficient's truncation residual: the inner
-    one left after ladder elimination, beta's share, and the series tail
-    beyond the last stage times the elimination gain.  It is the number the
-    ``tol_tail`` check compares.
+    cumulative sums are the alternating-projection iterates), summed stage
+    by stage under the series' own stop rule.  The value path solves for
+    the sum instead, so the terms are computed on first read, once for all
+    j of a result.  ``tail_estimate`` is the coefficient's truncation
+    residual: the inner one left after ladder elimination, beta's share,
+    and the series depth's (the solve's error bound) times the elimination
+    gain.  It is the number the ``tol_tail`` check compares.  ``k_used`` is
+    the number of kernel applies the finest cutoff's run made.
     """
 
-    terms: np.ndarray
     tail_estimate: float
+    k_used: int
+    _matrix: Callable[[], np.ndarray] = field(repr=False)
+    _j: int = field(repr=False)
 
     @property
-    def k_used(self) -> int:
-        return len(self.terms)
+    def terms(self) -> np.ndarray:
+        return self._matrix()[:, self._j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,10 +408,14 @@ class _HankelFFT:
             # AR window: entries V..V+n_out-1 of a[:n_out+V] * reversed x
             self.npts = max(self.npts, _window_fft_len(n_out + V, V, V, n_out))
         self.rb = np.fft.rfft(beta_vals[offset:offset + 2 * V - 1], self.npts)
-        self.ra = None
-        if a_vals is not None:
-            # correlation against the AR sequence shares the forward transform
-            self.ra = np.fft.rfft(a_vals[:n_out + V], self.npts)
+        self._a = a_vals
+
+    @cached_property
+    def ra(self) -> np.ndarray:
+        """Transform of the AR sequence, made on first use (a solve needs it
+        only after its iteration, so it is not held during the iteration).
+        The correlation against it shares the forward transform."""
+        return np.fft.rfft(self._a[:self.n_out + self.V], self.npts)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """rfft of the reversed input block(s); axis -1 is the V axis."""
@@ -406,12 +427,18 @@ class _HankelFFT:
         return out[..., self.V - 1:2 * self.V - 1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.apply_from(self.forward(x))
+        """Kernel apply, transforming in place and copying the window out,
+        so no transform-length buffer outlives the call."""
+        fx = self.forward(x)
+        fx *= self.rb
+        out = np.fft.irfft(fx, self.npts, axis=-1)
+        del fx
+        return out[..., self.V - 1:2 * self.V - 1].copy()
 
     def a_correlate_from(self, fx: np.ndarray) -> np.ndarray:
         """t_j = sum_{u<V} a_{j+u} x_u for j = 1..n_out, given forward(x)."""
         out = np.fft.irfft(fx * self.ra, self.npts, axis=-1)
-        return out[..., self.V:self.V + self.n_out]
+        return out[..., self.V:self.V + self.n_out].copy()
 
 
 def hankel_apply(beta: BetaSeq, n: int, x: np.ndarray, method: str = "fft") -> np.ndarray:
@@ -538,9 +565,10 @@ def _eliminate(values: list[np.ndarray], scales: list[int],
 
 
 def _stop_tol(policy: TruncationPolicy, gain: float) -> float:
-    """Per-term stopping tolerance tight enough that ladder weights of total
-    magnitude ``gain`` cannot amplify the k-series stopping noise into the
-    tail budget."""
+    """Stopping tolerance of each run's k-series (the solve's depth bound,
+    or the per-term rule of the stage-by-stage sum) tight enough that ladder
+    weights of total magnitude ``gain`` cannot amplify what a run leaves
+    out into the tail budget."""
     return min(policy.tol_term, max(policy.tol_tail / (16.0 * gain), _STOP_FLOOR))
 
 
@@ -611,6 +639,19 @@ def delta_block(beta: BetaSeq, n: int, v_max: int,
 # ---------------------------------------------------------------------------
 # predictor series engine
 
+def _stage_one(a_vals: np.ndarray, c_rev: np.ndarray, n: int, m: int) -> np.ndarray:
+    """g_1: the Wiener weights b_j^m = sum_v c_{m-v} a_{j+v}, exact."""
+    return c_rev @ np.stack([a_vals[1 + v:1 + v + n] for v in range(m + 1)])
+
+
+def _columns(beta_vals: np.ndarray, n: int, m: int, V: int) -> np.ndarray:
+    """The kernel's first columns delta_1(n+1, u, v) = beta_{n+1+u+v} for
+    v = 0..m, u < V: direct slices."""
+    if m >= V:
+        raise ValueError(f"horizon m = {m} must be < V = {V}")
+    return np.stack([beta_vals[n + 1 + v:n + 1 + v + V] for v in range(m + 1)])
+
+
 def _g_terms_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
                  n: int, m: int, V: int, K: int,
                  tol_term: float) -> tuple[np.ndarray, float]:
@@ -623,13 +664,9 @@ def _g_terms_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
     so a slowly contracting series is not cut while its remaining mass is
     still large; a run that ends at the budget K reports what it left.
     """
-    if m >= V:
-        raise ValueError(f"horizon m = {m} must be < V = {V}")
     c_rev = c_head[::-1]  # c_rev[v] = c_{m-v}
-
-    # stage k = 1: the Wiener weights b_j^m = sum_v c_{m-v} a_{j+v}, exact
-    win = np.stack([a_vals[1 + v:1 + v + n] for v in range(m + 1)])
-    g1 = c_rev @ win
+    cols = _columns(beta_vals, n, m, V)
+    g1 = _stage_one(a_vals, c_rev, n, m)
     terms = [g1]
     prev_max = float(np.max(np.abs(g1)))
     left = prev_max * 0.999 / (1.0 - 0.999)
@@ -637,8 +674,6 @@ def _g_terms_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
     consec = 1 if prev_max < tol_term else 0
     if K >= 2:
         eng = _HankelFFT(beta_vals, n + 1, V, a_vals=a_vals, n_out=n)
-        # delta_1(n+1, u, v) = beta_{n+1+u+v}: direct slices
-        cols = np.stack([beta_vals[n + 1 + v:n + 1 + v + V] for v in range(m + 1)])
         for k in range(2, K + 1):
             fx = eng.forward(cols)
             bvec = c_rev @ eng.a_correlate_from(fx)
@@ -670,6 +705,91 @@ def _phi_from_terms(terms: np.ndarray) -> np.ndarray:
     odd = terms[0::2].sum(axis=0)
     even = terms[1::2].sum(axis=0) if len(terms) > 1 else 0.0
     return odd + even
+
+
+def _a_frobenius(a_vals: np.ndarray, n: int, V: int) -> float:
+    """||A||_F of the AR correlation t_j = sum_{u<V} a_{j+u} x_u, j = 1..n,
+    from prefix sums of a^2."""
+    sq = np.cumsum(a_vals[:n + V] ** 2)
+    return float(np.sqrt(np.sum(sq[V:n + V] - sq[:n])))
+
+
+def _cg(eng: _HankelFFT, r: np.ndarray, a_norm: float, K: int, tol_stop: float,
+        s_floor: float) -> tuple[np.ndarray, np.ndarray, float, float, int]:
+    """Conjugate gradients on (I - H^2) z = r, H the kernel of ``eng``;
+    ``r`` is updated in place into the residual.
+
+    Returns (z, H z, |r|^2, s, kernel applies).  s estimates ||H|| from the
+    smallest eigenvalue theta of the iteration's Lanczos matrix,
+    ||H||^2 >= 1 - theta, floored at s_floor; s = 1 stands for no estimate
+    below 1 (no iteration run, or I - H^2 shown indefinite).  The iteration
+    stops once a_norm |r| / (1 - s) is under tol_stop or when one more
+    iteration (two applies) would pass the budget K.
+    """
+    z, hz, p = np.zeros_like(r), np.zeros_like(r), r.copy()
+    rr, s, applies = float(r @ r), 1.0, 0
+    diag: list[float] = []
+    off: list[float] = []
+    while rr > 0.0 and (s >= 1.0 or a_norm * np.sqrt(rr) / (1.0 - s) > tol_stop):
+        if applies + 2 > K:
+            break
+        hp = eng.apply(p)
+        pq = float(p @ p - hp @ hp)  # p . (I - H^2) p
+        if not pq > 0.0:
+            return z, hz, rr, 1.0, applies + 1
+        alpha = rr / pq
+        z += alpha * p
+        hz += alpha * hp
+        q = eng.apply(hp)
+        applies += 2
+        np.subtract(p, q, out=q)
+        r -= alpha * q
+        rr_next = float(r @ r)
+        # Lanczos matrix of the step sizes alpha_i and residual ratios
+        # rho_i = |r_{i+1}|^2/|r_i|^2: diagonal 1/alpha_i + rho_{i-1}/alpha_{i-1},
+        # off-diagonal sqrt(rho_{i-1})/alpha_{i-1}
+        if diag:
+            diag.append(1.0 / alpha + rho / alpha_prev)
+            off.append(np.sqrt(rho) / alpha_prev)
+        else:
+            diag.append(1.0 / alpha)
+        theta = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0]
+        s = max(s_floor, np.sqrt(max(1.0 - theta, 0.0))) if theta > 0.0 else 1.0
+        rho, alpha_prev = rr_next / rr, alpha
+        p *= rho
+        p += r
+        rr = rr_next
+    return z, hz, rr, s, applies
+
+
+def _solve_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
+               n: int, m: int, V: int, K: int, tol_stop: float,
+               s_floor: float) -> tuple[np.ndarray, float, int]:
+    """One series value at inner cutoff V, by conjugate gradients.
+
+    Stage k >= 2 of the series is c_rev @ A H^(k-2) cols, reversed in j for
+    even k, with A the AR correlation and H the offset-(n+1) kernel.  Both
+    are linear, so the c-weighted columns make one right-hand side y, and
+    the stages k >= 2 sum to A H z + rev(A z) with (I - H^2) z = y.  H is
+    symmetric, so I - H^2 is positive definite while ||H|| < 1.
+
+    Returns (phi, depth bound, kernel applies).  With s an estimate of
+    ||H||, the residual r left by _cg moves each phi_j by at most
+    ||A||_F ||r|| (1 + s) / (1 - s^2) = ||A||_F ||r|| / (1 - s): that is the
+    depth bound.  Where _cg has no estimate below 1, the value is the
+    Neumann sum of _g_terms_run instead.
+    """
+    c_rev = c_head[::-1]
+    eng = _HankelFFT(beta_vals, n + 1, V, a_vals=a_vals, n_out=n)
+    a_norm = _a_frobenius(a_vals, n, V)
+    z, hz, rr, s, applies = _cg(eng, c_rev @ _columns(beta_vals, n, m, V), a_norm,
+                                K, tol_stop, s_floor)
+    if rr > 0.0 and s >= 1.0:
+        terms, left = _g_terms_run(beta_vals, a_vals, c_head, n, m, V, K, tol_stop)
+        return _phi_from_terms(terms), left, applies + max(len(terms) - 2, 0)
+    bound = a_norm * np.sqrt(rr) / (1.0 - s) if rr > 0.0 else 0.0
+    tail = eng.a_correlate_from(eng.forward(hz)) + eng.a_correlate_from(eng.forward(z))[::-1]
+    return _stage_one(a_vals, c_rev, n, m) + tail, float(bound), applies
 
 
 def _required_beta_len(n: int, V: int, m: int) -> int:
@@ -741,29 +861,29 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
     ------
     TruncationError
         Truncation residual above policy.tol_tail: the ladder's, beta's, or
-        the k-series tail left beyond the depth budget K (which a diverging
-        series also exhausts).
+        what the series solve left unsolved within the budget of K kernel
+        applies (which a diverging series also exhausts).
     """
     scales, beta, a_vals, c_head = _series_inputs(model, n, m, policy, beta)
     p = _elimination_exponent(model)
     gain = float(np.sum(np.abs(_ladder_weights(p, scales))))
     tol_stop = _stop_tol(policy, gain)
     K = policy.resolve_k(model, tol_stop)
+    # the long-memory kernel's norm tends to sin(pi d) as n grows
+    s_floor = float(np.sin(np.pi * memory_exponent(model)))
 
-    def run(V: int) -> tuple[np.ndarray, float]:
-        return _g_terms_run(beta.values, a_vals, c_head, n, m, V, K, tol_stop)
+    def run(V: int) -> tuple[np.ndarray, float, int]:
+        return _solve_run(beta.values, a_vals, c_head, n, m, V, K, tol_stop, s_floor)
 
     runs = _run_lanes(run, scales if beta.exact else _cutoffs(scales, floor=m + 1))
     if beta.exact:
-        phi, resid = _phi_from_terms(runs[0][0]), np.zeros(n)
+        phi, resid = runs[0][0], np.zeros(n)
     else:
-        phi, resid = _eliminate([_phi_from_terms(t) for t, _ in runs], scales, p)
-    # the finest cutoff's terms are the per-j diagnostics
-    terms = runs[0][0]
+        phi, resid = _eliminate([value for value, _, _ in runs], scales, p)
     # each coefficient's residual: the ladder's, what beta's own truncation
-    # error can move it by, and the k-series tail every run left out, as
-    # far as the elimination weights can amplify it
-    tail_j = resid + beta.tail_estimate * 4.0 + gain * max(left for _, left in runs)
+    # error can move it by, and what the series depth left out of any run,
+    # as far as the elimination weights can amplify it
+    tail_j = resid + beta.tail_estimate * 4.0 + gain * max(left for _, left, _ in runs)
     tail_resid = float(np.max(tail_j))
 
     if tail_resid > policy.tol_tail:
@@ -774,7 +894,15 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
 
     table = PredictorTable(n=n, horizon=m, coefficients=phi,
                            source=PredictorSource.EXPLICIT_SERIES)
-    series = tuple(SeriesTerms(terms=terms[:, j], tail_estimate=float(tail_j[j]))
+    # the per-j diagnostics: the finest cutoff's Neumann terms, on first read
+    @cache
+    def terms() -> np.ndarray:
+        out = _g_terms_run(beta.values, a_vals, c_head, n, m, scales[-1], K, tol_stop)[0]
+        out.setflags(write=False)
+        return out
+
+    series = tuple(SeriesTerms(tail_estimate=float(tail_j[j]), k_used=runs[0][2],
+                               _matrix=terms, _j=j)
                    for j in range(n))
     return ExplicitPredictor(table=table, series=series)
 

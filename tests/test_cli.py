@@ -361,12 +361,31 @@ class TestExitCodes:
         assert "error=truncation" in err
 
     def test_exhausted_series_depth(self, capsys):
-        # the default short-memory depth runs out near an MA root on the unit
-        # circle; the series tail it leaves is one truncation line, not phi
-        code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0.2",
-                             "--mapoly=1,0.95", "--n", "2", "--source", "explicit")
+        # two kernel applies leave most of the series unsolved; what they
+        # leave is one truncation line, not phi
+        code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0.3",
+                             "--n", "4", "--kmax", "2", "--source", "explicit")
         assert code == 4 and out == ""
         assert err.count("\n") == 1 and "error=truncation" in err
+
+    @pytest.mark.parametrize("model", [("--d", "0.2", "--mapoly=1,0.95"),
+                                       ("--d", "0", "--mapoly=1,0.99")])
+    def test_slowly_contracting_series_solved(self, capsys, model):
+        # an MA root near the unit circle makes the series contract slowly;
+        # the solve still agrees with Levinson
+        code, out, err = run(capsys, "predict", "--model", "farima", *model,
+                             "--n", "2", "--source", "both")
+        assert code == 0
+        assert "error" not in err
+        _, rows = csv_rows(out)
+        assert max(float(r[3]) for r in rows) < 1e-8
+
+    def test_warning_is_one_line(self, capsys):
+        code, _, err = run(capsys, "predict", "--model", "farima", "--d", "0",
+                           "--mapoly=1,0.9", "--n", "16")
+        assert code == 0
+        assert err == ("predictorlab: warning: short-memory contraction factor 3.17 >= 1 "
+                       "at n = 16; series convergence not guaranteed\n")
 
     def test_depth_budget_past_exact_zeros(self, capsys):
         # every AR(1) term after g_1 is an exact zero, so K = 2 leaves nothing

@@ -283,25 +283,28 @@ class TestFinitePredictor:
             TruncationPolicy(tol_tail=tol_tail)
 
     def test_exhausted_depth_raises_with_its_error(self):
-        # K = 5 stages cannot reach the default tol_tail at n = 4, and the
-        # raised residual covers what the missing stages change
+        # K = 2 kernel applies (one solve iteration) cannot reach the default
+        # tol_tail at n = 4, and the raised residual covers what the missing
+        # iterations change
         model, n = pl.Farima(0.3), 4
-        relaxed = pl.finite_predictor_explicit(model, n, TruncationPolicy(K=5, tol_tail=1.0))
+        relaxed = pl.finite_predictor_explicit(model, n, TruncationPolicy(K=2, tol_tail=1e6))
         err = float(np.max(np.abs(relaxed.table.coefficients - exact_phi(0.3, n))))
-        assert err >= 3.0e-3
+        assert err >= 1.0e-3
         with pytest.raises(TruncationError, match="levels or K") as info:
-            pl.finite_predictor_explicit(model, n, TruncationPolicy(K=5))
+            pl.finite_predictor_explicit(model, n, TruncationPolicy(K=2))
         assert info.value.achieved >= err
 
-    @pytest.mark.parametrize("d", [0.1, 0.3])
-    @pytest.mark.parametrize("n", [4, 64])
-    def test_residual_covers_series_depth(self, d, n):
+    @pytest.mark.parametrize("model, n", [
+        *((pl.Farima(d), n) for d in (0.1, 0.3) for n in (4, 64)),
+        # ||H|| is about 0.83 here, above sin(0.3 pi) = 0.809
+        (pl.Farima(0.3, ma_poly=(1.0, 0.9)), 1),
+    ], ids=lambda v: v if isinstance(v, int) else repr(v))
+    def test_residual_covers_series_depth(self, model, n):
         # with the cap out of the way, the largest reported residual at a
-        # short depth K covers how far phi is from the default depth's
-        model = pl.Farima(d)
+        # short depth budget K covers how far phi is from the default K's
         want = pl.finite_predictor_explicit(model, n).table.coefficients
-        for K in (3, 5, 8, 12):
-            res = pl.finite_predictor_explicit(model, n, TruncationPolicy(K=K, tol_tail=1.0))
+        for K in (2, 3, 5, 8, 12):
+            res = pl.finite_predictor_explicit(model, n, TruncationPolicy(K=K, tol_tail=1e6))
             moved = float(np.max(np.abs(res.table.coefficients - want)))
             assert max(s.tail_estimate for s in res.series) >= moved, K
 
@@ -332,16 +335,24 @@ def _assert_same_fields(a, b):
     if isinstance(a, tuple):  # both raised
         assert a == b
         return
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
+    names = [f.name for f in dataclasses.fields(a) if not f.name.startswith("_")]
+    if isinstance(a, pl.SeriesTerms):
+        names.append("terms")  # computed on read
+    for name in names:
+        x, y = getattr(a, name), getattr(b, name)
         if isinstance(x, np.ndarray):
             np.testing.assert_array_equal(x, y, strict=True)
         else:
-            assert x == y, f.name
+            assert x == y, name
 
 
 _LANE_MODELS = [pl.Farima(0.1), pl.Farima(0.3), pl.Farima(0.3, ar_poly=(1.0, -0.5)),
                 pl.Ar1(0.5)]
+
+#: long and short memory, AR- and MA-factored, and an exact-support kernel
+_SOLVE_MODELS = [pl.Farima(0.1), pl.Farima(0.3), pl.Farima(0.4),
+                 pl.Farima(0.3, ar_poly=(1.0, -0.5)), pl.Farima(0.2, ma_poly=(1.0, 0.5)),
+                 pl.Farima(0.0, ma_poly=(1.0, 0.5)), pl.Ar1(0.5)]
 
 
 class TestLanes:
@@ -350,9 +361,9 @@ class TestLanes:
     @pytest.mark.parametrize("model", _LANE_MODELS, ids=repr)
     @pytest.mark.parametrize("m", [0, 1])
     @pytest.mark.parametrize("levels", [None, 1])
-    @pytest.mark.parametrize("K", [None, 6])
+    @pytest.mark.parametrize("K", [None, 2])
     def test_multistep_serial_equals_two_lanes(self, monkeypatch, model, m, levels, K):
-        # K = 6 binds at the default tol_tail: every long-memory model raises,
+        # K = 2 binds at the default tol_tail: every long-memory model raises,
         # the same way on both lanes; AR(1) needs one stage and stays exact
         policy = (TruncationPolicy(V=256, levels=levels, tol_tail=1.0) if K is None
                   else TruncationPolicy(V=256, K=K, levels=levels))
@@ -403,11 +414,22 @@ class TestLanes:
             for a, b in zip(want.series, res.series):
                 _assert_same_fields(a, b)
 
+    @pytest.mark.parametrize("model", _SOLVE_MODELS, ids=repr)
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_solve_serial_equals_two_lanes(self, monkeypatch, model, m):
+        # the value path is the solve; the terms read on demand follow
+        policy = TruncationPolicy(V=512, levels=3, tol_tail=1.0)
+        serial, lanes = _serial_and_two_lanes(
+            monkeypatch, lambda: pl.finite_predictor_multistep(model, 8, m, policy))
+        _assert_same_fields(serial.table, lanes.table)
+        for a, b in zip(serial.series, lanes.series):
+            _assert_same_fields(a, b)
+
     def test_worker_lane_error_surfaces(self, monkeypatch):
         class LaneFailure(RuntimeError):
             pass
 
-        real = explicit._g_terms_run
+        real = explicit._solve_run
         raised_on = []
 
         def failing(*args):
@@ -416,7 +438,7 @@ class TestLanes:
                 raise LaneFailure("coarse run failed")
             return real(*args)
 
-        monkeypatch.setattr(explicit, "_g_terms_run", failing)
+        monkeypatch.setattr(explicit, "_solve_run", failing)
         monkeypatch.setenv("PREDICTORLAB_THREADS", "2")
         before = set(threading.enumerate())
         with pytest.raises(LaneFailure, match="coarse run failed"):
@@ -424,6 +446,53 @@ class TestLanes:
                                           TruncationPolicy(V=256, tol_tail=1.0))
         assert raised_on and raised_on[0] != threading.get_ident()
         assert set(threading.enumerate()) <= before
+
+
+class TestSolve:
+    """The series solve against the stage-by-stage Neumann sum."""
+
+    @pytest.mark.parametrize("model", _SOLVE_MODELS, ids=repr)
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_matches_neumann_sum(self, monkeypatch, model, m):
+        # every ladder run of the solve is within its own depth bound of the
+        # Neumann sum at a tight per-term tolerance, and so the eliminated
+        # phi is within the reported residual of the summed one
+        n, policy = 16, TruncationPolicy(V=512, levels=3, tol_tail=1.0)
+        real, runs = explicit._solve_run, []
+
+        def neumann(beta_vals, a_vals, c_head, n, m, V, K, tol_stop, s_floor):
+            terms, left = explicit._g_terms_run(beta_vals, a_vals, c_head, n, m, V,
+                                                20000, 1e-15)
+            return explicit._phi_from_terms(terms), left, len(terms)
+
+        def both(*args):
+            solved, summed = real(*args), neumann(*args)
+            runs.append((solved, summed))
+            return solved
+
+        monkeypatch.setattr(explicit, "_solve_run", both)
+        res = pl.finite_predictor_multistep(model, n, m, policy)
+        # an exactly supported kernel runs one cutoff
+        assert len(runs) == (1 if pl.beta_for_model(model, 1).exact else 3)
+        for (phi, bound, _), (want, left, _) in runs:
+            # beyond that, the two sums round differently by a few ulp
+            ulps = 4.0 * np.finfo(float).eps * np.max(np.abs(want))
+            assert np.max(np.abs(phi - want)) <= bound + left + ulps
+        monkeypatch.setattr(explicit, "_solve_run", neumann)
+        summed = pl.finite_predictor_multistep(model, n, m, policy)
+        diff = np.abs(res.table.coefficients - summed.table.coefficients)
+        assert np.all(diff <= [s.tail_estimate for s in res.series])
+
+    def test_budget_below_one_iteration_sums_the_series(self):
+        # K = 1 leaves no room for a solve iteration, so the run is the
+        # Neumann sum cut after g_1, whose geometric tail the residual reports
+        model, n = pl.Farima(0.3), 4
+        res = pl.finite_predictor_explicit(model, n, TruncationPolicy(K=1, tol_tail=1e6))
+        assert res.series[0].k_used == 0
+        g1 = [s.terms[0] for s in res.series]
+        assert all(len(s.terms) == 1 for s in res.series)
+        assert max(s.tail_estimate for s in res.series) >= np.max(
+            np.abs(exact_phi(0.3, n) - g1))
 
 
 class TestProjectionIterates:
