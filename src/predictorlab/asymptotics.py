@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
 from .coeffs import autocov, expand_ar, expand_ma, infinite_predictor, tail_sum_phi
 from .errors import OracleDisagreementError, RegimeError, TruncationError
@@ -90,21 +89,21 @@ def f_u(k: int, u: float) -> float:
         if u == 0.0:
             return 1.0 / np.pi ** 2
         return np.log1p(u) / (np.pi ** 2 * u)
-    if k == 3:
-        val, _ = integrate.quad(lambda s: f_u(1, u + s) * f_u(2, s), 0.0, np.inf,
-                                epsabs=1e-12, epsrel=1e-11, limit=200)
-        return val
-    if k == 4:
-        val, _ = integrate.quad(lambda s: f_u(1, u + s) * f_u(3, s), 0.0, np.inf,
-                                epsabs=1e-10, epsrel=1e-9, limit=200)
+    if k in (3, 4):
+        # scipy.integrate is slow to import, and only these branches need it
+        from scipy.integrate import quad
+        eps_abs, eps_rel = (1e-12, 1e-11) if k == 3 else (1e-10, 1e-9)
+        val, _ = quad(lambda s: f_u(1, u + s) * f_u(k - 1, s), 0.0, np.inf,
+                      epsabs=eps_abs, epsrel=eps_rel, limit=200)
         return val
     raise ValueError(f"f_u implemented for k <= 4, got {k}")
 
 
 def semigroup_integral(i: int, j: int) -> float:
     """Numerical ``int_0^inf f_i(u) f_j(u) du`` (should equal f_{i+j}(0))."""
-    val, _ = integrate.quad(lambda u: f_u(i, u) * f_u(j, u), 0.0, np.inf,
-                            epsabs=1e-9, epsrel=1e-8, limit=200)
+    from scipy.integrate import quad
+    val, _ = quad(lambda u: f_u(i, u) * f_u(j, u), 0.0, np.inf,
+                  epsabs=1e-9, epsrel=1e-8, limit=200)
     return val
 
 

@@ -169,7 +169,9 @@ _DEFAULTS = {
                 "terms": False},
     "rate": {**_COMMON, **_POLICY, "n": "64..512", "j": "1"},
     "baxter": {**_COMMON, **_POLICY, "n": "16..512"},
-    "dkscale": {**_COMMON, **_POLICY, "n": "512,1024,2048", "k": "1,2,3", "u": "0"},
+    # dkscale runs as many kernel stages as its largest k, so it takes no kmax
+    "dkscale": {**_COMMON, **{key: None for key in _POLICY if key != "kmax"},
+                "n": "512,1024,2048", "k": "1,2,3", "u": "0"},
 }
 
 
@@ -235,7 +237,7 @@ def _build_model(cfg: dict):
 def _build_policy(cfg: dict):
     overrides = {field: cfg[key] for key, field in
                  (("vmax", "V"), ("kmax", "K"), ("tol", "tol_tail"), ("levels", "levels"))
-                 if cfg[key] is not None}
+                 if cfg.get(key) is not None}
     return dataclasses.replace(DEFAULT_POLICY, **overrides)
 
 

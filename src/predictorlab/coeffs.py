@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal
 from scipy.fft import next_fast_len
 from scipy.linalg import toeplitz
 
@@ -132,9 +131,11 @@ def _binomial_series(d: float, n_terms: int) -> np.ndarray:
 def _rational_series(num: tuple[float, ...], den: tuple[float, ...], n_terms: int) -> np.ndarray:
     """Power-series coefficients of num(z)/den(z) via the linear recurrence
     (an impulse response; den must be invertible at 0)."""
+    # scipy.signal is slow to import, and only models with ARMA factors need it
+    from scipy.signal import lfilter
     impulse = np.zeros(n_terms)
     impulse[0] = 1.0
-    return signal.lfilter(np.asarray(num, dtype=float), np.asarray(den, dtype=float), impulse)
+    return lfilter(np.asarray(num, dtype=float), np.asarray(den, dtype=float), impulse)
 
 
 def _truncated_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -142,7 +143,7 @@ def _truncated_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     n = len(u)
     if n <= 4096:
         return np.convolve(u, v)[:n]
-    return signal.fftconvolve(u, v)[:n]
+    return _convolve_window(u, v, 0, n)
 
 
 def _window_fft_len(len_x: int, len_y: int, lo: int, count: int) -> int:

@@ -48,8 +48,9 @@ window of a linear convolution, so its FFT runs at the shortest circular
 length that leaves the window unaliased, max(lo + count, total - lo) for a
 window lo..lo+count-1 of a length-total convolution, rather than at the full
 length: the entries that wrap around land below the window.  That is about
-2V instead of 3V points per Hankel apply and M + L instead of 2M + L for
-beta; the window is exact either way, so only rounding changes.
+2V instead of 3V points per Hankel apply and L + 2T instead of L + 4T for
+long-memory beta, a closed-form kernel correlated with T terms of its ARMA
+factors; the window is exact either way, so only rounding changes.
 
 The ladder's runs are independent of one another, so they run on two lanes:
 the calling thread runs the finest cutoff, and one worker thread runs the
@@ -73,7 +74,8 @@ from functools import cache, cached_property, lru_cache
 import numpy as np
 from scipy.linalg import hankel as _hankel_matrix
 
-from .coeffs import _convolve_window, _window_fft_len, expand_ar, expand_ma
+from .coeffs import (_DECAY_FLOOR, _convolve_window, _rational_series, _window_fft_len,
+                     expand_ar, expand_ma)
 from .errors import ConfigError, TruncationError
 from .levinson import PredictorSource, PredictorTable
 from .models import ProcessModel, Regime, memory_exponent, regime
@@ -93,9 +95,6 @@ __all__ = [
     "finite_predictor_multistep",
     "projection_iterates",
 ]
-
-#: default inner-sum truncation for the beta correlation under long memory
-DEFAULT_BETA_INNER = 1 << 20
 
 #: exact-support path is used when the AR expansion support is at most this
 _EXACT_SUPPORT_MAX = 4096
@@ -198,10 +197,11 @@ class BetaSeq:
     """Correlation sequence beta_0..beta_L with its truncation residual bound.
 
     ``model`` is the generating process, whose memory regime sets the cutoff
-    ladder of every kernel built on it; ``inner_len`` is the truncation of
-    the defining inner sum; ``tail_estimate`` bounds the absolute error per
-    entry after tail treatment; ``exact`` marks a finite-support correlation
-    computed without truncation error.
+    ladder of every kernel built on it; ``inner_len`` truncates the inner
+    sum (short memory) or the ARMA factors (long memory; 1 when there are
+    none); ``tail_estimate`` bounds the absolute error per entry, under
+    long memory rounding included, so it is never 0 there; ``exact`` marks
+    a finite-support correlation computed without truncation error.
     """
 
     values: np.ndarray
@@ -288,21 +288,10 @@ class ExplicitPredictor:
 # ---------------------------------------------------------------------------
 # beta
 
-def _beta_tail_correction(d: float, idx: np.ndarray, k0: float) -> np.ndarray:
-    """Integral comparison for the neglected tail sum_{v > M} c_v a_{v+i}.
-
-    The summand is asymptotically (d sin(pi d)/pi) v^{d-1} (v+i)^{-1-d}
-    (the normalization constants of c and a cancel), whose tail integral has
-    the closed form (sin(pi d)/pi) (1 - (1 + i/k0)^{-d}) / i, with limit
-    (d sin(pi d)/pi)/k0 at i = 0.  k0 sits at the midpoint M + 1/2.
-    """
-    s_over_pi = np.sin(np.pi * d) / np.pi
-    out = np.empty(len(idx))
-    pos = idx > 0
-    ip = idx[pos]
-    out[pos] = s_over_pi * (-np.expm1(-d * np.log1p(ip / k0))) / ip
-    out[~pos] = s_over_pi * d / k0
-    return out
+def _fn_kernel(d: float, lo: int, count: int) -> np.ndarray:
+    """beta0_k = sin(pi d) / (pi (k - d)), k = lo..lo+count-1: the beta of
+    fractional noise in closed form (Gauss's 2F1 sum), negative k included."""
+    return np.sin(np.pi * d) / (np.pi * (np.arange(lo, lo + count, dtype=float) - d))
 
 
 def _exact_support(a_vals: np.ndarray) -> int | None:
@@ -339,21 +328,30 @@ def _beta_values(model: ProcessModel, L: int) -> tuple[np.ndarray, float, int, b
         bound = float(np.sum(np.abs(c[-(M // 8):])) * np.max(np.abs(a)) * 4.0)
         return out, bound, M, False
 
-    M = DEFAULT_BETA_INNER
-    d = model.d
-    c = expand_ma(model, M).values
-    a = expand_ar(model, M + L).values
-    raw = _convolve_window(a, c[::-1], M, L + 1)
-    k0 = M + 0.5
-    idx = np.arange(L + 1, dtype=float)
-    corr = _beta_tail_correction(d, idx, k0)
-    # relative drift of the expansion from its pure power law at the cutoff,
-    # measured by comparing the normalization at M and M/2
-    lm = c[M] * M ** (1.0 - d)
-    lh = c[M // 2] * (M // 2) ** (1.0 - d)
-    drift = abs(lm - lh) / abs(lm)
-    bound = float(np.max(corr) * (2.0 * drift + 8.0 / k0))
-    return raw + corr, bound, M, False
+    # long memory: c = b * r and a = a0 * s, with b and a0 the fractional-noise
+    # expansions and r, s those of ma/ar and ar/ma, so beta is the kernel
+    # beta0 correlated with rho_j = sum_p r_p s_{p-j}
+    num, den = model.ma_poly.coefficients, model.ar_poly.coefficients
+    eps = np.finfo(float).eps
+    if num == den == (1.0,):
+        beta0 = _fn_kernel(model.d, 0, L + 1)
+        return beta0, 4.0 * eps * float(np.max(np.abs(beta0))), 1, False
+    T = 256  # doubles until r and s are dead in their last quarter, or to 2^20
+    while True:
+        r, s = _rational_series(num, den, T), _rational_series(den, num, T)
+        last = np.abs(np.stack([r, s])[:, -(T // 4):])
+        if T >= 1 << 20 or last.max() < _DECAY_FLOOR:
+            break
+        T *= 2
+    # rho_rev[q] = rho_{T-1-q} = (r reversed * s)_q pairs with beta0_{i+T-1-q}
+    rho_rev = _convolve_window(r[::-1], s, 0, 2 * T - 1)
+    beta0 = _fn_kernel(model.d, 1 - T, L + 2 * T - 1)
+    # a factor's last quarter bounds its dropped tail, which moves rho by at
+    # most that times the other factor's sum; plus the correlation's rounding
+    dropped = last[0].sum() * np.abs(s).sum() + np.abs(r).sum() * last[1].sum()
+    rounding = eps * np.log2(L + 2 * T) * np.abs(rho_rev).sum()
+    return (_convolve_window(beta0, rho_rev, 2 * T - 2, L + 1),
+            float((dropped + rounding) * np.max(np.abs(beta0))), T, False)
 
 
 @lru_cache(maxsize=6)

@@ -77,8 +77,9 @@ def _ar1_models():
                      allow_nan=False).map(lambda r: pl.Ar1(r=round(r, 6)))
 
 
-def _farima_models():
-    ds = st.floats(min_value=0.0, max_value=0.45, allow_nan=False)
+def farima_models(d_min: float = 0.0, d_max: float = 0.45):
+    """Strategy over ARMA(1,1) x FARIMA models with d_min <= d <= d_max."""
+    ds = st.floats(min_value=d_min, max_value=d_max, allow_nan=False)
     qs = st.floats(min_value=-0.6, max_value=0.6, allow_nan=False)
 
     def build(d, qa, qm):
@@ -108,4 +109,4 @@ def _explicit_models():
 
 def any_model():
     """Strategy over valid models of all three variants."""
-    return st.one_of(_ar1_models(), _farima_models(), _explicit_models())
+    return st.one_of(_ar1_models(), farima_models(), _explicit_models())

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -322,6 +324,15 @@ class TestExitCodes:
         assert_one_config_line(err)
         assert flag in err
 
+    def test_kmax_rejected_by_dkscale(self, capsys):
+        # dkscale runs as many stages as its largest k; a depth budget
+        # would never be read
+        code, out, err = run(capsys, "dkscale", "--model", "farima", "--d", "0.3",
+                             "--n", "512", "--k", "1,2,3", "--u", "0", "--kmax", "1")
+        assert code == 2 and out == ""
+        assert_one_config_line(err)
+        assert "--kmax" in err
+
     @pytest.mark.parametrize("model", [("farima", "--d", "0.3", "--arpoly", "abc"),
                                        ("explicit", "--arpoly=-1", "--mapoly", "abc")])
     def test_unparseable_coefficients_are_config_errors(self, capsys, model):
@@ -436,3 +447,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "predict", "--model", "ar1", "--r", "0.5")
         assert code == 2
         assert "error=config" in err
+
+
+def test_import_leaves_slow_scipy_modules_out():
+    # scipy.signal and scipy.integrate take most of a cold start; no CLI
+    # import needs them
+    code = ("import sys, predictorlab.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.integrate') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

@@ -7,15 +7,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import signal
 
 import predictorlab as pl
 from predictorlab import TruncationError, TruncationPolicy, explicit
-from predictorlab.asymptotics import fk0
-from predictorlab.explicit import _HankelFFT, _beta_tail_correction
+from predictorlab.asymptotics import check_routes, fk0
+from predictorlab.explicit import _HankelFFT
 
-from conftest import exact_phi, farima_a_oracle, farima_c_oracle
+from conftest import exact_phi, farima_a_oracle, farima_c_oracle, farima_models
 
 
 class TestBeta:
@@ -53,12 +53,40 @@ class TestBeta:
             direct = float(np.dot(c[:M], a[i:i + M]))
             # the direct sum still misses ~1/M of tail; compare at that scale
             assert abs(beta[i] - direct) < 5e-7
+        # the closed form leaves rounding alone
+        assert 0.0 < beta.tail_estimate < 1e-14
 
     @pytest.mark.parametrize("model", [
-        pl.Farima(0.3),
+        pl.Farima(0.3, ar_poly=(1, -0.5)),
+        pl.Farima(0.25, ar_poly=(1, -0.5), ma_poly=(1, 0.4)),
+        pl.Farima(0.4, ar_poly=(1, 0.6)),
+        pl.Farima(0.3, ma_poly=(1, 0.9)),
+    ], ids=["ar", "arma", "ar-d0.4", "ma"])
+    def test_factored_against_direct_truncated_sum(self, model):
+        # c and a through the ARMA recurrences applied to the binomial
+        # oracles, a route independent of the kernel correlation
+        M = 1 << 21
+        ma, ar = model.ma_poly.coefficients, model.ar_poly.coefficients
+        c = signal.lfilter(ma, ar, farima_c_oracle(model.d, M + 100))
+        a = signal.lfilter(ar, ma, farima_a_oracle(model.d, M + 100))
+        beta = pl.beta_for_model(model, 100)
+        for i in (0, 1, 5, 100):
+            direct = float(np.dot(c[:M], a[i:i + M]))
+            assert abs(beta[i] - direct) < 5e-7
+        # the factors are cut where they are dead, so rounding is what is left
+        assert 0.0 < beta.tail_estimate < 1e-13
+
+    def test_undecayed_factor_raises(self):
+        # s = 1/(1 + 0.9999999 z) is still of order one at the 2^20 cap
+        model = pl.Farima(0.3, ma_poly=(1, 0.9999999))
+        assert pl.beta_for_model(model, 16).tail_estimate > 1.0
+        with pytest.raises(TruncationError):
+            pl.finite_predictor_explicit(model, 4)
+
+    @pytest.mark.parametrize("model", [
         # AR expansion decays like 0.9^n without underflowing: no exact support
         pl.Farima(0.0, ma_poly=pl.RealPolynomial((1.0, 0.9))),
-    ], ids=["long", "short-inexact"])
+    ], ids=["short-inexact"])
     def test_matches_full_length_convolution(self, model):
         # reference: scipy's "valid" correlation, padded to the full length
         L = 300
@@ -68,9 +96,17 @@ class TestBeta:
         c = pl.expand_ma(model, M).values
         a = pl.expand_ar(model, M + L).values
         ref = signal.fftconvolve(a, c[::-1], mode="valid")
-        if model.d > 0.0:
-            ref = ref + _beta_tail_correction(model.d, np.arange(L + 1.0), M + 0.5)
         assert np.max(np.abs(beta.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@settings(deadline=None, max_examples=10, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(model=farima_models(d_min=0.01, d_max=0.3),
+       n=st.integers(min_value=1, max_value=16))
+def test_factored_explicit_matches_levinson(model, n):
+    # ARMA(1,1) x FARIMA: the kernel-correlated beta feeds the explicit route
+    res = pl.finite_predictor_explicit(model, n)
+    check_routes(res, pl.durbin_levinson(pl.autocov(model, n), n)[-1].coefficients)
 
 
 class TestHankelApply:
