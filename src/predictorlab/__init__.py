@@ -9,9 +9,8 @@ predictor coefficients (convergence rate, Baxter-type ratio, kernel scaling).
 from .asymptotics import (BaxterReport, DkScalingReport, RateReport,
                           baxter_experiment, dk_scaling_experiment, f_u, fk0,
                           rate_experiment, richardson, semigroup_integral)
-from .coeffs import (AutocovSeq, CoeffKind, CoeffSeq, autocov, ell_estimate,
-                     expand_ar, expand_ma, infinite_predictor, phi_for_model,
-                     tail_sum_phi)
+from .coeffs import (AutocovSeq, CoeffKind, CoeffSeq, autocov, expand_ar,
+                     expand_ma, infinite_predictor, phi_for_model, tail_sum_phi)
 from .errors import (ConfigError, DegeneracyError, ModelValidationError,
                      OracleDisagreementError, PredictorLabError, RegimeError,
                      TruncationError)
@@ -36,9 +35,9 @@ __all__ = [
     "RealPolynomial", "Regime", "RegimeError", "SeriesTerms",
     "TruncationError", "TruncationPolicy", "autocov", "baxter_experiment",
     "beta_for_model", "d_vectors", "delta_block",
-    "dk_scaling_experiment", "durbin_levinson", "ell_estimate", "expand_ar",
-    "expand_ma", "f_u", "finite_predictor_explicit",
-    "finite_predictor_multistep", "fk0", "hankel_apply", "infinite_predictor",
+    "dk_scaling_experiment", "durbin_levinson", "expand_ar", "expand_ma",
+    "f_u", "finite_predictor_explicit", "finite_predictor_multistep", "fk0",
+    "hankel_apply", "infinite_predictor",
     "memory_exponent", "multistep_normal_solve", "phi_for_model",
     "projection_iterates", "rate_experiment", "regime", "richardson",
     "semigroup_integral", "tail_sum_phi",

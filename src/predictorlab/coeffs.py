@@ -2,27 +2,33 @@
 
 The outer function ``h(z)`` of an admissible model is expanded as
 ``h(z) = sum c_n z^n`` (MA coefficients) and ``-1/h(z) = sum a_n z^n``
-(AR coefficients).  Autocovariances come from the correlation formula
-``gamma(n) = sum_k c_{n+k} c_k`` and the infinite-past predictor weights are
-``phi_j = c_0 a_j``.
+(AR coefficients); the infinite-past predictor weights are ``phi_j = c_0 a_j``.
 
-Long-memory models make the inner sums converge slowly (summand ~ k^{2d-2});
-the truncation residuals are removed by midpoint integral comparison so that
-desk-scale truncation lengths reach ~1e-9 absolute accuracy.
+The autocovariances ``gamma(k) = sum_v c_v c_{v+k}`` are not summed from c,
+whose terms decay only like v^{2d-2} under long memory.  c is the product of
+the fractional-noise expansion of (1-z)^{-d} and the short-memory factor r
+(ma/ar for Farima, the powers r^p for Ar1, c itself for ExplicitModel), so
+gamma is the fractional-noise autocovariance gamma0 in closed form (the
+Gamma ratio of Hosking, Biometrika 1981; the unit impulse at d = 0)
+correlated with ``rho_j = sum_p r_p r_{p+|j|}``.  r is expanded until it has
+decayed below a floor, by the same rule (``_decayed``) that cuts the factors
+of the explicit route's beta; one that does not decay within 2^20 terms
+raises TruncationError.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
-from scipy.fft import next_fast_len
 from scipy.linalg import toeplitz
 
 from .errors import DegeneracyError, TruncationError
-from .models import Ar1, ExplicitModel, Farima, ProcessModel, Regime, regime
+from .models import Ar1, ExplicitModel, Farima, ProcessModel, memory_exponent
 
 __all__ = [
     "CoeffKind",
@@ -33,19 +39,18 @@ __all__ = [
     "autocov",
     "infinite_predictor",
     "tail_sum_phi",
-    "ell_estimate",
 ]
-
-#: default inner truncation for long-memory autocovariance sums
-DEFAULT_AUTOCOV_M = 1 << 18
 
 #: expansion entries below this are treated as numerically dead (short-memory cutoff)
 _DECAY_FLOOR = 1e-19
 
-#: Gauss-Legendre nodes/weights on [0, 1] for the tail integrals
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(32)
-_GAUSS_X = 0.5 * (_GAUSS_X + 1.0)
-_GAUSS_W = 0.5 * _GAUSS_W
+#: the longest expansion of a short-memory factor that _decayed tries
+_DECAY_MAX_TERMS = 1 << 20
+
+#: the FFT lengths 2^a 3^b 5^c up to 2^40, ascending (exact as floats)
+_FAST_LENS = np.sort(np.multiply.outer(np.multiply.outer(
+    2.0 ** np.arange(41), 3.0 ** np.arange(26)), 5.0 ** np.arange(18)), axis=None)
+_FAST_LENS = _FAST_LENS[_FAST_LENS <= 2.0 ** 40]
 
 
 class CoeffKind(str, enum.Enum):
@@ -80,11 +85,13 @@ class CoeffSeq:
 
 @dataclass(frozen=True, eq=False)
 class AutocovSeq:
-    """Autocovariances gamma(0..N) with the residual truncation bound.
+    """Autocovariances gamma(0..N) with a bound on their error.
 
-    ``tail_estimate`` bounds the absolute error left in each entry after
-    the inner-sum tail treatment (correction applied for long memory,
-    geometric bound for short memory).
+    ``tail_estimate`` bounds the absolute error of every entry: what the
+    terms of the short-memory factor beyond its kept expansion can move
+    gamma by, plus the rounding of the fractional-noise recurrence and of
+    the correlations.  Fractional noise and finite factors drop nothing, so
+    their bound is rounding alone.
     """
 
     values: np.ndarray
@@ -138,12 +145,33 @@ def _rational_series(num: tuple[float, ...], den: tuple[float, ...], n_terms: in
     return lfilter(np.asarray(num, dtype=float), np.asarray(den, dtype=float), impulse)
 
 
+def _decayed(series: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows of series(T), their last quarters' magnitudes) at the first
+    T = 256, 512, ... where every last quarter is below _DECAY_FLOOR, or at
+    2^20 terms.  A last quarter bounds what its row drops beyond T; one still
+    above the floor is a row that has not decayed, for the caller to report
+    in its bound or refuse."""
+    T = 256
+    while True:
+        rows = np.atleast_2d(series(T))
+        last = np.abs(rows[:, -(T // 4):])
+        if T >= _DECAY_MAX_TERMS or last.max() < _DECAY_FLOOR:
+            return rows, last
+        T *= 2
+
+
 def _truncated_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Cauchy product of two equal-length series, truncated to that length."""
     n = len(u)
     if n <= 4096:
         return np.convolve(u, v)[:n]
     return _convolve_window(u, v, 0, n)
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, the length scipy.fft.next_fast_len(n,
+    real=True) picks; importing scipy.fft would pull in scipy.special."""
+    return int(_FAST_LENS[np.searchsorted(_FAST_LENS, n)])
 
 
 def _window_fft_len(len_x: int, len_y: int, lo: int, count: int) -> int:
@@ -157,7 +185,7 @@ def _window_fft_len(len_x: int, len_y: int, lo: int, count: int) -> int:
     the full convolution length len_x + len_y - 1 unless lo = 0 or the window
     reaches the last entry.
     """
-    return next_fast_len(max(lo + count, len_x + len_y - 1 - lo), real=True)
+    return _next_fast_len(max(lo + count, len_x + len_y - 1 - lo))
 
 
 def _convolve_window(x: np.ndarray, y: np.ndarray, lo: int, count: int) -> np.ndarray:
@@ -250,97 +278,66 @@ def expand_ar(model: ProcessModel, N: int) -> CoeffSeq:
     return CoeffSeq(CoeffKind.AR, _expansion(model, N + 1, CoeffKind.AR))
 
 
-def ell_estimate(model: ProcessModel, M: int | None = None) -> float:
-    """Normalization constant of the regular decay c_n ~ ell * n^{d-1}.
-
-    Estimated empirically from the computed expansion at two scales with one
-    Richardson step (the relative correction is ~ 1/n).  Only meaningful for
-    long-memory models; raises otherwise.
-    """
-    if not isinstance(model, Farima) or model.d <= 0.0:
-        raise ValueError("ell is defined for long-memory models only")
-    if M is None:
-        M = 1 << 17
-    c = _expansion(model, M + 1, CoeffKind.MA)
-    d = model.d
-    ell_full = c[M] * M ** (1.0 - d)
-    ell_half = c[M // 2] * (M // 2) ** (1.0 - d)
-    return 2.0 * ell_full - ell_half
+def _fn_autocov(d: float, count: int) -> tuple[np.ndarray, float]:
+    """gamma0(0..count-1) of fractional noise (1-z)^{-d} with unit
+    innovations, gamma0(0) = Gamma(1-2d) / Gamma(1-d)^2 and gamma0(k) =
+    gamma0(k-1) (k-1+d) / (k-d) (the unit impulse at d = 0), and a bound on
+    its absolute rounding error: k steps of the recurrence round gamma0(k)
+    by at most 2k eps relative, and math.gamma by a few ulps."""
+    out = np.empty(count)
+    out[0] = math.gamma(1.0 - 2.0 * d) / math.gamma(1.0 - d) ** 2
+    k = np.arange(1, count, dtype=float)
+    out[1:] = out[0] * np.cumprod((k - 1.0 + d) / (k - d))
+    err = float(np.max((2.0 * np.arange(count) + 16.0) * out))
+    return out, np.finfo(float).eps * err
 
 
-def _autocov_tail_correction(d: float, ell: float, n: np.ndarray, k0: np.ndarray) -> np.ndarray:
-    """Integral comparison for the neglected tail sum_{k > K} c_{n+k} c_k.
-
-    Approximates the tail by ell^2 * int_{k0}^inf k^{d-1} (k+n)^{d-1} dk with
-    k0 at the midpoint (second-order accurate).  The u^{-2d} endpoint
-    singularity after mapping to [0,1] is absorbed by the substitution
-    u = s^{1/(1-2d)}, leaving a smooth integrand for fixed-order Gauss-Legendre.
-    """
-    p = 1.0 / (1.0 - 2.0 * d)
-    s = _GAUSS_X ** p
-    # integrand: k0^d * (k0 + n*u)^{d-1} at u = s, times the substitution factor p
-    base = k0[:, None] + n[:, None] * s[None, :]
-    vals = (k0[:, None] ** d) * base ** (d - 1.0)
-    return (ell * ell * p) * vals @ _GAUSS_W
-
-
-def autocov(model: ProcessModel, N: int, M: int | None = None) -> AutocovSeq:
-    """Autocovariances gamma(0..N) from the MA expansion.
-
-    Parameters
-    ----------
-    model : ProcessModel
-    N : int
-        Largest lag.
-    M : int, optional
-        Inner truncation for the correlation sum (>= N).  Defaults to a
-        decay-derived length for short memory and 2^18 for long memory.
-
-    Returns
-    -------
-    AutocovSeq
-        gamma values with ``tail_estimate`` = residual bound per entry.
+def autocov(model: ProcessModel, N: int) -> AutocovSeq:
+    """Autocovariances gamma(0..N) of the model with unit innovations: the
+    fractional-noise gamma0 correlated with the short-memory factor's rho
+    (module docstring), each left out where it is trivial.  Raises
+    TruncationError when that factor has not decayed within 2^20 terms.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    long_memory = regime(model) is Regime.LONG
-    if M is None:
-        M = DEFAULT_AUTOCOV_M if long_memory else _short_memory_length(model, N)
-    if M < N:
-        raise ValueError(f"M = {M} must be >= N = {N}")
-
-    c = _expansion(model, M + 1, CoeffKind.MA)
-    raw = _convolve_window(c, c[::-1], M, N + 1)
-
-    if long_memory:
-        d = model.d
-        ell = ell_estimate(model, min(M, 1 << 17))
-        lags = np.arange(N + 1, dtype=float)
-        k0 = M - lags + 0.5
-        corr = _autocov_tail_correction(d, ell, lags, k0)
-        gamma = raw + corr
-        # residual: next Euler-Maclaurin order plus the ell estimation error
-        ell_drift = abs(ell - c[M] * M ** (1.0 - d)) / abs(ell)
-        residual = float(np.max(corr) * (2.0 / np.min(k0) + 2.0 * ell_drift))
-    else:
-        gamma = raw.copy()
-        live = np.abs(c[-(len(c) // 8 or 1):])
-        residual = float(np.sum(live) * max(np.max(live), np.max(np.abs(c))) * 4.0)
-    return AutocovSeq(gamma, tail_estimate=residual)
-
-
-def _short_memory_length(model: ProcessModel, N: int) -> int:
-    """Truncation length at which a short-memory MA expansion is numerically dead."""
+    d = memory_exponent(model)
     if isinstance(model, ExplicitModel):
-        return max(N, len(model.c) - 1, len(model.a) - 1)
-    M = max(256, N)
-    while M < (1 << 20):
-        c = _expansion(model, M + 1, CoeffKind.MA)
-        if np.all(np.abs(c[-(M // 4):]) < _DECAY_FLOOR):
-            return M
-        M *= 2
-    raise TruncationError("short-memory expansion does not decay below floor "
-                          f"within {1 << 20} terms")
+        r, last = np.asarray(model.c, dtype=float), np.zeros(1)
+    elif isinstance(model, Ar1):
+        (r,), last = _decayed(lambda T: model.r ** np.arange(T, dtype=float))
+    elif _is_unit_poly(model.ma_poly.coefficients) and _is_unit_poly(model.ar_poly.coefficients):
+        gamma0, rounding = _fn_autocov(d, N + 1)
+        return AutocovSeq(gamma0, tail_estimate=rounding)
+    else:
+        (r,), last = _decayed(partial(_rational_series, model.ma_poly.coefficients,
+                                      model.ar_poly.coefficients))
+    if last.max() >= _DECAY_FLOOR:
+        raise TruncationError(f"short-memory factor does not decay below floor within "
+                              f"{_DECAY_MAX_TERMS} terms", achieved=float(last.max()),
+                              required=_DECAY_FLOOR)
+    # the last quarter bounds r's dropped tail, which moves the rho_j by at
+    # most twice that times sum |r| in total
+    dropped = 2.0 * last.sum() * np.abs(r).sum()
+
+    T = len(r)
+    if d == 0.0:
+        # gamma0 is the unit impulse: gamma is rho
+        gamma = _convolve_window(r, r[::-1], T - 1, N + 1)
+        gamma0_max, kernel_err = 1.0, 0.0
+    else:
+        rho = _convolve_window(r, r[::-1], 0, 2 * T - 1)
+        gamma0, kernel_err = _fn_autocov(d, N + T)
+        # gamma(k) = sum_j gamma0(|k-j|) rho_j, |j| < T: the kernel runs over
+        # lags 1-T..N+T-1
+        kernel = np.concatenate([gamma0[T - 1:0:-1], gamma0])
+        gamma = _convolve_window(kernel, rho, 2 * T - 2, N + 1)
+        gamma0_max = gamma0[0]
+    # sum_j |rho_j| <= (sum |r|)^2; each of the (at most two) correlations
+    # rounds by eps log2(length) times that times the kernel's largest entry
+    rho_sum = np.abs(r).sum() ** 2
+    rounding = 2.0 * np.finfo(float).eps * np.log2(N + 3 * T) * rho_sum
+    return AutocovSeq(gamma, tail_estimate=float((dropped + rounding) * gamma0_max
+                                                  + rho_sum * kernel_err))
 
 
 def infinite_predictor(c: CoeffSeq, a: CoeffSeq, N: int) -> np.ndarray:

@@ -74,7 +74,7 @@ from functools import cache, cached_property, lru_cache
 import numpy as np
 from scipy.linalg import hankel as _hankel_matrix
 
-from .coeffs import (_DECAY_FLOOR, _convolve_window, _rational_series, _window_fft_len,
+from .coeffs import (_convolve_window, _decayed, _rational_series, _window_fft_len,
                      expand_ar, expand_ma)
 from .errors import ConfigError, TruncationError
 from .levinson import PredictorSource, PredictorTable
@@ -336,13 +336,10 @@ def _beta_values(model: ProcessModel, L: int) -> tuple[np.ndarray, float, int, b
     if num == den == (1.0,):
         beta0 = _fn_kernel(model.d, 0, L + 1)
         return beta0, 4.0 * eps * float(np.max(np.abs(beta0))), 1, False
-    T = 256  # doubles until r and s are dead in their last quarter, or to 2^20
-    while True:
-        r, s = _rational_series(num, den, T), _rational_series(den, num, T)
-        last = np.abs(np.stack([r, s])[:, -(T // 4):])
-        if T >= 1 << 20 or last.max() < _DECAY_FLOOR:
-            break
-        T *= 2
+    # an undecayed factor is not refused here: its last quarter enters the bound
+    (r, s), last = _decayed(lambda T: np.stack([_rational_series(num, den, T),
+                                                _rational_series(den, num, T)]))
+    T = len(r)
     # rho_rev[q] = rho_{T-1-q} = (r reversed * s)_q pairs with beta0_{i+T-1-q}
     rho_rev = _convolve_window(r[::-1], s, 0, 2 * T - 1)
     beta0 = _fn_kernel(model.d, 1 - T, L + 2 * T - 1)
@@ -830,6 +827,14 @@ def _series_inputs(model: ProcessModel, n: int, m: int, policy: TruncationPolicy
     return scales, beta, expand_ar(model, n + scales[-1]).values, c_head
 
 
+def _check_tail(resid: float, policy: TruncationPolicy, n: int) -> None:
+    if resid > policy.tol_tail:
+        raise TruncationError(
+            f"truncation residual {resid:.3e} exceeds tol_tail "
+            f"{policy.tol_tail:g} at n = {n}; increase V, levels or K",
+            achieved=resid, required=policy.tol_tail)
+
+
 def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
                                policy: TruncationPolicy = DEFAULT_POLICY,
                                beta: BetaSeq | None = None) -> ExplicitPredictor:
@@ -863,6 +868,9 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
         applies (which a diverging series also exhausts).
     """
     scales, beta, a_vals, c_head = _series_inputs(model, n, m, policy, beta)
+    # beta's share of every coefficient's residual; no ladder run can undo it
+    beta_share = beta.tail_estimate * 4.0
+    _check_tail(beta_share, policy, n)
     p = _elimination_exponent(model)
     gain = float(np.sum(np.abs(_ladder_weights(p, scales))))
     tol_stop = _stop_tol(policy, gain)
@@ -881,14 +889,8 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
     # each coefficient's residual: the ladder's, what beta's own truncation
     # error can move it by, and what the series depth left out of any run,
     # as far as the elimination weights can amplify it
-    tail_j = resid + beta.tail_estimate * 4.0 + gain * max(left for _, left, _ in runs)
-    tail_resid = float(np.max(tail_j))
-
-    if tail_resid > policy.tol_tail:
-        raise TruncationError(
-            f"truncation residual {tail_resid:.3e} exceeds tol_tail "
-            f"{policy.tol_tail:g} at n = {n}; increase V, levels or K",
-            achieved=tail_resid, required=policy.tol_tail)
+    tail_j = resid + beta_share + gain * max(left for _, left, _ in runs)
+    _check_tail(float(np.max(tail_j)), policy, n)
 
     table = PredictorTable(n=n, horizon=m, coefficients=phi,
                            source=PredictorSource.EXPLICIT_SERIES)

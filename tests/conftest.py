@@ -43,6 +43,17 @@ def farima_gamma_oracle(d: float, N: int) -> np.ndarray:
     return out
 
 
+def farima_ar1_gamma_oracle(d: float, ar: float, N: int) -> np.ndarray:
+    """Autocovariances of (1-z)^{-d} / (1 - ar z) with unit innovations:
+    gamma(k) = sum_h ar^|h| gamma0(k+h) / (1 - ar^2), gamma0 the fractional
+    noise's, summed over |h| <= H with |ar|^H below 1e-20."""
+    H = int(np.ceil(np.log(1e-20) / np.log(abs(ar))))
+    gamma0 = farima_gamma_oracle(d, N + H)
+    h = np.arange(-H, H + 1)
+    lags = np.abs(np.arange(N + 1)[:, None] + h[None, :])
+    return gamma0[lags] @ ar ** np.abs(h) / (1.0 - ar * ar)
+
+
 def exact_phi(d: float, n: int) -> np.ndarray:
     """Finite predictor coefficients phi_{n,j} from the Gamma-ratio
     autocovariance through Durbin-Levinson; exact to machine rounding."""

@@ -406,6 +406,18 @@ class TestExitCodes:
         _, rows = csv_rows(out)
         assert [float(r[2]) for r in rows] == [0.5, 0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("argv", [
+        ("coeffs", "--N", "4", "--arpoly=1,-0.999999"),
+        ("predict", "--n", "4", "--arpoly=1,-0.999999", "--source", "levinson"),
+        ("predict", "--n", "4", "--mapoly=1,0.9999999", "--source", "explicit"),
+    ], ids=["autocov", "levinson", "beta"])
+    def test_undecayed_factor(self, capsys, argv):
+        # a factor still of order one at 2^20 terms is one truncation line
+        code, out, err = run(capsys, *argv[:1], "--model", "farima", "--d", "0.3",
+                             *argv[1:])
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 and "error=truncation" in err
+
     def test_dkscale_tail_over_tol(self, capsys):
         code, out, err = run(capsys, "dkscale", "--model", "farima", "--d", "0.3",
                              "--n", "512", "--k", "1,2,3", "--u", "0", "--levels", "1")
@@ -450,11 +462,16 @@ class TestExitCodes:
 
 
 def test_import_leaves_slow_scipy_modules_out():
-    # scipy.signal and scipy.integrate take most of a cold start; no CLI
-    # import needs them
-    code = ("import sys, predictorlab.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.integrate') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "[]\n"
+    # scipy.signal, scipy.integrate and scipy.special (which scipy.fft pulls
+    # in) take most of a cold start; neither the CLI import nor a Levinson
+    # request for fractional noise or an AR(1) needs them
+    code = ("import sys; from predictorlab.cli import main; "
+            "main(['predict', '--model', 'ar1', '--r', '0.5', '--n', '8', "
+            "'--source', 'levinson']); "
+            "main(['predict', '--model', 'farima', '--d', '0.3', '--n', '8', "
+            "'--source', 'levinson']); "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.integrate', 'scipy.special') "
+            "if m in sys.modules), file=sys.stderr)")
+    err = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stderr
+    assert err == "[]\n"

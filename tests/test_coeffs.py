@@ -7,12 +7,12 @@ from scipy import signal
 from scipy.special import gamma as Gamma
 
 import predictorlab as pl
-from predictorlab import DegeneracyError
-from predictorlab.coeffs import (CoeffKind, _autocov_tail_correction, _convolve_window,
-                                 _expansion_cached, ell_estimate)
+from predictorlab import DegeneracyError, TruncationError
+from predictorlab.coeffs import (CoeffKind, _convolve_window, _expansion_cached,
+                                 _next_fast_len)
 
-from conftest import (any_model, farima_a_oracle, farima_c_oracle,
-                      farima_gamma_oracle, series_by_cauchy)
+from conftest import (any_model, farima_a_oracle, farima_ar1_gamma_oracle,
+                      farima_c_oracle, farima_gamma_oracle, series_by_cauchy)
 
 
 class TestExpansions:
@@ -77,34 +77,44 @@ class TestExpansions:
             pl.expand_ma(pl.Farima(0.3), -1)
 
     def test_decay_normalization_pair(self):
-        # c_n n^{1-d} -> ell and a_n n^{1+d} pi/(d sin(pi d)) -> 1/ell
+        # c_n n^{1-d} -> ell and a_n n^{1+d} pi/(d sin(pi d)) -> 1/ell, where
+        # ell = 1/Gamma(d) for the plain fractional model
         d = 0.3
         m = pl.Farima(d)
         n = 1 << 16
         c = pl.expand_ma(m, n).values
         a = pl.expand_ar(m, n).values
-        ell = pl.ell_estimate(m)
+        ell = 1.0 / Gamma(d)
         c_side = c[n] * n ** (1.0 - d)
         a_side = a[n] * n ** (1.0 + d) * np.pi / (d * np.sin(np.pi * d))
         assert abs(c_side - ell) / ell < 1e-3
         assert abs(a_side - 1.0 / ell) * ell < 1e-3
         assert abs(c_side * a_side - 1.0) < 1e-3
 
-    def test_ell_analytic_value(self):
-        # for the plain fractional model, ell = 1/Gamma(d)
-        d = 0.3
-        assert abs(pl.ell_estimate(pl.Farima(d)) - 1.0 / Gamma(d)) < 1e-4
+
+def assert_exact_autocov(got, ref):
+    """got within 1e-13 gamma(0) of ref, and its bound covers its error."""
+    err = np.max(np.abs(got.values - ref))
+    assert err <= 1e-13 * ref[0]
+    assert got.tail_estimate >= err
 
 
 class TestAutocov:
-    @pytest.mark.parametrize("d", [0.1, 0.25, 0.4])
-    def test_farima_gamma_ratio_oracle(self, d):
-        got = pl.autocov(pl.Farima(d), 128)
-        np.testing.assert_allclose(got.values, farima_gamma_oracle(d, 128),
-                                   atol=5e-9)
-        # the reported bound is deliberately conservative; the 5e-9 check
-        # above pins the actual accuracy
-        assert got.tail_estimate < 1e-5
+    @pytest.mark.parametrize("N", [128, 8192])
+    @pytest.mark.parametrize("d", [0.05, 0.1, 0.25, 0.3, 0.4, 0.45])
+    def test_farima_gamma_ratio_oracle(self, d, N):
+        assert_exact_autocov(pl.autocov(pl.Farima(d), N), farima_gamma_oracle(d, N))
+
+    @pytest.mark.parametrize("ar", [0.6, -0.6])
+    @pytest.mark.parametrize("d", [0.2, 0.45])
+    def test_ar1_factor_closed_form(self, d, ar):
+        got = pl.autocov(pl.Farima(d, ar_poly=(1.0, -ar)), 512)
+        assert_exact_autocov(got, farima_ar1_gamma_oracle(d, ar, 512))
+
+    def test_undecayed_factor_raises(self):
+        # 1/(1 - 0.999999 z) is still of order one at the 2^20 cap
+        with pytest.raises(TruncationError):
+            pl.autocov(pl.Farima(0.3, ar_poly=(1.0, -0.999999)), 4)
 
     def test_ar1_closed_form(self):
         r = 0.5
@@ -124,20 +134,15 @@ class TestAutocov:
         with pytest.raises(DegeneracyError):
             pl.AutocovSeq(np.array([1.0, 1.0, 1.0]))
 
-    @pytest.mark.parametrize("model, M", [
-        (pl.Farima(0.3), 1 << 18),
-        (pl.Farima(0.0, ma_poly=pl.RealPolynomial((1.0, 0.9))), 1 << 12),
-    ], ids=["long", "short"])
-    def test_matches_full_length_convolution(self, model, M):
+    @pytest.mark.parametrize("model", [
+        pl.Farima(0.0, ma_poly=pl.RealPolynomial((1.0, 0.9))),
+    ], ids=["short"])
+    def test_matches_full_length_convolution(self, model):
         # reference: the full-length scipy convolution sliced to the lags
-        N = 300
+        N, M = 300, 1 << 12
         c = pl.expand_ma(model, M).values
         ref = signal.fftconvolve(c, c[::-1])[M:M + N + 1]
-        if model.d > 0.0:
-            lags = np.arange(N + 1, dtype=float)
-            ref = ref + _autocov_tail_correction(
-                model.d, ell_estimate(model, min(M, 1 << 17)), lags, M - lags + 0.5)
-        got = pl.autocov(model, N, M).values
+        got = pl.autocov(model, N).values
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -223,3 +228,9 @@ def test_convolve_window_matches_direct(window, seed):
     got = _convolve_window(x, y, lo, count)
     assert got.shape == (count,)
     np.testing.assert_allclose(got, np.convolve(x, y)[lo:lo + count], rtol=0, atol=1e-12)
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+    for n in [*range(1, 5000), 2 ** 20 + 1, 3 * 2 ** 21 - 7, 10 ** 7 + 3]:
+        assert _next_fast_len(n) == next_fast_len(n, real=True)

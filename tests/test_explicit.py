@@ -76,10 +76,14 @@ class TestBeta:
         # the factors are cut where they are dead, so rounding is what is left
         assert 0.0 < beta.tail_estimate < 1e-13
 
-    def test_undecayed_factor_raises(self):
+    def test_undecayed_factor_raises(self, monkeypatch):
         # s = 1/(1 + 0.9999999 z) is still of order one at the 2^20 cap
         model = pl.Farima(0.3, ma_poly=(1, 0.9999999))
         assert pl.beta_for_model(model, 16).tail_estimate > 1.0
+
+        def no_ladder(*args):
+            raise AssertionError("beta's share alone exceeds tol_tail; no run should start")
+        monkeypatch.setattr("predictorlab.explicit._solve_run", no_ladder)
         with pytest.raises(TruncationError):
             pl.finite_predictor_explicit(model, 4)
 
