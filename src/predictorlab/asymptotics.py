@@ -206,9 +206,10 @@ def rate_experiment(model: ProcessModel, j: int, n_list,
     """Measure n (phi_{n,j} - phi_j) along n_list and compare with the limit
     d^2 sum_{u>=j} phi_u.
 
-    The limit is approached with a finite-n correction ~ n^{-d}, so the
-    report also carries a Richardson extrapolation (exponent 1) of the last
-    doubling pair.
+    For d > 0 the infinite predictor's weights sum to one, so the limit is
+    the signed closed form d^2 (1 - sum_{u<j} phi_u).  The rates approach it
+    with a finite-n correction ~ 1/n, so the report also carries a
+    Richardson extrapolation (exponent 1) of the last doubling pair.
 
     Raises RegimeError for short-memory models (the limit statement needs
     long memory) and OracleDisagreementError if the two predictor routes
@@ -226,7 +227,7 @@ def rate_experiment(model: ProcessModel, j: int, n_list,
     for n, phi in zip(n_list, phis):
         phi_nj = float(phi[j - 1])
         entries.append((n, phi_nj, n * (phi_nj - phi_j)))
-    limit = d * d * tail_sum_phi(phi_inf, j - 1, d)
+    limit = d * d * (1.0 - float(np.sum(phi_inf[:j - 1])))
     # the gap n (phi_{n,j} - phi_j) - limit closes like 1/n (successive
     # differences halve per doubling of n, measured), so extrapolate at
     # exponent 1

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import DegeneracyError, TruncationError
 from .models import Ar1, ExplicitModel, Farima, ProcessModel, memory_exponent
@@ -110,8 +109,9 @@ class AutocovSeq:
             raise DegeneracyError("|gamma(n)| <= gamma(0) violated; not an autocovariance")
         order = min(len(vals), self._PD_CHECK_ORDER)
         if order > 1:
+            lags = np.abs(np.subtract.outer(range(order), range(order)))
             try:
-                np.linalg.cholesky(toeplitz(vals[:order]))
+                np.linalg.cholesky(vals[lags])
             except np.linalg.LinAlgError as exc:
                 raise DegeneracyError(
                     f"Toeplitz matrix of gamma not positive definite at order <= {order}"

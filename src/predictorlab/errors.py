@@ -37,13 +37,12 @@ class ModelValidationError(PredictorLabError):
 
 
 class DegeneracyError(PredictorLabError):
-    """Levinson innovation variance collapsed or a normal-equations solve lost rank."""
+    """Autocovariances not numerically positive definite: the Levinson innovation
+    variance collapsed at ``order``, or a normal-equations residual is too large."""
 
-    def __init__(self, message: str, order: int | None = None,
-                 condition: float | None = None):
+    def __init__(self, message: str, order: int | None = None):
         super().__init__(message)
         self.order = order
-        self.condition = condition
 
 
 class TruncationError(PredictorLabError):

@@ -72,7 +72,6 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import hankel as _hankel_matrix
 
 from .coeffs import (_convolve_window, _decayed, _rational_series, _window_fft_len,
                      expand_ar, expand_ma)
@@ -456,8 +455,7 @@ def hankel_apply(beta: BetaSeq, n: int, x: np.ndarray, method: str = "fft") -> n
     if len(vals) < n + 2 * V - 1:
         raise ValueError(f"beta too short: need index {n + 2 * V - 2}, have {len(vals) - 1}")
     if method == "direct":
-        band = vals[n:n + 2 * V - 1]
-        return _hankel_matrix(band[:V], band[V - 1:]) @ x
+        return vals[n + np.add.outer(range(V), range(V))] @ x
     if method != "fft":
         raise ValueError(f"unknown method {method!r}")
     return _HankelFFT(vals, n, V).apply(x)
@@ -827,11 +825,12 @@ def _series_inputs(model: ProcessModel, n: int, m: int, policy: TruncationPolicy
     return scales, beta, expand_ar(model, n + scales[-1]).values, c_head
 
 
-def _check_tail(resid: float, policy: TruncationPolicy, n: int) -> None:
+def _check_tail(resid: float, policy: TruncationPolicy, n: int,
+                remedy: str = "increase V, levels or K") -> None:
     if resid > policy.tol_tail:
         raise TruncationError(
             f"truncation residual {resid:.3e} exceeds tol_tail "
-            f"{policy.tol_tail:g} at n = {n}; increase V, levels or K",
+            f"{policy.tol_tail:g} at n = {n}; {remedy}",
             achieved=resid, required=policy.tol_tail)
 
 
@@ -870,7 +869,9 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
     scales, beta, a_vals, c_head = _series_inputs(model, n, m, policy, beta)
     # beta's share of every coefficient's residual; no ladder run can undo it
     beta_share = beta.tail_estimate * 4.0
-    _check_tail(beta_share, policy, n)
+    _check_tail(beta_share, policy, n,
+                "it is beta's own error: the model's ARMA factor has not decayed (or "
+                "tol_tail is below beta's rounding), and no V, levels or K can reduce it")
     p = _elimination_exponent(model)
     gain = float(np.sum(np.abs(_ladder_weights(p, scales))))
     tol_stop = _stop_tol(policy, gain)

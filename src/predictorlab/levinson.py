@@ -1,11 +1,10 @@
-"""Durbin-Levinson recursion and Toeplitz normal-equation solves.
+"""Levinson's recursion for the finite predictor's normal equations.
 
-This is the classical route to finite predictor coefficients, used as the
-independent oracle against the explicit series representation.  The recursion
-produces every intermediate order together with the innovation variances
-sigma_k^2 = sigma_{k-1}^2 (1 - phi_{k,k}^2); the multistep solver goes through
-a dense Cholesky factorization of the autocovariance Toeplitz matrix, which is
-plenty at desk scale and keeps the code obviously correct.
+The classical route to finite predictor coefficients, used as the independent
+oracle against the explicit series representation.  One loop (Levinson,
+J. Math. Phys. 1947) serves every horizon in O(n^2) operations: it carries the
+one-step predictor phi_k with sigma_k^2 = sigma_{k-1}^2 (1 - phi_{k,k}^2), and
+for a horizon m > 0 extends the multistep solution by the reversed phi_k.
 """
 
 from __future__ import annotations
@@ -14,9 +13,8 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
 
-from .coeffs import AutocovSeq
+from .coeffs import AutocovSeq, _convolve_window
 from .errors import DegeneracyError
 
 __all__ = [
@@ -59,10 +57,50 @@ class PredictorTable:
             raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
 
 
-def _gamma_values(gamma) -> np.ndarray:
-    if isinstance(gamma, AutocovSeq):
-        return gamma.values
-    return np.asarray(gamma, dtype=float)
+def _checked_gamma(gamma, n: int, m: int) -> np.ndarray:
+    g = gamma.values if isinstance(gamma, AutocovSeq) else np.asarray(gamma, dtype=float)
+    if n < 1:
+        raise ValueError(f"order n must be >= 1, got {n}")
+    if m < 0:
+        raise ValueError(f"horizon m must be >= 0, got {m}")
+    if len(g) < n + m + 1:
+        raise ValueError(f"need gamma(0..{n + m}), got length {len(g)}")
+    if not g[0] > 0.0:
+        raise DegeneracyError("gamma(0) must be positive", order=0)
+    return g
+
+
+def _levinson(g: np.ndarray, n: int, m: int):
+    """Solve toeplitz(g[0..k-1]) x_k = g[m+1..m+k] for k = 1..n.
+
+    Yields (x_k, sigma2) per order, x_k a view the next order overwrites;
+    at m = 0 x_k is phi_k and sigma2 its innovation variance.  For m > 0,
+    x_k = [x_{k-1}, 0] + mu [-reversed(phi_{k-1}), 1], as the latter solves
+    the order-k system for sigma_{k-1}^2 e_k; phi stops at order n - 1.
+    Raises DegeneracyError at the first order whose sigma^2 is below the floor.
+    """
+    phi = np.zeros(n)
+    x = np.zeros(n) if m else phi
+    sigma2 = g[0]
+    floor = DEGENERACY_FLOOR * g[0]
+    for k in range(1, n + 1):
+        back = phi[:k - 1][::-1]
+        lags = g[k - 1:0:-1]
+        if m:
+            mu = (g[m + k] - np.dot(x[:k - 1], lags)) / sigma2
+            x[:k - 1] -= mu * back
+            x[k - 1] = mu
+        if not m or k < n:
+            # reflection coefficient phi_{k,k}
+            refl = (g[k] - np.dot(phi[:k - 1], lags)) / sigma2
+            phi[:k - 1] -= refl * back
+            phi[k - 1] = refl
+            sigma2 = sigma2 * (1.0 - refl * refl)
+            if sigma2 < floor:
+                raise DegeneracyError(
+                    f"innovation variance collapsed at order {k}: "
+                    f"sigma^2 = {sigma2:.3e} < {floor:.3e}", order=k)
+        yield x[:k], sigma2
 
 
 def durbin_levinson(gamma, n: int) -> list[PredictorTable]:
@@ -87,43 +125,19 @@ def durbin_levinson(gamma, n: int) -> list[PredictorTable]:
         If an innovation variance falls below the degeneracy floor
         (loss of positive definiteness), naming the failing order.
     """
-    g = _gamma_values(gamma)
-    if n < 1:
-        raise ValueError(f"order n must be >= 1, got {n}")
-    if len(g) < n + 1:
-        raise ValueError(f"need gamma(0..{n}), got length {len(g)}")
-    if not g[0] > 0.0:
-        raise DegeneracyError("gamma(0) must be positive", order=0)
-
-    tables: list[PredictorTable] = []
-    phi = np.zeros(n)
-    sigma2 = g[0]
-    floor = DEGENERACY_FLOOR * g[0]
-    for k in range(1, n + 1):
-        # reflection coefficient phi_{k,k}
-        acc = g[k] - np.dot(phi[:k - 1], g[k - 1:0:-1])
-        refl = acc / sigma2
-        prev = phi[:k - 1].copy()
-        phi[:k - 1] = prev - refl * prev[::-1]
-        phi[k - 1] = refl
-        sigma2 = sigma2 * (1.0 - refl * refl)
-        if sigma2 < floor:
-            raise DegeneracyError(
-                f"innovation variance collapsed at order {k}: "
-                f"sigma^2 = {sigma2:.3e} < {floor:.3e}", order=k)
-        tables.append(PredictorTable(n=k, horizon=0,
-                                     coefficients=phi[:k].copy(),
-                                     source=PredictorSource.LEVINSON,
-                                     sigma2=float(sigma2)))
-    return tables
+    g = _checked_gamma(gamma, n, 0)
+    return [PredictorTable(n=len(phi), horizon=0, coefficients=phi.copy(),
+                           source=PredictorSource.LEVINSON, sigma2=float(sigma2))
+            for phi, sigma2 in _levinson(g, n, 0)]
 
 
 def multistep_normal_solve(gamma, n: int, m: int) -> PredictorTable:
-    """Solve the multistep prediction normal equations directly.
+    """Solve the multistep prediction normal equations.
 
-    Solves ``Gamma_n x = [gamma(m+1), ..., gamma(m+n)]^T`` by Cholesky, where
-    Gamma_n is the order-n autocovariance Toeplitz matrix; x holds the weights
-    of the best linear predictor of X_m from the n past values.
+    Solves ``Gamma_n x = [gamma(m+1), ..., gamma(m+n)]^T`` by Levinson's
+    recursion, where Gamma_n is the order-n autocovariance Toeplitz matrix;
+    x holds the weights of the best linear predictor of X_m from the n past
+    values.  At m = 0 it is bitwise ``durbin_levinson(gamma, n)[-1]``.
 
     Parameters
     ----------
@@ -136,36 +150,19 @@ def multistep_normal_solve(gamma, n: int, m: int) -> PredictorTable:
     Raises
     ------
     DegeneracyError
-        Singular or non-positive-definite Gamma_n (carries a condition
-        estimate), or a solution residual above 1e-10 * gamma(0).
+        An innovation variance below the degeneracy floor, naming the order,
+        or a solution residual above 1e-10 * gamma(0).
     """
-    g = _gamma_values(gamma)
-    if n < 1:
-        raise ValueError(f"order n must be >= 1, got {n}")
-    if m < 0:
-        raise ValueError(f"horizon m must be >= 0, got {m}")
-    if len(g) < n + m + 1:
-        raise ValueError(f"need gamma(0..{n + m}), got length {len(g)}")
-
-    mat = toeplitz(g[:n])
+    g = _checked_gamma(gamma, n, m)
+    *_, (x, sigma2) = _levinson(g, n, m)
     rhs = g[m + 1:m + n + 1]
-    try:
-        factor = cho_factor(mat)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError(
-            f"Toeplitz system of order {n} not positive definite "
-            f"(condition estimate {np.linalg.cond(mat):.3e})",
-            order=n, condition=float(np.linalg.cond(mat))) from exc
-    x = cho_solve(factor, rhs)
-
-    residual = float(np.max(np.abs(mat @ x - rhs)))
+    # Gamma_n x is the middle of the convolution of x with gamma(n-1..1, 0..n-1)
+    lags = np.concatenate((g[n - 1:0:-1], g[:n]))
+    residual = float(np.max(np.abs(_convolve_window(lags, x, n - 1, n) - rhs)))
     if residual > 1e-10 * g[0]:
         raise DegeneracyError(
-            f"normal-equations residual {residual:.3e} exceeds 1e-10 * gamma(0) "
-            f"(condition estimate {np.linalg.cond(mat):.3e})",
-            order=n, condition=float(np.linalg.cond(mat)))
-    sigma2 = None
-    if m == 0:
-        sigma2 = float(g[0] - np.dot(x, rhs))
-    return PredictorTable(n=n, horizon=m, coefficients=x,
-                          source=PredictorSource.NORMAL_EQUATIONS, sigma2=sigma2)
+            f"normal-equations residual {residual:.3e} exceeds 1e-10 * gamma(0)",
+            order=n)
+    return PredictorTable(n=n, horizon=m, coefficients=x.copy(),
+                          source=PredictorSource.NORMAL_EQUATIONS,
+                          sigma2=float(sigma2) if m == 0 else None)

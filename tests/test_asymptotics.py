@@ -106,6 +106,19 @@ class TestRateExperiment:
         ns = [e[0] for e in report.entries]
         assert ns == [64, 128, 256]
 
+    @pytest.mark.parametrize("model, j, limit", [
+        (pl.Farima(0.3, ar_poly=(1.0, 0.6)), 1, 0.09),
+        (pl.Farima(0.3, ma_poly=(1.0, 0.7)), 1, 0.09),
+        # phi_1 = d + 0.7 = 1, so the j = 2 limit d^2 (1 - phi_1) is 0
+        (pl.Farima(0.3, ma_poly=(1.0, 0.7)), 2, 0.0),
+    ], ids=["ar0.6-j1", "ma0.7-j1", "ma0.7-j2"])
+    def test_factored_limit_is_signed(self, model, j, limit):
+        # the limit d^2 sum_{u>=j} phi_u sums signed weights, which add to one;
+        # absolute tolerances, since the last limit is 0
+        report = pl.rate_experiment(model, j, [128, 256, 512])
+        assert report.theoretical_limit == pytest.approx(limit, abs=1e-15)
+        assert report.extrapolated == pytest.approx(limit, abs=1e-5)
+
     def test_rate_values_close_in_by_doubling(self):
         report = pl.rate_experiment(pl.Farima(0.3), 1, [64, 128, 256])
         rates = [e[2] for e in report.entries]

@@ -462,16 +462,21 @@ class TestExitCodes:
 
 
 def test_import_leaves_slow_scipy_modules_out():
-    # scipy.signal, scipy.integrate and scipy.special (which scipy.fft pulls
-    # in) take most of a cold start; neither the CLI import nor a Levinson
-    # request for fractional noise or an AR(1) needs them
+    # scipy.signal, scipy.integrate, scipy.special (which scipy.fft pulls in)
+    # and scipy.linalg take most of a cold start; neither the CLI import nor
+    # a one- or multistep Levinson request for fractional noise or an AR(1),
+    # nor both routes for fractional noise, needs them
     code = ("import sys; from predictorlab.cli import main; "
             "main(['predict', '--model', 'ar1', '--r', '0.5', '--n', '8', "
             "'--source', 'levinson']); "
             "main(['predict', '--model', 'farima', '--d', '0.3', '--n', '8', "
             "'--source', 'levinson']); "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.integrate', 'scipy.special') "
-            "if m in sys.modules), file=sys.stderr)")
+            "main(['predict', '--model', 'farima', '--d', '0.3', '--n', '8', "
+            "'--m', '2', '--source', 'levinson']); "
+            "main(['predict', '--model', 'farima', '--d', '0.3', '--n', '8', "
+            "'--source', 'both']); "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.integrate', 'scipy.special', "
+            "'scipy.linalg') if m in sys.modules), file=sys.stderr)")
     err = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stderr
     assert err == "[]\n"

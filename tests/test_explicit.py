@@ -84,8 +84,9 @@ class TestBeta:
         def no_ladder(*args):
             raise AssertionError("beta's share alone exceeds tol_tail; no run should start")
         monkeypatch.setattr("predictorlab.explicit._solve_run", no_ladder)
-        with pytest.raises(TruncationError):
+        with pytest.raises(TruncationError, match="ARMA factor has not decayed") as info:
             pl.finite_predictor_explicit(model, 4)
+        assert "increase" not in str(info.value)
 
     @pytest.mark.parametrize("model", [
         # AR expansion decays like 0.9^n without underflowing: no exact support

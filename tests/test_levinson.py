@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import predictorlab as pl
 from predictorlab import DegeneracyError
 
-from conftest import brute_phi, farima_gamma_oracle
+from conftest import brute_phi, farima_ar1_gamma_oracle, farima_gamma_oracle
 
 
 class TestDurbinLevinson:
@@ -68,8 +68,9 @@ class TestMultistepNormalSolve:
         gamma = farima_gamma_oracle(0.3, 32)
         lev = pl.durbin_levinson(gamma, 32)[-1]
         direct = pl.multistep_normal_solve(gamma, 32, 0)
-        np.testing.assert_allclose(direct.coefficients, lev.coefficients,
-                                   atol=1e-12)
+        # one recursion serves both, so m = 0 is the same arithmetic
+        np.testing.assert_array_equal(direct.coefficients, lev.coefficients)
+        assert direct.sigma2 == lev.sigma2
 
     def test_ar1_multistep_closed_form(self):
         gamma = pl.autocov(pl.Ar1(0.5), 6)
@@ -77,14 +78,26 @@ class TestMultistepNormalSolve:
         np.testing.assert_allclose(table.coefficients, [0.125, 0.0, 0.0, 0.0],
                                    atol=1e-12)
 
-    @pytest.mark.parametrize("m", [1, 2, 5])
-    def test_against_dense_solve(self, m):
-        gamma = farima_gamma_oracle(0.25, 40)
-        table = pl.multistep_normal_solve(gamma, 32, m)
-        np.testing.assert_allclose(table.coefficients, brute_phi(gamma, 32, m),
-                                   atol=1e-11)
+    @pytest.mark.parametrize("gamma, n, m, atol", [
+        *((farima_gamma_oracle(0.25, 40), 32, m, 1e-11) for m in (1, 2, 5)),
+        # long memory near d = 1/2 with an AR(1) factor of either sign
+        *((farima_ar1_gamma_oracle(0.45, ar, 515), 512, m, 1e-13)
+          for ar in (0.6, -0.6) for m in (1, 3)),
+    ], ids=["1", "2", "5", "d0.45-ar0.6-m1", "d0.45-ar0.6-m3",
+            "d0.45-ar-0.6-m1", "d0.45-ar-0.6-m3"])
+    def test_against_dense_solve(self, gamma, n, m, atol):
+        table = pl.multistep_normal_solve(gamma, n, m)
+        np.testing.assert_allclose(table.coefficients, brute_phi(gamma, n, m),
+                                   rtol=0, atol=atol)
         assert table.horizon == m
         assert table.source is pl.PredictorSource.NORMAL_EQUATIONS
+
+    def test_degenerate_collapse_names_order(self):
+        # gamma = 1 everywhere: the innovation variance collapses at order 1,
+        # which the order-2 two-step solve needs
+        with pytest.raises(DegeneracyError) as err:
+            pl.multistep_normal_solve(np.array([1.0, 1.0, 1.0, 1.0]), 2, 1)
+        assert err.value.order == 1
 
     def test_gamma_too_short(self):
         with pytest.raises(ValueError):
