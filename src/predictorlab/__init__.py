@@ -8,7 +8,7 @@ predictor coefficients (convergence rate, Baxter-type ratio, kernel scaling).
 
 from .asymptotics import (BaxterReport, DkScalingReport, RateReport,
                           baxter_experiment, dk_scaling_experiment, f_u, fk0,
-                          rate_experiment, richardson, semigroup_integral)
+                          rate_experiment, semigroup_integral)
 from .coeffs import (AutocovSeq, CoeffKind, CoeffSeq, autocov, expand_ar,
                      expand_ma, infinite_predictor, phi_for_model, tail_sum_phi)
 from .errors import (ConfigError, DegeneracyError, ModelValidationError,
@@ -39,6 +39,6 @@ __all__ = [
     "f_u", "finite_predictor_explicit", "finite_predictor_multistep", "fk0",
     "hankel_apply", "infinite_predictor",
     "memory_exponent", "multistep_normal_solve", "phi_for_model",
-    "projection_iterates", "rate_experiment", "regime", "richardson",
+    "projection_iterates", "rate_experiment", "regime",
     "semigroup_integral", "tail_sum_phi",
 ]

@@ -11,6 +11,8 @@ Three quantitative limits are reproduced at desk scale:
 Every experiment computes the predictor both ways (explicit series and
 Durbin-Levinson on the series autocovariance) and aborts if they disagree,
 so an asymptotic "pass" can never be an artifact of one broken route.
+phi_j = c_0 a_j comes from the one expansion recurrence of ``coeffs``; the
+rate's 1/n extrapolation is the cutoff ladder's elimination, at the n run.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 from .coeffs import autocov, expand_ar, expand_ma, infinite_predictor, tail_sum_phi
 from .errors import OracleDisagreementError, RegimeError, TruncationError
 from .explicit import (DEFAULT_POLICY, ExplicitPredictor, TruncationPolicy,
-                       _max_workers, _required_beta_len, beta_for_model,
-                       d_vectors, finite_predictor_explicit)
+                       _ladder_weights, _max_workers, _required_beta_len,
+                       beta_for_model, d_vectors, finite_predictor_explicit)
 from .levinson import durbin_levinson
 from .models import ProcessModel, Regime, memory_exponent, regime
 
@@ -35,7 +37,6 @@ __all__ = [
     "fk0",
     "f_u",
     "semigroup_integral",
-    "richardson",
     "rate_experiment",
     "baxter_experiment",
     "dk_scaling_experiment",
@@ -105,15 +106,6 @@ def semigroup_integral(i: int, j: int) -> float:
     val, _ = quad(lambda u: f_u(i, u) * f_u(j, u), 0.0, np.inf,
                   epsabs=1e-9, epsrel=1e-8, limit=200)
     return val
-
-
-def richardson(values, exponent: float) -> float:
-    """One Richardson step on the last pair of a sequence sampled at doubling
-    resolutions: eliminates an error term ~ r^{-exponent}."""
-    values = np.asarray(values, dtype=float)
-    if len(values) < 2:
-        return float(values[-1])
-    return float(values[-1] + (values[-1] - values[-2]) / (2.0 ** exponent - 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,8 +200,9 @@ def rate_experiment(model: ProcessModel, j: int, n_list,
 
     For d > 0 the infinite predictor's weights sum to one, so the limit is
     the signed closed form d^2 (1 - sum_{u<j} phi_u).  The rates approach it
-    with a finite-n correction ~ 1/n, so the report also carries a
-    Richardson extrapolation (exponent 1) of the last doubling pair.
+    with a finite-n correction ~ 1/n, so the report also carries the rate
+    with that power eliminated between the two largest n (repeated n count
+    once).
 
     Raises RegimeError for short-memory models (the limit statement needs
     long memory) and OracleDisagreementError if the two predictor routes
@@ -218,7 +211,7 @@ def rate_experiment(model: ProcessModel, j: int, n_list,
     d = _require_long_memory(model, "rate experiment")
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    n_list = sorted(int(n) for n in n_list)
+    n_list = sorted({int(n) for n in n_list})
     if j > n_list[0]:
         raise ValueError(f"j = {j} exceeds smallest n = {n_list[0]}")
     phi_inf, phis = _checked_sweep(model, n_list, policy)
@@ -229,9 +222,9 @@ def rate_experiment(model: ProcessModel, j: int, n_list,
         entries.append((n, phi_nj, n * (phi_nj - phi_j)))
     limit = d * d * (1.0 - float(np.sum(phi_inf[:j - 1])))
     # the gap n (phi_{n,j} - phi_j) - limit closes like 1/n (successive
-    # differences halve per doubling of n, measured), so extrapolate at
-    # exponent 1
-    extrap = richardson([e[2] for e in entries], exponent=1.0)
+    # differences halve per doubling of n, measured), so eliminate 1/n
+    rates = [e[2] for e in entries[-2:]]
+    extrap = float(_ladder_weights(1.0, n_list[-2:]) @ rates)
     return RateReport(j=j, entries=tuple(entries), theoretical_limit=float(limit),
                       extrapolated=extrap)
 

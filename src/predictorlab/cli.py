@@ -372,7 +372,7 @@ def _cmd_rate(cfg: dict):
     report = rate_experiment(model, cfg["j"], cfg["n"], _build_policy(cfg))
     rows = [[n, phi_nj, rate, report.theoretical_limit]
             for (n, phi_nj, rate) in report.entries]
-    extra = {"j": cfg["j"], "n": sorted(cfg["n"]), "limit": report.theoretical_limit,
+    extra = {"j": cfg["j"], "n": sorted(set(cfg["n"])), "limit": report.theoretical_limit,
              "extrapolated": report.extrapolated}
     return _meta(cfg, model, extra), ["n", "phi_nj", "rate", "limit"], rows
 

@@ -4,6 +4,11 @@ The outer function ``h(z)`` of an admissible model is expanded as
 ``h(z) = sum c_n z^n`` (MA coefficients) and ``-1/h(z) = sum a_n z^n``
 (AR coefficients); the infinite-past predictor weights are ``phi_j = c_0 a_j``.
 
+Both are one recurrence (``_arma_series``): the binomial series of
+(1-z)^{-d} filtered through the ARMA ratio, c at d through ma/ar and -a at
+-d through ar/ma (at d = 0 the unit impulse, leaving the ratio alone).  It
+runs term by term, so every prefix is the same at any length asked for.
+
 The autocovariances ``gamma(k) = sum_v c_v c_{v+k}`` are not summed from c,
 whose terms decay only like v^{2d-2} under long memory.  c is the product of
 the fractional-noise expansion of (1-z)^{-d} and the short-memory factor r
@@ -135,14 +140,21 @@ def _binomial_series(d: float, n_terms: int) -> np.ndarray:
     return out
 
 
-def _rational_series(num: tuple[float, ...], den: tuple[float, ...], n_terms: int) -> np.ndarray:
-    """Power-series coefficients of num(z)/den(z) via the linear recurrence
-    (an impulse response; den must be invertible at 0)."""
+def _is_unit_poly(coeffs: tuple[float, ...]) -> bool:
+    return coeffs == (1.0,)
+
+
+def _arma_series(num: tuple[float, ...], den: tuple[float, ...], d: float,
+                 n_terms: int) -> np.ndarray:
+    """Power-series coefficients of (1-z)^{-d} num(z)/den(z): the binomial
+    series filtered through num/den by the recurrence den * out = num * b
+    (den must be invertible at 0; at d = 0 b is the unit impulse)."""
+    out = _binomial_series(d, n_terms)
+    if _is_unit_poly(num) and _is_unit_poly(den):
+        return out
     # scipy.signal is slow to import, and only models with ARMA factors need it
     from scipy.signal import lfilter
-    impulse = np.zeros(n_terms)
-    impulse[0] = 1.0
-    return lfilter(np.asarray(num, dtype=float), np.asarray(den, dtype=float), impulse)
+    return lfilter(np.asarray(num, dtype=float), np.asarray(den, dtype=float), out)
 
 
 def _decayed(series: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -158,14 +170,6 @@ def _decayed(series: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarra
         if T >= _DECAY_MAX_TERMS or last.max() < _DECAY_FLOOR:
             return rows, last
         T *= 2
-
-
-def _truncated_product(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cauchy product of two equal-length series, truncated to that length."""
-    n = len(u)
-    if n <= 4096:
-        return np.convolve(u, v)[:n]
-    return _convolve_window(u, v, 0, n)
 
 
 def _next_fast_len(n: int) -> int:
@@ -199,30 +203,15 @@ def _convolve_window(x: np.ndarray, y: np.ndarray, lo: int, count: int) -> np.nd
     return np.fft.irfft(fx, npts)[lo:lo + count].copy()
 
 
-def _is_unit_poly(coeffs: tuple[float, ...]) -> bool:
-    return coeffs == (1.0,)
-
-
 def _farima_expansion(model: Farima, n_terms: int, kind: CoeffKind) -> np.ndarray:
+    num, den = model.ma_poly.coefficients, model.ar_poly.coefficients
     if kind is CoeffKind.MA:
-        frac_d, num, den = model.d, model.ma_poly.coefficients, model.ar_poly.coefficients
-    else:
-        frac_d, num, den = -model.d, model.ar_poly.coefficients, model.ma_poly.coefficients
-    trivial_ratio = _is_unit_poly(num) and _is_unit_poly(den)
-    if trivial_ratio:
-        out = _binomial_series(frac_d, n_terms)
-    elif model.d == 0.0:
-        out = _rational_series(num, den, n_terms)
-    else:
-        out = _truncated_product(_binomial_series(frac_d, n_terms),
-                                 _rational_series(num, den, n_terms))
-    if kind is CoeffKind.AR:
-        out = -out
-    return out
+        return _arma_series(num, den, model.d, n_terms)
+    return -_arma_series(den, num, -model.d, n_terms)
 
 
-@lru_cache(maxsize=8)
-def _expansion_cached(model: ProcessModel, n_terms: int, kind: CoeffKind) -> np.ndarray:
+def _expansion_values(model: ProcessModel, n_terms: int, kind: CoeffKind) -> np.ndarray:
+    """The first n_terms of the model's MA or AR expansion, uncached."""
     if isinstance(model, Farima):
         out = _farima_expansion(model, n_terms, kind)
     elif isinstance(model, Ar1):
@@ -242,6 +231,9 @@ def _expansion_cached(model: ProcessModel, n_terms: int, kind: CoeffKind) -> np.
         raise TypeError(f"not a process model: {model!r}")
     out.setflags(write=False)
     return out
+
+
+_expansion_cached = lru_cache(maxsize=8)(_expansion_values)
 
 
 def _expansion(model: ProcessModel, min_terms: int, kind: CoeffKind) -> np.ndarray:
@@ -309,8 +301,8 @@ def autocov(model: ProcessModel, N: int) -> AutocovSeq:
         gamma0, rounding = _fn_autocov(d, N + 1)
         return AutocovSeq(gamma0, tail_estimate=rounding)
     else:
-        (r,), last = _decayed(partial(_rational_series, model.ma_poly.coefficients,
-                                      model.ar_poly.coefficients))
+        (r,), last = _decayed(partial(_arma_series, model.ma_poly.coefficients,
+                                      model.ar_poly.coefficients, 0.0))
     if last.max() >= _DECAY_FLOOR:
         raise TruncationError(f"short-memory factor does not decay below floor within "
                               f"{_DECAY_MAX_TERMS} terms", achieved=float(last.max()),

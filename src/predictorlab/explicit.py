@@ -32,11 +32,12 @@ matches the autocovariance tail and is stable in n and d).  The pipeline
 therefore runs at a geometric ladder of cutoffs V, 2V, ..., 2^{L-1} V and
 eliminates the leading L-1 powers by solving the small Vandermonde system in
 V^{-p}; the reported residual is the difference between the last two
-elimination orders.  With one level the value stays uncorrected and the
-residual comes from one extra run at half the cutoff: under the same power
-law the remaining doublings sum to |x_V - x_{V/2}| / (2^p - 1).  The depth
-error is each run's bound on what its unsolved residual can still move;
-times the elimination gain sum |w|, it joins the same residual.
+elimination orders.  With one level the value stays uncorrected, and the
+residual is 1.5 times its distance from the same elimination over it and
+one extra run at the half cutoff max(V // 2, m + 1), whatever their ratio
+(ValueError where that half cannot go below V).  The depth error is each
+run's bound on what its unsolved residual can still move; times the
+elimination gain sum |w|, it joins the same residual.
 
 Everything the FFT touches here is noise-free in the structurally-zero case:
 a finitely supported beta stays exactly zero under rfft/irfft of zero blocks,
@@ -68,13 +69,13 @@ import os
 import warnings
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .coeffs import (_convolve_window, _decayed, _rational_series, _window_fft_len,
-                     expand_ar, expand_ma)
+from .coeffs import (CoeffKind, _convolve_window, _decayed, _expansion_values,
+                     _window_fft_len, expand_ar, expand_ma)
 from .errors import ConfigError, TruncationError
 from .levinson import PredictorSource, PredictorTable
 from .models import ProcessModel, Regime, memory_exponent, regime
@@ -123,7 +124,8 @@ class TruncationPolicy:
     TruncationError.
     levels: ladder length (None -> by memory regime: 2 for short memory,
     3 to 6 for long memory depending on d).  levels=1 runs one scale,
-    uncorrected, with a half-cutoff residual estimate.
+    uncorrected, with its residual estimated from a run at the half cutoff
+    max(V // 2, m + 1).
     """
 
     V: int | None = None
@@ -196,11 +198,11 @@ class BetaSeq:
     """Correlation sequence beta_0..beta_L with its truncation residual bound.
 
     ``model`` is the generating process, whose memory regime sets the cutoff
-    ladder of every kernel built on it; ``inner_len`` truncates the inner
-    sum (short memory) or the ARMA factors (long memory; 1 when there are
-    none); ``tail_estimate`` bounds the absolute error per entry, under
-    long memory rounding included, so it is never 0 there; ``exact`` marks
-    a finite-support correlation computed without truncation error.
+    ladder of every kernel built on it; ``inner_len`` is the factor length,
+    the terms of each short-memory factor correlated (1 when there are none;
+    the support on the exact path); ``tail_estimate`` bounds the absolute
+    error per entry, rounding included, so it is 0 only on the exact path,
+    which ``exact`` marks: a finite-support correlation, computed exactly.
     """
 
     values: np.ndarray
@@ -289,8 +291,12 @@ class ExplicitPredictor:
 
 def _fn_kernel(d: float, lo: int, count: int) -> np.ndarray:
     """beta0_k = sin(pi d) / (pi (k - d)), k = lo..lo+count-1: the beta of
-    fractional noise in closed form (Gauss's 2F1 sum), negative k included."""
-    return np.sin(np.pi * d) / (np.pi * (np.arange(lo, lo + count, dtype=float) - d))
+    fractional noise in closed form (Gauss's 2F1 sum), negative k included;
+    at d = 0 it is -[k = 0], the beta of white noise."""
+    k = np.arange(lo, lo + count, dtype=float)
+    if d == 0.0:
+        return np.where(k == 0.0, -1.0, 0.0)
+    return np.sin(np.pi * d) / (np.pi * (k - d))
 
 
 def _exact_support(a_vals: np.ndarray) -> int | None:
@@ -305,47 +311,41 @@ def _exact_support(a_vals: np.ndarray) -> int | None:
 
 
 def _beta_values(model: ProcessModel, L: int) -> tuple[np.ndarray, float, int, bool]:
-    """(beta values 0..L, tail bound, inner length used, exact flag)."""
-    long_memory = regime(model) is Regime.LONG
-    if not long_memory:
+    """(beta values 0..L, tail bound, factor length, exact flag).
+
+    c = b * r and a = a0 * s, with b and a0 the fractional-noise expansions
+    and r, -s those of the short-memory part of the model (itself at d = 0,
+    where b = -a0 is the unit impulse), so beta is the kernel beta0 of
+    _fn_kernel correlated with rho_j = sum_p r_p s_{p-j}.
+    """
+    d = memory_exponent(model)
+    if d == 0.0:
         # probe for exact support of the AR expansion (probe longer than any
         # support the exact path accepts, so a hit cannot be a false positive)
         probe = expand_ar(model, _EXACT_SUPPORT_MAX + 1).values
         support = _exact_support(probe)
         if support is not None:
             c = expand_ma(model, support - 1).values
-            a = probe
             out = np.zeros(L + 1)
             for i in range(min(L + 1, support)):
-                out[i] = np.dot(c[:support - i], a[i:support])
-            return out, 0.0, support - 1, True
-        # summable but not exactly supported: truncate at the decay floor
-        M = 1 << 17
-        c = expand_ma(model, M).values
-        a = expand_ar(model, M + L).values
-        out = _convolve_window(a, c[::-1], M, L + 1)
-        bound = float(np.sum(np.abs(c[-(M // 8):])) * np.max(np.abs(a)) * 4.0)
-        return out, bound, M, False
-
-    # long memory: c = b * r and a = a0 * s, with b and a0 the fractional-noise
-    # expansions and r, s those of ma/ar and ar/ma, so beta is the kernel
-    # beta0 correlated with rho_j = sum_p r_p s_{p-j}
-    num, den = model.ma_poly.coefficients, model.ar_poly.coefficients
-    eps = np.finfo(float).eps
-    if num == den == (1.0,):
-        beta0 = _fn_kernel(model.d, 0, L + 1)
-        return beta0, 4.0 * eps * float(np.max(np.abs(beta0))), 1, False
-    # an undecayed factor is not refused here: its last quarter enters the bound
-    (r, s), last = _decayed(lambda T: np.stack([_rational_series(num, den, T),
-                                                _rational_series(den, num, T)]))
+                out[i] = np.dot(c[:support - i], probe[i:support])
+            return out, 0.0, support, True
+    elif model.ma_poly.coefficients == model.ar_poly.coefficients == (1.0,):
+        beta0 = _fn_kernel(d, 0, L + 1)
+        return beta0, 4.0 * np.finfo(float).eps * float(np.max(np.abs(beta0))), 1, False
+    arma = replace(model, d=0.0) if d > 0.0 else model
+    # uncached, since _decayed tries one length after another; an undecayed
+    # factor is not refused here: its last quarter enters the bound
+    (r, s), last = _decayed(lambda T: np.stack([_expansion_values(arma, T, CoeffKind.MA),
+                                                -_expansion_values(arma, T, CoeffKind.AR)]))
     T = len(r)
     # rho_rev[q] = rho_{T-1-q} = (r reversed * s)_q pairs with beta0_{i+T-1-q}
     rho_rev = _convolve_window(r[::-1], s, 0, 2 * T - 1)
-    beta0 = _fn_kernel(model.d, 1 - T, L + 2 * T - 1)
+    beta0 = _fn_kernel(d, 1 - T, L + 2 * T - 1)
     # a factor's last quarter bounds its dropped tail, which moves rho by at
     # most that times the other factor's sum; plus the correlation's rounding
     dropped = last[0].sum() * np.abs(s).sum() + np.abs(r).sum() * last[1].sum()
-    rounding = eps * np.log2(L + 2 * T) * np.abs(rho_rev).sum()
+    rounding = np.finfo(float).eps * np.log2(L + 2 * T) * np.abs(rho_rev).sum()
     return (_convolve_window(beta0, rho_rev, 2 * T - 2, L + 1),
             float((dropped + rounding) * np.max(np.abs(beta0))), T, False)
 
@@ -511,10 +511,16 @@ def _max_workers(n_tasks: int) -> int:
 
 def _cutoffs(scales: list[int], floor: int = 1) -> list[int]:
     """The cutoffs a ladder over ``scales`` runs at, finest first: every
-    scale, or one scale and its half (never below ``floor``)."""
-    if len(scales) == 1:
-        return [scales[0], max(scales[0] // 2, floor)]
-    return scales[::-1]
+    scale, or one scale V and its half max(V // 2, floor), which must lie
+    below V for the two runs to show any truncation error."""
+    if len(scales) > 1:
+        return scales[::-1]
+    V = scales[0]
+    half = max(V // 2, floor)
+    if half >= V:
+        raise ValueError(f"levels=1 at V = {V} needs a half run below V, but it "
+                         f"cannot go below {floor}; raise V or levels")
+    return [V, half]
 
 
 def _run_lanes(run, cutoffs: list[int]) -> list:
@@ -536,23 +542,23 @@ def _shared_prefix(runs: list[np.ndarray]) -> list[np.ndarray]:
     return [r[tuple(slice(0, k) for k in shape)] for r in runs]
 
 
-def _eliminate(values: list[np.ndarray], scales: list[int],
+def _eliminate(values: list[np.ndarray], cutoffs: list[int], levels: int,
                p: float) -> tuple[np.ndarray, np.ndarray]:
     """Eliminate the leading inner-truncation powers from the runs at
-    ``_cutoffs(scales)``, given finest first.
+    ``cutoffs`` (``_cutoffs`` of a ladder of ``levels`` scales), both given
+    finest first.
 
     Runs are compared on the prefix they share along every axis.  Returns
-    (value, per-entry residual): |value - the elimination over the coarser
-    sub-ladder|.  With one scale the value is that run, reported
-    uncorrected, and the residual 1.5 |x - x_half| / (2^p - 1) from the run
-    at half the cutoff.
+    (value, per-entry residual): |value - the elimination over all runs but
+    the coarsest|.  With one scale the value is the finest run, uncorrected,
+    and the residual 1.5 |value - the elimination over both runs|.
     """
-    if len(scales) == 1:
-        x_cut, half = _shared_prefix(values)
-        return values[0], 1.5 * np.abs(x_cut - half) / (2.0 ** p - 1.0)
+    scales = cutoffs[::-1]
     stack = np.stack(_shared_prefix(values[::-1]))
     flat = stack.reshape(len(scales), -1)
     value = (_ladder_weights(p, scales) @ flat).reshape(stack.shape[1:])
+    if levels == 1:
+        return values[0], 1.5 * np.abs(stack[-1] - value)
     sub = (_ladder_weights(p, scales[1:]) @ flat[1:]).reshape(stack.shape[1:])
     return value, np.abs(value - sub)
 
@@ -622,7 +628,8 @@ def delta_block(beta: BetaSeq, n: int, v_max: int,
         tol = policy.tol_term if V == scales[-1] else 0.0
         return _delta_run(vals, n, v_max, V, K, tol)
 
-    block, resid = _eliminate(_run_lanes(run, _cutoffs(scales)), scales,
+    cutoffs = _cutoffs(scales)
+    block, resid = _eliminate(_run_lanes(run, cutoffs), cutoffs, len(scales),
                               _elimination_exponent(model))
     # (k, v, u) -> (k, u, v)
     return DeltaBlock(n=n, values=np.transpose(block, (0, 2, 1)),
@@ -882,11 +889,12 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
     def run(V: int) -> tuple[np.ndarray, float, int]:
         return _solve_run(beta.values, a_vals, c_head, n, m, V, K, tol_stop, s_floor)
 
-    runs = _run_lanes(run, scales if beta.exact else _cutoffs(scales, floor=m + 1))
+    cutoffs = scales if beta.exact else _cutoffs(scales, floor=m + 1)
+    runs = _run_lanes(run, cutoffs)
     if beta.exact:
         phi, resid = runs[0][0], np.zeros(n)
     else:
-        phi, resid = _eliminate([value for value, _, _ in runs], scales, p)
+        phi, resid = _eliminate([value for value, _, _ in runs], cutoffs, len(scales), p)
     # each coefficient's residual: the ladder's, what beta's own truncation
     # error can move it by, and what the series depth left out of any run,
     # as far as the elimination weights can amplify it

@@ -1,4 +1,4 @@
-"""Limit constants f_k, Richardson helper, and the three asymptotic experiments."""
+"""Limit constants f_k, the elimination weights, and the three asymptotic experiments."""
 
 import dataclasses
 
@@ -8,9 +8,10 @@ import pytest
 import predictorlab as pl
 from predictorlab import (ConfigError, OracleDisagreementError, RegimeError,
                           TruncationError, TruncationPolicy, f_u, fk0,
-                          richardson, semigroup_integral)
+                          semigroup_integral)
 from predictorlab.asymptotics import CROSS_CHECK_TOL, check_routes
 from predictorlab.cli import main as cli_main
+from predictorlab.explicit import _ladder_weights
 
 
 class TestFk0:
@@ -74,14 +75,13 @@ class TestFu:
                                                          abs=1e-6)
 
 
-class TestRichardson:
-    def test_eliminates_single_power_exactly(self):
+class TestLadderWeights:
+    def test_eliminates_single_power_at_any_ratio(self):
+        # two samples at a ratio of 1.5, not 2, of L + c x^-e
         L, c, e = 0.7, 0.3, 1.7
-        vals = [L + c, L + c / 2.0 ** e]
-        assert richardson(vals, exponent=e) == pytest.approx(L, abs=1e-15)
-
-    def test_short_input_passthrough(self):
-        assert richardson([3.25], exponent=1.0) == 3.25
+        xs = [2.0, 3.0]
+        vals = [L + c * x ** -e for x in xs]
+        assert _ladder_weights(e, xs) @ vals == pytest.approx(L, abs=1e-15)
 
 
 class TestRateExperiment:
@@ -105,6 +105,20 @@ class TestRateExperiment:
             / report.theoretical_limit < 0.05
         ns = [e[0] for e in report.entries]
         assert ns == [64, 128, 256]
+
+    def test_extrapolation_at_non_doubling_n(self):
+        # the 1/n elimination at the ratio actually run; assuming a doubling
+        # pair puts 64, 96 at 0.09014
+        report = pl.rate_experiment(pl.Farima(0.3), 1, [64, 96])
+        assert report.extrapolated == pytest.approx(0.09, abs=1e-5)
+
+    def test_repeated_n_count_once(self):
+        once = pl.rate_experiment(pl.Farima(0.3), 1, [64, 128])
+        twice = pl.rate_experiment(pl.Farima(0.3), 1, [128, 64, 128])
+        assert [e[0] for e in twice.entries] == [64, 128]
+        assert twice.extrapolated == once.extrapolated
+        r64, r128 = (e[2] for e in once.entries)
+        assert once.extrapolated == 2.0 * r128 - r64
 
     @pytest.mark.parametrize("model, j, limit", [
         (pl.Farima(0.3, ar_poly=(1.0, 0.6)), 1, 0.09),

@@ -177,6 +177,15 @@ class TestExperimentCommands:
             assert row[3] == doc["meta"]["limit"]
             assert abs(row[2] - 0.09) < 0.01
 
+    def test_rate_repeated_n(self, capsys):
+        code, out, _ = run(capsys, "rate", "--model", "farima", "--d", "0.3",
+                           "--n", "64,128,128", "--j", "1", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["meta"]["n"] == [64, 128]
+        assert [row[0] for row in doc["rows"]] == [64, 128]
+        assert doc["meta"]["extrapolated"] == pytest.approx(0.09, abs=1e-3)
+
     def test_baxter(self, capsys):
         code, out, _ = run(capsys, "baxter", "--model", "farima", "--d", "0.3",
                            "--n", "16..64", "--format", "json")
@@ -370,6 +379,15 @@ class TestExitCodes:
                            "--n", "64", "--vmax", "64", "--levels", "1")
         assert code == 4
         assert "error=truncation" in err
+
+    def test_single_scale_without_half_run(self, capsys):
+        # --vmax 4 at --m 3 leaves the levels=1 half run no cutoff below 4
+        code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0.3",
+                             "--n", "8", "--m", "3", "--vmax", "4", "--levels", "1",
+                             "--source", "explicit", "--tol", "1e-3")
+        assert code == 2 and out == ""
+        assert_one_config_line(err)
+        assert "half run" in err
 
     def test_exhausted_series_depth(self, capsys):
         # two kernel applies leave most of the series unsolved; what they

@@ -46,12 +46,20 @@ class TestExpansions:
         info = _expansion_cached.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
-    @pytest.mark.parametrize("model", [pl.Farima(0.3), pl.Farima(0.45), pl.Ar1(0.7)])
+    @pytest.mark.parametrize("model", [
+        pl.Farima(0.3), pl.Farima(0.45), pl.Ar1(0.7),
+        # factored models: one recurrence at every length
+        pl.Farima(0.3, ar_poly=(1.0, -0.5)),
+        pl.Farima(0.45, ar_poly=(1.0, -0.5), ma_poly=(1.0, 0.4)),
+        pl.Farima(0.0, ma_poly=(1.0, 0.9)),
+    ])
     @pytest.mark.parametrize("kind", list(CoeffKind))
     def test_prefix_independent_of_cached_length(self, model, kind):
-        short = _expansion_cached(model, (1 << 12) + 1, kind)
         long = _expansion_cached(model, 1 << 18, kind)
-        np.testing.assert_array_equal(long[:len(short)], short)
+        # lengths on both sides of 4096
+        for short_len in (17, (1 << 12) - 1, (1 << 12) + 1):
+            short = _expansion_cached(model, short_len, kind)
+            np.testing.assert_array_equal(long[:short_len], short)
 
     def test_ar1_closed_forms(self):
         c = pl.expand_ma(pl.Ar1(0.5), 10).values

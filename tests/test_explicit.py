@@ -262,13 +262,19 @@ class TestFinitePredictor:
                                    atol=1e-7)
 
     def test_first_term_identity(self):
-        # g_1(n, j) = c_0 a_j bitwise
-        model = pl.Farima(0.3)
-        res = pl.finite_predictor_explicit(model, 16)
-        c0 = pl.expand_ma(model, 0)[0]
-        a = pl.expand_ar(model, 16).values
-        for j, s in enumerate(res.series, start=1):
-            assert s.terms[0] == c0 * a[j]
+        # g_1(n, j) = c_0 a_j bitwise; in the factored case the series reads
+        # a past 4096 terms and the identity's a stops at 16, so both must be
+        # one expansion, whatever its length
+        for model, policy in [
+            (pl.Farima(0.3), TruncationPolicy()),
+            (pl.Farima(0.45, ar_poly=(1, -0.5), ma_poly=(1, 0.4)),
+             TruncationPolicy(V=4096, levels=2, tol_tail=1)),
+        ]:
+            res = pl.finite_predictor_explicit(model, 16, policy)
+            c0 = pl.expand_ma(model, 0)[0]
+            a = pl.expand_ar(model, 16).values
+            for j, s in enumerate(res.series, start=1):
+                assert s.terms[0] == c0 * a[j]
 
     def test_reported_residual_is_the_checked_one(self):
         # tol_term alone sets the stop tolerance here, so tol_tail only moves
@@ -311,6 +317,34 @@ class TestFinitePredictor:
         gamma = pl.autocov(model, n + m)
         want = pl.multistep_normal_solve(gamma, n, m).coefficients
         np.testing.assert_allclose(res.table.coefficients, want, atol=1e-6)
+
+    @pytest.mark.parametrize("V, m", [(6, 3), (5, 2)])
+    def test_single_scale_residual_at_uneven_half(self, V, m):
+        # the half run cannot go below m + 1, so it sits at 4 and 3, not at
+        # V/2; the residual must still cover the true error
+        model, n = pl.Farima(0.3), 8
+        res = pl.finite_predictor_multistep(model, n, m,
+                                            TruncationPolicy(V=V, levels=1, tol_tail=1.0))
+        want = pl.multistep_normal_solve(pl.autocov(model, n + m), n, m).coefficients
+        err = float(np.max(np.abs(res.table.coefficients - want)))
+        assert max(s.tail_estimate for s in res.series) >= err
+
+    @pytest.mark.parametrize("V, m", [(4, 3), (1, 0)])
+    def test_single_scale_without_half_run_raises(self, V, m):
+        # max(V // 2, m + 1) is V itself: no second cutoff to measure against
+        with pytest.raises(ValueError, match="half run"):
+            pl.finite_predictor_multistep(pl.Farima(0.3), 8, m,
+                                          TruncationPolicy(V=V, levels=1, tol_tail=1.0))
+
+    def test_short_memory_residual_covers_rounding(self):
+        # an inexact short-memory beta is cut where its factors are dead, so
+        # rounding is all its error, and the residual must cover it
+        model, n = pl.Farima(0.0, ma_poly=(1.0, 0.9)), 16
+        with pytest.warns(UserWarning, match="contraction"):
+            res = pl.finite_predictor_multistep(model, n, 0)
+        want = pl.durbin_levinson(pl.autocov(model, n), n)[-1].coefficients
+        err = float(np.max(np.abs(res.table.coefficients - want)))
+        assert max(s.tail_estimate for s in res.series) >= err
 
     def test_truncation_gate_raises(self):
         with pytest.raises(TruncationError):
