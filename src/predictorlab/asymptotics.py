@@ -25,9 +25,11 @@ import numpy as np
 from .coeffs import autocov, expand_ar, expand_ma, infinite_predictor, tail_sum_phi
 from .errors import OracleDisagreementError, RegimeError, TruncationError
 from .explicit import (DEFAULT_POLICY, ExplicitPredictor, TruncationPolicy,
-                       _ladder_weights, _max_workers, _required_beta_len,
+                       _ladder_weights, _max_workers, _moment_form, _required_beta_len,
                        beta_for_model, d_vectors, finite_predictor_explicit)
-from .levinson import durbin_levinson
+# durbin_levinson has no caller here; bench/layers.py wraps it by name in
+# this module, so the name stays
+from .levinson import durbin_levinson, multistep_normal_solve  # noqa: F401
 from .models import ProcessModel, Regime, memory_exponent, regime
 
 __all__ = [
@@ -162,9 +164,9 @@ def check_routes(result: ExplicitPredictor, phi_levinson: np.ndarray) -> float:
 
 def _explicit_phi_checked(model: ProcessModel, n: int,
                           policy: TruncationPolicy, beta=None) -> np.ndarray:
-    """Explicit-series phi_{n,.} cross-checked against Durbin-Levinson."""
+    """Explicit-series phi_{n,.} cross-checked against Levinson's recursion."""
     res = finite_predictor_explicit(model, n, policy, beta=beta)
-    check_routes(res, durbin_levinson(autocov(model, n), n)[-1].coefficients)
+    check_routes(res, multistep_normal_solve(autocov(model, n), n, 0).coefficients)
     return res.table.coefficients
 
 
@@ -181,14 +183,17 @@ def _checked_sweep(model: ProcessModel, n_list: list[int],
                    policy: TruncationPolicy) -> tuple[np.ndarray, list[np.ndarray]]:
     """(phi_inf, the cross-checked explicit phi_{n,.} for each n in n_list).
 
-    phi_inf is the infinite predictor to _PHI_TAIL_LEN terms, and one beta
-    computation is shared by the whole sweep.
+    phi_inf is the infinite predictor to _PHI_TAIL_LEN terms.  Where the
+    cutoff ladder serves the model, one beta computation is shared by the
+    whole sweep; the moment form reads none.
     """
     c = expand_ma(model, 0)
     a = expand_ar(model, _PHI_TAIL_LEN)
     phi_inf = infinite_predictor(c, a, _PHI_TAIL_LEN)
-    vtop = max(policy.resolve_scales(model, n)[-1] for n in n_list)
-    beta = beta_for_model(model, _required_beta_len(max(n_list), vtop, 0))
+    beta = None
+    if not _moment_form(model, policy):
+        vtop = max(policy.resolve_scales(model, n)[-1] for n in n_list)
+        beta = beta_for_model(model, _required_beta_len(max(n_list), vtop, 0))
     phis = _run_ordered(lambda n: _explicit_phi_checked(model, n, policy, beta), n_list)
     return phi_inf, phis
 

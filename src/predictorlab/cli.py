@@ -44,7 +44,9 @@ from .coeffs import autocov, expand_ar, expand_ma, phi_for_model
 from .errors import (ConfigError, DegeneracyError, ModelValidationError,
                      OracleDisagreementError, TruncationError)
 from .explicit import DEFAULT_POLICY, finite_predictor_multistep
-from .levinson import durbin_levinson, multistep_normal_solve
+# durbin_levinson has no caller here; bench/layers.py wraps it by name in
+# this module, so the name stays
+from .levinson import durbin_levinson, multistep_normal_solve  # noqa: F401
 from .models import Ar1, ExplicitModel, Farima
 
 __all__ = ["main"]
@@ -348,11 +350,7 @@ def _cmd_predict(cfg: dict):
     extra: dict = {"n": n, "m": m, "source": source, "terms": terms, "sigma2": None}
     cols: dict = {"j": range(1, n + 1)}
     if source in ("levinson", "both"):
-        gamma = autocov(model, n + m)
-        if m == 0:
-            table = durbin_levinson(gamma, n)[-1]
-        else:
-            table = multistep_normal_solve(gamma, n, m)
+        table = multistep_normal_solve(autocov(model, n + m), n, m)
         cols["phi_levinson"] = table.coefficients
         extra["sigma2"] = table.sigma2
     if source in ("explicit", "both"):

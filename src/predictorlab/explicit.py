@@ -22,6 +22,16 @@ A z (see _solve_run), in a handful of iterations where the sum takes tens
 of stages.  The per-term record is the stage-by-stage sum at the finest
 cutoff, computed only when a caller reads it.
 
+Pure fractional noise has no cutoff at all (see _moment_run): there
+beta_i = c int_0^1 t^(i-d-1) dt for i >= 1, so the kernel is a Hankel moment
+operator, and the solve becomes a dense system on the nodes of a quadrature
+of that integral, Gauss-Legendre on dyadic panels graded toward both ends of
+(0, 1) (a Nystrom method; Atkinson, The Numerical Solution of Integral
+Equations of the Second Kind, 1997).  Its residual is the distance from the
+same solve on a coarser grid of lower order.  That path serves
+``Farima(d)``, d > 0, under any policy that pins none of V, K and levels;
+every other model and policy runs the cutoff ladder below.
+
 Two infinite sums are truncated: the inner index (cutoff V, the Hankel apply)
 and the series depth (the solve's residual, within a budget of K kernel
 applies per run).  The
@@ -65,6 +75,7 @@ finest-first order, so the result is bitwise that of the serial ladder.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from collections.abc import Callable
@@ -78,7 +89,7 @@ from .coeffs import (CoeffKind, _convolve_window, _decayed, _expansion_values,
                      _window_fft_len, expand_ar, expand_ma)
 from .errors import ConfigError, TruncationError
 from .levinson import PredictorSource, PredictorTable
-from .models import ProcessModel, Regime, memory_exponent, regime
+from .models import Farima, ProcessModel, Regime, memory_exponent, regime
 
 __all__ = [
     "TruncationPolicy",
@@ -109,6 +120,10 @@ _STOP_FLOOR = 1e-14
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Controls for the two truncation axes of the explicit series.
+
+    V, K and levels control the cutoff ladder.  Pure fractional noise
+    (``Farima(d)``, d > 0) needs no cutoff and runs the ladder only when one
+    of them is set; otherwise its quadrature reads only tol_tail.
 
     V: base inner-index cutoff (None -> max(8192, 32 n)).  The pipeline runs
     at the doubling ladder V, 2V, ..., 2^{levels-1} V and eliminates the
@@ -495,7 +510,8 @@ def _ladder_weights(p: float, scales: list[int]) -> np.ndarray:
 
 def _max_workers(n_tasks: int) -> int:
     """Thread cap for n_tasks independent tasks: PREDICTORLAB_THREADS if
-    set, else the CPU count, and never more than 8."""
+    set, else the CPU count, and never more than 8.  A malformed
+    PREDICTORLAB_THREADS raises ConfigError whatever n_tasks is."""
     env = os.environ.get("PREDICTORLAB_THREADS")
     cap = os.cpu_count() or 1
     if env:
@@ -796,6 +812,107 @@ def _required_beta_len(n: int, V: int, m: int) -> int:
     return n + 1 + 2 * V + m + 2
 
 
+# ---------------------------------------------------------------------------
+# moment form: pure fractional noise on a quadrature, no cutoff
+
+#: most quadrature nodes the fine grid may have: its Q x Q system (and the
+#: solver's copy of it) must stay small
+_MOMENT_NODES_MAX = 3072
+
+
+def _moment_form(model: ProcessModel, policy: TruncationPolicy) -> bool:
+    """Whether the moment form serves the model: pure fractional noise with
+    d > 0, under a policy that pins none of the ladder's controls."""
+    return (isinstance(model, Farima) and model.d > 0.0
+            and model.ma_poly.coefficients == model.ar_poly.coefficients == (1.0,)
+            and policy.V is None and policy.K is None and policy.levels is None)
+
+
+@lru_cache(maxsize=2)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] by Golub-Welsch: the
+    eigenvalues of the Jacobi matrix, and twice the squared first entries of
+    its eigenvectors."""
+    k = np.arange(1.0, order)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 * vecs[0] ** 2
+
+
+def _dyadic(order: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on (0, 1/2] graded toward 0: Gauss-Legendre on the
+    panels [2^-(k+1), 2^-k] for k = 1..panels-1, and on [0, 2^-panels]."""
+    s, w = _gauss_legendre(order)
+    hi = np.ldexp(1.0, -np.arange(1, panels + 1))
+    half = (hi - np.append(hi[1:], 0.0)) / 2.0
+    return ((hi - half)[:, None] + half[:, None] * s).ravel(), (half[:, None] * w).ravel()
+
+
+def _moment_grids(d: float, n: int) -> list[tuple[int, int, int]]:
+    """(Gauss-Legendre order, panels toward t = 1, panels toward t = 0) of
+    the fine grid, and of the coarser one its error is read against.  The
+    panels toward t = 1 resolve the x^(1-2d) edge of the solution at
+    x = 1 - t, those toward t = 0 the t^(n-d-1) endpoint of a_{n+u}.  The
+    coarse grid drops the order as well as panels: at the same order it
+    under-reads the error."""
+    edge, end = 1.0 - 2.0 * d, n - d
+    k0, k1 = math.ceil(30.0 / edge), math.ceil(30.0 / end) + 2
+    return [(6, k0, k1), (5, k0 - math.ceil(4.0 / edge), k1 - math.ceil(4.0 / end))]
+
+
+def _moment_run(d: float, a_vals: np.ndarray, c_head: np.ndarray, n: int,
+                grid: tuple[int, int, int]) -> np.ndarray:
+    """phi^m_{n,.} of fractional noise from the moment form on one grid.
+
+    For i >= 1, beta_i = c int_0^1 t^(i-d-1) dt with c = sin(pi d)/pi, so the
+    offset-(n+1) kernel is H = sum_q nu_q phi_q phi_q^T, phi_q(u) = t_q^u and
+    nu_q = c w_q t_q^(n-d), whose Gram matrix is G_qr = 1/(1 - t_q t_r),
+    written x_q + x_r - x_q x_r in x = 1 - t.  The solve of _solve_run,
+    (I - H^2) z = y with y = H (c_{m-v})_v, stays in the span of the phi_q:
+    with S = diag(sqrt nu) G diag(sqrt nu) and P(t) = sum_v c_{m-v} t^v,
+    (I - S) u = sqrt(nu) P and (I + S) g = u give z = sum_q alpha_q phi_q,
+    alpha = sqrt(nu) g, and H z = sum_q beta_q phi_q, beta = sqrt(nu) S g
+    = sqrt(nu) (u - g).  The AR correlation of phi_q is
+    F_j(t_q) = sum_u a_{j+u} t_q^u, and since a_k = c int_0^1
+    t^(k-d-1) (1-t)^d dt for k >= 1, F_n(t_q) = sum_r G_qr nu_r x_r^d / t_r,
+    and F_j = a_j + t F_{j+1} below it.  Everything is carried in the
+    sqrt(nu)-scaled F~ = sqrt(nu) F, so one Q x Q matrix is live at a time
+    besides the solver's copy, and phi_j = g_1(j) + F~_j (u - g)
+    + F~_{n+1-j} g.
+    """
+    order, k0, k1 = grid
+    x_hi, w_hi = _dyadic(order, k0)
+    t_lo, w_lo = _dyadic(order, k1)
+    t = np.concatenate((1.0 - x_hi, t_lo))
+    x = np.concatenate((x_hi, 1.0 - t_lo))
+    root = np.sqrt(np.sin(np.pi * d) / np.pi * np.concatenate((w_hi, w_lo)) * t ** (n - d))
+    # S, and then I - S and I + S, in one buffer; never 1 - t_q t_r
+    s = np.multiply.outer(x, x)
+    np.subtract(np.add.outer(x, x), s, out=s)
+    np.reciprocal(s, out=s)
+    s *= root
+    s *= root[:, None]
+    f = s @ (root * x ** d / t)  # F~_n
+    diag = s.reshape(-1)[::len(t) + 1]
+    p = np.zeros_like(t)
+    for c in c_head:  # Horner: t^v carries c_{m-v}
+        p = p * t + c
+    np.negative(s, out=s)
+    diag += 1.0
+    u = np.linalg.solve(s, root * p)
+    np.negative(s, out=s)
+    diag += 2.0
+    g = np.linalg.solve(s, u)
+    del s, diag
+    # F~_j for j = n down to 1, each read against (u - g, g)
+    fw = np.empty((n, 2))
+    weights = np.stack((u - g, g), axis=1)
+    for j in range(n, 0, -1):
+        fw[j - 1] = f @ weights
+        f = root * a_vals[j - 1] + t * f
+    return _stage_one(a_vals, c_head[::-1], n, len(c_head) - 1) + fw[:, 0] + fw[::-1, 1]
+
+
 def _prop35_warning(model: ProcessModel, n: int) -> None:
     """Short-memory contraction check: warn when (sum |c|)(sum_{k>n} |a|) >= 1."""
     c = expand_ma(model, 1 << 12).values
@@ -807,17 +924,21 @@ def _prop35_warning(model: ProcessModel, n: int) -> None:
             f"series convergence not guaranteed", stacklevel=4)
 
 
-def _series_inputs(model: ProcessModel, n: int, m: int, policy: TruncationPolicy,
-                   beta: BetaSeq | None
-                   ) -> tuple[list[int], BetaSeq, np.ndarray, np.ndarray]:
-    """Check (n, m, beta) and gather what a series run reads: (the cutoff
-    ladder, beta, a_0..a_{n+V} for the finest cutoff V, c_0..c_m)."""
+def _check_request(model: ProcessModel, n: int, m: int, beta: BetaSeq | None) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if beta is not None and beta.model != model:
         raise ValueError(f"beta was built for {beta.model!r}, not for {model!r}")
+
+
+def _series_inputs(model: ProcessModel, n: int, m: int, policy: TruncationPolicy,
+                   beta: BetaSeq | None
+                   ) -> tuple[list[int], BetaSeq, np.ndarray, np.ndarray]:
+    """Check (n, m, beta) and gather what a series run reads: (the cutoff
+    ladder, beta, a_0..a_{n+V} for the finest cutoff V, c_0..c_m)."""
+    _check_request(model, n, m, beta)
     scales = policy.resolve_scales(model, n)
     c_head = expand_ma(model, m).values
     if regime(model) is Regime.SHORT:
@@ -832,6 +953,24 @@ def _series_inputs(model: ProcessModel, n: int, m: int, policy: TruncationPolicy
     return scales, beta, expand_ar(model, n + scales[-1]).values, c_head
 
 
+def _depth_controls(model: ProcessModel, policy: TruncationPolicy,
+                    scales: list[int]) -> tuple[float, float, float, int]:
+    """(elimination exponent p, elimination gain sum |w|, each run's stop
+    tolerance, kernel-apply budget K) of a ladder over ``scales``."""
+    p = _elimination_exponent(model)
+    gain = float(np.sum(np.abs(_ladder_weights(p, scales))))
+    tol_stop = _stop_tol(policy, gain)
+    return p, gain, tol_stop, policy.resolve_k(model, tol_stop)
+
+
+def _finest_terms(beta: BetaSeq, a_vals: np.ndarray, c_head: np.ndarray, n: int,
+                  m: int, scales: list[int], K: int, tol_stop: float) -> np.ndarray:
+    """The per-term record: the finest cutoff's Neumann terms, read-only."""
+    out = _g_terms_run(beta.values, a_vals, c_head, n, m, scales[-1], K, tol_stop)[0]
+    out.setflags(write=False)
+    return out
+
+
 def _check_tail(resid: float, policy: TruncationPolicy, n: int,
                 remedy: str = "increase V, levels or K") -> None:
     if resid > policy.tol_tail:
@@ -841,48 +980,53 @@ def _check_tail(resid: float, policy: TruncationPolicy, n: int,
             achieved=resid, required=policy.tol_tail)
 
 
-def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
-                               policy: TruncationPolicy = DEFAULT_POLICY,
-                               beta: BetaSeq | None = None) -> ExplicitPredictor:
-    """Finite predictor coefficients phi^m_{n,j} from the explicit series.
+def _moment_predictor(model: Farima, n: int, m: int, policy: TruncationPolicy,
+                      beta: BetaSeq | None
+                      ) -> tuple[np.ndarray, np.ndarray, int, Callable[[], np.ndarray]]:
+    """(phi, per-coefficient residual, kernel applies, per-term record) of
+    pure fractional noise from the moment form: _moment_run on the fine grid
+    and on the coarse one, with the residual their difference.  The record
+    is the ladder's, built with its beta and its long AR expansion only when
+    read."""
+    # both grids run on the calling thread (the dense solves are threaded
+    # already, and a second lane measured no faster), but a malformed thread
+    # cap is refused on every explicit call, whichever path serves it
+    _max_workers(1)
+    d = model.d
+    grids = _moment_grids(d, n)
+    order, k0, k1 = grids[0]
+    if order * (k0 + k1) > _MOMENT_NODES_MAX:
+        raise TruncationError(
+            f"the quadrature for d = {d} at n = {n} needs {order * (k0 + k1)} nodes, "
+            f"above its cap of {_MOMENT_NODES_MAX}")
+    a_vals, c_head = expand_ar(model, n + m).values, expand_ma(model, m).values
+    fine, coarse = (_moment_run(d, a_vals, c_head, n, grid) for grid in grids)
+    resid = np.abs(fine - coarse)
+    _check_tail(float(np.max(resid)), policy, n,
+                "it is the quadrature's own error, on a grid that no V, levels or K sets")
 
-    Parameters
-    ----------
-    model : ProcessModel
-    n : int
-        Number of past observations, n >= 1.
-    m : int
-        Prediction horizon (m = 0: one-step).
-    policy : TruncationPolicy
-    beta : BetaSeq, optional
-        Precomputed correlation sequence of ``model`` (experiment sweeps share
-        one); must cover the required index range or it is recomputed.  One
-        built for another model raises ValueError.
+    @cache
+    def terms() -> np.ndarray:
+        scales, ladder_beta, ladder_a, ladder_c = _series_inputs(model, n, m, policy, beta)
+        *_, tol_stop, K = _depth_controls(model, policy, scales)
+        return _finest_terms(ladder_beta, ladder_a, ladder_c, n, m, scales, K, tol_stop)
 
-    Returns
-    -------
-    ExplicitPredictor
-        ``table.coefficients[j-1]`` = phi^m_{n,j}; ``series[j-1]`` the
-        per-term diagnostics for that j (terms from the finest inner cutoff;
-        the table carries the ladder-eliminated coefficients).
+    return fine, resid, 0, terms
 
-    Raises
-    ------
-    TruncationError
-        Truncation residual above policy.tol_tail: the ladder's, beta's, or
-        what the series solve left unsolved within the budget of K kernel
-        applies (which a diverging series also exhausts).
-    """
+
+def _ladder_predictor(model: ProcessModel, n: int, m: int, policy: TruncationPolicy,
+                      beta: BetaSeq | None
+                      ) -> tuple[np.ndarray, np.ndarray, int, Callable[[], np.ndarray]]:
+    """(phi, per-coefficient residual, kernel applies of the finest run,
+    per-term record) from the cutoff ladder: a solve at each cutoff, and the
+    elimination over them."""
     scales, beta, a_vals, c_head = _series_inputs(model, n, m, policy, beta)
     # beta's share of every coefficient's residual; no ladder run can undo it
     beta_share = beta.tail_estimate * 4.0
     _check_tail(beta_share, policy, n,
                 "it is beta's own error: the model's ARMA factor has not decayed (or "
                 "tol_tail is below beta's rounding), and no V, levels or K can reduce it")
-    p = _elimination_exponent(model)
-    gain = float(np.sum(np.abs(_ladder_weights(p, scales))))
-    tol_stop = _stop_tol(policy, gain)
-    K = policy.resolve_k(model, tol_stop)
+    p, gain, tol_stop, K = _depth_controls(model, policy, scales)
     # the long-memory kernel's norm tends to sin(pi d) as n grows
     s_floor = float(np.sin(np.pi * memory_exponent(model)))
 
@@ -900,17 +1044,56 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
     # as far as the elimination weights can amplify it
     tail_j = resid + beta_share + gain * max(left for _, left, _ in runs)
     _check_tail(float(np.max(tail_j)), policy, n)
+    return (phi, tail_j, runs[0][2],
+            cache(lambda: _finest_terms(beta, a_vals, c_head, n, m, scales, K, tol_stop)))
 
+
+def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
+                               policy: TruncationPolicy = DEFAULT_POLICY,
+                               beta: BetaSeq | None = None) -> ExplicitPredictor:
+    """Finite predictor coefficients phi^m_{n,j} from the explicit series.
+
+    Pure fractional noise ``Farima(d)``, d > 0, under a policy that pins none
+    of V, K and levels, is solved on a quadrature of the series' moment form
+    (_moment_run), with no cutoff; every other model or policy runs the
+    cutoff ladder.
+
+    Parameters
+    ----------
+    model : ProcessModel
+    n : int
+        Number of past observations, n >= 1.
+    m : int
+        Prediction horizon (m = 0: one-step).
+    policy : TruncationPolicy
+    beta : BetaSeq, optional
+        Precomputed correlation sequence of ``model`` (experiment sweeps share
+        one); must cover the required index range or it is recomputed.  One
+        built for another model raises ValueError.  The moment form reads
+        none, except for the per-term record.
+
+    Returns
+    -------
+    ExplicitPredictor
+        ``table.coefficients[j-1]`` = phi^m_{n,j}; ``series[j-1]`` the
+        per-term diagnostics for that j (terms from the ladder's finest inner
+        cutoff; the table carries the ladder-eliminated coefficients, or the
+        moment form's).
+
+    Raises
+    ------
+    TruncationError
+        Truncation residual above policy.tol_tail: the ladder's, beta's, or
+        what the series solve left unsolved within the budget of K kernel
+        applies (which a diverging series also exhausts); on the moment form,
+        the quadrature's, or a grid above its node cap.
+    """
+    _check_request(model, n, m, beta)
+    evaluate = _moment_predictor if _moment_form(model, policy) else _ladder_predictor
+    phi, tail_j, k_used, terms = evaluate(model, n, m, policy, beta)
     table = PredictorTable(n=n, horizon=m, coefficients=phi,
                            source=PredictorSource.EXPLICIT_SERIES)
-    # the per-j diagnostics: the finest cutoff's Neumann terms, on first read
-    @cache
-    def terms() -> np.ndarray:
-        out = _g_terms_run(beta.values, a_vals, c_head, n, m, scales[-1], K, tol_stop)[0]
-        out.setflags(write=False)
-        return out
-
-    series = tuple(SeriesTerms(tail_estimate=float(tail_j[j]), k_used=runs[0][2],
+    series = tuple(SeriesTerms(tail_estimate=float(tail_j[j]), k_used=k_used,
                                _matrix=terms, _j=j)
                    for j in range(n))
     return ExplicitPredictor(table=table, series=series)

@@ -8,6 +8,8 @@ be cross-checked through a route that never touches the code under test.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 from scipy.special import gamma as Gamma
@@ -58,6 +60,17 @@ def exact_phi(d: float, n: int) -> np.ndarray:
     """Finite predictor coefficients phi_{n,j} from the Gamma-ratio
     autocovariance through Durbin-Levinson; exact to machine rounding."""
     return pl.durbin_levinson(farima_gamma_oracle(d, n), n)[-1].coefficients
+
+
+def hosking_phi(d: float, n: int) -> np.ndarray:
+    """Finite predictor coefficients of fractional noise in closed form
+    (Hosking, Fractional differencing, Biometrika 1981):
+    phi_{n,j} = -C(n,j) Gamma(j-d) Gamma(n-d-j+1) / (Gamma(-d) Gamma(n-d+1)),
+    positive for 0 < d < 1/2, from log-Gamma values only."""
+    return np.array([math.exp(math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                              + math.lgamma(j - d) + math.lgamma(n - d - j + 1)
+                              - math.lgamma(-d) - math.lgamma(n - d + 1))
+                     for j in range(1, n + 1)])
 
 
 def brute_phi(gamma_vals: np.ndarray, n: int, m: int = 0) -> np.ndarray:

@@ -133,6 +133,15 @@ class TestRateExperiment:
         assert report.theoretical_limit == pytest.approx(limit, abs=1e-15)
         assert report.extrapolated == pytest.approx(limit, abs=1e-5)
 
+    def test_moment_form_sweep_builds_no_ladder_beta(self, monkeypatch):
+        # pure fractional noise under the default policy reads no beta, so
+        # the sweep must not build the ladder's, 2^18+ entries long
+        def no_beta(*args):
+            raise AssertionError("the moment form needs no shared beta")
+        monkeypatch.setattr("predictorlab.asymptotics.beta_for_model", no_beta)
+        report = pl.rate_experiment(pl.Farima(0.3), 1, [64, 128])
+        assert [e[0] for e in report.entries] == [64, 128]
+
     def test_rate_values_close_in_by_doubling(self):
         report = pl.rate_experiment(pl.Farima(0.3), 1, [64, 128, 256])
         rates = [e[2] for e in report.entries]
@@ -199,16 +208,13 @@ class TestDkScalingExperiment:
 
 class TestCrossChecking:
     def test_route_disagreement_raises(self, monkeypatch):
-        real = pl.durbin_levinson
+        real = pl.multistep_normal_solve
 
-        def corrupted(gamma, n):
-            tables = real(gamma, n)
-            last = tables[-1]
-            bad = dataclasses.replace(
-                last, coefficients=last.coefficients + 0.01)
-            return tables[:-1] + [bad]
+        def corrupted(gamma, n, m):
+            table = real(gamma, n, m)
+            return dataclasses.replace(table, coefficients=table.coefficients + 0.01)
 
-        monkeypatch.setattr("predictorlab.asymptotics.durbin_levinson",
+        monkeypatch.setattr("predictorlab.asymptotics.multistep_normal_solve",
                             corrupted)
         with pytest.raises(OracleDisagreementError):
             pl.rate_experiment(pl.Farima(0.3), 1, [8, 16])

@@ -109,6 +109,15 @@ class TestPredict:
         diffs = [row[3] for row in doc["rows"]]
         assert max(diffs) == doc["meta"]["max_abs_diff"]
 
+    @pytest.mark.parametrize("n", [1, 8, 64, 512])
+    def test_strong_memory_routes_agree(self, capsys, n):
+        # pure fractional noise this close to d = 1/2 meets the default
+        # tol_tail on the moment form's quadrature; the cutoff ladder does not
+        code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0.45",
+                             "--n", str(n), "--format", "json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["meta"]["max_abs_diff"] < 1e-6
+
     def test_single_source_columns(self, capsys):
         code, out, _ = run(capsys, "predict", "--model", "ar1", "--r", "0.5",
                            "--n", "4", "--source", "levinson")
@@ -459,15 +468,13 @@ class TestExitCodes:
         assert "PREDICTORLAB_THREADS" in err and "'abc'" in err
 
     def test_route_disagreement(self, capsys, monkeypatch):
-        real = pl.durbin_levinson
+        real = pl.multistep_normal_solve
 
-        def corrupted(gamma, n):
-            tables = real(gamma, n)
-            bad = dataclasses.replace(
-                tables[-1], coefficients=tables[-1].coefficients + 0.01)
-            return tables[:-1] + [bad]
+        def corrupted(gamma, n, m):
+            table = real(gamma, n, m)
+            return dataclasses.replace(table, coefficients=table.coefficients + 0.01)
 
-        monkeypatch.setattr("predictorlab.cli.durbin_levinson", corrupted)
+        monkeypatch.setattr("predictorlab.cli.multistep_normal_solve", corrupted)
         code, _, err = run(capsys, "predict", "--model", "farima", "--d", "0.3",
                            "--n", "8")
         assert code == 5

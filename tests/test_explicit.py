@@ -15,7 +15,8 @@ from predictorlab import TruncationError, TruncationPolicy, explicit
 from predictorlab.asymptotics import check_routes, fk0
 from predictorlab.explicit import _HankelFFT
 
-from conftest import exact_phi, farima_a_oracle, farima_c_oracle, farima_models
+from conftest import (exact_phi, farima_a_oracle, farima_c_oracle, farima_gamma_oracle,
+                      farima_models, hosking_phi)
 
 
 class TestBeta:
@@ -376,8 +377,11 @@ class TestFinitePredictor:
     ], ids=lambda v: v if isinstance(v, int) else repr(v))
     def test_residual_covers_series_depth(self, model, n):
         # with the cap out of the way, the largest reported residual at a
-        # short depth budget K covers how far phi is from the default K's
-        want = pl.finite_predictor_explicit(model, n).table.coefficients
+        # short depth budget K covers how far phi is from the default K's;
+        # the reference pins the default levels, so that pure fractional
+        # noise runs the ladder on both sides, which then differ only in K
+        ladder = TruncationPolicy(levels=TruncationPolicy().resolve_levels(model))
+        want = pl.finite_predictor_explicit(model, n, ladder).table.coefficients
         for K in (2, 3, 5, 8, 12):
             res = pl.finite_predictor_explicit(model, n, TruncationPolicy(K=K, tol_tail=1e6))
             moved = float(np.max(np.abs(res.table.coefficients - want)))
@@ -568,6 +572,66 @@ class TestSolve:
         assert all(len(s.terms) == 1 for s in res.series)
         assert max(s.tail_estimate for s in res.series) >= np.max(
             np.abs(exact_phi(0.3, n) - g1))
+
+
+class TestMomentForm:
+    """Pure fractional noise under the default policy: the moment form."""
+
+    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("n", [1, 8, 64, 512])
+    @pytest.mark.parametrize("d", [0.05, 0.1, 0.2, 0.3, 0.4, 0.45])
+    def test_residual_covers_true_error(self, d, n, m):
+        # every weight's reported residual covers its true error: against
+        # Hosking's closed form at m = 0, and the normal equations on the
+        # Gamma-ratio autocovariances at m = 2; at d = 0.45 the cutoff
+        # ladder cannot meet the default tol_tail
+        res = pl.finite_predictor_multistep(pl.Farima(d), n, m)
+        want = (hosking_phi(d, n) if m == 0 else
+                pl.multistep_normal_solve(farima_gamma_oracle(d, n + m), n, m).coefficients)
+        err = np.abs(res.table.coefficients - want)
+        assert np.all(err <= [s.tail_estimate for s in res.series])
+
+    def test_strong_memory_against_closed_form(self):
+        res = pl.finite_predictor_explicit(pl.Farima(0.4), 512)
+        assert np.max(np.abs(res.table.coefficients - hosking_phi(0.4, 512))) < 1e-10
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_pinned_control_runs_the_ladder(self, monkeypatch, m):
+        # pinning any one of V, K and levels, each to the value the default
+        # policy resolves, runs the cutoff ladder: one result, bitwise, whose
+        # per-term record is the one the moment form reports
+        model, n = pl.Farima(0.1), 8
+        moment = pl.finite_predictor_multistep(model, n, m)
+        assert all(s.k_used == 0 for s in moment.series)
+
+        def no_moment(*args):
+            raise AssertionError("a pinned control must run the ladder")
+        monkeypatch.setattr(explicit, "_moment_run", no_moment)
+        default = TruncationPolicy()
+        scales = default.resolve_scales(model, n)
+        K = explicit._depth_controls(model, default, scales)[3]
+        first, *rest = [pl.finite_predictor_multistep(model, n, m, policy)
+                        for policy in (TruncationPolicy(V=scales[0]), TruncationPolicy(K=K),
+                                       TruncationPolicy(levels=len(scales)))]
+        assert first.series[0].k_used > 0
+        for res in rest:
+            _assert_same_fields(first.table, res.table)
+            for a, b in zip(first.series, res.series):
+                _assert_same_fields(a, b)
+        for a, b in zip(first.series, moment.series):
+            np.testing.assert_array_equal(a.terms, b.terms, strict=True)
+
+    def test_residual_gate_names_no_ladder_control(self):
+        with pytest.raises(TruncationError, match="quadrature") as info:
+            pl.finite_predictor_explicit(pl.Farima(0.3), 8, TruncationPolicy(tol_tail=1e-14))
+        assert "increase" not in str(info.value)
+
+    def test_grid_above_node_cap_refused_up_front(self, monkeypatch):
+        def no_moment(*args):
+            raise AssertionError("the grid must be refused before it is built")
+        monkeypatch.setattr(explicit, "_moment_run", no_moment)
+        with pytest.raises(TruncationError, match="nodes"):
+            pl.finite_predictor_explicit(pl.Farima(0.49), 8)
 
 
 class TestProjectionIterates:
