@@ -17,16 +17,16 @@ rate's 1/n extrapolation is the cutoff ladder's elimination, at the n run.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coeffs import autocov, expand_ar, expand_ma, infinite_predictor, tail_sum_phi
-from .errors import OracleDisagreementError, RegimeError, TruncationError
-from .explicit import (DEFAULT_POLICY, ExplicitPredictor, TruncationPolicy,
-                       _ladder_weights, _max_workers, _moment_form, _required_beta_len,
-                       beta_for_model, d_vectors, finite_predictor_explicit)
+from .errors import OracleDisagreementError, RegimeError
+from .explicit import (_QUADRATURE_REMEDY, DEFAULT_POLICY, ExplicitPredictor,
+                       TruncationPolicy, _check_tail, _ladder_weights, _moment_form,
+                       _required_beta_len, beta_for_model, d_vectors,
+                       finite_predictor_explicit)
 # durbin_levinson has no caller here; bench/layers.py wraps it by name in
 # this module, so the name stays
 from .levinson import durbin_levinson, multistep_normal_solve  # noqa: F401
@@ -162,39 +162,26 @@ def check_routes(result: ExplicitPredictor, phi_levinson: np.ndarray) -> float:
     return diff
 
 
-def _explicit_phi_checked(model: ProcessModel, n: int,
-                          policy: TruncationPolicy, beta=None) -> np.ndarray:
-    """Explicit-series phi_{n,.} cross-checked against Levinson's recursion."""
-    res = finite_predictor_explicit(model, n, policy, beta=beta)
-    check_routes(res, multistep_normal_solve(autocov(model, n), n, 0).coefficients)
-    return res.table.coefficients
-
-
-def _run_ordered(fn, args_list):
-    """Map fn over args concurrently, returning results in input order."""
-    workers = _max_workers(len(args_list))
-    if workers <= 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list))
-
-
 def _checked_sweep(model: ProcessModel, n_list: list[int],
                    policy: TruncationPolicy) -> tuple[np.ndarray, list[np.ndarray]]:
     """(phi_inf, the cross-checked explicit phi_{n,.} for each n in n_list).
 
-    phi_inf is the infinite predictor to _PHI_TAIL_LEN terms.  Where the
-    cutoff ladder serves the model, one beta computation is shared by the
-    whole sweep; the moment form reads none.
+    phi_inf is the infinite predictor to _PHI_TAIL_LEN terms.  One beta
+    computation is shared by the whole sweep, unless the model is pure
+    fractional noise, whose beta is a cached closed form.
     """
     c = expand_ma(model, 0)
     a = expand_ar(model, _PHI_TAIL_LEN)
     phi_inf = infinite_predictor(c, a, _PHI_TAIL_LEN)
     beta = None
-    if not _moment_form(model, policy):
+    if not _moment_form(model, policy, predictor=True):
         vtop = max(policy.resolve_scales(model, n)[-1] for n in n_list)
         beta = beta_for_model(model, _required_beta_len(max(n_list), vtop, 0))
-    phis = _run_ordered(lambda n: _explicit_phi_checked(model, n, policy, beta), n_list)
+    phis = []
+    for n in n_list:
+        res = finite_predictor_explicit(model, n, policy, beta=beta)
+        check_routes(res, multistep_normal_solve(autocov(model, n), n, 0).coefficients)
+        phis.append(res.table.coefficients)
     return phi_inf, phis
 
 
@@ -257,8 +244,9 @@ def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
                           policy: TruncationPolicy = DEFAULT_POLICY) -> DkScalingReport:
     """Tabulate n d_k(n, u) against the limit f_k(0) sin^k(pi d).
 
-    Raises TruncationError when the inner-truncation residual of the d_k
-    vectors at some n exceeds policy.tol_tail.
+    The d_k come from d_vectors, on the quadrature or on the cutoff ladder,
+    whose long beta is built only when it serves.  Raises TruncationError
+    when their residual at some n exceeds policy.tol_tail.
     """
     d = _require_long_memory(model, "d_k scaling experiment")
     if u < 0:
@@ -271,26 +259,21 @@ def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
     s = np.sin(np.pi * d)
     targets = {k: float(f * s ** k) for k, f in zip(range(1, kmax + 1), fk0(kmax))}
 
-    depth_policy = replace(policy, K=kmax)
-    lmax = max(n + 2 * policy.resolve_scales(model, n)[-1] for n in n_list)
-    beta = beta_for_model(model, lmax)
+    nodes = _moment_form(model, policy)
+    beta = beta_for_model(model, 0 if nodes else max(
+        n + 2 * policy.resolve_scales(model, n)[-1] for n in n_list))
+    remedy = _QUADRATURE_REMEDY if nodes else "increase V or levels"
 
-    def one(n: int):
+    rows = []
+    for n in n_list:
         if u >= policy.resolve_v(n, model):
             raise ValueError(
                 f"u = {u} outside inner cutoff V = {policy.resolve_v(n, model)}")
-        dv = d_vectors(beta, n, depth_policy)
-        if dv.tail_estimate > policy.tol_tail:
-            raise TruncationError(
-                f"d_k inner-truncation residual {dv.tail_estimate:.3e} exceeds "
-                f"tol_tail {policy.tol_tail:g} at n = {n}; increase V or levels",
-                achieved=dv.tail_estimate, required=policy.tol_tail)
-        return [(k, n, float(n * dv.vectors[k - 1][u]), targets[k])
-                for k in k_list if k <= dv.k_used]
-
-    rows_per_n = _run_ordered(one, n_list)
+        dv = d_vectors(beta, n, replace(policy, K=kmax))
+        _check_tail(dv.tail_estimate, policy, n, remedy)
+        rows += [(k, n, float(n * dv.vectors[k - 1][u]), targets[k])
+                 for k in k_list if k <= dv.k_used]
     entries = []
     for k in k_list:
-        for rows in rows_per_n:
-            entries.extend(r for r in rows if r[0] == k)
+        entries.extend(r for r in rows if r[0] == k)
     return DkScalingReport(u=u, entries=tuple(entries))

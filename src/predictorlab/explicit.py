@@ -19,8 +19,8 @@ The series is a Neumann series in the symmetric kernel H at offset n+1, so
 the predictor's value path does not sum it stage by stage: it solves
 (I - H^2) z = y by conjugate gradients and reads the sum off A H z and
 A z (see _solve_run), in a handful of iterations where the sum takes tens
-of stages.  The per-term record is the stage-by-stage sum at the finest
-cutoff, computed only when a caller reads it.
+of stages.  The per-term record is the stage-by-stage sum, computed only
+when a caller reads it.
 
 Pure fractional noise has no cutoff at all (see _moment_run): there
 beta_i = c int_0^1 t^(i-d-1) dt for i >= 1, so the kernel is a Hankel moment
@@ -28,9 +28,10 @@ operator, and the solve becomes a dense system on the nodes of a quadrature
 of that integral, Gauss-Legendre on dyadic panels graded toward both ends of
 (0, 1) (a Nystrom method; Atkinson, The Numerical Solution of Integral
 Equations of the Second Kind, 1997).  Its residual is the distance from the
-same solve on a coarser grid of lower order.  That path serves
-``Farima(d)``, d > 0, under any policy that pins none of V, K and levels;
-every other model and policy runs the cutoff ladder below.
+same solve on a coarser grid of lower order.  The same nodes give the
+record and the iterates d_k, delta_k for ``Farima(d)``, d > 0, under any
+policy that pins neither V nor levels (nor K, for the predictor); every
+other model and policy runs the cutoff ladder below.
 
 Two infinite sums are truncated: the inner index (cutoff V, the Hankel apply)
 and the series depth (the solve's residual, within a budget of K kernel
@@ -38,16 +39,17 @@ applies per run).  The
 inner truncation error of the summed series under long memory follows a
 ladder of powers C_1 V^{-p} + C_2 V^{-2p} + ... with p = 1 - 2d (measured
 against exact closed-form predictors over five V-doublings; the exponent
-matches the autocovariance tail and is stable in n and d).  The pipeline
-therefore runs at a geometric ladder of cutoffs V, 2V, ..., 2^{L-1} V and
-eliminates the leading L-1 powers by solving the small Vandermonde system in
-V^{-p}; the reported residual is the difference between the last two
-elimination orders.  With one level the value stays uncorrected, and the
-residual is 1.5 times its distance from the same elimination over it and
-one extra run at the half cutoff max(V // 2, m + 1), whatever their ratio
-(ValueError where that half cannot go below V).  The depth error is each
-run's bound on what its unsolved residual can still move; times the
-elimination gain sum |w|, it joins the same residual.
+matches the autocovariance tail and is stable in n and d; at d = 0 the
+error decays at least as fast as 1/V, p = 1).  The pipeline
+therefore runs at a geometric ladder of cutoffs V, 2V, ..., 2^{L-1} V, finest
+first, and eliminates the leading L-1 powers by solving the small
+Vandermonde system in V^{-p}; the reported residual is the difference
+between the last two elimination orders.  With one level the value stays
+uncorrected, and the residual is 1.5 times its distance from the same
+elimination over it and one extra run at the half cutoff max(V // 2, m + 1),
+whatever their ratio (ValueError where that half cannot go below V).  The
+depth error is each run's bound on what its unsolved residual can still
+move; times the elimination gain sum |w|, it joins the same residual.
 
 Everything the FFT touches here is noise-free in the structurally-zero case:
 a finitely supported beta stays exactly zero under rfft/irfft of zero blocks,
@@ -62,24 +64,13 @@ length: the entries that wrap around land below the window.  That is about
 2V instead of 3V points per Hankel apply and L + 2T instead of L + 4T for
 long-memory beta, a closed-form kernel correlated with T terms of its ARMA
 factors; the window is exact either way, so only rounding changes.
-
-The ladder's runs are independent of one another, so they run on two lanes:
-the calling thread runs the finest cutoff, and one worker thread runs the
-coarser ones, finest first.  Because V doubles, the finest run costs about
-as much as all coarser runs together (2^{L-1} : 2^{L-1} - 1), so a third lane
-would not shorten the critical path; two lanes is the optimum at any core
-count.  Each run is deterministic and the elimination reads them in the same
-finest-first order, so the result is bitwise that of the serial ladder.
-``PREDICTORLAB_THREADS=1``, or a single CPU, runs the ladder serially.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, lru_cache
 
@@ -87,7 +78,7 @@ import numpy as np
 
 from .coeffs import (CoeffKind, _convolve_window, _decayed, _expansion_values,
                      _window_fft_len, expand_ar, expand_ma)
-from .errors import ConfigError, TruncationError
+from .errors import TruncationError
 from .levinson import PredictorSource, PredictorTable
 from .models import Farima, ProcessModel, Regime, memory_exponent, regime
 
@@ -122,8 +113,8 @@ class TruncationPolicy:
     """Controls for the two truncation axes of the explicit series.
 
     V, K and levels control the cutoff ladder.  Pure fractional noise
-    (``Farima(d)``, d > 0) needs no cutoff and runs the ladder only when one
-    of them is set; otherwise its quadrature reads only tol_tail.
+    (``Farima(d)``, d > 0) needs no cutoff: every output comes from its
+    quadrature unless V or levels is set (or, for the predictor, K).
 
     V: base inner-index cutoff (None -> max(8192, 32 n)).  The pipeline runs
     at the doubling ladder V, 2V, ..., 2^{levels-1} V and eliminates the
@@ -242,15 +233,17 @@ class BetaSeq:
 class SeriesTerms:
     """Per-term diagnostics of the explicit series for one coefficient.
 
-    ``terms[k-1]`` is g^m_k(n, j) evaluated at the finest inner cutoff (their
-    cumulative sums are the alternating-projection iterates), summed stage
-    by stage under the series' own stop rule.  The value path solves for
-    the sum instead, so the terms are computed on first read, once for all
-    j of a result.  ``tail_estimate`` is the coefficient's truncation
-    residual: the inner one left after ladder elimination, beta's share,
-    and the series depth's (the solve's error bound) times the elimination
-    gain.  It is the number the ``tol_tail`` check compares.  ``k_used`` is
-    the number of kernel applies the finest cutoff's run made.
+    ``terms[k-1]`` is g^m_k(n, j) (their cumulative sums are the
+    alternating-projection iterates), summed stage by stage: at the finest
+    inner cutoff under the series' own stop rule, or on the quadrature's
+    fine grid until the running sums are within tol_term of the table.  The
+    value path solves for the sum instead, so the terms are computed on
+    first read, once for all j of a result.  ``tail_estimate`` is the
+    coefficient's truncation residual: the inner one left after ladder
+    elimination, beta's share, and the series depth's (the solve's error
+    bound) times the elimination gain, or the quadrature's.  It is the
+    number the ``tol_tail`` check compares.  ``k_used`` is the number of
+    kernel applies the finest cutoff's run made (0 on the quadrature).
     """
 
     tail_estimate: float
@@ -325,6 +318,7 @@ def _exact_support(a_vals: np.ndarray) -> int | None:
     return None
 
 
+@lru_cache(maxsize=6)
 def _beta_values(model: ProcessModel, L: int) -> tuple[np.ndarray, float, int, bool]:
     """(beta values 0..L, tail bound, factor length, exact flag).
 
@@ -365,13 +359,6 @@ def _beta_values(model: ProcessModel, L: int) -> tuple[np.ndarray, float, int, b
             float((dropped + rounding) * np.max(np.abs(beta0))), T, False)
 
 
-@lru_cache(maxsize=6)
-def _beta_cached(model: ProcessModel, L: int) -> tuple[np.ndarray, float, int, bool]:
-    vals, bound, used, exact = _beta_values(model, L)
-    vals.setflags(write=False)
-    return vals, bound, used, exact
-
-
 def beta_for_model(model: ProcessModel, L: int) -> BetaSeq:
     """Correlation sequence beta_0..beta_L for a model (cached per model).
 
@@ -379,7 +366,8 @@ def beta_for_model(model: ProcessModel, L: int) -> BetaSeq:
     sweeps over many n share one computation.
     """
     bucket = 1 << max(8, int(L).bit_length())
-    vals, bound, used, exact = _beta_cached(model, bucket)
+    vals, bound, used, exact = _beta_values(model, bucket)
+    vals.setflags(write=False)  # the cached array itself, not only this view
     return BetaSeq(vals[:L + 1], model=model, inner_len=used,
                    tail_estimate=bound, exact=exact)
 
@@ -479,16 +467,6 @@ def hankel_apply(beta: BetaSeq, n: int, x: np.ndarray, method: str = "fft") -> n
 # ---------------------------------------------------------------------------
 # inner-truncation ladder
 
-def _elimination_exponent(model: ProcessModel) -> float:
-    """Leading power of the inner-truncation error, 1/V^p.
-
-    Long memory: p = 1 - 2d (measured across models and scales; matches the
-    autocovariance tail exponent).  Short memory (d = 0): the error decays
-    at least as fast as 1/V.
-    """
-    return 1.0 - 2.0 * memory_exponent(model)
-
-
 def _ladder_weights(p: float, scales: list[int]) -> np.ndarray:
     """Elimination weights w with sum w_l S(V_l) free of V^{-p}, ..., V^{-(L-1)p}.
 
@@ -508,23 +486,6 @@ def _ladder_weights(p: float, scales: list[int]) -> np.ndarray:
     return np.linalg.solve(A.T, e0)
 
 
-def _max_workers(n_tasks: int) -> int:
-    """Thread cap for n_tasks independent tasks: PREDICTORLAB_THREADS if
-    set, else the CPU count, and never more than 8.  A malformed
-    PREDICTORLAB_THREADS raises ConfigError whatever n_tasks is."""
-    env = os.environ.get("PREDICTORLAB_THREADS")
-    cap = os.cpu_count() or 1
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise ConfigError(
-                f"PREDICTORLAB_THREADS must be an integer >= 1, got {env!r}")
-    return max(1, min(n_tasks, cap, 8))
-
-
 def _cutoffs(scales: list[int], floor: int = 1) -> list[int]:
     """The cutoffs a ladder over ``scales`` runs at, finest first: every
     scale, or one scale V and its half max(V // 2, floor), which must lie
@@ -537,19 +498,6 @@ def _cutoffs(scales: list[int], floor: int = 1) -> list[int]:
         raise ValueError(f"levels=1 at V = {V} needs a half run below V, but it "
                          f"cannot go below {floor}; raise V or levels")
     return [V, half]
-
-
-def _run_lanes(run, cutoffs: list[int]) -> list:
-    """``run(V)`` at each cutoff, finest first: the calling thread runs the
-    first cutoff while one worker thread runs the others in order.  Results
-    come back in the order of ``cutoffs``, so ``run`` must not depend on the
-    order in which they finish."""
-    if _max_workers(len(cutoffs)) < 2:
-        return [run(V) for V in cutoffs]
-    with ThreadPoolExecutor(max_workers=1) as lane:
-        coarse = lane.submit(lambda: [run(V) for V in cutoffs[1:]])
-        finest = run(cutoffs[0])
-        return [finest, *coarse.result()]
 
 
 def _shared_prefix(runs: list[np.ndarray]) -> list[np.ndarray]:
@@ -579,14 +527,6 @@ def _eliminate(values: list[np.ndarray], cutoffs: list[int], levels: int,
     return value, np.abs(value - sub)
 
 
-def _stop_tol(policy: TruncationPolicy, gain: float) -> float:
-    """Stopping tolerance of each run's k-series (the solve's depth bound,
-    or the per-term rule of the stage-by-stage sum) tight enough that ladder
-    weights of total magnitude ``gain`` cannot amplify what a run leaves
-    out into the tail budget."""
-    return min(policy.tol_term, max(policy.tol_tail / (16.0 * gain), _STOP_FLOOR))
-
-
 # ---------------------------------------------------------------------------
 # d_k vectors and delta blocks
 
@@ -612,9 +552,9 @@ def d_vectors(beta: BetaSeq, n: int,
               policy: TruncationPolicy = DEFAULT_POLICY) -> DVectors:
     """Iterated kernel vectors d_k(n, u), u = 0..V-1, k = 1..K_used.
 
-    d_1 is the beta slice at offset n; each further vector is one Hankel
-    apply.  This is the v = 0 column of delta_block, so it runs the same
-    cutoff ladder with the same stopping rule and residual estimate.
+    d_1 is the beta slice at offset n; each further vector is one kernel
+    apply.  This is the v = 0 column of delta_block, so it takes the same
+    path, with the same stopping rule and residual estimate.
     """
     block = delta_block(beta, n, 0, policy)
     return DVectors(n=n, vectors=block.values[:, :, 0], tail_estimate=block.tail_estimate)
@@ -622,31 +562,31 @@ def d_vectors(beta: BetaSeq, n: int,
 
 def delta_block(beta: BetaSeq, n: int, v_max: int,
                 policy: TruncationPolicy = DEFAULT_POLICY) -> DeltaBlock:
-    """Iterated kernel block delta_k(n, u, v) for v = 0..v_max.
+    """Iterated kernel block delta_k(n, u, v) for v = 0..v_max, u = 0..V-1
+    with V = ``policy.resolve_v``, n >= 1.
 
     delta_1(n, u, v) = beta_{n+u+v}; each stage applies the offset-n Hankel
     kernel to every column.  values[k-1, u, v]; v = 0 reproduces d_vectors.
-    Iteration stops when the sup-norm falls below tol_term or the depth
-    budget K is reached, at the finest cutoff; the others run as many stages.
-    Each stage is a returned value, not a term of a sum, so a budget K that
-    ends the iteration above tol_term leaves no returned stage wrong: it
-    only returns fewer stages than tol_term would.
+    Iteration stops when the sup-norm falls below tol_term or after K
+    stages.  Each stage is a returned value, not a term of a sum, so a
+    budget K that ends the iteration above tol_term leaves no returned stage
+    wrong: it only returns fewer stages than tol_term would.  Pure
+    fractional noise under a policy that pins neither V nor levels iterates
+    on the quadrature's nodes (_moment_delta) and reads only ``beta.model``.
     """
-    if v_max < 0:
-        raise ValueError(f"v_max must be >= 0, got {v_max}")
+    if n < 1 or v_max < 0:
+        raise ValueError(f"need n >= 1 and v_max >= 0, got n = {n}, v_max = {v_max}")
     vals, model = beta.values, beta.model
     K = policy.resolve_k(model)
+    if _moment_form(model, policy):
+        return DeltaBlock(n, *_moment_delta(model.d, n, v_max, policy.resolve_v(n, model),
+                                            K, policy.tol_term))
     scales = policy.resolve_scales(model, n)
-
-    def run(V: int) -> np.ndarray:
-        # the finest cutoff sets the stage count; the coarser ones run all K
-        # stages and the elimination cuts them to the finest's count
-        tol = policy.tol_term if V == scales[-1] else 0.0
-        return _delta_run(vals, n, v_max, V, K, tol)
-
     cutoffs = _cutoffs(scales)
-    block, resid = _eliminate(_run_lanes(run, cutoffs), cutoffs, len(scales),
-                              _elimination_exponent(model))
+    # the finest cutoff sets the stage count, and the coarser ones run as many
+    runs = [_delta_run(vals, n, v_max, cutoffs[0], K, policy.tol_term)]
+    runs += [_delta_run(vals, n, v_max, V, len(runs[0]), 0.0) for V in cutoffs[1:]]
+    block, resid = _eliminate(runs, cutoffs, len(scales), 1.0 - 2.0 * memory_exponent(model))
     # (k, v, u) -> (k, u, v)
     return DeltaBlock(n=n, values=np.transpose(block, (0, 2, 1)),
                       tail_estimate=float(np.max(resid)))
@@ -673,8 +613,8 @@ def _g_terms_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
                  tol_term: float) -> tuple[np.ndarray, float]:
     """One full series evaluation at inner cutoff V.
 
-    Returns (terms matrix, rows k = 1..K_used, columns j = 1..n; what the
-    run left out): the geometric tail bound |g_k| r/(1-r) at the last stage,
+    Returns (terms matrix, read-only, rows k = 1..K_used, columns j = 1..n;
+    what the run left out): the geometric tail bound |g_k| r/(1-r) at the last stage,
     with r the recent decay ratio (0.999 before one is measured).  Stopping
     requires that bound and |g_k| under tol_term on two consecutive stages,
     so a slowly contracting series is not cut while its remaining mass is
@@ -709,7 +649,9 @@ def _g_terms_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
             prev_max = cur
             if k < K:
                 cols = eng.apply_from(fx)
-    return np.array(terms), left
+    out = np.array(terms)
+    out.setflags(write=False)
+    return out, left
 
 
 def _phi_from_terms(terms: np.ndarray) -> np.ndarray:
@@ -819,13 +761,20 @@ def _required_beta_len(n: int, V: int, m: int) -> int:
 #: solver's copy of it) must stay small
 _MOMENT_NODES_MAX = 3072
 
+#: why a quadrature's residual is no ladder control's to reduce
+_QUADRATURE_REMEDY = "it is the quadrature's own error, on a grid that no V, levels or K sets"
 
-def _moment_form(model: ProcessModel, policy: TruncationPolicy) -> bool:
+
+def _moment_form(model: ProcessModel, policy: TruncationPolicy,
+                 predictor: bool = False) -> bool:
     """Whether the moment form serves the model: pure fractional noise with
-    d > 0, under a policy that pins none of the ladder's controls."""
+    d > 0, under a policy that pins neither V nor levels.  The predictor
+    (``predictor=True``) also needs K unset, which there budgets the
+    ladder's kernel applies; for d_k and the iterates K counts stages."""
     return (isinstance(model, Farima) and model.d > 0.0
             and model.ma_poly.coefficients == model.ar_poly.coefficients == (1.0,)
-            and policy.V is None and policy.K is None and policy.levels is None)
+            and policy.V is None and policy.levels is None
+            and not (predictor and policy.K is not None))
 
 
 @lru_cache(maxsize=2)
@@ -854,63 +803,145 @@ def _moment_grids(d: float, n: int) -> list[tuple[int, int, int]]:
     panels toward t = 1 resolve the x^(1-2d) edge of the solution at
     x = 1 - t, those toward t = 0 the t^(n-d-1) endpoint of a_{n+u}.  The
     coarse grid drops the order as well as panels: at the same order it
-    under-reads the error."""
+    under-reads the error.  A fine grid above the node cap raises."""
     edge, end = 1.0 - 2.0 * d, n - d
     k0, k1 = math.ceil(30.0 / edge), math.ceil(30.0 / end) + 2
+    nodes = 6 * (k0 + k1)
+    if nodes > _MOMENT_NODES_MAX:
+        raise TruncationError(f"the quadrature for d = {d} at n = {n} needs {nodes} "
+                              f"nodes, above its cap of {_MOMENT_NODES_MAX}")
     return [(6, k0, k1), (5, k0 - math.ceil(4.0 / edge), k1 - math.ceil(4.0 / end))]
+
+
+def _moment_nodes(d: float, power: float, grid: tuple[int, int, int]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(t, x = 1 - t, sqrt(nu), S) on one grid for the Hankel moment kernel
+    sum_q nu_q phi_q phi_q^T, phi_q(u) = t_q^u, nu_q = c w_q t_q^power,
+    c = sin(pi d)/pi (at offset n + 1, power n - d; at offset n, n - 1 - d).
+    S = diag(sqrt nu) G diag(sqrt nu), with the Gram matrix
+    G_qr = 1/(1 - t_q t_r) written x_q + x_r - x_q x_r."""
+    order, k0, k1 = grid
+    x_hi, w_hi = _dyadic(order, k0)
+    t_lo, w_lo = _dyadic(order, k1)
+    t = np.concatenate((1.0 - x_hi, t_lo))
+    x = np.concatenate((x_hi, 1.0 - t_lo))
+    root = np.sqrt(np.sin(np.pi * d) / np.pi * np.concatenate((w_hi, w_lo)) * t ** power)
+    s = np.multiply.outer(x, x)
+    np.subtract(np.add.outer(x, x), s, out=s)
+    np.reciprocal(s, out=s)
+    s *= root
+    s *= root[:, None]
+    return t, x, root, s
+
+
+def _f_tilde(f: np.ndarray, root: np.ndarray, t: np.ndarray, a_vals: np.ndarray,
+             n: int):
+    """F~_j for j = n down to 1, from F~_n = f by F~_j = sqrt(nu) a_j
+    + t F~_{j+1} (see _moment_run)."""
+    for j in range(n, 0, -1):
+        yield f
+        f = root * a_vals[j - 1] + t * f
 
 
 def _moment_run(d: float, a_vals: np.ndarray, c_head: np.ndarray, n: int,
                 grid: tuple[int, int, int]) -> np.ndarray:
     """phi^m_{n,.} of fractional noise from the moment form on one grid.
 
-    For i >= 1, beta_i = c int_0^1 t^(i-d-1) dt with c = sin(pi d)/pi, so the
-    offset-(n+1) kernel is H = sum_q nu_q phi_q phi_q^T, phi_q(u) = t_q^u and
-    nu_q = c w_q t_q^(n-d), whose Gram matrix is G_qr = 1/(1 - t_q t_r),
-    written x_q + x_r - x_q x_r in x = 1 - t.  The solve of _solve_run,
+    For i >= 1, beta_i = c int_0^1 t^(i-d-1) dt, so the offset-(n+1) kernel
+    is that of _moment_nodes at power n - d.  The solve of _solve_run,
     (I - H^2) z = y with y = H (c_{m-v})_v, stays in the span of the phi_q:
-    with S = diag(sqrt nu) G diag(sqrt nu) and P(t) = sum_v c_{m-v} t^v,
-    (I - S) u = sqrt(nu) P and (I + S) g = u give z = sum_q alpha_q phi_q,
-    alpha = sqrt(nu) g, and H z = sum_q beta_q phi_q, beta = sqrt(nu) S g
-    = sqrt(nu) (u - g).  The AR correlation of phi_q is
-    F_j(t_q) = sum_u a_{j+u} t_q^u, and since a_k = c int_0^1
-    t^(k-d-1) (1-t)^d dt for k >= 1, F_n(t_q) = sum_r G_qr nu_r x_r^d / t_r,
-    and F_j = a_j + t F_{j+1} below it.  Everything is carried in the
-    sqrt(nu)-scaled F~ = sqrt(nu) F, so one Q x Q matrix is live at a time
-    besides the solver's copy, and phi_j = g_1(j) + F~_j (u - g)
-    + F~_{n+1-j} g.
+    with P(t) = sum_v c_{m-v} t^v, (I - S) u = sqrt(nu) P and (I + S) g = u
+    give z = sum_q alpha_q phi_q, alpha = sqrt(nu) g, and H z = sum_q beta_q
+    phi_q, beta = sqrt(nu) (u - g).  The AR correlation of phi_q is
+    F_j(t_q) = sum_u a_{j+u} t_q^u; since a_k = c int_0^1 t^(k-d-1) (1-t)^d
+    dt for k >= 1, F_n(t_q) = sum_r G_qr nu_r x_r^d / t_r, and F_j = a_j
+    + t F_{j+1} below it.  All is carried in F~ = sqrt(nu) F, so one Q x Q
+    matrix is live at a time besides the solver's copy, and
+    phi_j = g_1(j) + F~_j (u - g) + F~_{n+1-j} g.
     """
-    order, k0, k1 = grid
-    x_hi, w_hi = _dyadic(order, k0)
-    t_lo, w_lo = _dyadic(order, k1)
-    t = np.concatenate((1.0 - x_hi, t_lo))
-    x = np.concatenate((x_hi, 1.0 - t_lo))
-    root = np.sqrt(np.sin(np.pi * d) / np.pi * np.concatenate((w_hi, w_lo)) * t ** (n - d))
-    # S, and then I - S and I + S, in one buffer; never 1 - t_q t_r
-    s = np.multiply.outer(x, x)
-    np.subtract(np.add.outer(x, x), s, out=s)
-    np.reciprocal(s, out=s)
-    s *= root
-    s *= root[:, None]
+    t, x, root, s = _moment_nodes(d, n - d, grid)
     f = s @ (root * x ** d / t)  # F~_n
     diag = s.reshape(-1)[::len(t) + 1]
-    p = np.zeros_like(t)
-    for c in c_head:  # Horner: t^v carries c_{m-v}
-        p = p * t + c
+    # I - S and then I + S in the same buffer
     np.negative(s, out=s)
     diag += 1.0
-    u = np.linalg.solve(s, root * p)
+    u = np.linalg.solve(s, root * np.polyval(c_head, t))
     np.negative(s, out=s)
     diag += 2.0
     g = np.linalg.solve(s, u)
     del s, diag
+    weights = np.stack((u - g, g), axis=1)
     # F~_j for j = n down to 1, each read against (u - g, g)
     fw = np.empty((n, 2))
-    weights = np.stack((u - g, g), axis=1)
-    for j in range(n, 0, -1):
-        fw[j - 1] = f @ weights
-        f = root * a_vals[j - 1] + t * f
+    for j, row in zip(range(n, 0, -1), _f_tilde(f, root, t, a_vals, n)):
+        fw[j - 1] = row @ weights
     return _stage_one(a_vals, c_head[::-1], n, len(c_head) - 1) + fw[:, 0] + fw[::-1, 1]
+
+
+def _moment_terms(d: float, a_vals: np.ndarray, c_head: np.ndarray, n: int, K: int,
+                  table: np.ndarray | None = None, tol: float = 0.0) -> np.ndarray:
+    """The per-term record g_1..g_K of fractional noise on the fine grid of
+    _moment_run, read-only; with a ``table``, it stops at the first term
+    whose running sums are within ``tol`` of it.  In _moment_run's scaled
+    form, stage k >= 2 is A H^(k-2) y = sum_q sqrt(nu_q) gamma^k_q F_.(t_q)
+    with gamma^2 = sqrt(nu) P and gamma^(k+1) = S gamma^k, so g_k(j) is
+    F~_j gamma^k for odd k and F~_{n+1-j} gamma^k for even k.
+    """
+    t, x, root, s = _moment_nodes(d, n - d, _moment_grids(d, n)[0])
+    rows = np.array(list(_f_tilde(s @ (root * x ** d / t), root, t, a_vals, n)))
+    gamma = root * np.polyval(c_head, t)
+    terms = [_stage_one(a_vals, c_head[::-1], n, len(c_head) - 1)]
+    total = terms[0].copy()
+    while len(terms) < K and (table is None or np.max(np.abs(total - table)) > tol):
+        b = rows @ gamma  # F~_j gamma^k for j = n down to 1
+        terms.append(b if len(terms) % 2 else b[::-1])
+        total += terms[-1]
+        gamma = s @ gamma
+    out = np.array(terms)
+    out.setflags(write=False)
+    return out
+
+
+def _on_nodes(t: np.ndarray, alpha: np.ndarray, V: int):
+    """sum_q alpha_q t_q^u for u = 0..V-1, in blocks of 256 u: one block of
+    powers t^i times the block-scaled alpha, so no V x Q matrix is built."""
+    powers = t ** np.arange(min(256, V))[:, None]
+    for lo in range(0, V, len(powers)):
+        yield powers[:V - lo] @ (t[:, None] ** lo * alpha)
+
+
+def _moment_delta(d: float, n: int, v_max: int, V: int, K: int,
+                  tol_term: float) -> tuple[np.ndarray, float]:
+    """(delta_k(n, u, v) of fractional noise for u < V, v <= v_max, shape
+    (K_used, V, v_max + 1); its largest distance from the coarse grid).
+
+    The offset-n kernel is that of _moment_nodes at power n - 1 - d, so
+    delta_k(., v) = sum_q alpha^k_{q,v} phi_q with alpha^1_{q,v} = nu_q t_q^v
+    and alpha^(k+1) = nu G alpha^k = sqrt(nu) S (alpha^k / sqrt(nu)).  Stage
+    1 is the closed form of _fn_kernel.  Every alpha is positive, so a
+    stage's sup-norm is its u = 0 value, sum_q alpha, which the stop rule
+    reads on the fine grid; the coarse grid runs in step, and is read block
+    by block of u only for its distance.
+    """
+    first = np.stack([_fn_kernel(d, n + v, V) for v in range(v_max + 1)], axis=1)
+    grids = [_moment_nodes(d, n - 1.0 - d, grid) for grid in _moment_grids(d, n)]
+    gammas = [root[:, None] * t[:, None] ** np.arange(v_max + 1) for t, _, root, _ in grids]
+    # each run starts with an empty block in stage 1's place
+    alphas, top = [[np.empty((len(t), 0))] for t, *_ in grids], float(np.max(first))
+    while len(alphas[0]) < K and top >= tol_term:
+        gammas = [s @ gamma for (*_, s), gamma in zip(grids, gammas)]
+        for (_, _, root, _), gamma, run in zip(grids, gammas, alphas):
+            run.append(root[:, None] * gamma)
+        top = float(np.max(np.sum(alphas[0][-1], axis=0)))
+    out = np.empty((len(alphas[0]), V, v_max + 1))
+    out[0], lo, dist = first, 0, 0.0
+    for fine, coarse in zip(*(_on_nodes(t, np.concatenate(run, axis=1), V)
+                              for (t, *_), run in zip(grids, alphas))):
+        block = np.reshape(fine, (len(fine), len(out) - 1, v_max + 1))
+        out[1:, lo:lo + len(fine)] = block.swapaxes(0, 1)
+        dist = max(dist, float(np.max(np.abs(fine - coarse), initial=0.0)))
+        lo += len(fine)
+    return out, dist
 
 
 def _prop35_warning(model: ProcessModel, n: int) -> None:
@@ -936,9 +967,8 @@ def _check_request(model: ProcessModel, n: int, m: int, beta: BetaSeq | None) ->
 def _series_inputs(model: ProcessModel, n: int, m: int, policy: TruncationPolicy,
                    beta: BetaSeq | None
                    ) -> tuple[list[int], BetaSeq, np.ndarray, np.ndarray]:
-    """Check (n, m, beta) and gather what a series run reads: (the cutoff
-    ladder, beta, a_0..a_{n+V} for the finest cutoff V, c_0..c_m)."""
-    _check_request(model, n, m, beta)
+    """What a series run reads: (the cutoff ladder, beta, a_0..a_{n+V} for
+    the finest cutoff V, c_0..c_m)."""
     scales = policy.resolve_scales(model, n)
     c_head = expand_ma(model, m).values
     if regime(model) is Regime.SHORT:
@@ -956,19 +986,15 @@ def _series_inputs(model: ProcessModel, n: int, m: int, policy: TruncationPolicy
 def _depth_controls(model: ProcessModel, policy: TruncationPolicy,
                     scales: list[int]) -> tuple[float, float, float, int]:
     """(elimination exponent p, elimination gain sum |w|, each run's stop
-    tolerance, kernel-apply budget K) of a ladder over ``scales``."""
-    p = _elimination_exponent(model)
+    tolerance, kernel-apply budget K) of a ladder over ``scales``.  The stop
+    tolerance of each run's k-series (the solve's depth bound, or the
+    per-term rule of the stage-by-stage sum) is tight enough that weights of
+    total magnitude ``gain`` cannot amplify what a run leaves out into the
+    tail budget."""
+    p = 1.0 - 2.0 * memory_exponent(model)
     gain = float(np.sum(np.abs(_ladder_weights(p, scales))))
-    tol_stop = _stop_tol(policy, gain)
+    tol_stop = min(policy.tol_term, max(policy.tol_tail / (16.0 * gain), _STOP_FLOOR))
     return p, gain, tol_stop, policy.resolve_k(model, tol_stop)
-
-
-def _finest_terms(beta: BetaSeq, a_vals: np.ndarray, c_head: np.ndarray, n: int,
-                  m: int, scales: list[int], K: int, tol_stop: float) -> np.ndarray:
-    """The per-term record: the finest cutoff's Neumann terms, read-only."""
-    out = _g_terms_run(beta.values, a_vals, c_head, n, m, scales[-1], K, tol_stop)[0]
-    out.setflags(write=False)
-    return out
 
 
 def _check_tail(resid: float, policy: TruncationPolicy, n: int,
@@ -984,34 +1010,15 @@ def _moment_predictor(model: Farima, n: int, m: int, policy: TruncationPolicy,
                       beta: BetaSeq | None
                       ) -> tuple[np.ndarray, np.ndarray, int, Callable[[], np.ndarray]]:
     """(phi, per-coefficient residual, kernel applies, per-term record) of
-    pure fractional noise from the moment form: _moment_run on the fine grid
-    and on the coarse one, with the residual their difference.  The record
-    is the ladder's, built with its beta and its long AR expansion only when
-    read."""
-    # both grids run on the calling thread (the dense solves are threaded
-    # already, and a second lane measured no faster), but a malformed thread
-    # cap is refused on every explicit call, whichever path serves it
-    _max_workers(1)
+    pure fractional noise: _moment_run on the fine grid and on the coarse
+    one, the residual their difference, and the record _moment_terms."""
     d = model.d
-    grids = _moment_grids(d, n)
-    order, k0, k1 = grids[0]
-    if order * (k0 + k1) > _MOMENT_NODES_MAX:
-        raise TruncationError(
-            f"the quadrature for d = {d} at n = {n} needs {order * (k0 + k1)} nodes, "
-            f"above its cap of {_MOMENT_NODES_MAX}")
     a_vals, c_head = expand_ar(model, n + m).values, expand_ma(model, m).values
-    fine, coarse = (_moment_run(d, a_vals, c_head, n, grid) for grid in grids)
+    fine, coarse = (_moment_run(d, a_vals, c_head, n, grid) for grid in _moment_grids(d, n))
     resid = np.abs(fine - coarse)
-    _check_tail(float(np.max(resid)), policy, n,
-                "it is the quadrature's own error, on a grid that no V, levels or K sets")
-
-    @cache
-    def terms() -> np.ndarray:
-        scales, ladder_beta, ladder_a, ladder_c = _series_inputs(model, n, m, policy, beta)
-        *_, tol_stop, K = _depth_controls(model, policy, scales)
-        return _finest_terms(ladder_beta, ladder_a, ladder_c, n, m, scales, K, tol_stop)
-
-    return fine, resid, 0, terms
+    _check_tail(float(np.max(resid)), policy, n, _QUADRATURE_REMEDY)
+    return fine, resid, 0, cache(lambda: _moment_terms(
+        d, a_vals, c_head, n, policy.resolve_k(model), fine, policy.tol_term))
 
 
 def _ladder_predictor(model: ProcessModel, n: int, m: int, policy: TruncationPolicy,
@@ -1034,7 +1041,7 @@ def _ladder_predictor(model: ProcessModel, n: int, m: int, policy: TruncationPol
         return _solve_run(beta.values, a_vals, c_head, n, m, V, K, tol_stop, s_floor)
 
     cutoffs = scales if beta.exact else _cutoffs(scales, floor=m + 1)
-    runs = _run_lanes(run, cutoffs)
+    runs = [run(V) for V in cutoffs]
     if beta.exact:
         phi, resid = runs[0][0], np.zeros(n)
     else:
@@ -1044,8 +1051,8 @@ def _ladder_predictor(model: ProcessModel, n: int, m: int, policy: TruncationPol
     # as far as the elimination weights can amplify it
     tail_j = resid + beta_share + gain * max(left for _, left, _ in runs)
     _check_tail(float(np.max(tail_j)), policy, n)
-    return (phi, tail_j, runs[0][2],
-            cache(lambda: _finest_terms(beta, a_vals, c_head, n, m, scales, K, tol_stop)))
+    return phi, tail_j, runs[0][2], cache(lambda: _g_terms_run(
+        beta.values, a_vals, c_head, n, m, scales[-1], K, tol_stop)[0])
 
 
 def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
@@ -1055,8 +1062,8 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
 
     Pure fractional noise ``Farima(d)``, d > 0, under a policy that pins none
     of V, K and levels, is solved on a quadrature of the series' moment form
-    (_moment_run), with no cutoff; every other model or policy runs the
-    cutoff ladder.
+    (_moment_run), with no cutoff, and so is its per-term record; every
+    other model or policy runs the cutoff ladder.
 
     Parameters
     ----------
@@ -1070,15 +1077,15 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
         Precomputed correlation sequence of ``model`` (experiment sweeps share
         one); must cover the required index range or it is recomputed.  One
         built for another model raises ValueError.  The moment form reads
-        none, except for the per-term record.
+        none.
 
     Returns
     -------
     ExplicitPredictor
         ``table.coefficients[j-1]`` = phi^m_{n,j}; ``series[j-1]`` the
         per-term diagnostics for that j (terms from the ladder's finest inner
-        cutoff; the table carries the ladder-eliminated coefficients, or the
-        moment form's).
+        cutoff or the quadrature's fine grid; the table carries the
+        ladder-eliminated coefficients, or the moment form's).
 
     Raises
     ------
@@ -1089,7 +1096,8 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
         the quadrature's, or a grid above its node cap.
     """
     _check_request(model, n, m, beta)
-    evaluate = _moment_predictor if _moment_form(model, policy) else _ladder_predictor
+    moment = _moment_form(model, policy, predictor=True)
+    evaluate = _moment_predictor if moment else _ladder_predictor
     phi, tail_j, k_used, terms = evaluate(model, n, m, policy, beta)
     table = PredictorTable(n=n, horizon=m, coefficients=phi,
                            source=PredictorSource.EXPLICIT_SERIES)
@@ -1115,13 +1123,19 @@ def projection_iterates(model: ProcessModel, n: int, j: int, m: int = 0,
     The k-th entry is the coefficient of X_{-j} after k alternating
     projections (infinite past, then the window back to -n, alternating);
     the sequence converges to phi^m_{n,j}.  The terms are those that
-    finite_predictor_multistep reports, at the finest cutoff of the policy's
-    ladder, with no stop before K (fewer only if the terms vanish exactly).
+    finite_predictor_multistep reports, with no stop before K: on the
+    quadrature unless the policy pins V or levels, else at the finest cutoff
+    of its ladder (fewer only if the terms vanish exactly).
     """
     if not 1 <= j <= n:
         raise ValueError(f"need 1 <= j <= n, got j = {j}, n = {n}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    scales, beta, a_vals, c_head = _series_inputs(model, n, m, policy, None)
-    terms, _ = _g_terms_run(beta.values, a_vals, c_head, n, m, scales[-1], K, 1e-300)
+    _check_request(model, n, m, None)
+    if _moment_form(model, policy):
+        terms = _moment_terms(model.d, expand_ar(model, n + m).values,
+                              expand_ma(model, m).values, n, K)
+    else:
+        scales, beta, a_vals, c_head = _series_inputs(model, n, m, policy, None)
+        terms, _ = _g_terms_run(beta.values, a_vals, c_head, n, m, scales[-1], K, 1e-300)
     return np.cumsum(terms[:, j - 1])

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.special import digamma, polygamma
 from scipy.special import gamma as Gamma
 
 import predictorlab as pl
@@ -71,6 +72,21 @@ def hosking_phi(d: float, n: int) -> np.ndarray:
                               + math.lgamma(j - d) + math.lgamma(n - d - j + 1)
                               - math.lgamma(-d) - math.lgamma(n - d + 1))
                      for j in range(1, n + 1)])
+
+
+def farima_dk_oracle(d: float, k: int, n: int, u: int) -> float:
+    """d_k(n, u), the k-th iterate of fractional noise's offset-n kernel
+    beta_i = c / (i - d), c = sin(pi d)/pi, in closed form for k <= 2:
+    d_1 = c / (n + u - d), and by partial fractions
+    d_2 = c^2 (psi(n+u-d) - psi(n-d)) / u, or c^2 psi'(n-d) at u = 0."""
+    c = math.sin(math.pi * d) / math.pi
+    if k == 1:
+        return c / (n + u - d)
+    if k != 2:
+        raise ValueError(f"closed form for k <= 2, got {k}")
+    if u == 0:
+        return c * c * float(polygamma(1, n - d))
+    return c * c * float(digamma(n + u - d) - digamma(n - d)) / u
 
 
 def brute_phi(gamma_vals: np.ndarray, n: int, m: int = 0) -> np.ndarray:

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 import predictorlab as pl
-from predictorlab import (ConfigError, OracleDisagreementError, RegimeError,
-                          TruncationError, TruncationPolicy, f_u, fk0,
-                          semigroup_integral)
+from predictorlab import (OracleDisagreementError, RegimeError, TruncationError,
+                          TruncationPolicy, f_u, fk0, semigroup_integral)
 from predictorlab.asymptotics import CROSS_CHECK_TOL, check_routes
-from predictorlab.cli import main as cli_main
 from predictorlab.explicit import _ladder_weights
 
 
@@ -193,6 +191,14 @@ class TestDkScalingExperiment:
         assert err.value.required == 1e-6
         assert err.value.achieved > err.value.required
 
+    def test_quadrature_gate_names_no_ladder_control(self):
+        # fractional noise's d_k come from the quadrature, whose residual no
+        # V or levels can reduce
+        with pytest.raises(TruncationError, match="quadrature") as info:
+            pl.dk_scaling_experiment(pl.Farima(0.3), [1, 2], 0, [64],
+                                     TruncationPolicy(tol_tail=1e-14))
+        assert "increase" not in str(info.value)
+
     def test_validation(self):
         model = pl.Farima(0.3)
         with pytest.raises(ValueError):
@@ -235,24 +241,3 @@ class TestCrossChecking:
             check_routes(res, phi + 2.0 * tol)
         assert err.value.tol == tol
         assert err.value.max_diff == pytest.approx(2.0 * tol)
-
-    def test_thread_cap_env_does_not_change_results(self, monkeypatch, capsys):
-        predict = ["predict", "--model", "farima", "--d", "0.3", "--n", "16",
-                   "--source", "both", "--terms"]
-        report = pl.rate_experiment(pl.Farima(0.3), 1, [16, 32])
-        assert cli_main(predict) == 0
-        printed = capsys.readouterr()
-        monkeypatch.setenv("PREDICTORLAB_THREADS", "1")
-        capped = pl.rate_experiment(pl.Farima(0.3), 1, [16, 32])
-        assert capped.entries == report.entries
-        assert capped.extrapolated == report.extrapolated
-        assert cli_main(predict) == 0
-        assert capsys.readouterr() == printed
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_thread_cap_env_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("PREDICTORLAB_THREADS", value)
-        with pytest.raises(ConfigError, match="PREDICTORLAB_THREADS") as err:
-            pl.dk_scaling_experiment(pl.Farima(0.3), [1], 0, [64],
-                                     TruncationPolicy(V=64, levels=1))
-        assert repr(value) in str(err.value)

@@ -445,27 +445,19 @@ class TestExitCodes:
         assert code == 4 and out == ""
         assert err.count("\n") == 1 and "error=truncation" in err
 
+    def test_dkscale_strong_memory(self, capsys):
+        # the quadrature's d_k have no cutoff whose error d = 0.45 outruns
+        code, out, err = run(capsys, "dkscale", "--model", "farima", "--d", "0.45",
+                             "--n", "512..2048", "--k", "1,2,3", "--u", "0")
+        assert code == 0 and err == ""
+        _, rows = csv_rows(out)
+        assert len(rows) == 9
+
     def test_dkscale_tail_over_tol(self, capsys):
         code, out, err = run(capsys, "dkscale", "--model", "farima", "--d", "0.3",
                              "--n", "512", "--k", "1,2,3", "--u", "0", "--levels", "1")
         assert code == 4 and out == ""
         assert "error=truncation" in err
-
-    def test_bad_thread_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("PREDICTORLAB_THREADS", "abc")
-        code, out, err = run(capsys, "dkscale", "--model", "farima", "--d", "0.3",
-                             "--n", "64", "--k", "1", "--vmax", "64", "--levels", "1")
-        assert code == 2 and out == ""
-        assert "error=config" in err
-        assert "PREDICTORLAB_THREADS" in err and "'abc'" in err
-
-    @pytest.mark.parametrize("model", [("farima", "--d", "0.3"), ("ar1", "--r", "0.5")])
-    def test_bad_thread_cap_env_predict(self, capsys, monkeypatch, model):
-        monkeypatch.setenv("PREDICTORLAB_THREADS", "abc")
-        code, out, err = run(capsys, "predict", "--model", *model, "--n", "8")
-        assert code == 2 and out == ""
-        assert "error=config" in err
-        assert "PREDICTORLAB_THREADS" in err and "'abc'" in err
 
     def test_route_disagreement(self, capsys, monkeypatch):
         real = pl.multistep_normal_solve

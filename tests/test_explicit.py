@@ -2,7 +2,6 @@
 
 import dataclasses
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -15,8 +14,8 @@ from predictorlab import TruncationError, TruncationPolicy, explicit
 from predictorlab.asymptotics import check_routes, fk0
 from predictorlab.explicit import _HankelFFT
 
-from conftest import (exact_phi, farima_a_oracle, farima_c_oracle, farima_gamma_oracle,
-                      farima_models, hosking_phi)
+from conftest import (exact_phi, farima_a_oracle, farima_c_oracle, farima_dk_oracle,
+                      farima_gamma_oracle, farima_models, hosking_phi)
 
 
 class TestBeta:
@@ -394,26 +393,8 @@ class TestFinitePredictor:
             pl.finite_predictor_multistep(pl.Farima(0.3), 4, -1)
 
 
-def _outcome(fn):
-    """fn()'s result, or the type and message of what it raised."""
-    try:
-        return fn()
-    except TruncationError as exc:
-        return type(exc), str(exc)
-
-
-def _serial_and_two_lanes(monkeypatch, fn):
-    monkeypatch.setenv("PREDICTORLAB_THREADS", "1")
-    serial = _outcome(fn)
-    monkeypatch.setenv("PREDICTORLAB_THREADS", "2")
-    return serial, _outcome(fn)
-
-
 def _assert_same_fields(a, b):
     assert type(a) is type(b)
-    if isinstance(a, tuple):  # both raised
-        assert a == b
-        return
     names = [f.name for f in dataclasses.fields(a) if not f.name.startswith("_")]
     if isinstance(a, pl.SeriesTerms):
         names.append("terms")  # computed on read
@@ -425,106 +406,85 @@ def _assert_same_fields(a, b):
             assert x == y, name
 
 
-_LANE_MODELS = [pl.Farima(0.1), pl.Farima(0.3), pl.Farima(0.3, ar_poly=(1.0, -0.5)),
-                pl.Ar1(0.5)]
-
 #: long and short memory, AR- and MA-factored, and an exact-support kernel
 _SOLVE_MODELS = [pl.Farima(0.1), pl.Farima(0.3), pl.Farima(0.4),
                  pl.Farima(0.3, ar_poly=(1.0, -0.5)), pl.Farima(0.2, ma_poly=(1.0, 0.5)),
                  pl.Farima(0.0, ma_poly=(1.0, 0.5)), pl.Ar1(0.5)]
 
 
-class TestLanes:
-    """The cutoff ladder on two lanes gives bitwise the serial result."""
-
-    @pytest.mark.parametrize("model", _LANE_MODELS, ids=repr)
-    @pytest.mark.parametrize("m", [0, 1])
-    @pytest.mark.parametrize("levels", [None, 1])
-    @pytest.mark.parametrize("K", [None, 2])
-    def test_multistep_serial_equals_two_lanes(self, monkeypatch, model, m, levels, K):
-        # K = 2 binds at the default tol_tail: every long-memory model raises,
-        # the same way on both lanes; AR(1) needs one stage and stays exact
-        policy = (TruncationPolicy(V=256, levels=levels, tol_tail=1.0) if K is None
-                  else TruncationPolicy(V=256, K=K, levels=levels))
-        serial, lanes = _serial_and_two_lanes(
-            monkeypatch, lambda: pl.finite_predictor_multistep(model, 16, m, policy))
-        if K is not None and isinstance(model, pl.Farima):
-            assert serial[0] is TruncationError
-            assert serial == lanes
-            return
-        if K is not None:
-            want = np.zeros(16)
-            want[0] = model.r ** (m + 1)
-            np.testing.assert_array_equal(serial.table.coefficients, want)
-        _assert_same_fields(serial.table, lanes.table)
-        assert len(serial.series) == len(lanes.series) == 16
-        for a, b in zip(serial.series, lanes.series):
+def test_concurrent_calls_under_fast_switching():
+    # eight ladder calls on four threads, switching every microsecond, share
+    # the beta and expansion caches: a lost or torn cache entry would change
+    # a result
+    model, policy = pl.Farima(0.3), TruncationPolicy(V=256, tol_tail=1.0)
+    want = pl.finite_predictor_multistep(model, 16, 0, policy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(pl.finite_predictor_multistep, model, 16, 0, policy)
+                       for _ in range(8)]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for res in got:
+        _assert_same_fields(want.table, res.table)
+        for a, b in zip(want.series, res.series):
             _assert_same_fields(a, b)
 
-    @pytest.mark.parametrize("model", _LANE_MODELS, ids=repr)
+
+#: long and short memory, AR-factored, and an exact-support kernel, each on
+#: the cutoff ladder once V is pinned
+_LADDER_MODELS = [pl.Farima(0.1), pl.Farima(0.3), pl.Farima(0.3, ar_poly=(1.0, -0.5)),
+                  pl.Ar1(0.5)]
+
+
+class TestLadder:
+    """The cutoff ladder, run finest first on the calling thread."""
+
+    @pytest.mark.parametrize("model", _LADDER_MODELS, ids=repr)
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_single_scale_residual_covers_normal_solve(self, model, m):
+        # one uncorrected cutoff: every weight is within its reported
+        # residual of the normal equations on the exact autocovariances,
+        # beyond the few ulp those round by
+        n, policy = 16, TruncationPolicy(V=256, levels=1, tol_tail=1.0)
+        res = pl.finite_predictor_multistep(model, n, m, policy)
+        assert len(res.series) == n
+        want = pl.multistep_normal_solve(pl.autocov(model, n + m), n, m).coefficients
+        ulps = 4.0 * np.finfo(float).eps * np.max(np.abs(want))
+        err = np.abs(res.table.coefficients - want)
+        assert np.all(err <= np.array([s.tail_estimate for s in res.series]) + ulps)
+
+    @pytest.mark.parametrize("model", _LADDER_MODELS, ids=repr)
+    @pytest.mark.parametrize("m", [0, 1])
     @pytest.mark.parametrize("levels", [None, 1])
-    def test_delta_block_serial_equals_two_lanes(self, monkeypatch, model, levels):
+    def test_kernel_budget_binds(self, model, m, levels):
+        # K = 2 binds at the default tol_tail: every long-memory model
+        # raises; AR(1) needs one stage and stays exact
+        policy = TruncationPolicy(V=256, K=2, levels=levels)
+        if isinstance(model, pl.Farima):
+            with pytest.raises(TruncationError):
+                pl.finite_predictor_multistep(model, 16, m, policy)
+            return
+        want = np.zeros(16)
+        want[0] = model.r ** (m + 1)
+        res = pl.finite_predictor_multistep(model, 16, m, policy)
+        np.testing.assert_array_equal(res.table.coefficients, want)
+
+    @pytest.mark.parametrize("model", _LADDER_MODELS, ids=repr)
+    @pytest.mark.parametrize("levels", [None, 1])
+    def test_delta_block_v0_is_d_vectors(self, model, levels):
+        # the block's v = 0 column is d_k, stage for stage, with and
+        # without a stage budget
         beta = pl.beta_for_model(model, 16 + 2 * (256 << 5))
         for K in (None, 6):
             policy = TruncationPolicy(V=256, K=K, levels=levels)
-            _assert_same_fields(*_serial_and_two_lanes(
-                monkeypatch, lambda: pl.delta_block(beta, 16, 2, policy)))
-            _assert_same_fields(*_serial_and_two_lanes(
-                monkeypatch, lambda: pl.d_vectors(beta, 16, policy)))
-
-    def test_concurrent_calls_under_fast_switching(self, monkeypatch):
-        # eight calls on four threads, each with its own lane, switching
-        # every microsecond: a lost per-cutoff record would change a result
-        model, policy = pl.Farima(0.3), TruncationPolicy(V=256, tol_tail=1.0)
-        monkeypatch.setenv("PREDICTORLAB_THREADS", "1")
-        want = pl.finite_predictor_multistep(model, 16, 0, policy)
-        monkeypatch.setenv("PREDICTORLAB_THREADS", "2")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(pl.finite_predictor_multistep, model, 16, 0, policy)
-                           for _ in range(8)]
-                got = [f.result(timeout=120) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for res in got:
-            _assert_same_fields(want.table, res.table)
-            for a, b in zip(want.series, res.series):
-                _assert_same_fields(a, b)
-
-    @pytest.mark.parametrize("model", _SOLVE_MODELS, ids=repr)
-    @pytest.mark.parametrize("m", [0, 2])
-    def test_solve_serial_equals_two_lanes(self, monkeypatch, model, m):
-        # the value path is the solve; the terms read on demand follow
-        policy = TruncationPolicy(V=512, levels=3, tol_tail=1.0)
-        serial, lanes = _serial_and_two_lanes(
-            monkeypatch, lambda: pl.finite_predictor_multistep(model, 8, m, policy))
-        _assert_same_fields(serial.table, lanes.table)
-        for a, b in zip(serial.series, lanes.series):
-            _assert_same_fields(a, b)
-
-    def test_worker_lane_error_surfaces(self, monkeypatch):
-        class LaneFailure(RuntimeError):
-            pass
-
-        real = explicit._solve_run
-        raised_on = []
-
-        def failing(*args):
-            if args[5] == 256:  # the coarsest cutoff, run on the worker lane
-                raised_on.append(threading.get_ident())
-                raise LaneFailure("coarse run failed")
-            return real(*args)
-
-        monkeypatch.setattr(explicit, "_solve_run", failing)
-        monkeypatch.setenv("PREDICTORLAB_THREADS", "2")
-        before = set(threading.enumerate())
-        with pytest.raises(LaneFailure, match="coarse run failed"):
-            pl.finite_predictor_multistep(pl.Farima(0.3), 16, 0,
-                                          TruncationPolicy(V=256, tol_tail=1.0))
-        assert raised_on and raised_on[0] != threading.get_ident()
-        assert set(threading.enumerate()) <= before
+            block = pl.delta_block(beta, 16, 2, policy)
+            dv = pl.d_vectors(beta, 16, policy)
+            assert block.k_used == dv.k_used
+            np.testing.assert_allclose(block.values[:, :, 0], dv.vectors,
+                                       rtol=1e-10, atol=1e-15)
 
 
 class TestSolve:
@@ -598,11 +558,12 @@ class TestMomentForm:
     @pytest.mark.parametrize("m", [0, 2])
     def test_pinned_control_runs_the_ladder(self, monkeypatch, m):
         # pinning any one of V, K and levels, each to the value the default
-        # policy resolves, runs the cutoff ladder: one result, bitwise, whose
-        # per-term record is the one the moment form reports
+        # policy resolves, runs the cutoff ladder: one result, bitwise; the
+        # moment form's per-term record sums to its own table
         model, n = pl.Farima(0.1), 8
         moment = pl.finite_predictor_multistep(model, n, m)
         assert all(s.k_used == 0 for s in moment.series)
+        record = np.array([s.terms for s in moment.series])
 
         def no_moment(*args):
             raise AssertionError("a pinned control must run the ladder")
@@ -618,8 +579,43 @@ class TestMomentForm:
             _assert_same_fields(first.table, res.table)
             for a, b in zip(first.series, res.series):
                 _assert_same_fields(a, b)
-        for a, b in zip(first.series, moment.series):
-            np.testing.assert_array_equal(a.terms, b.terms, strict=True)
+        assert np.max(np.abs(record.sum(axis=1) - moment.table.coefficients)) <= 1e-10
+
+    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    @pytest.mark.parametrize("d", [0.05, 0.1, 0.3, 0.45])
+    def test_record_sums_to_table(self, d, n, m):
+        # the per-term record is the Neumann sum of the same quadrature, so
+        # its running sums reach the table they stop against
+        res = pl.finite_predictor_multistep(pl.Farima(d), n, m)
+        record = np.array([s.terms for s in res.series])
+        assert record.shape[1] <= TruncationPolicy().resolve_k(pl.Farima(d))
+        assert np.max(np.abs(record.sum(axis=1) - res.table.coefficients)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 8, 64, 1024])
+    @pytest.mark.parametrize("d", [0.05, 0.1, 0.2, 0.3, 0.4, 0.45])
+    def test_d_vectors_against_closed_forms(self, monkeypatch, d, n):
+        # d_1 and d_2 on the nodes, with no cutoff: within the reported
+        # residual of their closed forms, at the cutoff's length in u
+        def no_ladder(*args):
+            raise AssertionError("d_k of fractional noise must run on the nodes")
+        monkeypatch.setattr(explicit, "_delta_run", no_ladder)
+        model, policy = pl.Farima(d), TruncationPolicy(K=2)
+        dv = pl.d_vectors(pl.beta_for_model(model, 0), n, policy)
+        assert dv.vectors.shape == (2, policy.resolve_v(n, model))
+        err = max(abs(dv.vectors[k - 1][u] - farima_dk_oracle(d, k, n, u))
+                  for k in (1, 2) for u in (0, 5))
+        assert err <= dv.tail_estimate
+
+    def test_delta_block_symmetric_corner(self, monkeypatch):
+        def no_ladder(*args):
+            raise AssertionError("delta_k of fractional noise must run on the nodes")
+        monkeypatch.setattr(explicit, "_delta_run", no_ladder)
+        block = pl.delta_block(pl.beta_for_model(pl.Farima(0.35), 0), 16, 4,
+                               TruncationPolicy(K=4))
+        corner = block.values[:, :5, :5]
+        assert block.k_used == 4
+        assert np.max(np.abs(corner - np.transpose(corner, (0, 2, 1)))) <= 1e-10
 
     def test_residual_gate_names_no_ladder_control(self):
         with pytest.raises(TruncationError, match="quadrature") as info:
@@ -651,15 +647,23 @@ class TestProjectionIterates:
         assert abs(ps[-1] - exact_phi(0.3, 32)[0]) < 2e-4
 
     def test_geometric_decay_rate(self):
-        # the iterate error decays cleanly geometrically, contracting per
-        # double-stage at least as fast as the large-n envelope sin^2(pi d)
+        # the iterate error contracts per double-stage at least as fast as
+        # the large-n envelope sin^2(pi d).  On the ladder's finite kernel
+        # (V pinned to its default) it decays cleanly geometrically; the
+        # quadrature resolves the kernel's continuous spectrum, on which the
+        # ratio creeps toward the envelope instead, so only the envelope is
+        # checked there
         model = pl.Farima(0.3)
         n, j = 32, 1
-        ps = pl.projection_iterates(model, n, j, K=48)
-        err = np.abs(ps - ps[-1])[:40]
-        ratios = err[12:28:2] / err[10:26:2]
-        assert float(ratios.max() / ratios.min()) < 1.01
-        assert 0.05 < float(np.mean(ratios)) < 1.05 * np.sin(np.pi * 0.3) ** 2
+        envelope = 1.05 * np.sin(np.pi * 0.3) ** 2
+        ladder = TruncationPolicy(V=TruncationPolicy().resolve_v(n, model))
+        for policy in (ladder, TruncationPolicy()):
+            ps = pl.projection_iterates(model, n, j, K=48, policy=policy)
+            err = np.abs(ps - ps[-1])[:40]
+            ratios = err[12:28:2] / err[10:26:2]
+            if policy is ladder:
+                assert float(ratios.max() / ratios.min()) < 1.01
+            assert 0.05 < float(np.mean(ratios)) < envelope
 
     @pytest.mark.parametrize("model", [pl.Ar1(0.5), pl.Farima(0.3)], ids=["ar1", "farima"])
     @pytest.mark.parametrize("m", [0, 2])
@@ -667,13 +671,26 @@ class TestProjectionIterates:
         # the iterates are the running sums of the terms the predictor
         # reports when it runs K stages with no early stop; after K = 12
         # stages its ladder residual is above the default tol_tail, which
-        # the iterates are not checked against
+        # the iterates are not checked against.  V is pinned to its default,
+        # so that pure fractional noise runs the ladder on both sides
         n, K = 8, 12
-        forced = TruncationPolicy(K=K, tol_term=1e-300, tol_tail=1.0)
+        forced = TruncationPolicy(V=TruncationPolicy().resolve_v(n, model), K=K,
+                                  tol_term=1e-300, tol_tail=1.0)
         series = pl.finite_predictor_multistep(model, n, m, forced).series
         for j in (1, 3, n):
-            np.testing.assert_array_equal(pl.projection_iterates(model, n, j, m, K),
+            np.testing.assert_array_equal(pl.projection_iterates(model, n, j, m, K, forced),
                                           np.cumsum(series[j - 1].terms), strict=True)
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_cumulative_quadrature_terms(self, m):
+        # on the quadrature the iterates are the running sums of the first K
+        # terms of the default result's record, whose stop rule runs longer
+        model, n, K = pl.Farima(0.3), 8, 12
+        series = pl.finite_predictor_multistep(model, n, m).series
+        assert len(series[0].terms) > K
+        for j in (1, 3, n):
+            np.testing.assert_array_equal(pl.projection_iterates(model, n, j, m, K),
+                                          np.cumsum(series[j - 1].terms[:K]), strict=True)
 
     def test_bad_j_rejected(self):
         with pytest.raises(ValueError):
