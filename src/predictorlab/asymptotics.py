@@ -12,7 +12,7 @@ Every experiment computes the predictor both ways (explicit series and
 Durbin-Levinson on the series autocovariance) and aborts if they disagree,
 so an asymptotic "pass" can never be an artifact of one broken route.
 phi_j = c_0 a_j comes from the one expansion recurrence of ``coeffs``; the
-rate's 1/n extrapolation is the cutoff ladder's elimination, at the n run.
+rate's 1/n extrapolation is the two-point one, at the n run.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .coeffs import autocov, expand_ar, expand_ma, infinite_predictor, tail_sum_phi
 from .errors import OracleDisagreementError, RegimeError
 from .explicit import (_QUADRATURE_REMEDY, DEFAULT_POLICY, ExplicitPredictor,
-                       TruncationPolicy, _check_tail, _ladder_weights, _moment_form,
+                       TruncationPolicy, _check_tail, _moment_form,
                        _required_beta_len, beta_for_model, d_vectors,
                        finite_predictor_explicit)
 # durbin_levinson has no caller here; bench/layers.py wraps it by name in
@@ -166,13 +166,15 @@ def _checked_sweep(model: ProcessModel, n_list: list[int],
                    policy: TruncationPolicy) -> tuple[np.ndarray, list[np.ndarray]]:
     """(phi_inf, the cross-checked explicit phi_{n,.} for each n in n_list).
 
-    phi_inf is the infinite predictor to _PHI_TAIL_LEN terms.  One beta
+    phi_inf is the infinite predictor to _PHI_TAIL_LEN terms, or one past
+    the largest n where that is longer, so that every phi_{n,.} has a
+    tail.  One beta
     computation is shared by the whole sweep, unless the model is pure
     fractional noise, whose beta is a cached closed form.
     """
     c = expand_ma(model, 0)
-    a = expand_ar(model, _PHI_TAIL_LEN)
-    phi_inf = infinite_predictor(c, a, _PHI_TAIL_LEN)
+    length = max(_PHI_TAIL_LEN, max(n_list) + 1)
+    phi_inf = infinite_predictor(c, expand_ar(model, length), length)
     beta = None
     if not _moment_form(model, policy, predictor=True):
         vtop = max(policy.resolve_scales(model, n)[-1] for n in n_list)
@@ -215,8 +217,10 @@ def rate_experiment(model: ProcessModel, j: int, n_list,
     limit = d * d * (1.0 - float(np.sum(phi_inf[:j - 1])))
     # the gap n (phi_{n,j} - phi_j) - limit closes like 1/n (successive
     # differences halve per doubling of n, measured), so eliminate 1/n
-    rates = [e[2] for e in entries[-2:]]
-    extrap = float(_ladder_weights(1.0, n_list[-2:]) @ rates)
+    n2, _, extrap = entries[-1]
+    if len(entries) > 1:
+        n1, _, r1 = entries[-2]
+        extrap = (n2 * extrap - n1 * r1) / (n2 - n1)
     return RateReport(j=j, entries=tuple(entries), theoretical_limit=float(limit),
                       extrapolated=extrap)
 

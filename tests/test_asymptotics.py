@@ -7,7 +7,7 @@ import pytest
 
 import predictorlab as pl
 from predictorlab import (OracleDisagreementError, RegimeError, TruncationError,
-                          TruncationPolicy, f_u, fk0, semigroup_integral)
+                          TruncationPolicy, asymptotics, f_u, fk0, semigroup_integral)
 from predictorlab.asymptotics import CROSS_CHECK_TOL, check_routes
 from predictorlab.explicit import _ladder_weights
 
@@ -162,6 +162,17 @@ class TestBaxterExperiment:
         # both sides decay like n^{-d}
         assert report.entries[-1][1] < report.entries[0][1]
         assert report.entries[-1][2] < report.entries[0][2]
+
+    def test_sweep_past_tail_length(self, monkeypatch):
+        # phi_inf reaches past the largest n however short its default
+        # length; the finite sums are the same, and the extrapolated tail
+        # sums close
+        full = pl.baxter_experiment(pl.Farima(0.3), [128, 512])
+        monkeypatch.setattr(asymptotics, "_PHI_TAIL_LEN", 256)
+        short = pl.baxter_experiment(pl.Farima(0.3), [128, 512])
+        for (n, lhs, rhs, _), want in zip(short.entries, full.entries):
+            assert (n, lhs) == want[:2]
+            assert rhs == pytest.approx(want[2], rel=1e-3)
 
     def test_strong_memory_needs_relaxed_budget(self):
         # near d = 1/2 the inner truncation error decays so slowly that the

@@ -538,8 +538,8 @@ class TestMomentForm:
     """Pure fractional noise under the default policy: the moment form."""
 
     @pytest.mark.parametrize("m", [0, 2])
-    @pytest.mark.parametrize("n", [1, 8, 64, 512])
-    @pytest.mark.parametrize("d", [0.05, 0.1, 0.2, 0.3, 0.4, 0.45])
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 512])
+    @pytest.mark.parametrize("d", [0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.47, 0.48])
     def test_residual_covers_true_error(self, d, n, m):
         # every weight's reported residual covers its true error: against
         # Hosking's closed form at m = 0, and the normal equations on the
@@ -554,6 +554,21 @@ class TestMomentForm:
     def test_strong_memory_against_closed_form(self):
         res = pl.finite_predictor_explicit(pl.Farima(0.4), 512)
         assert np.max(np.abs(res.table.coefficients - hosking_phi(0.4, 512))) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    @pytest.mark.parametrize("d", [0.05, 0.1, 0.3, 0.45])
+    def test_short_past_against_closed_form(self, d, n):
+        # the grid's left end reaches as far toward t = 0 as the t^(n-d)
+        # endpoint needs at small n
+        res = pl.finite_predictor_explicit(pl.Farima(d), n)
+        assert np.max(np.abs(res.table.coefficients - hosking_phi(d, n))) <= 1e-13
+
+    def test_near_half_served_against_levinson(self):
+        # d = 0.48 is within the node cap, and agrees with Durbin-Levinson
+        model, n = pl.Farima(0.48), 64
+        res = pl.finite_predictor_explicit(model, n)
+        want = pl.durbin_levinson(pl.autocov(model, n), n)[-1].coefficients
+        assert np.max(np.abs(res.table.coefficients - want)) <= 1e-12
 
     @pytest.mark.parametrize("m", [0, 2])
     def test_pinned_control_runs_the_ladder(self, monkeypatch, m):
