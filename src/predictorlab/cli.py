@@ -34,7 +34,7 @@ import dataclasses
 import sys
 import json
 import warnings
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -246,15 +246,9 @@ def _build_policy(cfg: dict):
 # ---------------------------------------------------------------------------
 # rendering
 
-def _fmt_float(value) -> str:
-    # + 0.0 folds negative zero into plain 0
-    return format(float(value) + 0.0, ".17g")
-
-
-def _cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _fmt_float(value)
+def _fmt_floats(values):
+    # 17 significant digits round-trip a double; + 0.0 folds -0.0 into plain 0
+    return map("%.17g".__mod__, (np.asarray(values, dtype=float) + 0.0).tolist())
 
 
 def _json_value(value) -> str:
@@ -265,7 +259,7 @@ def _json_value(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _fmt_float(value)
+        return next(_fmt_floats([value]))
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):
@@ -273,25 +267,30 @@ def _json_value(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _render_csv(columns: list[str], rows: list) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _rows(cols: dict, left: str = "", right: str = ""):
+    """Each row's cells, comma-joined between left and right.  A column is
+    formatted once: integers by str, floats by _fmt_floats.  Rows are filled
+    by map over the columns, which makes no per-row tuple for the garbage
+    collector."""
+    cells = [map(str, col.tolist()) if col.dtype.kind in "iu" else _fmt_floats(col)
+             for col in map(np.asarray, cols.values())]
+    return map((left + ",".join(["{}"] * len(cols)) + right).format, *cells)
 
 
-def _render_json(meta: dict, columns: list[str], rows: list) -> str:
+def _render_csv(cols: dict) -> str:
+    return "\n".join([",".join(cols), *_rows(cols)]) + "\n"
+
+
+def _render_json(meta: dict, cols: dict) -> str:
     meta_body = ",".join(f"{json.dumps(k)}:{_json_value(v)}" for k, v in meta.items())
-    cols_body = ",".join(json.dumps(c) for c in columns)
-    rows_body = ",".join(_json_value(list(row)) for row in rows)
+    cols_body = ",".join(json.dumps(c) for c in cols)
+    rows_body = ",".join(_rows(cols, "[", "]"))
     return ('{"meta":{' + meta_body + '},"columns":[' + cols_body
             + '],"rows":[' + rows_body + "]}\n")
 
 
-def _emit(cfg: dict, meta: dict, columns: list[str], rows: list) -> None:
-    if cfg["format"] == "csv":
-        text = _render_csv(columns, rows)
-    else:
-        text = _render_json(meta, columns, rows)
+def _emit(cfg: dict, meta: dict, cols: dict) -> None:
+    text = _render_csv(cols) if cfg["format"] == "csv" else _render_json(meta, cols)
     if not cfg["out"]:
         sys.stdout.write(text)
         return
@@ -314,7 +313,7 @@ def _meta(cfg: dict, model, extra: dict) -> dict:
     meta: dict = {"command": cfg["command"], "model": cfg["model"]}
     for key, value in params.items():
         # coefficient sequences print as one comma-separated string
-        meta[key] = ",".join(map(_fmt_float, value)) if isinstance(value, tuple) else value
+        meta[key] = ",".join(_fmt_floats(value)) if isinstance(value, tuple) else value
     meta.update(extra)
     meta.update((key, cfg[key]) for key in (*_POLICY, "format") if key in cfg)
     return meta
@@ -331,9 +330,9 @@ def _cmd_coeffs(cfg: dict):
     gamma = autocov(model, N).values
     phi = phi_for_model(model, N) if N >= 1 else np.empty(0)
     # the predictor weight sequence starts at lag 1; the n = 0 cell holds 0
-    rows = [[i, c[i], a[i], gamma[i], (phi[i - 1] if i >= 1 else 0.0)]
-            for i in range(N + 1)]
-    return _meta(cfg, model, {"N": N}), ["n", "c", "a", "gamma", "phi"], rows
+    cols = {"n": range(N + 1), "c": c, "a": a, "gamma": gamma,
+            "phi": np.concatenate(([0.0], phi))}
+    return _meta(cfg, model, {"N": N}), cols
 
 
 def _cmd_predict(cfg: dict):
@@ -362,34 +361,34 @@ def _cmd_predict(cfg: dict):
     if terms:
         g = np.array([s.terms for s in result.series]).T
         cols.update((f"g{k}", col) for k, col in enumerate(g, 1))
-    return _meta(cfg, model, extra), list(cols), list(zip(*cols.values()))
+    return _meta(cfg, model, extra), cols
 
 
 def _cmd_rate(cfg: dict):
     model = _build_model(cfg)
     report = rate_experiment(model, cfg["j"], cfg["n"], _build_policy(cfg))
-    rows = [[n, phi_nj, rate, report.theoretical_limit]
-            for (n, phi_nj, rate) in report.entries]
+    cols = dict(zip(("n", "phi_nj", "rate"), zip(*report.entries)))
+    cols["limit"] = [report.theoretical_limit] * len(report.entries)
     extra = {"j": cfg["j"], "n": sorted(set(cfg["n"])), "limit": report.theoretical_limit,
              "extrapolated": report.extrapolated}
-    return _meta(cfg, model, extra), ["n", "phi_nj", "rate", "limit"], rows
+    return _meta(cfg, model, extra), cols
 
 
 def _cmd_baxter(cfg: dict):
     model = _build_model(cfg)
     report = baxter_experiment(model, cfg["n"], _build_policy(cfg))
-    rows = [[n, lhs, rhs, ratio] for (n, lhs, rhs, ratio) in report.entries]
     extra = {"n": sorted(cfg["n"]), "sup_ratio": report.sup_ratio}
-    return _meta(cfg, model, extra), ["n", "lhs", "rhs", "ratio"], rows
+    return _meta(cfg, model, extra), dict(zip(("n", "lhs", "rhs", "ratio"),
+                                              zip(*report.entries)))
 
 
 def _cmd_dkscale(cfg: dict):
     model = _build_model(cfg)
     report = dk_scaling_experiment(model, cfg["k"], cfg["u"], cfg["n"],
                                    _build_policy(cfg))
-    rows = [[k, n, n_dk, target] for (k, n, n_dk, target) in report.entries]
     extra = {"k": sorted(set(cfg["k"])), "u": cfg["u"], "n": sorted(cfg["n"])}
-    return _meta(cfg, model, extra), ["k", "n", "n_dk", "target"], rows
+    return _meta(cfg, model, extra), dict(zip(("k", "n", "n_dk", "target"),
+                                              zip(*report.entries)))
 
 
 _HANDLERS = {
@@ -417,6 +416,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="predictorlab",
@@ -461,8 +461,8 @@ def main(argv=None) -> int:
         warnings.showwarning = _warn
         try:
             cfg = _resolve(_build_parser().parse_args(argv))
-            meta, columns, rows = _HANDLERS[cfg["command"]](cfg)
-            _emit(cfg, meta, columns, rows)
+            meta, cols = _HANDLERS[cfg["command"]](cfg)
+            _emit(cfg, meta, cols)
             return 0
         except SystemExit as exc:
             # --help prints and exits; the parser reports every error by raising

@@ -79,27 +79,27 @@ def _levinson(g: np.ndarray, n: int, m: int):
     the order-k system for sigma_{k-1}^2 e_k; phi stops at order n - 1.
     Raises DegeneracyError at the first order whose sigma^2 is below the floor.
     """
+    # scalars as Python floats; order k's lags gamma(k-1..1) are rev[n-k+1:], contiguous
+    gl, gm, rev = g[:n + 1].tolist(), g[m + 1:m + n + 1].tolist(), g[n:0:-1].copy()
     phi = np.zeros(n)
     x = np.zeros(n) if m else phi
-    sigma2 = g[0]
-    floor = DEGENERACY_FLOOR * g[0]
+    sigma2, floor = gl[0], DEGENERACY_FLOOR * gl[0]
     for k in range(1, n + 1):
-        back = phi[:k - 1][::-1]
-        lags = g[k - 1:0:-1]
+        head, lags = phi[:k - 1], rev[n - k + 1:]
+        back = head[::-1]
         if m:
-            mu = (g[m + k] - np.dot(x[:k - 1], lags)) / sigma2
+            mu = (gm[k - 1] - float(np.dot(x[:k - 1], lags))) / sigma2
             x[:k - 1] -= mu * back
             x[k - 1] = mu
         if not m or k < n:
             # reflection coefficient phi_{k,k}
-            refl = (g[k] - np.dot(phi[:k - 1], lags)) / sigma2
-            phi[:k - 1] -= refl * back
+            refl = (gl[k] - float(np.dot(head, lags))) / sigma2
+            head -= refl * back
             phi[k - 1] = refl
-            sigma2 = sigma2 * (1.0 - refl * refl)
+            sigma2 *= 1.0 - refl * refl
             if sigma2 < floor:
-                raise DegeneracyError(
-                    f"innovation variance collapsed at order {k}: "
-                    f"sigma^2 = {sigma2:.3e} < {floor:.3e}", order=k)
+                raise DegeneracyError(f"innovation variance collapsed at order {k}: "
+                                      f"sigma^2 = {sigma2:.3e} < {floor:.3e}", order=k)
         yield x[:k], sigma2
 
 
@@ -127,7 +127,7 @@ def durbin_levinson(gamma, n: int) -> list[PredictorTable]:
     """
     g = _checked_gamma(gamma, n, 0)
     return [PredictorTable(n=len(phi), horizon=0, coefficients=phi.copy(),
-                           source=PredictorSource.LEVINSON, sigma2=float(sigma2))
+                           source=PredictorSource.LEVINSON, sigma2=sigma2)
             for phi, sigma2 in _levinson(g, n, 0)]
 
 
@@ -151,18 +151,18 @@ def multistep_normal_solve(gamma, n: int, m: int) -> PredictorTable:
     ------
     DegeneracyError
         An innovation variance below the degeneracy floor, naming the order,
-        or a solution residual above 1e-10 * gamma(0).
+        or a solution residual above 1e-10 * gamma(0) or NaN.
     """
     g = _checked_gamma(gamma, n, m)
-    *_, (x, sigma2) = _levinson(g, n, m)
+    for x, sigma2 in _levinson(g, n, m):  # ends at order n, keeping no list of the others
+        pass
     rhs = g[m + 1:m + n + 1]
     # Gamma_n x is the middle of the convolution of x with gamma(n-1..1, 0..n-1)
     lags = np.concatenate((g[n - 1:0:-1], g[:n]))
     residual = float(np.max(np.abs(_convolve_window(lags, x, n - 1, n) - rhs)))
-    if residual > 1e-10 * g[0]:
-        raise DegeneracyError(
-            f"normal-equations residual {residual:.3e} exceeds 1e-10 * gamma(0)",
-            order=n)
+    if not residual <= 1e-10 * g[0]:  # a NaN residual fails too
+        raise DegeneracyError(f"normal-equations residual {residual:.3e} exceeds "
+                              "1e-10 * gamma(0)", order=n)
     return PredictorTable(n=n, horizon=m, coefficients=x.copy(),
                           source=PredictorSource.NORMAL_EQUATIONS,
-                          sigma2=float(sigma2) if m == 0 else None)
+                          sigma2=sigma2 if m == 0 else None)

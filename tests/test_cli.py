@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import predictorlab as pl
+from predictorlab import cli
 from predictorlab.cli import main
 
 
@@ -290,6 +291,50 @@ class TestOutputDiscipline:
             assert float(row[3]) == want
         assert not any(cell.startswith("-0,") or cell == "-0"
                        for row in rows for cell in row)
+
+    def test_column_renderer_formats_every_cell(self):
+        cols = {
+            "i": range(3),
+            "k": [np.int64(-7), np.int32(2 ** 31 - 1), np.int16(0)],
+            "big": np.array([2 ** 62, -(2 ** 53) - 1, 1], dtype=np.int64),
+            "x": [0.1, -0.0, 5e-324],
+            "y": np.array([np.nan, 0.12345678901234568, -1.0000000000000002]),
+            "z": np.array([-np.inf, 2.0 ** -1074 * 3, 1e308]),
+        }
+        expected = [
+            [str(int(v)) for v in col] if name in ("i", "k", "big")
+            else [format(float(v) + 0.0, ".17g") for v in col]
+            for name, col in cols.items()
+        ]
+        rows = [",".join(row) for row in zip(*expected)]
+        assert cli._render_csv(cols) == "\n".join([",".join(cols), *rows]) + "\n"
+        text = cli._render_json({"command": "t"}, cols)
+        assert text.endswith('"rows":[' + ",".join(f"[{r}]" for r in rows) + "]}\n")
+        assert "-0," not in text and "nan" in text
+
+
+class TestParserReuse:
+    """The parser is built once per process; reusing it changes nothing."""
+
+    @staticmethod
+    def fresh(capsys, argv):
+        cli._build_parser.cache_clear()
+        return run(capsys, *argv)
+
+    @pytest.mark.parametrize("first, first_code, second", [
+        (["coeffs", "--bogus", "1"], 2,
+         ["coeffs", "--model", "ar1", "--r", "0.5", "--N", "3"]),
+        (["predict", "--model"], 2, ["predict", "--model", "ar1", "--r", "0.5", "--n", "4"]),
+        (["predict", "--help"], 0,
+         ["predict", "--model", "ar1", "--r", "0.5", "--n", "4", "--m", "2", "--format", "json"]),
+    ], ids=["parse-error", "missing-value", "help"])
+    def test_sequence_matches_fresh_calls(self, capsys, first, first_code, second):
+        expected = [self.fresh(capsys, argv) for argv in (first, second)]
+        cli._build_parser.cache_clear()
+        got = [run(capsys, *argv) for argv in (first, second)]
+        assert cli._build_parser() is cli._build_parser()
+        assert got == expected
+        assert [code for code, _, _ in got] == [first_code, 0]
 
 
 class TestExitCodes:

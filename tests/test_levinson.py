@@ -1,5 +1,7 @@
 """Durbin-Levinson recursion and the normal-equations solver."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,6 +104,66 @@ class TestMultistepNormalSolve:
     def test_gamma_too_short(self):
         with pytest.raises(ValueError):
             pl.multistep_normal_solve(farima_gamma_oracle(0.3, 8), 8, 1)
+
+
+#: models of the dense-solve comparison, with gamma(0..1029) computed once
+_DENSE_MODELS = {
+    "ar0.9": pl.Ar1(0.9),
+    "ar-0.9": pl.Ar1(-0.9),
+    "fn0.45": pl.Farima(0.45),
+    "fn0.45-ar0.6": pl.Farima(0.45, ar_poly=(1.0, -0.6)),
+    "fn0.45-ar-0.6": pl.Farima(0.45, ar_poly=(1.0, 0.6)),
+}
+
+
+@functools.cache
+def _dense_gamma(name):
+    return pl.autocov(_DENSE_MODELS[name], 1024 + 5).values
+
+
+class TestMultistepAgainstDenseSolve:
+    """The two-row recursion solves the multistep normal equations, needs
+    only Gamma_n to be nonsingular, and holds O(n) memory whatever m is."""
+
+    @pytest.mark.parametrize("name", list(_DENSE_MODELS))
+    @pytest.mark.parametrize("n", [1, 2, 64, 1024])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_against_dense_solve(self, name, n, m):
+        gamma = _dense_gamma(name)
+        table = pl.multistep_normal_solve(gamma, n, m)
+        np.testing.assert_allclose(table.coefficients, brute_phi(gamma, n, m),
+                                   rtol=0, atol=1e-13)
+
+    def test_needs_only_gamma_n_nonsingular(self):
+        # cos(0.7 k) is the autocovariance of a random-phase sinusoid, a rank-2
+        # process: Gamma_2 is nonsingular, and sigma^2 collapses at order 2
+        g = np.cos(0.7 * np.arange(6))
+        for n, m, expected in ((2, 1, [1.3399343, -1.5296844]), (1, 2, [-0.5048461])):
+            table = pl.multistep_normal_solve(g, n, m)
+            np.testing.assert_allclose(table.coefficients, expected, rtol=0, atol=1e-7)
+            np.testing.assert_allclose(table.coefficients, brute_phi(g, n, m),
+                                       rtol=0, atol=1e-13)
+        # where sigma_2^2 itself is returned, the floor applies
+        for call in (lambda: pl.multistep_normal_solve(g, 2, 0),
+                     lambda: pl.durbin_levinson(g, 2)):
+            with pytest.raises(DegeneracyError) as err:
+                call()
+            assert err.value.order == 2
+
+    def test_nan_residual_refused(self):
+        gamma = farima_gamma_oracle(0.3, 8)
+        gamma[3] = np.nan
+        with pytest.raises(DegeneracyError):
+            pl.multistep_normal_solve(gamma, 4, 1)
+
+    def test_long_horizon(self):
+        # the recursion runs to order n whatever m is: a horizon of 10^6
+        # from eight past values is a dense 8 x 8 solve's answer
+        m = 10 ** 6
+        gamma = pl.autocov(pl.Farima(0.3), 8 + m).values
+        table = pl.multistep_normal_solve(gamma, 8, m)
+        np.testing.assert_allclose(table.coefficients, brute_phi(gamma, 8, m),
+                                   rtol=1e-10, atol=0)
 
 
 @settings(deadline=None, max_examples=30)
