@@ -154,7 +154,7 @@ def check_routes(result: ExplicitPredictor, phi_levinson: np.ndarray) -> float:
     resid = max(s.tail_estimate for s in result.series)
     tol = max(CROSS_CHECK_TOL, 8.0 * resid)
     diff = float(np.max(np.abs(result.table.coefficients - phi_levinson)))
-    if diff > tol:
+    if not diff <= tol:  # a NaN difference fails too
         raise OracleDisagreementError(
             f"the two predictor routes disagree at n = {result.table.n}: "
             f"max diff {diff:.3e} > {tol:g}",
@@ -176,7 +176,7 @@ def _checked_sweep(model: ProcessModel, n_list: list[int],
     length = max(_PHI_TAIL_LEN, max(n_list) + 1)
     phi_inf = infinite_predictor(c, expand_ar(model, length), length)
     beta = None
-    if not _moment_form(model, policy, predictor=True):
+    if not _moment_form(model):
         vtop = max(policy.resolve_scales(model, n)[-1] for n in n_list)
         beta = beta_for_model(model, _required_beta_len(max(n_list), vtop, 0))
     phis = []
@@ -248,9 +248,9 @@ def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
                           policy: TruncationPolicy = DEFAULT_POLICY) -> DkScalingReport:
     """Tabulate n d_k(n, u) against the limit f_k(0) sin^k(pi d).
 
-    The d_k come from d_vectors, on the quadrature or on the cutoff ladder,
-    whose long beta is built only when it serves.  Raises TruncationError
-    when their residual at some n exceeds policy.tol_tail.
+    The d_k come from d_vectors: on the quadrature for the window up to u,
+    on the cutoff ladder with its long beta; u must lie below resolve_v.
+    Raises TruncationError when their residual at some n exceeds tol_tail.
     """
     d = _require_long_memory(model, "d_k scaling experiment")
     if u < 0:
@@ -263,7 +263,7 @@ def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
     s = np.sin(np.pi * d)
     targets = {k: float(f * s ** k) for k, f in zip(range(1, kmax + 1), fk0(kmax))}
 
-    nodes = _moment_form(model, policy)
+    nodes = _moment_form(model)
     beta = beta_for_model(model, 0 if nodes else max(
         n + 2 * policy.resolve_scales(model, n)[-1] for n in n_list))
     remedy = _QUADRATURE_REMEDY if nodes else "increase V or levels"
@@ -273,7 +273,7 @@ def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
         if u >= policy.resolve_v(n, model):
             raise ValueError(
                 f"u = {u} outside inner cutoff V = {policy.resolve_v(n, model)}")
-        dv = d_vectors(beta, n, replace(policy, K=kmax))
+        dv = d_vectors(beta, n, replace(policy, K=kmax, V=u + 1 if nodes else policy.V))
         _check_tail(dv.tail_estimate, policy, n, remedy)
         rows += [(k, n, float(n * dv.vectors[k - 1][u]), targets[k])
                  for k in k_list if k <= dv.k_used]

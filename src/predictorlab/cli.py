@@ -246,9 +246,14 @@ def _build_policy(cfg: dict):
 # ---------------------------------------------------------------------------
 # rendering
 
-def _fmt_floats(values):
-    # 17 significant digits round-trip a double; + 0.0 folds -0.0 into plain 0
-    return map("%.17g".__mod__, (np.asarray(values, dtype=float) + 0.0).tolist())
+def _fmt_floats(values, null: bool = False):
+    # 17 significant digits round-trip a double; + 0.0 folds -0.0 into plain
+    # 0; JSON has no nan or inf, so with null a non-finite value is null
+    values = np.asarray(values, dtype=float) + 0.0
+    cells = map("%.17g".__mod__, values.tolist())
+    if null and not np.isfinite(values).all():
+        return np.where(np.isfinite(values), list(cells), "null").tolist()
+    return cells
 
 
 def _json_value(value) -> str:
@@ -259,7 +264,7 @@ def _json_value(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return next(_fmt_floats([value]))
+        return "".join(_fmt_floats([value], null=True))
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple)):
@@ -267,12 +272,12 @@ def _json_value(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _rows(cols: dict, left: str = "", right: str = ""):
+def _rows(cols: dict, left: str = "", right: str = "", null: bool = False):
     """Each row's cells, comma-joined between left and right.  A column is
     formatted once: integers by str, floats by _fmt_floats.  Rows are filled
     by map over the columns, which makes no per-row tuple for the garbage
     collector."""
-    cells = [map(str, col.tolist()) if col.dtype.kind in "iu" else _fmt_floats(col)
+    cells = [map(str, col.tolist()) if col.dtype.kind in "iu" else _fmt_floats(col, null)
              for col in map(np.asarray, cols.values())]
     return map((left + ",".join(["{}"] * len(cols)) + right).format, *cells)
 
@@ -284,7 +289,7 @@ def _render_csv(cols: dict) -> str:
 def _render_json(meta: dict, cols: dict) -> str:
     meta_body = ",".join(f"{json.dumps(k)}:{_json_value(v)}" for k, v in meta.items())
     cols_body = ",".join(json.dumps(c) for c in cols)
-    rows_body = ",".join(_rows(cols, "[", "]"))
+    rows_body = ",".join(_rows(cols, "[", "]", null=True))
     return ('{"meta":{' + meta_body + '},"columns":[' + cols_body
             + '],"rows":[' + rows_body + "]}\n")
 

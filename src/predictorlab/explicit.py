@@ -32,8 +32,7 @@ and about a thousand at d = 0.45, within about 1e-14 of Hosking's closed
 form.  Its residual is the distance from the same solve on every other
 node; the node cap refuses d from about 0.483 on.  The same nodes give the
 record and the iterates d_k, delta_k for ``Farima(d)``, d > 0, under any
-policy that pins neither V nor levels (nor K, for the predictor); every
-other model and policy runs the cutoff ladder below.
+policy; every other model runs the cutoff ladder below.
 
 Two infinite sums are truncated: the inner index (cutoff V, the Hankel apply)
 and the series depth (the solve's residual, within a budget of K kernel
@@ -114,9 +113,9 @@ _STOP_FLOOR = 1e-14
 class TruncationPolicy:
     """Controls for the two truncation axes of the explicit series.
 
-    V, K and levels control the cutoff ladder.  Pure fractional noise
-    (``Farima(d)``, d > 0) needs no cutoff: every output comes from its
-    quadrature unless V or levels is set (or, for the predictor, K).
+    V, K and levels control the cutoff ladder.  On the quadrature of pure
+    fractional noise (``Farima(d)``, d > 0) levels is not read, and V and K
+    only bound what d_k, delta_k and the per-term record return.
 
     V: base inner-index cutoff (None -> max(8192, 32 n)).  The pipeline runs
     at the doubling ladder V, 2V, ..., 2^{levels-1} V and eliminates the
@@ -573,14 +572,14 @@ def delta_block(beta: BetaSeq, n: int, v_max: int,
     stages.  Each stage is a returned value, not a term of a sum, so a
     budget K that ends the iteration above tol_term leaves no returned stage
     wrong: it only returns fewer stages than tol_term would.  Pure
-    fractional noise under a policy that pins neither V nor levels iterates
-    on the quadrature's nodes (_moment_delta) and reads only ``beta.model``.
+    fractional noise iterates on the quadrature's nodes (_moment_delta) and
+    reads only ``beta.model``.
     """
     if n < 1 or v_max < 0:
         raise ValueError(f"need n >= 1 and v_max >= 0, got n = {n}, v_max = {v_max}")
     vals, model = beta.values, beta.model
     K = policy.resolve_k(model)
-    if _moment_form(model, policy):
+    if _moment_form(model):
         return DeltaBlock(n, *_moment_delta(model.d, n, v_max, policy.resolve_v(n, model),
                                             K, policy.tol_term))
     scales = policy.resolve_scales(model, n)
@@ -602,12 +601,12 @@ def _stage_one(a_vals: np.ndarray, c_rev: np.ndarray, n: int, m: int) -> np.ndar
     return c_rev @ np.stack([a_vals[1 + v:1 + v + n] for v in range(m + 1)])
 
 
-def _columns(beta_vals: np.ndarray, n: int, m: int, V: int) -> np.ndarray:
-    """The kernel's first columns delta_1(n+1, u, v) = beta_{n+1+u+v} for
-    v = 0..m, u < V: direct slices."""
+def _weighted_column(beta_vals: np.ndarray, c_rev: np.ndarray, n: int, m: int, V: int):
+    """sum_v c_{m-v} delta_1(n+1, u, v) for u < V, from direct slices
+    beta_{n+1+u+v}: weighted once, so that every later stage is one column."""
     if m >= V:
         raise ValueError(f"horizon m = {m} must be < V = {V}")
-    return np.stack([beta_vals[n + 1 + v:n + 1 + v + V] for v in range(m + 1)])
+    return c_rev @ np.stack([beta_vals[n + 1 + v:n + 1 + v + V] for v in range(m + 1)])
 
 
 def _g_terms_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
@@ -623,7 +622,7 @@ def _g_terms_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
     still large; a run that ends at the budget K reports what it left.
     """
     c_rev = c_head[::-1]  # c_rev[v] = c_{m-v}
-    cols = _columns(beta_vals, n, m, V)
+    col = _weighted_column(beta_vals, c_rev, n, m, V)
     g1 = _stage_one(a_vals, c_rev, n, m)
     terms = [g1]
     prev_max = float(np.max(np.abs(g1)))
@@ -633,8 +632,8 @@ def _g_terms_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
     if K >= 2:
         eng = _HankelFFT(beta_vals, n + 1, V, a_vals=a_vals, n_out=n)
         for k in range(2, K + 1):
-            fx = eng.forward(cols)
-            bvec = c_rev @ eng.a_correlate_from(fx)
+            fx = eng.forward(col)
+            bvec = eng.a_correlate_from(fx)
             gk = bvec if k % 2 == 1 else bvec[::-1]
             terms.append(gk)
             cur = float(np.max(np.abs(gk)))
@@ -650,7 +649,7 @@ def _g_terms_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
                 consec = 0
             prev_max = cur
             if k < K:
-                cols = eng.apply_from(fx)
+                col = eng.apply_from(fx)
     out = np.array(terms)
     out.setflags(write=False)
     return out, left
@@ -742,8 +741,8 @@ def _solve_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
     c_rev = c_head[::-1]
     eng = _HankelFFT(beta_vals, n + 1, V, a_vals=a_vals, n_out=n)
     a_norm = _a_frobenius(a_vals, n, V)
-    z, hz, rr, s, applies = _cg(eng, c_rev @ _columns(beta_vals, n, m, V), a_norm,
-                                K, tol_stop, s_floor)
+    z, hz, rr, s, applies = _cg(eng, _weighted_column(beta_vals, c_rev, n, m, V),
+                                a_norm, K, tol_stop, s_floor)
     if rr > 0.0 and s >= 1.0:
         terms, left = _g_terms_run(beta_vals, a_vals, c_head, n, m, V, K, tol_stop)
         return _phi_from_terms(terms), left, applies + max(len(terms) - 2, 0)
@@ -770,16 +769,11 @@ _MOMENT_STEP = 0.35
 _QUADRATURE_REMEDY = "it is the quadrature's own error, on a grid that no V, levels or K sets"
 
 
-def _moment_form(model: ProcessModel, policy: TruncationPolicy,
-                 predictor: bool = False) -> bool:
+def _moment_form(model: ProcessModel) -> bool:
     """Whether the moment form serves the model: pure fractional noise with
-    d > 0, under a policy that pins neither V nor levels.  The predictor
-    (``predictor=True``) also needs K unset, which there budgets the
-    ladder's kernel applies; for d_k and the iterates K counts stages."""
+    d > 0, whatever the policy."""
     return (isinstance(model, Farima) and model.d > 0.0
-            and model.ma_poly.coefficients == model.ar_poly.coefficients == (1.0,)
-            and policy.V is None and policy.levels is None
-            and not (predictor and policy.K is not None))
+            and model.ma_poly.coefficients == model.ar_poly.coefficients == (1.0,))
 
 
 def _moment_grids(d: float, n: int) -> list[tuple[np.ndarray, float]]:
@@ -988,7 +982,7 @@ def _depth_controls(model: ProcessModel, policy: TruncationPolicy,
 
 def _check_tail(resid: float, policy: TruncationPolicy, n: int,
                 remedy: str = "increase V, levels or K") -> None:
-    if resid > policy.tol_tail:
+    if not resid <= policy.tol_tail:  # a NaN residual fails too
         raise TruncationError(
             f"truncation residual {resid:.3e} exceeds tol_tail "
             f"{policy.tol_tail:g} at n = {n}; {remedy}",
@@ -1049,10 +1043,10 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
                                beta: BetaSeq | None = None) -> ExplicitPredictor:
     """Finite predictor coefficients phi^m_{n,j} from the explicit series.
 
-    Pure fractional noise ``Farima(d)``, d > 0, under a policy that pins none
-    of V, K and levels, is solved on a quadrature of the series' moment form
-    (_moment_run), with no cutoff, and so is its per-term record; every
-    other model or policy runs the cutoff ladder.
+    Pure fractional noise ``Farima(d)``, d > 0, is solved on a quadrature of
+    the series' moment form (_moment_run), with no cutoff, and so is its
+    per-term record, whose terms a pinned K caps; every other model runs the
+    cutoff ladder.
 
     Parameters
     ----------
@@ -1085,8 +1079,7 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
         the quadrature's, or a grid above its node cap.
     """
     _check_request(model, n, m, beta)
-    moment = _moment_form(model, policy, predictor=True)
-    evaluate = _moment_predictor if moment else _ladder_predictor
+    evaluate = _moment_predictor if _moment_form(model) else _ladder_predictor
     phi, tail_j, k_used, terms = evaluate(model, n, m, policy, beta)
     table = PredictorTable(n=n, horizon=m, coefficients=phi,
                            source=PredictorSource.EXPLICIT_SERIES)
@@ -1113,15 +1106,15 @@ def projection_iterates(model: ProcessModel, n: int, j: int, m: int = 0,
     projections (infinite past, then the window back to -n, alternating);
     the sequence converges to phi^m_{n,j}.  The terms are those that
     finite_predictor_multistep reports, with no stop before K: on the
-    quadrature unless the policy pins V or levels, else at the finest cutoff
-    of its ladder (fewer only if the terms vanish exactly).
+    quadrature for pure fractional noise, else at the finest cutoff of the
+    policy's ladder (fewer only if the terms vanish exactly).
     """
     if not 1 <= j <= n:
         raise ValueError(f"need 1 <= j <= n, got j = {j}, n = {n}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     _check_request(model, n, m, None)
-    if _moment_form(model, policy):
+    if _moment_form(model):
         terms = _moment_terms(model.d, expand_ar(model, n + m).values,
                               expand_ma(model, m).values, n, K)
     else:

@@ -175,12 +175,12 @@ class TestBaxterExperiment:
             assert rhs == pytest.approx(want[2], rel=1e-3)
 
     def test_strong_memory_needs_relaxed_budget(self):
-        # near d = 1/2 the inner truncation error decays so slowly that the
-        # default residual budget is out of reach in sensible time; a coarser
-        # tolerance still resolves the ratio, which grows with d
+        # near d = 1/2 the ladder's inner truncation error decays so slowly
+        # that the default residual budget is out of reach in sensible time;
+        # a coarser tolerance still resolves the ratio, which grows with d
         pol = TruncationPolicy(V=4096, levels=4, tol_tail=2e-3)
-        strong = pl.baxter_experiment(pl.Farima(0.45), [8, 16, 32, 64], pol)
-        mild = pl.baxter_experiment(pl.Farima(0.3), [8, 16, 32, 64])
+        strong = pl.baxter_experiment(pl.Farima(0.45, ma_poly=(1.0, 0.5)), [8, 16, 32, 64], pol)
+        mild = pl.baxter_experiment(pl.Farima(0.3, ma_poly=(1.0, 0.5)), [8, 16, 32, 64])
         assert np.isfinite(strong.sup_ratio)
         assert strong.sup_ratio > mild.sup_ratio
 
@@ -195,9 +195,10 @@ class TestDkScalingExperiment:
             assert abs(val - target) / target < 0.01
 
     def test_tail_over_tol_raises(self):
-        # one uncorrected scale leaves n d_3 ~14% off at n = 512
+        # one uncorrected scale of the ladder leaves a residual of about 2e-5
+        # at n = 512
         with pytest.raises(TruncationError) as err:
-            pl.dk_scaling_experiment(pl.Farima(0.3), [1, 2, 3], 0, [512],
+            pl.dk_scaling_experiment(pl.Farima(0.3, ma_poly=(1.0, 0.5)), [1, 2, 3], 0, [512],
                                      TruncationPolicy(levels=1))
         assert err.value.required == 1e-6
         assert err.value.achieved > err.value.required
@@ -210,6 +211,18 @@ class TestDkScalingExperiment:
                                      TruncationPolicy(tol_tail=1e-14))
         assert "increase" not in str(info.value)
 
+    @pytest.mark.parametrize("u", [0, 5, 32 * 512 - 1])
+    def test_window_on_the_nodes(self, u):
+        # on the nodes the experiment reads d_k on the window up to u alone;
+        # each row is n d_k(n, u) of the default d_vectors within its tail
+        # estimate
+        model, n = pl.Farima(0.3), 512
+        dv = pl.d_vectors(pl.beta_for_model(model, 0), n)
+        report = pl.dk_scaling_experiment(model, [1, 2, 3], u, [n])
+        assert [e[0] for e in report.entries] == [1, 2, 3]
+        for k, _, n_dk, _ in report.entries:
+            assert abs(n_dk - n * dv.vectors[k - 1][u]) <= n * dv.tail_estimate
+
     def test_validation(self):
         model = pl.Farima(0.3)
         with pytest.raises(ValueError):
@@ -221,6 +234,11 @@ class TestDkScalingExperiment:
         with pytest.raises(ValueError):
             pl.dk_scaling_experiment(model, [1], 100,
                                      [64], TruncationPolicy(V=64, levels=1))
+        # u = 32 n is past the default V on both engines, so the window on
+        # the nodes never grows past it
+        for m in (model, pl.Farima(0.3, ma_poly=(1.0, 0.5))):
+            with pytest.raises(ValueError, match="outside inner cutoff"):
+                pl.dk_scaling_experiment(m, [1], 32 * 512, [512])
 
 
 class TestCrossChecking:
@@ -238,7 +256,7 @@ class TestCrossChecking:
 
     @pytest.mark.parametrize("model, policy", [
         (pl.Ar1(0.5), TruncationPolicy()),
-        (pl.Farima(0.3), TruncationPolicy(V=64, levels=1, tol_tail=1.0)),
+        (pl.Farima(0.3, ma_poly=(1.0, 0.5)), TruncationPolicy(V=64, levels=1, tol_tail=1.0)),
     ])
     def test_check_routes_tolerance(self, model, policy):
         # max(CROSS_CHECK_TOL, 8 x the largest residual estimate): the floor

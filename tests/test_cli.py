@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import predictorlab as pl
-from predictorlab import cli
+from predictorlab import cli, explicit
 from predictorlab.cli import main
 
 
@@ -308,9 +308,15 @@ class TestOutputDiscipline:
         ]
         rows = [",".join(row) for row in zip(*expected)]
         assert cli._render_csv(cols) == "\n".join([",".join(cols), *rows]) + "\n"
-        text = cli._render_json({"command": "t"}, cols)
-        assert text.endswith('"rows":[' + ",".join(f"[{r}]" for r in rows) + "]}\n")
-        assert "-0," not in text and "nan" in text
+        # JSON has no nan or inf: a non-finite cell is null, in rows and in meta
+        text = cli._render_json({"command": "t", "x": np.nan, "y": (1.0, -np.inf)}, cols)
+        json_rows = [",".join("null" if cell in ("nan", "inf", "-inf") else cell
+                              for cell in row) for row in zip(*expected)]
+        assert text.endswith('"rows":[' + ",".join(f"[{r}]" for r in json_rows) + "]}\n")
+        assert "-0," not in text and "nan" not in text and "inf" not in text
+        doc = json.loads(text)
+        assert doc["meta"] == {"command": "t", "x": None, "y": [1, None]}
+        assert doc["rows"][0][4] is None and doc["rows"][0][5] is None
 
 
 class TestParserReuse:
@@ -430,14 +436,15 @@ class TestExitCodes:
 
     def test_truncation_budget(self, capsys):
         code, _, err = run(capsys, "predict", "--model", "farima", "--d", "0.3",
-                           "--n", "64", "--vmax", "64", "--levels", "1")
+                           "--mapoly=1,0.5", "--n", "64", "--vmax", "64", "--levels", "1")
         assert code == 4
         assert "error=truncation" in err
 
     def test_single_scale_without_half_run(self, capsys):
         # --vmax 4 at --m 3 leaves the levels=1 half run no cutoff below 4
         code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0.3",
-                             "--n", "8", "--m", "3", "--vmax", "4", "--levels", "1",
+                             "--mapoly=1,0.5", "--n", "8", "--m", "3", "--vmax", "4",
+                             "--levels", "1",
                              "--source", "explicit", "--tol", "1e-3")
         assert code == 2 and out == ""
         assert_one_config_line(err)
@@ -447,7 +454,8 @@ class TestExitCodes:
         # two kernel applies leave most of the series unsolved; what they
         # leave is one truncation line, not phi
         code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0.3",
-                             "--n", "4", "--kmax", "2", "--source", "explicit")
+                             "--mapoly=1,0.5", "--n", "4", "--kmax", "2",
+                             "--source", "explicit")
         assert code == 4 and out == ""
         assert err.count("\n") == 1 and "error=truncation" in err
 
@@ -500,7 +508,8 @@ class TestExitCodes:
 
     def test_dkscale_tail_over_tol(self, capsys):
         code, out, err = run(capsys, "dkscale", "--model", "farima", "--d", "0.3",
-                             "--n", "512", "--k", "1,2,3", "--u", "0", "--levels", "1")
+                             "--mapoly=1,0.5", "--n", "512", "--k", "1,2,3", "--u", "0",
+                             "--levels", "1")
         assert code == 4 and out == ""
         assert "error=truncation" in err
 
@@ -516,6 +525,39 @@ class TestExitCodes:
                            "--n", "8")
         assert code == 5
         assert "error=disagreement" in err
+
+    def test_nan_route_is_a_disagreement(self, capsys, monkeypatch):
+        # a NaN passes no comparison: one NaN Levinson weight is a
+        # disagreement, not a JSON document with a bare nan in it
+        real = pl.multistep_normal_solve
+
+        def one_nan(gamma, n, m):
+            table = real(gamma, n, m)
+            coefficients = table.coefficients.copy()
+            coefficients[2] = np.nan
+            return dataclasses.replace(table, coefficients=coefficients)
+
+        monkeypatch.setattr("predictorlab.cli.multistep_normal_solve", one_nan)
+        code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0.3",
+                             "--n", "8", "--format", "json")
+        assert code == 5 and out == ""
+        assert err.count("\n") == 1 and "error=disagreement" in err
+
+    def test_nan_residual_is_a_truncation(self, capsys, monkeypatch):
+        # a weight that is NaN on both grids leaves a NaN residual, which
+        # passes no tol_tail
+        real = explicit._moment_run
+
+        def one_nan(*args):
+            phi = real(*args).copy()
+            phi[2] = np.nan
+            return phi
+
+        monkeypatch.setattr(explicit, "_moment_run", one_nan)
+        code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0.3",
+                             "--n", "8", "--source", "explicit", "--format", "json")
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 and "error=truncation" in err
 
     def test_missing_required_n(self, capsys):
         code, _, err = run(capsys, "predict", "--model", "ar1", "--r", "0.5")
