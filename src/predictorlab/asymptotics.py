@@ -259,6 +259,11 @@ def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
     if k_list[0] < 1:
         raise ValueError(f"k must be >= 1, got {k_list[0]}")
     n_list = sorted(int(n) for n in n_list)
+    # refused before any beta is built
+    for n in n_list:
+        if u >= policy.resolve_v(n, model):
+            raise ValueError(
+                f"u = {u} outside inner cutoff V = {policy.resolve_v(n, model)}")
     kmax = k_list[-1]
     s = np.sin(np.pi * d)
     targets = {k: float(f * s ** k) for k, f in zip(range(1, kmax + 1), fk0(kmax))}
@@ -270,9 +275,6 @@ def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
 
     rows = []
     for n in n_list:
-        if u >= policy.resolve_v(n, model):
-            raise ValueError(
-                f"u = {u} outside inner cutoff V = {policy.resolve_v(n, model)}")
         dv = d_vectors(beta, n, replace(policy, K=kmax, V=u + 1 if nodes else policy.V))
         _check_tail(dv.tail_estimate, policy, n, remedy)
         rows += [(k, n, float(n * dv.vectors[k - 1][u]), targets[k])

@@ -148,13 +148,16 @@ def _arma_series(num: tuple[float, ...], den: tuple[float, ...], d: float,
                  n_terms: int) -> np.ndarray:
     """Power-series coefficients of (1-z)^{-d} num(z)/den(z): the binomial
     series filtered through num/den by the recurrence den * out = num * b
-    (den must be invertible at 0; at d = 0 b is the unit impulse)."""
+    (den must be invertible at 0; at d = 0 b is the unit impulse), solved
+    by forward substitution, so each entry reads only earlier ones."""
     out = _binomial_series(d, n_terms)
     if _is_unit_poly(num) and _is_unit_poly(den):
         return out
-    # scipy.signal is slow to import, and only models with ARMA factors need it
-    from scipy.signal import lfilter
-    return lfilter(np.asarray(num, dtype=float), np.asarray(den, dtype=float), out)
+    # imported lazily: only models with ARMA factors need scipy.linalg
+    from scipy.linalg.lapack import dtbtrs
+    # den as a lower triangular band: row k holds den_k, the k-th subdiagonal
+    band = np.repeat(np.asarray(den, dtype=float)[:, None], n_terms, axis=1)
+    return dtbtrs(band, np.convolve(out, num)[:n_terms, None], uplo="L")[0][:, 0]
 
 
 def _decayed(series: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -352,8 +355,8 @@ def tail_sum_phi(phi: np.ndarray, n: int, d: float = 0.0) -> float:
         Tail start (exclusive).
     d : float, optional
         Memory parameter of the generating model.  For d > 0 the part beyond
-        the truncation N is restored from the regular decay phi_k ~ C k^{-1-d}
-        using the last computed entry: ``|phi_N| * (N/d - 1/2)``.  For d = 0
+        the truncation N is ``1 - sum_{k<=N} phi_k`` (-1/h vanishes at 1, so
+        the phi_k sum to 1), exact wherever phi_k >= 0 beyond N.  For d = 0
         the finite sum is exact (summable tail below floating noise by
         construction of the truncation).
 
@@ -367,7 +370,7 @@ def tail_sum_phi(phi: np.ndarray, n: int, d: float = 0.0) -> float:
         raise ValueError(f"need 0 <= n < {N}, got n = {n}")
     head = float(np.sum(np.abs(phi[n:])))
     if d > 0.0:
-        head += float(abs(phi[-1])) * (N / d - 0.5)
+        head += 1.0 - float(np.sum(phi))
     return head
 
 

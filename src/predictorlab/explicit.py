@@ -32,30 +32,32 @@ and about a thousand at d = 0.45, within about 1e-14 of Hosking's closed
 form.  Its residual is the distance from the same solve on every other
 node; the node cap refuses d from about 0.483 on.  The same nodes give the
 record and the iterates d_k, delta_k for ``Farima(d)``, d > 0, under any
-policy; every other model runs the cutoff ladder below.
+policy.
 
-Two infinite sums are truncated: the inner index (cutoff V, the Hankel apply)
-and the series depth (the solve's residual, within a budget of K kernel
-applies per run).  The
-inner truncation error of the summed series under long memory follows a
-ladder of powers C_1 V^{-p} + C_2 V^{-2p} + ... with p = 1 - 2d (measured
-against exact closed-form predictors over five V-doublings; the exponent
-matches the autocovariance tail and is stable in n and d; at d = 0 the
-error decays at least as fast as 1/V, p = 1).  The pipeline
-therefore runs at a geometric ladder of cutoffs V, 2V, ..., 2^{L-1} V, finest
-first, and eliminates the leading L-1 powers by solving the small
-Vandermonde system in V^{-p}; the reported residual is the difference
-between the last two elimination orders.  With one level the value stays
-uncorrected, and the residual is 1.5 times its distance from the same
-elimination over it and one extra run at the half cutoff max(V // 2, m + 1),
-whatever their ratio (ValueError where that half cannot go below V).  The
-depth error is each run's bound on what its unsolved residual can still
-move; times the elimination gain sum |w|, it joins the same residual.
+Short memory (d = 0) has no cutoff to choose either: its kernel ends at
+the support BetaSeq.inner_len, so one solve at the cutoff
+V* = max(inner_len - n - 1, m + 1) serves every output whatever V and
+levels say (d_k and delta_k run once at max(V, inner_len - n) and return V
+entries in u).  An exact support stays exactly zero under rfft/irfft of
+zero blocks, so for AR(1) every stage k >= 2 is an exact zero.
 
-Everything the FFT touches here is noise-free in the structurally-zero case:
-a finitely supported beta stays exactly zero under rfft/irfft of zero blocks,
-so short-memory models with exact support produce exact zeros for all k >= 2
-and the ladder collapses to a single exact evaluation.
+Every other model, long memory with ARMA factors, runs the cutoff ladder.
+Two infinite sums are truncated there: the inner index (cutoff V, the
+Hankel apply) and the series depth (the solve's residual, within a budget
+of K kernel applies per run).  The inner truncation error of the summed
+series follows a ladder of powers C_1 V^{-p} + C_2 V^{-2p} + ... with
+p = 1 - 2d (measured against exact closed-form predictors over five
+V-doublings; the exponent matches the autocovariance tail and is stable in
+n and d).  The pipeline therefore runs at a geometric ladder of cutoffs V,
+2V, ..., 2^{L-1} V, finest first, and eliminates the leading L-1 powers by
+solving the small Vandermonde system in V^{-p}; the reported residual is
+the difference between the last two elimination orders.  With one level
+the value stays uncorrected, and the residual is 1.5 times its distance
+from the same elimination over it and one extra run at the half cutoff
+max(V // 2, m + 1), whatever their ratio (ValueError where that half
+cannot go below V).  The depth error is each run's bound on what its
+unsolved residual can still move; times the elimination gain sum |w|, it
+joins the same residual.
 
 Every correlation here (beta, the Hankel apply, the AR correlation) keeps a
 window of a linear convolution, so its FFT runs at the shortest circular
@@ -70,7 +72,6 @@ factors; the window is exact either way, so only rounding changes.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, lru_cache
@@ -81,7 +82,7 @@ from .coeffs import (CoeffKind, _convolve_window, _decayed, _expansion_values,
                      _window_fft_len, expand_ar, expand_ma)
 from .errors import TruncationError
 from .levinson import PredictorSource, PredictorTable
-from .models import Farima, ProcessModel, Regime, memory_exponent, regime
+from .models import Farima, ProcessModel, memory_exponent
 
 __all__ = [
     "TruncationPolicy",
@@ -105,7 +106,7 @@ _EXACT_SUPPORT_MAX = 4096
 #: hard ceiling on the resolved series depth
 _K_CAP = 20000
 
-#: floor for the effective per-term stopping tolerance inside the ladder
+#: floor for the effective per-term stopping tolerance of a series run
 _STOP_FLOOR = 1e-14
 
 
@@ -115,12 +116,13 @@ class TruncationPolicy:
 
     V, K and levels control the cutoff ladder.  On the quadrature of pure
     fractional noise (``Farima(d)``, d > 0) levels is not read, and V and K
-    only bound what d_k, delta_k and the per-term record return.
+    only bound what d_k, delta_k and the per-term record return.  Short
+    memory (d = 0) reads no levels, and V only as d_k's output window.
 
     V: base inner-index cutoff (None -> max(8192, 32 n)).  The pipeline runs
     at the doubling ladder V, 2V, ..., 2^{levels-1} V and eliminates the
     leading truncation powers.
-    K: budget of kernel applies per ladder run of the predictor series
+    K: budget of kernel applies per run of the predictor's series solve
     (None -> from the geometric decay rate); d_vectors and delta_block
     return at most K stages.  A run that spends it before its stopping
     tolerance shows what it left out in the residual, so a K too small for
@@ -129,10 +131,9 @@ class TruncationPolicy:
     tol_tail: cap on the estimated truncation residual of the final
     coefficients (inner cutoff, beta and series depth); exceeded ->
     TruncationError.
-    levels: ladder length (None -> by memory regime: 2 for short memory,
-    3 to 6 for long memory depending on d).  levels=1 runs one scale,
-    uncorrected, with its residual estimated from a run at the half cutoff
-    max(V // 2, m + 1).
+    levels: ladder length (None -> 3 to 6 depending on d).  levels=1 runs
+    one scale, uncorrected, with its residual estimated from a run at the
+    half cutoff max(V // 2, m + 1).
     """
 
     V: int | None = None
@@ -164,8 +165,6 @@ class TruncationPolicy:
     def resolve_levels(self, model: ProcessModel) -> int:
         if self.levels is not None:
             return self.levels
-        if regime(model) is Regime.SHORT:
-            return 2
         d = memory_exponent(model)
         if d < 0.1:
             return 3
@@ -210,6 +209,8 @@ class BetaSeq:
     the support on the exact path); ``tail_estimate`` bounds the absolute
     error per entry, rounding included, so it is 0 only on the exact path,
     which ``exact`` marks: a finite-support correlation, computed exactly.
+    At d = 0 entries from inner_len on are zero or within that bound, so
+    inner_len bounds the cutoff a short-memory solve needs.
     """
 
     values: np.ndarray
@@ -308,17 +309,6 @@ def _fn_kernel(d: float, lo: int, count: int) -> np.ndarray:
     return np.sin(np.pi * d) / (np.pi * (k - d))
 
 
-def _exact_support(a_vals: np.ndarray) -> int | None:
-    """Length of the exact support of a finitely supported sequence, or None."""
-    nz = np.nonzero(a_vals)[0]
-    if len(nz) == 0:
-        return 1
-    support = int(nz[-1]) + 1
-    if support <= _EXACT_SUPPORT_MAX and support < len(a_vals):
-        return support
-    return None
-
-
 @lru_cache(maxsize=6)
 def _beta_values(model: ProcessModel, L: int) -> tuple[np.ndarray, float, int, bool]:
     """(beta values 0..L, tail bound, factor length, exact flag).
@@ -331,10 +321,11 @@ def _beta_values(model: ProcessModel, L: int) -> tuple[np.ndarray, float, int, b
     d = memory_exponent(model)
     if d == 0.0:
         # probe for exact support of the AR expansion (probe longer than any
-        # support the exact path accepts, so a hit cannot be a false positive)
+        # support the exact path accepts, so a hit cannot be a false positive;
+        # a_0 = -1/c_0 is never zero)
         probe = expand_ar(model, _EXACT_SUPPORT_MAX + 1).values
-        support = _exact_support(probe)
-        if support is not None:
+        support = int(np.nonzero(probe)[0][-1]) + 1
+        if support <= _EXACT_SUPPORT_MAX:
             c = expand_ma(model, support - 1).values
             out = np.zeros(L + 1)
             for i in range(min(L + 1, support)):
@@ -476,8 +467,6 @@ def _ladder_weights(p: float, scales: list[int]) -> np.ndarray:
     exactly (sum w = 1) and annihilate each modeled power.
     """
     L = len(scales)
-    if L == 1:
-        return np.ones(1)
     A = np.empty((L, L))
     for i, V in enumerate(scales):
         x = float(V) ** (-p)
@@ -573,24 +562,33 @@ def delta_block(beta: BetaSeq, n: int, v_max: int,
     budget K that ends the iteration above tol_term leaves no returned stage
     wrong: it only returns fewer stages than tol_term would.  Pure
     fractional noise iterates on the quadrature's nodes (_moment_delta) and
-    reads only ``beta.model``.
+    reads only ``beta.model``; short memory runs once at the cutoff
+    max(V, inner_len - n), on a beta rebuilt if too short for it, with
+    beta's share as the residual.
     """
     if n < 1 or v_max < 0:
         raise ValueError(f"need n >= 1 and v_max >= 0, got n = {n}, v_max = {v_max}")
-    vals, model = beta.values, beta.model
+    model, V = beta.model, policy.resolve_v(n, beta.model)
     K = policy.resolve_k(model)
     if _moment_form(model):
-        return DeltaBlock(n, *_moment_delta(model.d, n, v_max, policy.resolve_v(n, model),
-                                            K, policy.tol_term))
-    scales = policy.resolve_scales(model, n)
-    cutoffs = _cutoffs(scales)
-    # the finest cutoff sets the stage count, and the coarser ones run as many
-    runs = [_delta_run(vals, n, v_max, cutoffs[0], K, policy.tol_term)]
-    runs += [_delta_run(vals, n, v_max, V, len(runs[0]), 0.0) for V in cutoffs[1:]]
-    block, resid = _eliminate(runs, cutoffs, len(scales), 1.0 - 2.0 * memory_exponent(model))
+        return DeltaBlock(n, *_moment_delta(model.d, n, v_max, V, K, policy.tol_term))
+    if memory_exponent(model) == 0.0:
+        W = max(V, beta_for_model(model, 0).inner_len - n)
+        if len(beta) < n + v_max + 2 * W:
+            beta = beta_for_model(model, n + v_max + 2 * W)
+        block = _delta_run(beta.values, n, v_max, W, K, policy.tol_term)[:, :, :V]
+        resid = 4.0 * beta.tail_estimate
+    else:
+        scales = policy.resolve_scales(model, n)
+        cutoffs = _cutoffs(scales)
+        # the finest cutoff sets the stage count, and the coarser ones run as many
+        runs = [_delta_run(beta.values, n, v_max, cutoffs[0], K, policy.tol_term)]
+        runs += [_delta_run(beta.values, n, v_max, cut, len(runs[0]), 0.0)
+                 for cut in cutoffs[1:]]
+        block, resids = _eliminate(runs, cutoffs, len(scales), 1.0 - 2.0 * memory_exponent(model))
+        resid = float(np.max(resids))
     # (k, v, u) -> (k, u, v)
-    return DeltaBlock(n=n, values=np.transpose(block, (0, 2, 1)),
-                      tail_estimate=float(np.max(resid)))
+    return DeltaBlock(n=n, values=np.transpose(block, (0, 2, 1)), tail_estimate=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -653,17 +651,6 @@ def _g_terms_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
     out = np.array(terms)
     out.setflags(write=False)
     return out, left
-
-
-def _phi_from_terms(terms: np.ndarray) -> np.ndarray:
-    """Sum the series with odd-k and even-k terms accumulated separately.
-
-    The two subsequences live on different index geometries (j vs n+1-j);
-    summing them apart avoids cancellation noise between the interleaves.
-    """
-    odd = terms[0::2].sum(axis=0)
-    even = terms[1::2].sum(axis=0) if len(terms) > 1 else 0.0
-    return odd + even
 
 
 def _a_frobenius(a_vals: np.ndarray, n: int, V: int) -> float:
@@ -735,8 +722,9 @@ def _solve_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
     Returns (phi, depth bound, kernel applies).  With s an estimate of
     ||H||, the residual r left by _cg moves each phi_j by at most
     ||A||_F ||r|| (1 + s) / (1 - s^2) = ||A||_F ||r|| / (1 - s): that is the
-    depth bound.  Where _cg has no estimate below 1, the value is the
-    Neumann sum of _g_terms_run instead.
+    depth bound.  A residual left with no estimate below 1 has no bound, so
+    it raises TruncationError; an exactly zero right-hand side leaves none
+    at any K.
     """
     c_rev = c_head[::-1]
     eng = _HankelFFT(beta_vals, n + 1, V, a_vals=a_vals, n_out=n)
@@ -744,8 +732,10 @@ def _solve_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
     z, hz, rr, s, applies = _cg(eng, _weighted_column(beta_vals, c_rev, n, m, V),
                                 a_norm, K, tol_stop, s_floor)
     if rr > 0.0 and s >= 1.0:
-        terms, left = _g_terms_run(beta_vals, a_vals, c_head, n, m, V, K, tol_stop)
-        return _phi_from_terms(terms), left, applies + max(len(terms) - 2, 0)
+        why = (f"K = {K} leaves no room for one iteration (two kernel applies)" if K < 2
+               else f"I - H^2 shows as indefinite within K = {K} kernel applies")
+        raise TruncationError(f"the series solve at n = {n} left a residual it cannot "
+                              f"bound: {why}")
     bound = a_norm * np.sqrt(rr) / (1.0 - s) if rr > 0.0 else 0.0
     tail = eng.a_correlate_from(eng.forward(hz)) + eng.a_correlate_from(eng.forward(z))[::-1]
     return _stage_one(a_vals, c_rev, n, m) + tail, float(bound), applies
@@ -927,17 +917,6 @@ def _moment_delta(d: float, n: int, v_max: int, V: int, K: int,
     return out, dist
 
 
-def _prop35_warning(model: ProcessModel, n: int) -> None:
-    """Short-memory contraction check: warn when (sum |c|)(sum_{k>n} |a|) >= 1."""
-    c = expand_ma(model, 1 << 12).values
-    a = expand_ar(model, (1 << 12) + n).values
-    rho = float(np.sum(np.abs(c)) * np.sum(np.abs(a[n + 1:])))
-    if rho >= 1.0:
-        warnings.warn(
-            f"short-memory contraction factor {rho:.3g} >= 1 at n = {n}; "
-            f"series convergence not guaranteed", stacklevel=4)
-
-
 def _check_request(model: ProcessModel, n: int, m: int, beta: BetaSeq | None) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -947,23 +926,32 @@ def _check_request(model: ProcessModel, n: int, m: int, beta: BetaSeq | None) ->
         raise ValueError(f"beta was built for {beta.model!r}, not for {model!r}")
 
 
+def _beta_share(beta: BetaSeq, policy: TruncationPolicy, n: int) -> float:
+    """beta's share of every coefficient's residual, checked against
+    tol_tail on its own: no series run can undo it."""
+    share = beta.tail_estimate * 4.0
+    _check_tail(share, policy, n,
+                "it is beta's own error: the model's ARMA factor has not decayed (or "
+                "tol_tail is below beta's rounding), and no V, levels or K can reduce it")
+    return share
+
+
 def _series_inputs(model: ProcessModel, n: int, m: int, policy: TruncationPolicy,
                    beta: BetaSeq | None
                    ) -> tuple[list[int], BetaSeq, np.ndarray, np.ndarray]:
-    """What a series run reads: (the cutoff ladder, beta, a_0..a_{n+V} for
-    the finest cutoff V, c_0..c_m)."""
-    scales = policy.resolve_scales(model, n)
-    c_head = expand_ma(model, m).values
-    if regime(model) is Regime.SHORT:
-        _prop35_warning(model, n)
-
+    """What a series run reads: (its cutoffs, beta, a_0..a_{n+V} for the
+    finest cutoff V, c_0..c_m).  Short memory has one cutoff,
+    V* = max(inner_len - n - 1, m + 1): every kernel entry beta_{n+1+u+w}
+    it drops lies past beta's support; beta's share is checked first."""
+    if memory_exponent(model) == 0.0:
+        probe = beta_for_model(model, 0)
+        _beta_share(probe, policy, n)
+        scales = [max(probe.inner_len - n - 1, m + 1)]
+    else:
+        scales = policy.resolve_scales(model, n)
     if beta is None or len(beta) < _required_beta_len(n, scales[-1], m):
         beta = beta_for_model(model, _required_beta_len(n, scales[-1], m))
-    if beta.exact:
-        # finite-support kernel: every stage is exact at any cutoff wide
-        # enough; one scale, no elimination, nothing to estimate
-        scales = scales[:1]
-    return scales, beta, expand_ar(model, n + scales[-1]).values, c_head
+    return scales, beta, expand_ar(model, n + scales[-1]).values, expand_ma(model, m).values
 
 
 def _depth_controls(model: ProcessModel, policy: TruncationPolicy,
@@ -1004,18 +992,15 @@ def _moment_predictor(model: Farima, n: int, m: int, policy: TruncationPolicy,
         d, a_vals, c_head, n, policy.resolve_k(model), fine, policy.tol_term))
 
 
-def _ladder_predictor(model: ProcessModel, n: int, m: int, policy: TruncationPolicy,
+def _series_predictor(model: ProcessModel, n: int, m: int, policy: TruncationPolicy,
                       beta: BetaSeq | None
                       ) -> tuple[np.ndarray, np.ndarray, int, Callable[[], np.ndarray]]:
     """(phi, per-coefficient residual, kernel applies of the finest run,
-    per-term record) from the cutoff ladder: a solve at each cutoff, and the
-    elimination over them."""
+    per-term record) from the series solve: for short memory one run at the
+    cutoff that reaches its kernel's support, else a run at each cutoff of
+    the ladder and the elimination over them."""
     scales, beta, a_vals, c_head = _series_inputs(model, n, m, policy, beta)
-    # beta's share of every coefficient's residual; no ladder run can undo it
-    beta_share = beta.tail_estimate * 4.0
-    _check_tail(beta_share, policy, n,
-                "it is beta's own error: the model's ARMA factor has not decayed (or "
-                "tol_tail is below beta's rounding), and no V, levels or K can reduce it")
+    beta_share = _beta_share(beta, policy, n)
     p, gain, tol_stop, K = _depth_controls(model, policy, scales)
     # the long-memory kernel's norm tends to sin(pi d) as n grows
     s_floor = float(np.sin(np.pi * memory_exponent(model)))
@@ -1023,9 +1008,10 @@ def _ladder_predictor(model: ProcessModel, n: int, m: int, policy: TruncationPol
     def run(V: int) -> tuple[np.ndarray, float, int]:
         return _solve_run(beta.values, a_vals, c_head, n, m, V, K, tol_stop, s_floor)
 
-    cutoffs = scales if beta.exact else _cutoffs(scales, floor=m + 1)
+    short = memory_exponent(model) == 0.0
+    cutoffs = scales if short else _cutoffs(scales, floor=m + 1)
     runs = [run(V) for V in cutoffs]
-    if beta.exact:
+    if short:
         phi, resid = runs[0][0], np.zeros(n)
     else:
         phi, resid = _eliminate([value for value, _, _ in runs], cutoffs, len(scales), p)
@@ -1033,7 +1019,8 @@ def _ladder_predictor(model: ProcessModel, n: int, m: int, policy: TruncationPol
     # error can move it by, and what the series depth left out of any run,
     # as far as the elimination weights can amplify it
     tail_j = resid + beta_share + gain * max(left for _, left, _ in runs)
-    _check_tail(float(np.max(tail_j)), policy, n)
+    _check_tail(float(np.max(tail_j)), policy, n,
+                "increase K" if short else "increase V, levels or K")
     return phi, tail_j, runs[0][2], cache(lambda: _g_terms_run(
         beta.values, a_vals, c_head, n, m, scales[-1], K, tol_stop)[0])
 
@@ -1045,8 +1032,9 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
 
     Pure fractional noise ``Farima(d)``, d > 0, is solved on a quadrature of
     the series' moment form (_moment_run), with no cutoff, and so is its
-    per-term record, whose terms a pinned K caps; every other model runs the
-    cutoff ladder.
+    per-term record, whose terms a pinned K caps.  Short memory runs one
+    solve at the cutoff its kernel's support sets, whatever V and levels
+    say; every other model runs the cutoff ladder.
 
     Parameters
     ----------
@@ -1066,20 +1054,21 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
     -------
     ExplicitPredictor
         ``table.coefficients[j-1]`` = phi^m_{n,j}; ``series[j-1]`` the
-        per-term diagnostics for that j (terms from the ladder's finest inner
-        cutoff or the quadrature's fine grid; the table carries the
-        ladder-eliminated coefficients, or the moment form's).
+        per-term diagnostics for that j (terms from the finest inner cutoff
+        or the quadrature's fine grid; the table carries the solve's
+        coefficients, ladder-eliminated on the ladder, or the moment form's).
 
     Raises
     ------
     TruncationError
         Truncation residual above policy.tol_tail: the ladder's, beta's, or
         what the series solve left unsolved within the budget of K kernel
-        applies (which a diverging series also exhausts); on the moment form,
-        the quadrature's, or a grid above its node cap.
+        applies (which a diverging series also exhausts); a solve left with
+        a residual it cannot bound (K = 1, or I - H^2 shown indefinite); on
+        the moment form, the quadrature's, or a grid above its node cap.
     """
     _check_request(model, n, m, beta)
-    evaluate = _moment_predictor if _moment_form(model) else _ladder_predictor
+    evaluate = _moment_predictor if _moment_form(model) else _series_predictor
     phi, tail_j, k_used, terms = evaluate(model, n, m, policy, beta)
     table = PredictorTable(n=n, horizon=m, coefficients=phi,
                            source=PredictorSource.EXPLICIT_SERIES)
@@ -1106,8 +1095,9 @@ def projection_iterates(model: ProcessModel, n: int, j: int, m: int = 0,
     projections (infinite past, then the window back to -n, alternating);
     the sequence converges to phi^m_{n,j}.  The terms are those that
     finite_predictor_multistep reports, with no stop before K: on the
-    quadrature for pure fractional noise, else at the finest cutoff of the
-    policy's ladder (fewer only if the terms vanish exactly).
+    quadrature for pure fractional noise, at the one cutoff of short
+    memory, else at the finest cutoff of the policy's ladder (fewer only if
+    the terms vanish exactly).
     """
     if not 1 <= j <= n:
         raise ValueError(f"need 1 <= j <= n, got j = {j}, n = {n}")

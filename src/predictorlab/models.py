@@ -65,12 +65,6 @@ class RealPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def __call__(self, z: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coefficients):
-            acc = acc * z + c
-        return acc
-
     def roots(self) -> np.ndarray:
         """Complex roots (empty array for degree zero)."""
         if self.degree == 0:

@@ -240,6 +240,14 @@ class TestDkScalingExperiment:
             with pytest.raises(ValueError, match="outside inner cutoff"):
                 pl.dk_scaling_experiment(m, [1], 32 * 512, [512])
 
+    def test_refuses_before_building_beta(self, monkeypatch):
+        # a window past the cutoff raises before the ladder's long beta is built
+        def no_beta(*args):
+            raise AssertionError("a refused request must build no beta")
+        monkeypatch.setattr(asymptotics, "beta_for_model", no_beta)
+        with pytest.raises(ValueError, match="outside inner cutoff"):
+            pl.dk_scaling_experiment(pl.Farima(0.3, ma_poly=(1.0, 0.5)), [1], 16384, [512])
+
 
 class TestCrossChecking:
     def test_route_disagreement_raises(self, monkeypatch):

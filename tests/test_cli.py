@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -471,12 +472,29 @@ class TestExitCodes:
         _, rows = csv_rows(out)
         assert max(float(r[3]) for r in rows) < 1e-8
 
-    def test_warning_is_one_line(self, capsys):
-        code, _, err = run(capsys, "predict", "--model", "farima", "--d", "0",
-                           "--mapoly=1,0.9", "--n", "16")
+    def test_warning_is_one_line(self, capsys, monkeypatch):
+        # a slowly contracting short-memory series is solved without a word
+        argv = ("predict", "--model", "farima", "--d", "0", "--mapoly=1,0.9", "--n", "16")
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        # a warning the library does raise is one line, with no source location
+        real = cli.finite_predictor_multistep
+
+        def warned(*args, **kwargs):
+            warnings.warn("first line\n  second line", stacklevel=2)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, "finite_predictor_multistep", warned)
+        code, _, err = run(capsys, *argv)
         assert code == 0
-        assert err == ("predictorlab: warning: short-memory contraction factor 3.17 >= 1 "
-                       "at n = 16; series convergence not guaranteed\n")
+        assert err == "predictorlab: warning: first line second line\n"
+
+    def test_budget_below_one_iteration(self, capsys):
+        # K = 1 leaves the solve no iteration: one truncation line naming K
+        code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0.3",
+                             "--mapoly=1,0.5", "--n", "4", "--kmax", "1", "--tol", "1e6",
+                             "--source", "explicit")
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 and "error=truncation" in err and "K = 1" in err
 
     def test_depth_budget_past_exact_zeros(self, capsys):
         # every AR(1) term after g_1 is an exact zero, so K = 2 leaves nothing
@@ -584,3 +602,14 @@ def test_import_leaves_slow_scipy_modules_out():
     err = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stderr
     assert err == "[]\n"
+
+
+def test_factored_levinson_request_leaves_scipy_signal_out():
+    # the ARMA factors' expansion filters with numpy and a banded solve
+    code = ("import sys; from predictorlab.cli import main; "
+            "main(['predict', '--model', 'farima', '--d', '0.3', '--arpoly=1,-0.5', "
+            "'--mapoly=1,0.4', '--n', '8', '--source', 'levinson']); "
+            "print('scipy.signal' in sys.modules, file=sys.stderr)")
+    err = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stderr
+    assert err == "False\n"

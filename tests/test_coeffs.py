@@ -180,6 +180,16 @@ class TestInfinitePredictor:
         got = pl.tail_sum_phi(phi[:1 << 17], 100, d)
         assert abs(got - direct) / direct < 5e-3
 
+    @pytest.mark.parametrize("d", [0.05, 0.3, 0.45])
+    def test_tail_sum_against_gamma_ratio(self, d):
+        # fractional noise's tail sum_{k>n} phi_k is Gamma(n+1-d) /
+        # (Gamma(1-d) Gamma(n+1)), the product of (k - d)/k over k <= n
+        phi = pl.phi_for_model(pl.Farima(d), 1 << 17)
+        k = np.arange(1, 4097)
+        ratio = np.cumprod((k - d) / k)
+        for n in (16, 256, 4096):
+            assert pl.tail_sum_phi(phi, n, d) == pytest.approx(ratio[n - 1], rel=1e-12, abs=0)
+
     def test_tail_sum_decay_shape(self):
         # tail(n) ~ C n^{-d}: check the log-log slope over a decade
         d = 0.3

@@ -12,6 +12,7 @@ from scipy import signal
 import predictorlab as pl
 from predictorlab import TruncationError, TruncationPolicy, explicit
 from predictorlab.asymptotics import check_routes, fk0
+from predictorlab.cli import main
 from predictorlab.explicit import _HankelFFT
 
 from conftest import (exact_phi, farima_a_oracle, farima_c_oracle, farima_dk_oracle,
@@ -348,8 +349,7 @@ class TestFinitePredictor:
         # an inexact short-memory beta is cut where its factors are dead, so
         # rounding is all its error, and the residual must cover it
         model, n = pl.Farima(0.0, ma_poly=(1.0, 0.9)), 16
-        with pytest.warns(UserWarning, match="contraction"):
-            res = pl.finite_predictor_multistep(model, n, 0)
+        res = pl.finite_predictor_multistep(model, n, 0)
         want = pl.durbin_levinson(pl.autocov(model, n), n)[-1].coefficients
         err = float(np.max(np.abs(res.table.coefficients - want)))
         assert max(s.tail_estimate for s in res.series) >= err
@@ -412,7 +412,14 @@ def _assert_same_fields(a, b):
             assert x == y, name
 
 
-#: long and short memory, AR- and MA-factored, and an exact-support kernel
+def _neumann_sum(terms):
+    """The series summed term by term, odd-k and even-k terms apart: they
+    live on different index geometries (j and n+1-j)."""
+    return terms[0::2].sum(axis=0) + terms[1::2].sum(axis=0)
+
+
+#: long and short memory, AR- and MA-factored, and an exact-support kernel;
+#: the series solve serves all of them, the cutoff ladder the long memory
 _SOLVE_MODELS = [*(pl.Farima(d, ma_poly=(1.0, 0.5)) for d in (0.1, 0.2, 0.3, 0.4)),
                  pl.Farima(0.3, ar_poly=(1.0, -0.5)), pl.Farima(0.0, ma_poly=(1.0, 0.5)),
                  pl.Ar1(0.5)]
@@ -439,8 +446,9 @@ def test_concurrent_calls_under_fast_switching():
             _assert_same_fields(a, b)
 
 
-#: long and short memory, MA- and AR-factored, and an exact-support kernel:
-#: models the cutoff ladder serves
+#: long memory, MA- and AR-factored, which the cutoff ladder serves, and
+#: AR(1), whose exact-support kernel runs one short-memory solve whatever
+#: V and levels say
 _LADDER_MODELS = [pl.Farima(0.1, ma_poly=(1.0, 0.5)), pl.Farima(0.3, ma_poly=(1.0, 0.5)),
                   pl.Farima(0.3, ar_poly=(1.0, -0.5)), pl.Ar1(0.5)]
 
@@ -508,7 +516,7 @@ class TestSolve:
         def neumann(beta_vals, a_vals, c_head, n, m, V, K, tol_stop, s_floor):
             terms, left = explicit._g_terms_run(beta_vals, a_vals, c_head, n, m, V,
                                                 20000, 1e-15)
-            return explicit._phi_from_terms(terms), left, len(terms)
+            return _neumann_sum(terms), left, len(terms)
 
         def both(*args):
             solved, summed = real(*args), neumann(*args)
@@ -517,8 +525,8 @@ class TestSolve:
 
         monkeypatch.setattr(explicit, "_solve_run", both)
         res = pl.finite_predictor_multistep(model, n, m, policy)
-        # an exactly supported kernel runs one cutoff
-        assert len(runs) == (1 if pl.beta_for_model(model, 1).exact else 3)
+        # short memory runs one cutoff
+        assert len(runs) == (1 if pl.memory_exponent(model) == 0.0 else 3)
         for (phi, bound, _), (want, left, _) in runs:
             # beyond that, the two sums round differently by a few ulp
             ulps = 4.0 * np.finfo(float).eps * np.max(np.abs(want))
@@ -528,16 +536,112 @@ class TestSolve:
         diff = np.abs(res.table.coefficients - summed.table.coefficients)
         assert np.all(diff <= [s.tail_estimate for s in res.series])
 
-    def test_budget_below_one_iteration_sums_the_series(self):
-        # K = 1 leaves no room for a solve iteration, so the run is the
-        # Neumann sum cut after g_1, whose geometric tail the residual reports
-        model, n = pl.Farima(0.3, ma_poly=(1.0, 0.5)), 4
-        res = pl.finite_predictor_explicit(model, n, TruncationPolicy(K=1, tol_tail=1e6))
-        assert res.series[0].k_used == 0
-        g1 = [s.terms[0] for s in res.series]
-        assert all(len(s.terms) == 1 for s in res.series)
-        want = pl.multistep_normal_solve(pl.autocov(model, n), n, 0).coefficients
-        assert max(s.tail_estimate for s in res.series) >= np.max(np.abs(want - g1))
+    def test_budget_below_one_iteration_raises(self):
+        # K = 1 leaves no room for a solve iteration, so the residual has no
+        # bound, whatever tol_tail allows; a kernel with nothing to solve
+        # (AR(1): an exactly zero right-hand side) stays exact
+        policy = TruncationPolicy(K=1, tol_tail=1e6)
+        with pytest.raises(TruncationError, match="K = 1 leaves no room"):
+            pl.finite_predictor_explicit(pl.Farima(0.3, ma_poly=(1.0, 0.5)), 4, policy)
+        res = pl.finite_predictor_explicit(pl.Ar1(0.5), 4, policy)
+        np.testing.assert_array_equal(res.table.coefficients, [0.5, 0.0, 0.0, 0.0])
+
+    def test_indefinite_system_raises(self, monkeypatch):
+        # conjugate gradients that meet I - H^2 as indefinite leave a
+        # residual with no norm estimate below 1: an error naming K
+        def indefinite(eng, r, a_norm, K, tol_stop, s_floor):
+            return np.zeros_like(r), np.zeros_like(r), 1.0, 1.0, 1
+        monkeypatch.setattr(explicit, "_cg", indefinite)
+        with pytest.raises(TruncationError, match="indefinite within K = 64"):
+            pl.finite_predictor_explicit(pl.Farima(0.0, ma_poly=(1.0, 0.9)), 4,
+                                         TruncationPolicy(K=64))
+
+
+#: short memory: AR(1) and AR(2) (exact support), ARMA(1, 1), and MA(1)
+#: whose AR expansion decays slowly and very slowly
+_SHORT_MODELS = [pl.Ar1(0.7), pl.Farima(0.0, ar_poly=(1.0, -0.5, 0.3)),
+                 pl.Farima(0.0, ma_poly=(1.0, 0.9)),
+                 pl.Farima(0.0, ar_poly=(1.0, -0.5), ma_poly=(1.0, 0.4)),
+                 pl.Farima(0.0, ma_poly=(1.0, 0.99))]
+
+
+class TestShortMemory:
+    """d = 0: one solve at the cutoff the kernel's support sets, no ladder."""
+
+    @pytest.mark.parametrize("model", _SHORT_MODELS, ids=repr)
+    @pytest.mark.parametrize("n", [1, 2, 4, 16])
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_residual_covers_normal_solve(self, model, n, m):
+        # every weight is within its reported residual of the normal
+        # equations on the exact autocovariances, beyond the few ulp those
+        # round by
+        res = pl.finite_predictor_multistep(model, n, m)
+        want = pl.multistep_normal_solve(pl.autocov(model, n + m), n, m).coefficients
+        ulps = 4.0 * np.finfo(float).eps * np.max(np.abs(want))
+        err = np.abs(res.table.coefficients - want)
+        assert np.all(err <= np.array([s.tail_estimate for s in res.series]) + ulps)
+
+    @pytest.mark.parametrize("model", _SHORT_MODELS, ids=repr)
+    def test_one_path_whatever_the_policy(self, monkeypatch, capsys, model):
+        # with the ladder's elimination gone, every output still runs, and
+        # pinned V and levels, even ones the ladder refuses (V = 4 at m = 3
+        # leaves levels=1 no half run), leave the weights bitwise as they are
+        def no_ladder(*args):
+            raise AssertionError("short memory must not run the cutoff ladder")
+        monkeypatch.setattr(explicit, "_eliminate", no_ladder)
+        monkeypatch.setattr(explicit, "_cutoffs", no_ladder)
+        n, m = 8, 3
+        default = pl.finite_predictor_multistep(model, n, m)
+        iterates = pl.projection_iterates(model, n, 2, m, K=6)
+        # the record stops at its tolerance, the iterates at K
+        record = default.series[1].terms[:6]
+        np.testing.assert_array_equal(iterates[:len(record)], np.cumsum(record))
+        for pins in ({"V": 4, "levels": 1}, {"V": 64, "levels": 5}):
+            policy = TruncationPolicy(**pins)
+            res = pl.finite_predictor_multistep(model, n, m, policy)
+            _assert_same_fields(default.table, res.table)
+            for a, b in zip(default.series, res.series):
+                _assert_same_fields(a, b)
+            np.testing.assert_array_equal(
+                pl.projection_iterates(model, n, 2, m, K=6, policy=policy), iterates)
+        argv = ["predict", "--n", "4", "--terms", "--source", "explicit", "--vmax", "4",
+                "--levels", "1", "--model"]
+        if isinstance(model, pl.Ar1):
+            argv += ["ar1", "--r", str(model.r)]
+        else:
+            argv += ["farima", "--d", "0"] + [
+                f"--{name}={','.join(map(str, poly.coefficients))}"
+                for name, poly in (("arpoly", model.ar_poly), ("mapoly", model.ma_poly))]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("model", _SHORT_MODELS, ids=repr)
+    def test_d_vectors_reach_the_support(self, monkeypatch, model):
+        # V is only the output window: d_2(n, u) = sum_w beta_{n+u+w}
+        # beta_{n+w} runs over the kernel's whole support, and the block's
+        # v = 0 column is d_k
+        def no_ladder(*args):
+            raise AssertionError("short memory must not run the cutoff ladder")
+        monkeypatch.setattr(explicit, "_eliminate", no_ladder)
+        n, V = 2, 16
+        beta = pl.beta_for_model(model, 0)
+        policy = TruncationPolicy(V=V, K=2, levels=5)
+        dv = pl.d_vectors(beta, n, policy)
+        block = pl.delta_block(beta, n, 2, policy)
+        assert dv.vectors.shape[1] == V and block.values.shape[1:] == (V, 3)
+        # beta's share, of a beta long enough for the support
+        assert 4.0 * beta.tail_estimate <= dv.tail_estimate < 1e-12
+        k = min(dv.k_used, block.k_used)
+        np.testing.assert_allclose(block.values[:k, :, 0], dv.vectors[:k],
+                                   rtol=1e-10, atol=1e-15)
+        full = pl.beta_for_model(model, 4 * beta.inner_len + 4 * V).values
+        W = beta.inner_len + V
+        d2 = full[n + np.add.outer(np.arange(V), np.arange(W))] @ full[n:n + W]
+        if dv.k_used == 1:  # the first stage is exactly zero
+            assert not np.any(dv.vectors)
+        else:
+            np.testing.assert_allclose(dv.vectors[1], d2, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(d2)))
 
 
 class TestMomentForm:
