@@ -24,8 +24,7 @@ import numpy as np
 from .coeffs import autocov, expand_ar, expand_ma, infinite_predictor, tail_sum_phi
 from .errors import OracleDisagreementError, RegimeError
 from .explicit import (_QUADRATURE_REMEDY, DEFAULT_POLICY, ExplicitPredictor,
-                       TruncationPolicy, _check_tail, _moment_form,
-                       _required_beta_len, beta_for_model, d_vectors,
+                       TruncationPolicy, _check_tail, beta_for_model, d_vectors,
                        finite_predictor_explicit)
 # durbin_levinson has no caller here; bench/layers.py wraps it by name in
 # this module, so the name stays
@@ -168,20 +167,14 @@ def _checked_sweep(model: ProcessModel, n_list: list[int],
 
     phi_inf is the infinite predictor to _PHI_TAIL_LEN terms, or one past
     the largest n where that is longer, so that every phi_{n,.} has a
-    tail.  One beta
-    computation is shared by the whole sweep, unless the model is pure
-    fractional noise, whose beta is a cached closed form.
+    tail.
     """
     c = expand_ma(model, 0)
     length = max(_PHI_TAIL_LEN, max(n_list) + 1)
     phi_inf = infinite_predictor(c, expand_ar(model, length), length)
-    beta = None
-    if not _moment_form(model):
-        vtop = max(policy.resolve_scales(model, n)[-1] for n in n_list)
-        beta = beta_for_model(model, _required_beta_len(max(n_list), vtop, 0))
     phis = []
     for n in n_list:
-        res = finite_predictor_explicit(model, n, policy, beta=beta)
+        res = finite_predictor_explicit(model, n, policy)
         check_routes(res, multistep_normal_solve(autocov(model, n), n, 0).coefficients)
         phis.append(res.table.coefficients)
     return phi_inf, phis
@@ -248,9 +241,9 @@ def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
                           policy: TruncationPolicy = DEFAULT_POLICY) -> DkScalingReport:
     """Tabulate n d_k(n, u) against the limit f_k(0) sin^k(pi d).
 
-    The d_k come from d_vectors: on the quadrature for the window up to u,
-    on the cutoff ladder with its long beta; u must lie below resolve_v.
-    Raises TruncationError when their residual at some n exceeds tol_tail.
+    The d_k come from d_vectors, on the quadrature for the window up to u;
+    u must lie below resolve_v.  Raises TruncationError when their residual
+    at some n exceeds tol_tail.
     """
     d = _require_long_memory(model, "d_k scaling experiment")
     if u < 0:
@@ -268,15 +261,11 @@ def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
     s = np.sin(np.pi * d)
     targets = {k: float(f * s ** k) for k, f in zip(range(1, kmax + 1), fk0(kmax))}
 
-    nodes = _moment_form(model)
-    beta = beta_for_model(model, 0 if nodes else max(
-        n + 2 * policy.resolve_scales(model, n)[-1] for n in n_list))
-    remedy = _QUADRATURE_REMEDY if nodes else "increase V or levels"
-
+    beta = beta_for_model(model, 0)
     rows = []
     for n in n_list:
-        dv = d_vectors(beta, n, replace(policy, K=kmax, V=u + 1 if nodes else policy.V))
-        _check_tail(dv.tail_estimate, policy, n, remedy)
+        dv = d_vectors(beta, n, replace(policy, K=kmax, V=u + 1))
+        _check_tail(dv.tail_estimate, policy, n, _QUADRATURE_REMEDY)
         rows += [(k, n, float(n * dv.vectors[k - 1][u]), targets[k])
                  for k in k_list if k <= dv.k_used]
     entries = []

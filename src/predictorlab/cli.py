@@ -144,7 +144,6 @@ _PARSERS = {
     "vmax": partial(_to_int, lo=1),
     "kmax": partial(_to_int, lo=1),
     "tol": _to_positive_float,
-    "levels": partial(_to_int, lo=1),
     "format": partial(_choice, allowed=("csv", "json")),
     "out": lambda name, raw: str(raw),
     "N": partial(_to_int, lo=0),
@@ -162,7 +161,7 @@ _COMMON = {"model": None, "r": None, "d": None, "arpoly": None, "mapoly": None,
            "format": "csv", "out": None}
 
 #: truncation-policy keys, for the subcommands that run the explicit series
-_POLICY = {"vmax": None, "kmax": None, "tol": None, "levels": None}
+_POLICY = {"vmax": None, "kmax": None, "tol": None}
 
 #: each subcommand's keys with their built-in defaults
 _DEFAULTS = {
@@ -238,7 +237,7 @@ def _build_model(cfg: dict):
 
 def _build_policy(cfg: dict):
     overrides = {field: cfg[key] for key, field in
-                 (("vmax", "V"), ("kmax", "K"), ("tol", "tol_tail"), ("levels", "levels"))
+                 (("vmax", "V"), ("kmax", "K"), ("tol", "tol_tail"))
                  if cfg.get(key) is not None}
     return dataclasses.replace(DEFAULT_POLICY, **overrides)
 

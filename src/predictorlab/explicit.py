@@ -22,42 +22,26 @@ A z (see _solve_run), in a handful of iterations where the sum takes tens
 of stages.  The per-term record is the stage-by-stage sum, computed only
 when a caller reads it.
 
-Pure fractional noise has no cutoff at all (see _moment_run): there
-beta_i = c int_0^1 t^(i-d-1) dt for i >= 1, so the kernel is a Hankel moment
-operator, and the solve becomes a dense system on the nodes of a quadrature
-of that integral (a Nystrom method; Atkinson, The Numerical Solution of
-Integral Equations of the Second Kind, 1997): one trapezoid rule of step
-0.35 in y, t = 1/(1 + e^-y), a few hundred nodes at d = 0.3 (282 at n = 64)
-and about a thousand at d = 0.45, within about 1e-14 of Hosking's closed
-form.  Its residual is the distance from the same solve on every other
-node; the node cap refuses d from about 0.483 on.  The same nodes give the
-record and the iterates d_k, delta_k for ``Farima(d)``, d > 0, under any
-policy.
+Long memory has no cutoff at all (see _moment_system): beta is the kernel
+beta0_k = c/(k - d), c = sin(pi d)/pi, correlated with the two-sided
+correlation rho of the ARMA factors (rho = 1 for pure fractional noise), so
+beta_i = c int_0^1 t^(i-d-1) rho(t) dt, rho(t) = sum_j rho_j t^j, wherever
+i + j >= 1 for every kept j.  The solve becomes a dense system on the
+nodes of a quadrature of that moment operator (a Nystrom method; Atkinson,
+The Numerical Solution of Integral Equations of the Second Kind, 1997):
+a trapezoid rule in y, t = 1/(1 + e^-y), with weights of the sign of
+rho(t), plus an explicit corner for the kernel's first rows.  Pure noise
+has neither sign nor corner: 282 nodes at d = 0.3, n = 64, within about
+1e-14 of Hosking's closed form.  The residual is the distance from the
+same solve on every other node.  The same nodes give the record and the
+iterates d_k, delta_k, under any policy, and no factor needs its roots.
 
 Short memory (d = 0) has no cutoff to choose either: its kernel ends at
 the support BetaSeq.inner_len, so one solve at the cutoff
-V* = max(inner_len - n - 1, m + 1) serves every output whatever V and
-levels say (d_k and delta_k run once at max(V, inner_len - n) and return V
-entries in u).  An exact support stays exactly zero under rfft/irfft of
-zero blocks, so for AR(1) every stage k >= 2 is an exact zero.
-
-Every other model, long memory with ARMA factors, runs the cutoff ladder.
-Two infinite sums are truncated there: the inner index (cutoff V, the
-Hankel apply) and the series depth (the solve's residual, within a budget
-of K kernel applies per run).  The inner truncation error of the summed
-series follows a ladder of powers C_1 V^{-p} + C_2 V^{-2p} + ... with
-p = 1 - 2d (measured against exact closed-form predictors over five
-V-doublings; the exponent matches the autocovariance tail and is stable in
-n and d).  The pipeline therefore runs at a geometric ladder of cutoffs V,
-2V, ..., 2^{L-1} V, finest first, and eliminates the leading L-1 powers by
-solving the small Vandermonde system in V^{-p}; the reported residual is
-the difference between the last two elimination orders.  With one level
-the value stays uncorrected, and the residual is 1.5 times its distance
-from the same elimination over it and one extra run at the half cutoff
-max(V // 2, m + 1), whatever their ratio (ValueError where that half
-cannot go below V).  The depth error is each run's bound on what its
-unsolved residual can still move; times the elimination gain sum |w|, it
-joins the same residual.
+V* = max(inner_len - n - 1, m + 1) serves every output whatever V says
+(d_k and delta_k run once at max(V, inner_len - n) and return V entries in
+u).  An exact support stays exactly zero under rfft/irfft of zero blocks,
+so for AR(1) every stage k >= 2 is an exact zero.
 
 Every correlation here (beta, the Hankel apply, the AR correlation) keeps a
 window of a linear convolution, so its FFT runs at the shortest circular
@@ -74,12 +58,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 
 import numpy as np
 
-from .coeffs import (CoeffKind, _convolve_window, _decayed, _expansion_values,
-                     _window_fft_len, expand_ar, expand_ma)
+from .coeffs import (CoeffKind, _arma_series, _convolve_window, _decayed,
+                     _expansion_values, _window_fft_len, expand_ar, expand_ma)
 from .errors import TruncationError
 from .levinson import PredictorSource, PredictorTable
 from .models import Farima, ProcessModel, memory_exponent
@@ -112,35 +96,28 @@ _STOP_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Controls for the two truncation axes of the explicit series.
+    """Controls for the truncation of the explicit series.
 
-    V, K and levels control the cutoff ladder.  On the quadrature of pure
-    fractional noise (``Farima(d)``, d > 0) levels is not read, and V and K
-    only bound what d_k, delta_k and the per-term record return.  Short
-    memory (d = 0) reads no levels, and V only as d_k's output window.
+    Long memory (d > 0) runs on a quadrature with no cutoff, so V and K only
+    bound what d_k, delta_k and the per-term record return.  Short memory
+    (d = 0) solves at the cutoff its kernel's support sets: V is only d_k's
+    output window there, and K the solve's budget.
 
-    V: base inner-index cutoff (None -> max(8192, 32 n)).  The pipeline runs
-    at the doubling ladder V, 2V, ..., 2^{levels-1} V and eliminates the
-    leading truncation powers.
-    K: budget of kernel applies per run of the predictor's series solve
-    (None -> from the geometric decay rate); d_vectors and delta_block
-    return at most K stages.  A run that spends it before its stopping
-    tolerance shows what it left out in the residual, so a K too small for
-    the model raises.
+    V: output window of d_k and delta_k (None -> max(8192, 32 n), or
+    max(16384, 64 n) from d = 1/3 on).
+    K: budget of kernel applies of the short-memory solve (None -> from the
+    geometric decay rate); d_vectors, delta_block and the record return at
+    most K stages.  A solve that spends it before its stopping tolerance
+    shows what it left out in the residual, so a K too small raises.
     tol_term: absolute stopping tolerance for the k-series.
-    tol_tail: cap on the estimated truncation residual of the final
-    coefficients (inner cutoff, beta and series depth); exceeded ->
-    TruncationError.
-    levels: ladder length (None -> 3 to 6 depending on d).  levels=1 runs
-    one scale, uncorrected, with its residual estimated from a run at the
-    half cutoff max(V // 2, m + 1).
+    tol_tail: cap on the estimated residual of the final coefficients;
+    exceeded -> TruncationError.
     """
 
     V: int | None = None
     K: int | None = None
     tol_term: float = 1e-10
     tol_tail: float = 1e-6
-    levels: int | None = None
 
     def __post_init__(self):
         if self.V is not None and self.V < 1:
@@ -151,43 +128,33 @@ class TruncationPolicy:
             raise ValueError(f"tol_term must be > 0, got {self.tol_term}")
         if not self.tol_tail > 0.0:
             raise ValueError(f"tol_tail must be > 0, got {self.tol_tail}")
-        if self.levels is not None and self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
 
     def resolve_v(self, n: int, model: ProcessModel) -> int:
         if self.V is not None:
             return self.V
-        # the truncation-error constant grows sharply as d -> 1/2
+        # the default output window of d_k and delta_k
         if memory_exponent(model) >= 1.0 / 3.0:
             return max(16384, 64 * n)
         return max(8192, 32 * n)
 
-    def resolve_levels(self, model: ProcessModel) -> int:
-        if self.levels is not None:
-            return self.levels
-        d = memory_exponent(model)
-        if d < 0.1:
-            return 3
-        if d < 0.2:
-            return 4
-        if d < 1.0 / 3.0:
-            return 5
-        return 6
-
     def resolve_scales(self, model: ProcessModel, n: int) -> list[int]:
-        """The doubling ladder of inner cutoffs the explicit series runs at."""
-        base = self.resolve_v(n, model)
-        return [base << i for i in range(self.resolve_levels(model))]
+        """[resolve_v]: the one inner cutoff, as a list because the
+        benchmark's tracing and criterion 2 read its top entry."""
+        return [self.resolve_v(n, model)]
 
     def resolve_k(self, model: ProcessModel, tol: float | None = None) -> int:
         if self.K is not None:
             return self.K
         t = tol if tol is not None else self.tol_term
         d = memory_exponent(model)
-        if d > 0.0:
+        if d > 0.0 and not _pure_noise(model):
+            # an ARMA factor's kernel can contract far more slowly than
+            # sin(pi d) at small n: the record's and d_k's stop rules end it
+            k = _K_CAP
+        elif d > 0.0:
             s = np.sin(np.pi * d)
             # geometric tail s^K s/(1-s) below t: the stage count of the
-            # summed series, which a solve's kernel applies stay well within
+            # summed series
             k = int(np.ceil(np.log(t * (1.0 - s) / s) / np.log(s))) + 8
         else:
             # short memory: geometric products decay at least as fast as the
@@ -203,8 +170,8 @@ DEFAULT_POLICY = TruncationPolicy()
 class BetaSeq:
     """Correlation sequence beta_0..beta_L with its truncation residual bound.
 
-    ``model`` is the generating process, whose memory regime sets the cutoff
-    ladder of every kernel built on it; ``inner_len`` is the factor length,
+    ``model`` is the generating process, whose memory regime sets the path
+    of every kernel built on it; ``inner_len`` is the factor length,
     the terms of each short-memory factor correlated (1 when there are none;
     the support on the exact path); ``tail_estimate`` bounds the absolute
     error per entry, rounding included, so it is 0 only on the exact path,
@@ -236,16 +203,15 @@ class SeriesTerms:
     """Per-term diagnostics of the explicit series for one coefficient.
 
     ``terms[k-1]`` is g^m_k(n, j) (their cumulative sums are the
-    alternating-projection iterates), summed stage by stage: at the finest
-    inner cutoff under the series' own stop rule, or on the quadrature's
-    fine grid until the running sums are within tol_term of the table.  The
-    value path solves for the sum instead, so the terms are computed on
-    first read, once for all j of a result.  ``tail_estimate`` is the
-    coefficient's truncation residual: the inner one left after ladder
-    elimination, beta's share, and the series depth's (the solve's error
-    bound) times the elimination gain, or the quadrature's.  It is the
-    number the ``tol_tail`` check compares.  ``k_used`` is the number of
-    kernel applies the finest cutoff's run made (0 on the quadrature).
+    alternating-projection iterates), summed stage by stage, at the
+    short-memory cutoff under the series' own stop rule or on the
+    quadrature's fine grid until the running sums are within tol_term of
+    the table; computed on first read, once for all j of a result.
+    ``tail_estimate`` is the coefficient's residual, the number the
+    ``tol_tail`` check compares: beta's share plus the short-memory solve's
+    depth bound and rounding, or the quadrature's distance from its coarse
+    grid.  ``k_used`` is the short-memory solve's kernel applies (0 on the
+    quadrature).
     """
 
     tail_estimate: float
@@ -309,6 +275,22 @@ def _fn_kernel(d: float, lo: int, count: int) -> np.ndarray:
     return np.sin(np.pi * d) / (np.pi * (k - d))
 
 
+@lru_cache(maxsize=4)
+def _arma_factor(model: ProcessModel) -> tuple[np.ndarray, np.ndarray, float]:
+    """(r, s, dropped): the MA expansion r and the negated AR expansion s of
+    the model's short-memory part (itself at d = 0), each cut where it has
+    decayed (_decayed), and a bound on what their dropped tails move
+    rho_j = sum_p r_p s_{p-j} by in l1: a factor's last quarter bounds its
+    dropped tail, times the other factor's sum.  An undecayed factor is not
+    refused here: its last quarter enters the bound."""
+    arma = replace(model, d=0.0) if memory_exponent(model) > 0.0 else model
+    rows, last = _decayed(lambda T: np.stack([_expansion_values(arma, T, CoeffKind.MA),
+                                              -_expansion_values(arma, T, CoeffKind.AR)]))
+    rows.setflags(write=False)  # cached: every caller shares them
+    r, s = rows
+    return r, s, float(last[0].sum() * np.abs(s).sum() + np.abs(r).sum() * last[1].sum())
+
+
 @lru_cache(maxsize=6)
 def _beta_values(model: ProcessModel, L: int) -> tuple[np.ndarray, float, int, bool]:
     """(beta values 0..L, tail bound, factor length, exact flag).
@@ -316,7 +298,10 @@ def _beta_values(model: ProcessModel, L: int) -> tuple[np.ndarray, float, int, b
     c = b * r and a = a0 * s, with b and a0 the fractional-noise expansions
     and r, -s those of the short-memory part of the model (itself at d = 0,
     where b = -a0 is the unit impulse), so beta is the kernel beta0 of
-    _fn_kernel correlated with rho_j = sum_p r_p s_{p-j}.
+    _fn_kernel correlated with rho_j = sum_p r_p s_{p-j}.  In long memory
+    the bound also carries the mass the moment form cuts from rho's
+    negative end (_moment_weight), so that it covers the quadrature's
+    kernel rows too.
     """
     d = memory_exponent(model)
     if d == 0.0:
@@ -334,18 +319,14 @@ def _beta_values(model: ProcessModel, L: int) -> tuple[np.ndarray, float, int, b
     elif model.ma_poly.coefficients == model.ar_poly.coefficients == (1.0,):
         beta0 = _fn_kernel(d, 0, L + 1)
         return beta0, 4.0 * np.finfo(float).eps * float(np.max(np.abs(beta0))), 1, False
-    arma = replace(model, d=0.0) if d > 0.0 else model
-    # uncached, since _decayed tries one length after another; an undecayed
-    # factor is not refused here: its last quarter enters the bound
-    (r, s), last = _decayed(lambda T: np.stack([_expansion_values(arma, T, CoeffKind.MA),
-                                                -_expansion_values(arma, T, CoeffKind.AR)]))
+    r, s, dropped = _arma_factor(model)
+    if d > 0.0:
+        dropped += _moment_weight(model)[2]
     T = len(r)
     # rho_rev[q] = rho_{T-1-q} = (r reversed * s)_q pairs with beta0_{i+T-1-q}
     rho_rev = _convolve_window(r[::-1], s, 0, 2 * T - 1)
     beta0 = _fn_kernel(d, 1 - T, L + 2 * T - 1)
-    # a factor's last quarter bounds its dropped tail, which moves rho by at
-    # most that times the other factor's sum; plus the correlation's rounding
-    dropped = last[0].sum() * np.abs(s).sum() + np.abs(r).sum() * last[1].sum()
+    # plus the correlation's rounding
     rounding = np.finfo(float).eps * np.log2(L + 2 * T) * np.abs(rho_rev).sum()
     return (_convolve_window(beta0, rho_rev, 2 * T - 2, L + 1),
             float((dropped + rounding) * np.max(np.abs(beta0))), T, False)
@@ -457,67 +438,6 @@ def hankel_apply(beta: BetaSeq, n: int, x: np.ndarray, method: str = "fft") -> n
 
 
 # ---------------------------------------------------------------------------
-# inner-truncation ladder
-
-def _ladder_weights(p: float, scales: list[int]) -> np.ndarray:
-    """Elimination weights w with sum w_l S(V_l) free of V^{-p}, ..., V^{-(L-1)p}.
-
-    Rows of the Vandermonde system are the powers x_l^t, x_l = V_l^{-p}; the
-    weights are the first row of the inverse, so they reproduce constants
-    exactly (sum w = 1) and annihilate each modeled power.
-    """
-    L = len(scales)
-    A = np.empty((L, L))
-    for i, V in enumerate(scales):
-        x = float(V) ** (-p)
-        A[i] = [x ** t for t in range(L)]
-    e0 = np.zeros(L)
-    e0[0] = 1.0
-    return np.linalg.solve(A.T, e0)
-
-
-def _cutoffs(scales: list[int], floor: int = 1) -> list[int]:
-    """The cutoffs a ladder over ``scales`` runs at, finest first: every
-    scale, or one scale V and its half max(V // 2, floor), which must lie
-    below V for the two runs to show any truncation error."""
-    if len(scales) > 1:
-        return scales[::-1]
-    V = scales[0]
-    half = max(V // 2, floor)
-    if half >= V:
-        raise ValueError(f"levels=1 at V = {V} needs a half run below V, but it "
-                         f"cannot go below {floor}; raise V or levels")
-    return [V, half]
-
-
-def _shared_prefix(runs: list[np.ndarray]) -> list[np.ndarray]:
-    """Each run cut to the prefix, along every axis, that all runs share."""
-    shape = np.min([r.shape for r in runs], axis=0)
-    return [r[tuple(slice(0, k) for k in shape)] for r in runs]
-
-
-def _eliminate(values: list[np.ndarray], cutoffs: list[int], levels: int,
-               p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eliminate the leading inner-truncation powers from the runs at
-    ``cutoffs`` (``_cutoffs`` of a ladder of ``levels`` scales), both given
-    finest first.
-
-    Runs are compared on the prefix they share along every axis.  Returns
-    (value, per-entry residual): |value - the elimination over all runs but
-    the coarsest|.  With one scale the value is the finest run, uncorrected,
-    and the residual 1.5 |value - the elimination over both runs|.
-    """
-    scales = cutoffs[::-1]
-    stack = np.stack(_shared_prefix(values[::-1]))
-    flat = stack.reshape(len(scales), -1)
-    value = (_ladder_weights(p, scales) @ flat).reshape(stack.shape[1:])
-    if levels == 1:
-        return values[0], 1.5 * np.abs(stack[-1] - value)
-    sub = (_ladder_weights(p, scales[1:]) @ flat[1:]).reshape(stack.shape[1:])
-    return value, np.abs(value - sub)
-
-
-# ---------------------------------------------------------------------------
 # d_k vectors and delta blocks
 
 def _delta_run(beta_vals: np.ndarray, n: int, v_max: int, V: int, K: int,
@@ -558,37 +478,24 @@ def delta_block(beta: BetaSeq, n: int, v_max: int,
     delta_1(n, u, v) = beta_{n+u+v}; each stage applies the offset-n Hankel
     kernel to every column.  values[k-1, u, v]; v = 0 reproduces d_vectors.
     Iteration stops when the sup-norm falls below tol_term or after K
-    stages.  Each stage is a returned value, not a term of a sum, so a
-    budget K that ends the iteration above tol_term leaves no returned stage
-    wrong: it only returns fewer stages than tol_term would.  Pure
-    fractional noise iterates on the quadrature's nodes (_moment_delta) and
-    reads only ``beta.model``; short memory runs once at the cutoff
-    max(V, inner_len - n), on a beta rebuilt if too short for it, with
-    beta's share as the residual.
+    stages; each stage is a returned value, not a term of a sum, so K only
+    returns fewer stages.  Long memory iterates on the quadrature's nodes
+    (_moment_delta), short memory once at the cutoff max(V, inner_len - n);
+    either rebuilds a beta too short for it.
     """
     if n < 1 or v_max < 0:
         raise ValueError(f"need n >= 1 and v_max >= 0, got n = {n}, v_max = {v_max}")
     model, V = beta.model, policy.resolve_v(n, beta.model)
     K = policy.resolve_k(model)
-    if _moment_form(model):
-        return DeltaBlock(n, *_moment_delta(model.d, n, v_max, V, K, policy.tol_term))
-    if memory_exponent(model) == 0.0:
-        W = max(V, beta_for_model(model, 0).inner_len - n)
-        if len(beta) < n + v_max + 2 * W:
-            beta = beta_for_model(model, n + v_max + 2 * W)
-        block = _delta_run(beta.values, n, v_max, W, K, policy.tol_term)[:, :, :V]
-        resid = 4.0 * beta.tail_estimate
-    else:
-        scales = policy.resolve_scales(model, n)
-        cutoffs = _cutoffs(scales)
-        # the finest cutoff sets the stage count, and the coarser ones run as many
-        runs = [_delta_run(beta.values, n, v_max, cutoffs[0], K, policy.tol_term)]
-        runs += [_delta_run(beta.values, n, v_max, cut, len(runs[0]), 0.0)
-                 for cut in cutoffs[1:]]
-        block, resids = _eliminate(runs, cutoffs, len(scales), 1.0 - 2.0 * memory_exponent(model))
-        resid = float(np.max(resids))
+    if memory_exponent(model) > 0.0:
+        return DeltaBlock(n, *_moment_delta(model, n, v_max, V, K, policy.tol_term, beta))
+    W = max(V, beta_for_model(model, 0).inner_len - n)
+    if len(beta) < n + v_max + 2 * W:
+        beta = beta_for_model(model, n + v_max + 2 * W)
+    block = _delta_run(beta.values, n, v_max, W, K, policy.tol_term)[:, :, :V]
     # (k, v, u) -> (k, u, v)
-    return DeltaBlock(n=n, values=np.transpose(block, (0, 2, 1)), tail_estimate=resid)
+    return DeltaBlock(n=n, values=np.transpose(block, (0, 2, 1)),
+                      tail_estimate=4.0 * beta.tail_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +509,6 @@ def _stage_one(a_vals: np.ndarray, c_rev: np.ndarray, n: int, m: int) -> np.ndar
 def _weighted_column(beta_vals: np.ndarray, c_rev: np.ndarray, n: int, m: int, V: int):
     """sum_v c_{m-v} delta_1(n+1, u, v) for u < V, from direct slices
     beta_{n+1+u+v}: weighted once, so that every later stage is one column."""
-    if m >= V:
-        raise ValueError(f"horizon m = {m} must be < V = {V}")
     return c_rev @ np.stack([beta_vals[n + 1 + v:n + 1 + v + V] for v in range(m + 1)])
 
 
@@ -741,62 +646,122 @@ def _solve_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
     return _stage_one(a_vals, c_rev, n, m) + tail, float(bound), applies
 
 
-def _required_beta_len(n: int, V: int, m: int) -> int:
-    return n + 1 + 2 * V + m + 2
-
-
 # ---------------------------------------------------------------------------
-# moment form: pure fractional noise on a quadrature, no cutoff
+# moment form: long memory on a quadrature, no cutoff
 
-#: most quadrature nodes the fine grid may have: its Q x Q system (and the
-#: solver's copy of it) must stay small
-_MOMENT_NODES_MAX = 3072
+#: most unknowns the fine system may have, corner and nodes together: the
+#: system and the solver's copy of it are two float64 buffers of 128 MiB
+_MOMENT_NODES_MAX = 4096
 
 #: step of the fine grid's trapezoid rule in the logistic variable y
 _MOMENT_STEP = 0.35
 
-#: why a quadrature's residual is no ladder control's to reduce
-_QUADRATURE_REMEDY = "it is the quadrature's own error, on a grid that no V, levels or K sets"
+#: why a quadrature's residual is no policy control's to reduce
+_QUADRATURE_REMEDY = "it is the quadrature's own error, on a grid that no V or K sets"
 
 
-def _moment_form(model: ProcessModel) -> bool:
-    """Whether the moment form serves the model: pure fractional noise with
-    d > 0, whatever the policy."""
-    return (isinstance(model, Farima) and model.d > 0.0
-            and model.ma_poly.coefficients == model.ar_poly.coefficients == (1.0,))
+def _pure_noise(model: Farima) -> bool:
+    return model.ma_poly.coefficients == model.ar_poly.coefficients == (1.0,)
 
 
-def _moment_grids(d: float, n: int) -> list[tuple[np.ndarray, float]]:
+@lru_cache(maxsize=4)
+def _moment_weight(model: Farima) -> tuple[np.ndarray | None, int, float]:
+    """(R, jmin, cut): beta_i = c int_0^1 t^(i-d-1) rho(t) dt for
+    i >= 1 - jmin, with rho(t) = t^jmin R(t), R[k] = rho_{jmin+k} (R None
+    for pure noise, whose rho is 1).
+
+    Below j = -deg(ar), ma * rho = 0 (s = ar/ma), so rho's negative end is
+    the expansion num/ma continuing rho_{-deg(ar)}..: unlike the FFT's, its
+    small entries keep their relative accuracy, and with no MA factor they
+    are exact zeros.  That end is cut while what it drops stays under
+    eps sum |rho|, and ``cut``, that l1 mass, joins beta's bound.
+    """
+    if _pure_noise(model):
+        return None, 0, 0.0
+    r, s, _ = _arma_factor(model)
+    T, deg = len(r), model.ar_poly.degree
+    rho = _convolve_window(r, s[::-1], 0, 2 * T - 1)  # rho_j at j + T - 1
+    rho = rho[T - 1 - deg:T + int(np.nonzero(r)[0][-1])]  # j = -deg .. support of r
+    lo, ma = -deg, model.ma_poly.coefficients
+    if len(ma) > 1:
+        # rho_{-deg-1-k} for k >= 0 is num/ma, num_k = -sum_{i>k} ma_i
+        # rho_{-deg-1+i-k}: the recurrence's seeds moved to its right side
+        num = tuple(-sum(ma[i] * rho[i - k - 1] for i in range(k + 1, len(ma)))
+                    for k in range(len(ma) - 1))
+        (tail,), _ = _decayed(partial(_arma_series, num, ma, 0.0))
+        rho, lo = np.concatenate((tail[::-1], rho)), lo - len(tail)
+    mass = np.cumsum(np.abs(rho))
+    k = int(np.searchsorted(mass, np.finfo(float).eps * mass[-1], side="right"))
+    return rho[k:], lo + k, float(mass[k - 1]) if k else 0.0
+
+
+def _corner(model: Farima, N: int) -> int:
+    """U0: the rows u < U0 of the offset-N kernel hold entries beta_{N+u+w}
+    below the moment form's first index 1 - jmin."""
+    return max(0, 1 - _moment_weight(model)[1] - N)
+
+
+def _moment_grids(model: Farima, n: int, U0: int) -> list[tuple[np.ndarray, float]]:
     """(nodes y, step h) of the trapezoid rule in y, t = 1/(1 + e^-y), on
-    the fine grid, and on the coarse one its error is read against: every
-    other fine node, at step 2h.  The rule is uniform in s = -ln(1 - t)
-    toward t = 1, where it resolves the x^(1-2d) edge of the solution at
-    x = 1 - t, and exponential in t toward t = 0, where the left end cuts
-    t^(n-d) below e^-40 (Trefethen and Weideman, SIAM Review 2014).  A fine
-    grid above the node cap raises."""
-    lo, hi = -40.0 / (n - d), 35.0 / (1.0 - 2.0 * d) + 10.0
+    the fine grid and on the coarse one, every other fine node.  The rule
+    is uniform in s = -ln(1 - t) toward t = 1, where it resolves the
+    x^(1-2d) edge of the solution at x = 1 - t (rho(1) = 1), and exponential
+    in t toward t = 0 (Trefethen and Weideman, SIAM Review 2014), where the
+    left end puts each term rho_j t^p of the offset-n weight (p its power in
+    y), and the t^(n+U0-d) of _f_top's row, below e^-40: t^(n-d) for pure
+    noise.  U0 plus the fine grid's nodes above the cap raises."""
+    d = model.d
+    R, jmin, _ = _moment_weight(model)
+    lo = -40.0 / (n + _corner(model, n + 1) - d)
+    if R is not None:
+        p = n + _corner(model, n) - d + jmin + np.arange(len(R))
+        with np.errstate(divide="ignore"):
+            lo = min(lo, float(np.min((-40.0 - np.log(np.abs(R))) / p)))
+    hi = 35.0 / (1.0 - 2.0 * d) + 10.0
     nodes = math.ceil((hi - lo) / _MOMENT_STEP) + 1
-    if nodes > _MOMENT_NODES_MAX:
-        raise TruncationError(f"the quadrature for d = {d} at n = {n} needs {nodes} "
-                              f"nodes, above its cap of {_MOMENT_NODES_MAX}")
+    if U0 + nodes > _MOMENT_NODES_MAX:
+        corner = f" and a corner of {U0}" if U0 else ""
+        raise TruncationError(f"the quadrature for {model!r} at n = {n} needs {nodes} "
+                              f"nodes{corner}, above its cap of {_MOMENT_NODES_MAX}")
     y = lo + _MOMENT_STEP * np.arange(nodes)
     return [(y, _MOMENT_STEP), (y[::2], 2.0 * _MOMENT_STEP)]
 
 
-def _moment_nodes(d: float, power: float, grid: tuple[np.ndarray, float]
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(t, s = -ln(1 - t), sqrt(nu), S) on one grid for the Hankel moment
-    kernel sum_q nu_q phi_q phi_q^T, phi_q(u) = t_q^u, nu_q = c h t_q^(power+1)
-    x_q with x = 1 - t = e^-s and c = sin(pi d)/pi (at offset n + 1, power
-    n - d; at offset n, n - 1 - d).  S = diag(sqrt nu) G diag(sqrt nu), with
-    the Gram matrix G_qr = 1/(1 - t_q t_r), is diag(v) K diag(v) with
-    v = sqrt(c h) t^((power+1)/2) and 1/K_qr = 2 cosh((s_q - s_r)/2)
-    - e^(-(s_q + s_r)/2), so no x is formed."""
+def _moment_system(model: Farima, N: int, U0: int, grid: tuple[np.ndarray, float],
+                   beta: BetaSeq | None, top: int | None = None):
+    """(t, r, a, M, r F0_top) of the offset-N kernel on one grid.
+
+    The unknowns are xi_u, u < U0, and alpha_q of psi_q(u) = t_q^(u-U0),
+    u >= U0.  With mu_q the weight of c t^(N-d-1) rho(t) dt at t_q,
+    w1 = mu t^U0, w2 = mu t^(2 U0), P_qw = t_q^w (w < U0),
+    G_qr = 1/(1 - t_q t_r) and the corner C_uw = beta_{N+u+w}, the kernel
+    maps (xi, alpha) to (C xi + P^T (w1 G alpha), w1 P xi + w2 G alpha).
+    In gamma = alpha / r, r = max(|w1|, sqrt|w2|), every block of
+    M = [[C, P^T diag(a) S], [diag(a) P, diag(b) S]] is bounded, with
+    a = w1/r, b = w2/r^2 and S = diag(r) G diag(r) = diag(v) K diag(v),
+    v = r/sqrt(1 - t), 1/K_qr = 2 cosh((s_q - s_r)/2) - e^(-(s_q+s_r)/2),
+    s = -ln(1 - t).  Pure noise has U0 = 0, b = 1 and M = S.  With ``top``,
+    the last entry is r F0_top, F0_k(t) = sum_u a0_{k+u} t^u for pure
+    noise's a0_k = c int_0^1 t^(k-d-1) (1-t)^d dt: G times that weight.
+    """
+    d = model.d
+    R, jmin, _ = _moment_weight(model)
     y, h = grid
     s = np.maximum(y, 0.0) + np.log1p(np.exp(-np.abs(y)))
     log_t = y - s
-    v = np.sqrt(np.sin(np.pi * d) / np.pi * h) * np.exp((power + 1.0) / 2.0 * log_t)
+    t = np.exp(log_t)
+    scale = np.sqrt(np.sin(np.pi * d) / np.pi * h)
+    # |w1| = v1^2 x and |w2| = v2^2 x: t^(power+1) is the weight's power in y
+    power = (N - 1 + U0 + jmin) - d
+    v1 = scale * np.exp((power + 1.0) / 2.0 * log_t)
+    v2, sign = v1, 1.0
+    if R is not None:
+        poly = np.polyval(R[::-1], t)
+        v1 = v1 * np.sqrt(np.abs(poly))
+        v2, sign = v1 * np.exp(U0 / 2.0 * log_t), np.where(poly < 0.0, -1.0, 1.0)
     half = np.exp(-s / 2.0)
+    v = np.maximum(np.maximum(v1 * v1 * half, v2), np.finfo(float).tiny)
+    r, a, b = v * half, sign * (v1 * half) * (v1 / v), sign * (v2 / v) ** 2
     k = np.subtract.outer(s / 2.0, s / 2.0)
     np.cosh(k, out=k)
     k *= 2.0
@@ -804,69 +769,117 @@ def _moment_nodes(d: float, power: float, grid: tuple[np.ndarray, float]
     np.reciprocal(k, out=k)
     k *= v
     k *= v[:, None]
-    return np.exp(log_t), s, v * half, k
+    f = None
+    if top is not None:
+        v0 = scale * np.exp((top - d + 1.0) / 2.0 * log_t)
+        f = k @ ((v0 * half) * (v0 / v) * np.exp(-d * s) / t)
+    if U0:
+        p = t[:, None] ** np.arange(U0)
+        # a view of the Hankel corner: no U0 x U0 index or copy before the block
+        corner = np.lib.stride_tricks.sliding_window_view(beta.values[N:N + 2 * U0 - 1], U0)
+        k = np.block([[corner, p.T @ (a[:, None] * k)], [a[:, None] * p, b[:, None] * k]])
+    elif np.any(b != 1.0):
+        k *= b[:, None]
+    return t, r, a, k, f
+
+
+def _f_top(model: Farima, f: np.ndarray, r: np.ndarray, t: np.ndarray,
+           top: int) -> np.ndarray:
+    """r F_top for the model's a = a0 * s from pure noise's f = r F0_top:
+    F_top = sum_p s_p F0_{top-p}, with F0_k = a0_k + t F0_{k+1} down from
+    the top (a0_k = 0 for k < 0)."""
+    if _pure_noise(model):
+        return f
+    s = _arma_factor(model)[1]
+    a0 = expand_ar(Farima(model.d), top).values
+    out = s[0] * f
+    for p in range(1, int(np.nonzero(s)[0][-1]) + 1):
+        f = t * f
+        if p <= top:
+            f += r * a0[top - p]
+        out += s[p] * f
+    return out
 
 
 def _f_tilde(f: np.ndarray, root: np.ndarray, t: np.ndarray, a_vals: np.ndarray,
              n: int):
-    """F~_j for j = n down to 1, from F~_n = f by F~_j = sqrt(nu) a_j
-    + t F~_{j+1} (see _moment_run)."""
+    """F~_j for j = n down to 1, from F~_n = f by F~_j = root a_j
+    + t F~_{j+1} (see _moment_setup)."""
     for j in range(n, 0, -1):
         yield f
         f = root * a_vals[j - 1] + t * f
 
 
-def _moment_run(d: float, a_vals: np.ndarray, c_head: np.ndarray, n: int,
-                grid: tuple[np.ndarray, float]) -> np.ndarray:
-    """phi^m_{n,.} of fractional noise from the moment form on one grid.
+def _a_corner(a_vals: np.ndarray, xi: np.ndarray, n: int) -> np.ndarray:
+    """sum_{u<U0} a_{j+u} xi_u for j = 1..n, for each column of xi (U0 rows)."""
+    U0 = len(xi)
+    return np.stack([_convolve_window(a_vals[1:n + U0], col[::-1], U0 - 1, n)
+                     for col in xi.T], axis=1)
 
-    For i >= 1, beta_i = c int_0^1 t^(i-d-1) dt, so the offset-(n+1) kernel
-    is that of _moment_nodes at power n - d.  The solve of _solve_run,
-    (I - H^2) z = y with y = H (c_{m-v})_v, stays in the span of the phi_q:
-    with P(t) = sum_v c_{m-v} t^v, (I - S) u = sqrt(nu) P and (I + S) g = u
-    give z = sum_q alpha_q phi_q, alpha = sqrt(nu) g, and H z = sum_q beta_q
-    phi_q, beta = sqrt(nu) (u - g).  The AR correlation of phi_q is
-    F_j(t_q) = sum_u a_{j+u} t_q^u; since a_k = c int_0^1 t^(k-d-1) (1-t)^d
-    dt for k >= 1, F_n(t_q) = sum_r G_qr nu_r e^(-d s_r) / t_r, and F_j = a_j
-    + t F_{j+1} below it.  All is carried in F~ = sqrt(nu) F, so one Q x Q
-    matrix is live at a time besides the solver's copy, and
-    phi_j = g_1(j) + F~_j (u - g) + F~_{n+1-j} g.
+
+def _moment_setup(model: Farima, a_vals: np.ndarray, c_head: np.ndarray, n: int, U0: int,
+                  grid: tuple[np.ndarray, float], beta: BetaSeq | None):
+    """(M, y, the rows F~_{j+U0} for j = n down to 1) of the predictor's
+    system at offset n + 1 on one grid.  (I - H^2) z = y, y = H (c_{m-v})_v,
+    stays in the span of _moment_system's unknowns: y is the beta slices on
+    the corner and a P(t), P(t) = sum_v c_{m-v} t^v, on the nodes.  The AR
+    correlation of psi_q is F_{j+U0}(t_q), F_k(t) = sum_u a_{k+u} t^u, run
+    down from _f_top's row by F_k = a_k + t F_{k+1} and carried as r F; with
+    the corner's sum_{u<U0} a_{j+u} xi_u (_a_corner) it reads a state back
+    as A(z)_j.
     """
-    t, s, root, mat = _moment_nodes(d, n - d, grid)
-    f = mat @ (root * np.exp(-d * s) / t)  # F~_n
-    diag = mat.reshape(-1)[::len(t) + 1]
-    # I - S and then I + S in the same buffer
+    t, r, a, mat, f = _moment_system(model, n + 1, U0, grid, beta, top=n + U0)
+    y = a * np.polyval(c_head, t)
+    if U0:
+        corner = _weighted_column(beta.values, c_head[::-1], n, len(c_head) - 1, U0)
+        y = np.concatenate((corner, y))
+    return mat, y, _f_tilde(_f_top(model, f, r, t, n + U0), r, t, a_vals[U0:], n)
+
+
+def _moment_run(model: Farima, a_vals: np.ndarray, c_head: np.ndarray, n: int, U0: int,
+                grid: tuple[np.ndarray, float], beta: BetaSeq | None) -> np.ndarray:
+    """phi^m_{n,.} from the moment form on one grid: with _moment_setup's
+    M and y, (I - M) u = y and (I + M) g = u give z = g and H z = u - g, so
+    phi_j = g_1(j) + A(u - g)_j + A(g)_{n+1-j}.  One matrix of the system's
+    size is live at a time besides the solver's copy.
+    """
+    mat, y, rows = _moment_setup(model, a_vals, c_head, n, U0, grid, beta)
+    diag = mat.reshape(-1)[::len(mat) + 1]
+    # I - M and then I + M in the same buffer
     np.negative(mat, out=mat)
     diag += 1.0
-    u = np.linalg.solve(mat, root * np.polyval(c_head, t))
+    u = np.linalg.solve(mat, y)
     np.negative(mat, out=mat)
     diag += 2.0
     g = np.linalg.solve(mat, u)
     del mat, diag
     weights = np.stack((u - g, g), axis=1)
-    # F~_j for j = n down to 1, each read against (u - g, g)
+    # F~_{j+U0} for j = n down to 1, each read against (u - g, g)
     fw = np.empty((n, 2))
-    for j, row in zip(range(n, 0, -1), _f_tilde(f, root, t, a_vals, n)):
-        fw[j - 1] = row @ weights
+    for j, row in zip(range(n, 0, -1), rows):
+        fw[j - 1] = row @ weights[U0:]
+    if U0:
+        fw += _a_corner(a_vals, weights[:U0], n)
     return _stage_one(a_vals, c_head[::-1], n, len(c_head) - 1) + fw[:, 0] + fw[::-1, 1]
 
 
-def _moment_terms(d: float, a_vals: np.ndarray, c_head: np.ndarray, n: int, K: int,
+def _moment_terms(model: Farima, a_vals: np.ndarray, c_head: np.ndarray, n: int, U0: int,
+                  grid: tuple[np.ndarray, float], beta: BetaSeq | None, K: int,
                   table: np.ndarray | None = None, tol: float = 0.0) -> np.ndarray:
-    """The per-term record g_1..g_K of fractional noise on the fine grid of
-    _moment_run, read-only; with a ``table``, it stops at the first term
-    whose running sums are within ``tol`` of it.  In _moment_run's scaled
-    form, stage k >= 2 is A H^(k-2) y = sum_q sqrt(nu_q) gamma^k_q F_.(t_q)
-    with gamma^2 = sqrt(nu) P and gamma^(k+1) = S gamma^k, so g_k(j) is
-    F~_j gamma^k for odd k and F~_{n+1-j} gamma^k for even k.
+    """The per-term record g_1..g_K on ``grid`` (the fine grid of
+    _moment_run), read-only; with a ``table``, it stops at the first term
+    whose running sums are within ``tol`` of it.  Stage k >= 2 is
+    A M^(k-2) y, so g_k(j) is A(gamma^k)_j for odd k and A(gamma^k)_{n+1-j}
+    for even k, with gamma^2 = y and gamma^(k+1) = M gamma^k.
     """
-    t, s, root, mat = _moment_nodes(d, n - d, _moment_grids(d, n)[0])
-    rows = np.array(list(_f_tilde(mat @ (root * np.exp(-d * s) / t), root, t, a_vals, n)))
-    gamma = root * np.polyval(c_head, t)
+    mat, gamma, rows = _moment_setup(model, a_vals, c_head, n, U0, grid, beta)
+    rows = np.array(list(rows))
     terms = [_stage_one(a_vals, c_head[::-1], n, len(c_head) - 1)]
     total = terms[0].copy()
     while len(terms) < K and (table is None or np.max(np.abs(total - table)) > tol):
-        b = rows @ gamma  # F~_j gamma^k for j = n down to 1
+        b = rows @ gamma[U0:]  # A(gamma^k)_j for j = n down to 1
+        if U0:
+            b += _a_corner(a_vals, gamma[:U0, None], n)[::-1, 0]
         terms.append(b if len(terms) % 2 else b[::-1])
         total += terms[-1]
         gamma = mat @ gamma
@@ -875,46 +888,60 @@ def _moment_terms(d: float, a_vals: np.ndarray, c_head: np.ndarray, n: int, K: i
     return out
 
 
-def _on_nodes(t: np.ndarray, alpha: np.ndarray, V: int):
-    """sum_q alpha_q t_q^u for u = 0..V-1, in blocks of 256 u: one block of
-    powers t^i times the block-scaled alpha, so no V x Q matrix is built."""
-    powers = t ** np.arange(min(256, V))[:, None]
-    for lo in range(0, V, len(powers)):
-        yield powers[:V - lo] @ (t[:, None] ** lo * alpha)
+def _on_nodes(t: np.ndarray, alpha: np.ndarray, V: int, U0: int = 0):
+    """A state (rows xi_u, u < U0, then alpha_q) read at u = 0..V-1 in
+    blocks: the corner's rows, then sum_q alpha_q t_q^(u-U0) in blocks of
+    256 u, one block of powers t^i times the block-scaled alpha, so no
+    V x Q matrix is built."""
+    if U0:
+        yield alpha[:min(U0, V)]
+    V -= U0
+    powers = t ** np.arange(min(256, max(V, 0)))[:, None]
+    for lo in range(0, V, 256):
+        yield powers[:V - lo] @ (t[:, None] ** lo * alpha[U0:])
 
 
-def _moment_delta(d: float, n: int, v_max: int, V: int, K: int,
-                  tol_term: float) -> tuple[np.ndarray, float]:
-    """(delta_k(n, u, v) of fractional noise for u < V, v <= v_max, shape
-    (K_used, V, v_max + 1); its largest distance from the coarse grid).
-
-    The offset-n kernel is that of _moment_nodes at power n - 1 - d, so
-    delta_k(., v) = sum_q alpha^k_{q,v} phi_q with alpha^1_{q,v} = nu_q t_q^v
-    and alpha^(k+1) = nu G alpha^k = sqrt(nu) S (alpha^k / sqrt(nu)).  Stage
-    1 is the closed form of _fn_kernel.  Every alpha is positive, so a
-    stage's sup-norm is its u = 0 value, sum_q alpha, which the stop rule
-    reads on the fine grid; the coarse grid runs in step, and is read block
-    by block of u only for its distance.
+def _moment_delta(model: Farima, n: int, v_max: int, V: int, K: int, tol_term: float,
+                  beta: BetaSeq) -> tuple[np.ndarray, float]:
+    """(delta_k(n, u, v) for u < V, v <= v_max, shape (K_used, V, v_max + 1);
+    its largest distance from the coarse grid, plus beta's share for a
+    factored model).  In _moment_system's unknowns at offset n, stage 1 is
+    xi = beta_{n+u+v} and alpha = w1 t^v, returned as the beta slice, and
+    each stage applies M.  A stage's sup-norm is at most the larger of |xi|
+    and sum_q |alpha_q| (for pure noise, with alpha > 0, its u = 0 value),
+    which the stop rule reads on the fine grid; the coarse grid runs in
+    step, and is read only for its distance.
     """
-    first = np.stack([_fn_kernel(d, n + v, V) for v in range(v_max + 1)], axis=1)
-    grids = [_moment_nodes(d, n - 1.0 - d, grid) for grid in _moment_grids(d, n)]
-    gammas = [root[:, None] * t[:, None] ** np.arange(v_max + 1) for t, _, root, _ in grids]
+    U0 = _corner(model, n)
+    grids = _moment_grids(model, n, U0)
+    if len(beta) <= n + v_max + max(V, 2 * U0):
+        beta = beta_for_model(model, n + v_max + max(V, 2 * U0))
+    cols = np.stack([beta.values[n + v:n + v + max(V, U0)] for v in range(v_max + 1)], axis=1)
+    first, corner = cols[:V], cols[:U0]
+    systems = [_moment_system(model, n, U0, grid, beta) for grid in grids]
+    states = [np.concatenate((corner, a[:, None] * t[:, None] ** np.arange(v_max + 1)))
+              for t, _, a, _, _ in systems]
     # each run starts with an empty block in stage 1's place
-    alphas, top = [[np.empty((len(t), 0))] for t, *_ in grids], float(np.max(first))
-    while len(alphas[0]) < K and top >= tol_term:
-        gammas = [s @ gamma for (*_, s), gamma in zip(grids, gammas)]
-        for (_, _, root, _), gamma, run in zip(grids, gammas, alphas):
-            run.append(root[:, None] * gamma)
-        top = float(np.max(np.sum(alphas[0][-1], axis=0)))
-    out = np.empty((len(alphas[0]), V, v_max + 1))
+    runs, top = [[np.empty((len(s), 0))] for s in states], float(np.max(np.abs(first)))
+    while len(runs[0]) < K and top >= tol_term:
+        states = [mat @ state for (*_, mat, _), state in zip(systems, states)]
+        for (_, r, *_), state, run in zip(systems, states, runs):
+            alpha = state.copy()
+            alpha[U0:] *= r[:, None]
+            run.append(alpha)
+        last = runs[0][-1]
+        top = max(float(np.max(np.abs(last[:U0]), initial=0.0)),
+                  float(np.max(np.sum(np.abs(last[U0:]), axis=0))))
+    out = np.empty((len(runs[0]), V, v_max + 1))
     out[0], lo, dist = first, 0, 0.0
-    for fine, coarse in zip(*(_on_nodes(t, np.concatenate(run, axis=1), V)
-                              for (t, *_), run in zip(grids, alphas))):
+    for fine, coarse in zip(*(_on_nodes(t, np.concatenate(run, axis=1), V, U0)
+                              for (t, *_), run in zip(systems, runs))):
         block = np.reshape(fine, (len(fine), len(out) - 1, v_max + 1))
         out[1:, lo:lo + len(fine)] = block.swapaxes(0, 1)
         dist = max(dist, float(np.max(np.abs(fine - coarse), initial=0.0)))
         lo += len(fine)
-    return out, dist
+    share = 0.0 if _pure_noise(model) else 4.0 * beta.tail_estimate
+    return out, dist + share
 
 
 def _check_request(model: ProcessModel, n: int, m: int, beta: BetaSeq | None) -> None:
@@ -932,44 +959,12 @@ def _beta_share(beta: BetaSeq, policy: TruncationPolicy, n: int) -> float:
     share = beta.tail_estimate * 4.0
     _check_tail(share, policy, n,
                 "it is beta's own error: the model's ARMA factor has not decayed (or "
-                "tol_tail is below beta's rounding), and no V, levels or K can reduce it")
+                "tol_tail is below beta's rounding), and no V or K can reduce it")
     return share
 
 
-def _series_inputs(model: ProcessModel, n: int, m: int, policy: TruncationPolicy,
-                   beta: BetaSeq | None
-                   ) -> tuple[list[int], BetaSeq, np.ndarray, np.ndarray]:
-    """What a series run reads: (its cutoffs, beta, a_0..a_{n+V} for the
-    finest cutoff V, c_0..c_m).  Short memory has one cutoff,
-    V* = max(inner_len - n - 1, m + 1): every kernel entry beta_{n+1+u+w}
-    it drops lies past beta's support; beta's share is checked first."""
-    if memory_exponent(model) == 0.0:
-        probe = beta_for_model(model, 0)
-        _beta_share(probe, policy, n)
-        scales = [max(probe.inner_len - n - 1, m + 1)]
-    else:
-        scales = policy.resolve_scales(model, n)
-    if beta is None or len(beta) < _required_beta_len(n, scales[-1], m):
-        beta = beta_for_model(model, _required_beta_len(n, scales[-1], m))
-    return scales, beta, expand_ar(model, n + scales[-1]).values, expand_ma(model, m).values
-
-
-def _depth_controls(model: ProcessModel, policy: TruncationPolicy,
-                    scales: list[int]) -> tuple[float, float, float, int]:
-    """(elimination exponent p, elimination gain sum |w|, each run's stop
-    tolerance, kernel-apply budget K) of a ladder over ``scales``.  The stop
-    tolerance of each run's k-series (the solve's depth bound, or the
-    per-term rule of the stage-by-stage sum) is tight enough that weights of
-    total magnitude ``gain`` cannot amplify what a run leaves out into the
-    tail budget."""
-    p = 1.0 - 2.0 * memory_exponent(model)
-    gain = float(np.sum(np.abs(_ladder_weights(p, scales))))
-    tol_stop = min(policy.tol_term, max(policy.tol_tail / (16.0 * gain), _STOP_FLOOR))
-    return p, gain, tol_stop, policy.resolve_k(model, tol_stop)
-
-
 def _check_tail(resid: float, policy: TruncationPolicy, n: int,
-                remedy: str = "increase V, levels or K") -> None:
+                remedy: str = "increase K") -> None:
     if not resid <= policy.tol_tail:  # a NaN residual fails too
         raise TruncationError(
             f"truncation residual {resid:.3e} exceeds tol_tail "
@@ -977,52 +972,68 @@ def _check_tail(resid: float, policy: TruncationPolicy, n: int,
             achieved=resid, required=policy.tol_tail)
 
 
-def _moment_predictor(model: Farima, n: int, m: int, policy: TruncationPolicy,
-                      beta: BetaSeq | None
+def _moment_inputs(model: Farima, n: int, m: int, policy: TruncationPolicy):
+    """(U0, grids, the corner's beta, beta's share, a_0..a_{n+max(m, U0)},
+    c_0..c_m) of a long-memory predictor; pure noise has no beta.  beta's
+    share and the node cap are checked before anything is built."""
+    factored = not _pure_noise(model)
+    if factored:
+        _beta_share(beta_for_model(model, 0), policy, n)
+    U0 = _corner(model, n + 1)
+    grids = _moment_grids(model, n, U0)
+    beta = beta_for_model(model, n + 1 + 2 * U0 + m) if factored else None
+    share = _beta_share(beta, policy, n) if factored else 0.0
+    return (U0, grids, beta, share, expand_ar(model, n + max(m, U0)).values,
+            expand_ma(model, m).values)
+
+
+def _moment_predictor(model: Farima, n: int, m: int, policy: TruncationPolicy
                       ) -> tuple[np.ndarray, np.ndarray, int, Callable[[], np.ndarray]]:
     """(phi, per-coefficient residual, kernel applies, per-term record) of
-    pure fractional noise: _moment_run on the fine grid and on the coarse
-    one, the residual their difference, and the record _moment_terms."""
-    d = model.d
-    a_vals, c_head = expand_ar(model, n + m).values, expand_ma(model, m).values
-    fine, coarse = (_moment_run(d, a_vals, c_head, n, grid) for grid in _moment_grids(d, n))
-    resid = np.abs(fine - coarse)
+    long memory: _moment_run on both grids, their difference plus beta's
+    share, and _moment_terms."""
+    U0, grids, beta, share, a_vals, c_head = _moment_inputs(model, n, m, policy)
+    fine, coarse = (_moment_run(model, a_vals, c_head, n, U0, grid, beta) for grid in grids)
+    resid = np.abs(fine - coarse) + share
     _check_tail(float(np.max(resid)), policy, n, _QUADRATURE_REMEDY)
     return fine, resid, 0, cache(lambda: _moment_terms(
-        d, a_vals, c_head, n, policy.resolve_k(model), fine, policy.tol_term))
+        model, a_vals, c_head, n, U0, grids[0], beta, policy.resolve_k(model), fine,
+        policy.tol_term))
+
+
+def _series_inputs(model: ProcessModel, n: int, m: int, policy: TruncationPolicy,
+                   beta: BetaSeq | None) -> tuple[int, BetaSeq, np.ndarray, np.ndarray]:
+    """What a short-memory series run reads: (its cutoff
+    V* = max(inner_len - n - 1, m + 1), beta, a_0..a_{n+V*}, c_0..c_m).
+    Every kernel entry beta_{n+1+u+w} the cutoff drops lies past beta's
+    support; beta's share is checked first."""
+    probe = beta_for_model(model, 0)
+    _beta_share(probe, policy, n)
+    V = max(probe.inner_len - n - 1, m + 1)
+    if beta is None or len(beta) < n + 2 * V + m + 3:
+        beta = beta_for_model(model, n + 2 * V + m + 3)
+    return V, beta, expand_ar(model, n + V).values, expand_ma(model, m).values
 
 
 def _series_predictor(model: ProcessModel, n: int, m: int, policy: TruncationPolicy,
                       beta: BetaSeq | None
                       ) -> tuple[np.ndarray, np.ndarray, int, Callable[[], np.ndarray]]:
-    """(phi, per-coefficient residual, kernel applies of the finest run,
-    per-term record) from the series solve: for short memory one run at the
-    cutoff that reaches its kernel's support, else a run at each cutoff of
-    the ladder and the elimination over them."""
-    scales, beta, a_vals, c_head = _series_inputs(model, n, m, policy, beta)
+    """(phi, per-coefficient residual, kernel applies, per-term record) of
+    short memory: one series solve at the cutoff that reaches its kernel's
+    support.  The residual is beta's share, the solve's depth bound and its
+    rounding: a few ulp of the largest weight or of the Wiener weights'
+    terms, which may cancel to a weight far below them."""
+    V, beta, a_vals, c_head = _series_inputs(model, n, m, policy, beta)
     beta_share = _beta_share(beta, policy, n)
-    p, gain, tol_stop, K = _depth_controls(model, policy, scales)
-    # the long-memory kernel's norm tends to sin(pi d) as n grows
-    s_floor = float(np.sin(np.pi * memory_exponent(model)))
-
-    def run(V: int) -> tuple[np.ndarray, float, int]:
-        return _solve_run(beta.values, a_vals, c_head, n, m, V, K, tol_stop, s_floor)
-
-    short = memory_exponent(model) == 0.0
-    cutoffs = scales if short else _cutoffs(scales, floor=m + 1)
-    runs = [run(V) for V in cutoffs]
-    if short:
-        phi, resid = runs[0][0], np.zeros(n)
-    else:
-        phi, resid = _eliminate([value for value, _, _ in runs], cutoffs, len(scales), p)
-    # each coefficient's residual: the ladder's, what beta's own truncation
-    # error can move it by, and what the series depth left out of any run,
-    # as far as the elimination weights can amplify it
-    tail_j = resid + beta_share + gain * max(left for _, left, _ in runs)
-    _check_tail(float(np.max(tail_j)), policy, n,
-                "increase K" if short else "increase V, levels or K")
-    return phi, tail_j, runs[0][2], cache(lambda: _g_terms_run(
-        beta.values, a_vals, c_head, n, m, scales[-1], K, tol_stop)[0])
+    tol_stop = min(policy.tol_term, max(policy.tol_tail / 16.0, _STOP_FLOOR))
+    K = policy.resolve_k(model, tol_stop)
+    phi, left, applies = _solve_run(beta.values, a_vals, c_head, n, m, V, K, tol_stop, 0.0)
+    terms = _stage_one(np.abs(a_vals), np.abs(c_head[::-1]), n, m)
+    rounding = 8.0 * np.finfo(float).eps * float(np.max(np.abs(phi)) + np.max(terms))
+    tail_j = np.full(n, beta_share + left + rounding)
+    _check_tail(float(np.max(tail_j)), policy, n)
+    return phi, tail_j, applies, cache(lambda: _g_terms_run(
+        beta.values, a_vals, c_head, n, m, V, K, tol_stop)[0])
 
 
 def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
@@ -1030,11 +1041,10 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
                                beta: BetaSeq | None = None) -> ExplicitPredictor:
     """Finite predictor coefficients phi^m_{n,j} from the explicit series.
 
-    Pure fractional noise ``Farima(d)``, d > 0, is solved on a quadrature of
-    the series' moment form (_moment_run), with no cutoff, and so is its
-    per-term record, whose terms a pinned K caps.  Short memory runs one
-    solve at the cutoff its kernel's support sets, whatever V and levels
-    say; every other model runs the cutoff ladder.
+    Long memory (d > 0) is solved on a quadrature of the series' moment
+    form (_moment_run), with no cutoff, and so is its per-term record,
+    whose terms a pinned K caps.  Short memory runs one solve at the cutoff
+    its kernel's support sets, whatever V says.
 
     Parameters
     ----------
@@ -1045,31 +1055,32 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
         Prediction horizon (m = 0: one-step).
     policy : TruncationPolicy
     beta : BetaSeq, optional
-        Precomputed correlation sequence of ``model`` (experiment sweeps share
-        one); must cover the required index range or it is recomputed.  One
-        built for another model raises ValueError.  The moment form reads
-        none.
+        Precomputed correlation sequence of ``model`` for short memory; must
+        cover the required index range or it is recomputed.  One built for
+        another model raises ValueError.  The moment form reads none.
 
     Returns
     -------
     ExplicitPredictor
         ``table.coefficients[j-1]`` = phi^m_{n,j}; ``series[j-1]`` the
-        per-term diagnostics for that j (terms from the finest inner cutoff
+        per-term diagnostics for that j (terms from the short-memory cutoff
         or the quadrature's fine grid; the table carries the solve's
-        coefficients, ladder-eliminated on the ladder, or the moment form's).
+        coefficients).
 
     Raises
     ------
     TruncationError
-        Truncation residual above policy.tol_tail: the ladder's, beta's, or
-        what the series solve left unsolved within the budget of K kernel
+        Residual above policy.tol_tail: beta's, the quadrature's, or what
+        the short-memory solve left unsolved within the budget of K kernel
         applies (which a diverging series also exhausts); a solve left with
-        a residual it cannot bound (K = 1, or I - H^2 shown indefinite); on
-        the moment form, the quadrature's, or a grid above its node cap.
+        a residual it cannot bound (K = 1, or I - H^2 shown indefinite); a
+        quadrature system above its node cap.
     """
     _check_request(model, n, m, beta)
-    evaluate = _moment_predictor if _moment_form(model) else _series_predictor
-    phi, tail_j, k_used, terms = evaluate(model, n, m, policy, beta)
+    if memory_exponent(model) > 0.0:
+        phi, tail_j, k_used, terms = _moment_predictor(model, n, m, policy)
+    else:
+        phi, tail_j, k_used, terms = _series_predictor(model, n, m, policy, beta)
     table = PredictorTable(n=n, horizon=m, coefficients=phi,
                            source=PredictorSource.EXPLICIT_SERIES)
     series = tuple(SeriesTerms(tail_estimate=float(tail_j[j]), k_used=k_used,
@@ -1095,19 +1106,18 @@ def projection_iterates(model: ProcessModel, n: int, j: int, m: int = 0,
     projections (infinite past, then the window back to -n, alternating);
     the sequence converges to phi^m_{n,j}.  The terms are those that
     finite_predictor_multistep reports, with no stop before K: on the
-    quadrature for pure fractional noise, at the one cutoff of short
-    memory, else at the finest cutoff of the policy's ladder (fewer only if
-    the terms vanish exactly).
+    quadrature's fine grid for long memory, at the one cutoff of short
+    memory (fewer only if the terms vanish exactly).
     """
     if not 1 <= j <= n:
         raise ValueError(f"need 1 <= j <= n, got j = {j}, n = {n}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     _check_request(model, n, m, None)
-    if _moment_form(model):
-        terms = _moment_terms(model.d, expand_ar(model, n + m).values,
-                              expand_ma(model, m).values, n, K)
+    if memory_exponent(model) > 0.0:
+        U0, grids, beta, _, a_vals, c_head = _moment_inputs(model, n, m, policy)
+        terms = _moment_terms(model, a_vals, c_head, n, U0, grids[0], beta, K)
     else:
-        scales, beta, a_vals, c_head = _series_inputs(model, n, m, policy, None)
-        terms, _ = _g_terms_run(beta.values, a_vals, c_head, n, m, scales[-1], K, 1e-300)
+        V, beta, a_vals, c_head = _series_inputs(model, n, m, policy, None)
+        terms, _ = _g_terms_run(beta.values, a_vals, c_head, n, m, V, K, 1e-300)
     return np.cumsum(terms[:, j - 1])

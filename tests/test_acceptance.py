@@ -149,7 +149,7 @@ def test_criterion_7_arcsin_identities():
 
 
 def test_criterion_8_structural_invariants():
-    fast_policy = TruncationPolicy(V=512, levels=2, tol_tail=1.0)
+    fast_policy = TruncationPolicy(V=512, tol_tail=1.0)
     base = settings(deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -184,7 +184,7 @@ def test_criterion_8_structural_invariants():
     def check_delta_symmetry(d, n):
         # both index orders are stored only on the u, v <= v_max corner
         model = pl.Farima(d)
-        pol = TruncationPolicy(V=128, K=3, levels=2)
+        pol = TruncationPolicy(V=128, K=3)
         beta = pl.beta_for_model(model, n + 4 * 128)
         block = pl.delta_block(beta, n, 4, pol).values
         corner = block[:, :5, :5]

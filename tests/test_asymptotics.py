@@ -1,4 +1,4 @@
-"""Limit constants f_k, the elimination weights, and the three asymptotic experiments."""
+"""Limit constants f_k and the three asymptotic experiments."""
 
 import dataclasses
 
@@ -9,7 +9,6 @@ import predictorlab as pl
 from predictorlab import (OracleDisagreementError, RegimeError, TruncationError,
                           TruncationPolicy, asymptotics, f_u, fk0, semigroup_integral)
 from predictorlab.asymptotics import CROSS_CHECK_TOL, check_routes
-from predictorlab.explicit import _ladder_weights
 
 
 class TestFk0:
@@ -73,15 +72,6 @@ class TestFu:
                                                          abs=1e-6)
 
 
-class TestLadderWeights:
-    def test_eliminates_single_power_at_any_ratio(self):
-        # two samples at a ratio of 1.5, not 2, of L + c x^-e
-        L, c, e = 0.7, 0.3, 1.7
-        xs = [2.0, 3.0]
-        vals = [L + c * x ** -e for x in xs]
-        assert _ladder_weights(e, xs) @ vals == pytest.approx(L, abs=1e-15)
-
-
 class TestRateExperiment:
     def test_short_memory_rejected(self):
         with pytest.raises(RegimeError):
@@ -132,8 +122,8 @@ class TestRateExperiment:
         assert report.extrapolated == pytest.approx(limit, abs=1e-5)
 
     def test_moment_form_sweep_builds_no_ladder_beta(self, monkeypatch):
-        # pure fractional noise under the default policy reads no beta, so
-        # the sweep must not build the ladder's, 2^18+ entries long
+        # the explicit route of pure fractional noise reads no beta, so the
+        # sweep must build none
         def no_beta(*args):
             raise AssertionError("the moment form needs no shared beta")
         monkeypatch.setattr("predictorlab.asymptotics.beta_for_model", no_beta)
@@ -174,12 +164,10 @@ class TestBaxterExperiment:
             assert (n, lhs) == want[:2]
             assert rhs == pytest.approx(want[2], rel=1e-3)
 
-    def test_strong_memory_needs_relaxed_budget(self):
-        # near d = 1/2 the ladder's inner truncation error decays so slowly
-        # that the default residual budget is out of reach in sensible time;
-        # a coarser tolerance still resolves the ratio, which grows with d
-        pol = TruncationPolicy(V=4096, levels=4, tol_tail=2e-3)
-        strong = pl.baxter_experiment(pl.Farima(0.45, ma_poly=(1.0, 0.5)), [8, 16, 32, 64], pol)
+    def test_strong_memory_ratio_grows(self):
+        # an MA-factored model near d = 1/2 meets the default residual
+        # budget on the quadrature, and its ratio is above the milder one's
+        strong = pl.baxter_experiment(pl.Farima(0.45, ma_poly=(1.0, 0.5)), [8, 16, 32, 64])
         mild = pl.baxter_experiment(pl.Farima(0.3, ma_poly=(1.0, 0.5)), [8, 16, 32, 64])
         assert np.isfinite(strong.sup_ratio)
         assert strong.sup_ratio > mild.sup_ratio
@@ -195,17 +183,17 @@ class TestDkScalingExperiment:
             assert abs(val - target) / target < 0.01
 
     def test_tail_over_tol_raises(self):
-        # one uncorrected scale of the ladder leaves a residual of about 2e-5
-        # at n = 512
+        # the quadrature's residual for an MA-factored model at n = 512 is
+        # above 1e-12
         with pytest.raises(TruncationError) as err:
             pl.dk_scaling_experiment(pl.Farima(0.3, ma_poly=(1.0, 0.5)), [1, 2, 3], 0, [512],
-                                     TruncationPolicy(levels=1))
-        assert err.value.required == 1e-6
+                                     TruncationPolicy(tol_tail=1e-12))
+        assert err.value.required == 1e-12
         assert err.value.achieved > err.value.required
 
     def test_quadrature_gate_names_no_ladder_control(self):
         # fractional noise's d_k come from the quadrature, whose residual no
-        # V or levels can reduce
+        # V or K can reduce
         with pytest.raises(TruncationError, match="quadrature") as info:
             pl.dk_scaling_experiment(pl.Farima(0.3), [1, 2], 0, [64],
                                      TruncationPolicy(tol_tail=1e-14))
@@ -233,15 +221,15 @@ class TestDkScalingExperiment:
             pl.dk_scaling_experiment(pl.Ar1(0.5), [1], 0, [64])
         with pytest.raises(ValueError):
             pl.dk_scaling_experiment(model, [1], 100,
-                                     [64], TruncationPolicy(V=64, levels=1))
-        # u = 32 n is past the default V on both engines, so the window on
+                                     [64], TruncationPolicy(V=64))
+        # u = 32 n is past the default V, pure or factored, so the window on
         # the nodes never grows past it
         for m in (model, pl.Farima(0.3, ma_poly=(1.0, 0.5))):
             with pytest.raises(ValueError, match="outside inner cutoff"):
                 pl.dk_scaling_experiment(m, [1], 32 * 512, [512])
 
     def test_refuses_before_building_beta(self, monkeypatch):
-        # a window past the cutoff raises before the ladder's long beta is built
+        # a window past the cutoff raises before any beta is built
         def no_beta(*args):
             raise AssertionError("a refused request must build no beta")
         monkeypatch.setattr(asymptotics, "beta_for_model", no_beta)
@@ -264,12 +252,13 @@ class TestCrossChecking:
 
     @pytest.mark.parametrize("model, policy", [
         (pl.Ar1(0.5), TruncationPolicy()),
-        (pl.Farima(0.3, ma_poly=(1.0, 0.5)), TruncationPolicy(V=64, levels=1, tol_tail=1.0)),
+        (pl.Farima(0.0, ma_poly=(1.0, 0.5, 0.3)), TruncationPolicy(K=2, tol_tail=1.0)),
     ])
     def test_check_routes_tolerance(self, model, policy):
         # max(CROSS_CHECK_TOL, 8 x the largest residual estimate): the floor
-        # for the exact AR(1) kernel, the widened tolerance for a coarse run
-        res = pl.finite_predictor_explicit(model, 8, policy)
+        # for the exact AR(1) kernel, the widened tolerance for a solve cut
+        # short by its kernel-apply budget
+        res = pl.finite_predictor_explicit(model, 4, policy)
         tol = max(CROSS_CHECK_TOL, 8.0 * max(s.tail_estimate for s in res.series))
         phi = res.table.coefficients
         assert check_routes(res, phi) == 0.0

@@ -76,7 +76,7 @@ class TestCoeffs:
         assert doc["meta"]["r"] == 0.5
         assert doc["meta"]["N"] == 3
         # coeffs runs no explicit series, so it has no policy keys
-        assert not {"vmax", "kmax", "tol", "levels"} & set(doc["meta"])
+        assert not {"vmax", "kmax", "tol"} & set(doc["meta"])
         assert len(doc["rows"]) == 4
         assert doc["rows"][1][1] == 0.5
 
@@ -114,7 +114,7 @@ class TestPredict:
     @pytest.mark.parametrize("n", [1, 8, 64, 512])
     def test_strong_memory_routes_agree(self, capsys, n):
         # pure fractional noise this close to d = 1/2 meets the default
-        # tol_tail on the moment form's quadrature; the cutoff ladder does not
+        # tol_tail on the moment form's quadrature
         code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0.45",
                              "--n", str(n), "--format", "json")
         assert code == 0 and err == ""
@@ -386,7 +386,7 @@ class TestExitCodes:
         assert_one_config_line(err)
         assert "tol must be positive" in err
 
-    @pytest.mark.parametrize("flag", ["--vmax", "--kmax", "--tol", "--levels"])
+    @pytest.mark.parametrize("flag", ["--vmax", "--kmax", "--tol"])
     def test_policy_flags_rejected_by_coeffs(self, capsys, flag):
         code, out, err = run(capsys, "coeffs", "--model", "ar1", "--r", "0.5",
                              flag, "4096")
@@ -436,29 +436,46 @@ class TestExitCodes:
         assert "error=model" in err
 
     def test_truncation_budget(self, capsys):
-        code, _, err = run(capsys, "predict", "--model", "farima", "--d", "0.3",
-                           "--mapoly=1,0.5", "--n", "64", "--vmax", "64", "--levels", "1")
+        # a short-memory solve cut at two kernel applies leaves a residual of
+        # about 5e-6, above the default tol_tail
+        code, _, err = run(capsys, "predict", "--model", "farima", "--d", "0",
+                           "--mapoly=1,0.5,0.3", "--n", "4", "--kmax", "2")
         assert code == 4
         assert "error=truncation" in err
 
-    def test_single_scale_without_half_run(self, capsys):
-        # --vmax 4 at --m 3 leaves the levels=1 half run no cutoff below 4
+    def test_levels_is_unknown(self, capsys, tmp_path):
+        # no policy control sets a ladder of cutoffs: the flag and the key are unknown
         code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0.3",
-                             "--mapoly=1,0.5", "--n", "8", "--m", "3", "--vmax", "4",
-                             "--levels", "1",
-                             "--source", "explicit", "--tol", "1e-3")
+                             "--n", "8", "--levels", "1")
         assert code == 2 and out == ""
         assert_one_config_line(err)
-        assert "half run" in err
+        assert "--levels" in err
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("levels=1\n")
+        code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0.3",
+                             "--n", "8", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "unknown config key 'levels'" in err
 
     def test_exhausted_series_depth(self, capsys):
-        # two kernel applies leave most of the series unsolved; what they
-        # leave is one truncation line, not phi
-        code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0.3",
-                             "--mapoly=1,0.5", "--n", "4", "--kmax", "2",
+        # two kernel applies leave most of a short-memory series unsolved;
+        # what they leave is one truncation line, not phi
+        code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0",
+                             "--mapoly=1,0.5,0.3", "--n", "4", "--kmax", "2",
                              "--source", "explicit")
         assert code == 4 and out == ""
         assert err.count("\n") == 1 and "error=truncation" in err
+
+    def test_kmax_leaves_long_memory_values(self, capsys):
+        # on the quadrature K only caps the per-term record: the weights of
+        # an MA-factored model are the default's, byte for byte
+        argv = ("predict", "--model", "farima", "--d", "0.3", "--mapoly=1,0.5",
+                "--n", "4", "--source", "explicit")
+        code, want, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        code, out, err = run(capsys, *argv, "--kmax", "2")
+        assert code == 0 and err == ""
+        assert out == want
 
     @pytest.mark.parametrize("model", [("--d", "0.2", "--mapoly=1,0.95"),
                                        ("--d", "0", "--mapoly=1,0.99")])
@@ -490,8 +507,8 @@ class TestExitCodes:
 
     def test_budget_below_one_iteration(self, capsys):
         # K = 1 leaves the solve no iteration: one truncation line naming K
-        code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0.3",
-                             "--mapoly=1,0.5", "--n", "4", "--kmax", "1", "--tol", "1e6",
+        code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0",
+                             "--mapoly=1,0.5,0.3", "--n", "4", "--kmax", "1", "--tol", "1e6",
                              "--source", "explicit")
         assert code == 4 and out == ""
         assert err.count("\n") == 1 and "error=truncation" in err and "K = 1" in err
@@ -525,11 +542,11 @@ class TestExitCodes:
         assert len(rows) == 9
 
     def test_dkscale_tail_over_tol(self, capsys):
+        # the quadrature's residual at n = 512 is about 3e-10
         code, out, err = run(capsys, "dkscale", "--model", "farima", "--d", "0.3",
-                             "--mapoly=1,0.5", "--n", "512", "--k", "1,2,3", "--u", "0",
-                             "--levels", "1")
+                             "--n", "512", "--k", "1,2,3", "--u", "0", "--tol", "1e-12")
         assert code == 4 and out == ""
-        assert "error=truncation" in err
+        assert "error=truncation" in err and "quadrature" in err
 
     def test_route_disagreement(self, capsys, monkeypatch):
         real = pl.multistep_normal_solve

@@ -82,9 +82,10 @@ class TestBeta:
         model = pl.Farima(0.3, ma_poly=(1, 0.9999999))
         assert pl.beta_for_model(model, 16).tail_estimate > 1.0
 
-        def no_ladder(*args):
+        def no_run(*args):
             raise AssertionError("beta's share alone exceeds tol_tail; no run should start")
-        monkeypatch.setattr("predictorlab.explicit._solve_run", no_ladder)
+        for name in ("_solve_run", "_moment_system"):
+            monkeypatch.setattr(explicit, name, no_run)
         with pytest.raises(TruncationError, match="ARMA factor has not decayed") as info:
             pl.finite_predictor_explicit(model, 4)
         assert "increase" not in str(info.value)
@@ -195,25 +196,14 @@ class TestDVectors:
                     bound = f[k - 1] * (r * np.sin(np.pi * d)) ** k / n
                     assert np.max(head) <= bound * (1.0 + eps)
 
-    @pytest.mark.parametrize("d", [0.1, 0.3])
-    def test_single_scale_tail_covers_ladder_correction(self, d):
-        # one scale is left uncorrected, so its reported residual must cover
-        # what a four-level ladder still moves
-        model, n = pl.Farima(d, ma_poly=(1.0, 0.5)), 64
-        ladder = TruncationPolicy(K=8, levels=4)
-        beta = pl.beta_for_model(model, n + 2 * ladder.resolve_scales(model, n)[-1])
-        one = pl.d_vectors(beta, n, TruncationPolicy(K=8, levels=1))
-        ref = pl.d_vectors(beta, n, ladder)
-        k, w = min(one.k_used, ref.k_used), ref.vectors.shape[1]
-        moved = float(np.max(np.abs(one.vectors[:k, :w] - ref.vectors[:k, :w])))
-        assert moved > 0.0
-        assert one.tail_estimate >= moved
-
-
 class TestDeltaBlock:
-    def test_v0_reproduces_d_vectors(self):
-        model = pl.Farima(0.3)
-        pol = TruncationPolicy(V=256, K=3, levels=2)
+    @pytest.mark.parametrize("model", [pl.Farima(0.3), pl.Farima(0.3, ma_poly=(1.0, 0.5)),
+                                       pl.Farima(0.3, ar_poly=(1.0, -0.5))], ids=repr)
+    @pytest.mark.parametrize("K", [3, None])
+    def test_v0_reproduces_d_vectors(self, model, K):
+        # the block's v = 0 column is d_k, stage for stage, with and without
+        # a stage budget
+        pol = TruncationPolicy(V=256, K=K)
         beta = pl.beta_for_model(model, 32 + 4 * 256)
         block = pl.delta_block(beta, 32, 2, pol)
         dv = pl.d_vectors(beta, 32, pol)
@@ -225,13 +215,13 @@ class TestDeltaBlock:
         # delta_1(n, u, v) = beta_{n+u+v}; at n = 32, u = 2, v = 3 that is beta_37
         model = pl.Farima(0.3)
         beta = pl.beta_for_model(model, 32 + 4 * 256)
-        block = pl.delta_block(beta, 32, 3, TruncationPolicy(V=256, K=2, levels=2))
+        block = pl.delta_block(beta, 32, 3, TruncationPolicy(V=256, K=2))
         assert block.values[0, 2, 3] == pytest.approx(beta[37], rel=1e-12)
 
     def test_symmetry(self):
         model = pl.Farima(0.35)
         beta = pl.beta_for_model(model, 16 + 4 * 512)
-        block = pl.delta_block(beta, 16, 5, TruncationPolicy(V=512, K=4, levels=2))
+        block = pl.delta_block(beta, 16, 5, TruncationPolicy(V=512, K=4))
         vals = block.values
         for u in range(6):
             for v in range(6):
@@ -264,12 +254,12 @@ class TestFinitePredictor:
 
     def test_first_term_identity(self):
         # g_1(n, j) = c_0 a_j bitwise; in the factored case the series reads
-        # a past 4096 terms and the identity's a stops at 16, so both must be
+        # a past its corner and the identity's a stops at 16, so both must be
         # one expansion, whatever its length
         for model, policy in [
             (pl.Farima(0.3), TruncationPolicy()),
             (pl.Farima(0.45, ar_poly=(1, -0.5), ma_poly=(1, 0.4)),
-             TruncationPolicy(V=4096, levels=2, tol_tail=1)),
+             TruncationPolicy(V=4096, tol_tail=1)),
         ]:
             res = pl.finite_predictor_explicit(model, 16, policy)
             c0 = pl.expand_ma(model, 0)[0]
@@ -278,12 +268,11 @@ class TestFinitePredictor:
                 assert s.terms[0] == c0 * a[j]
 
     def test_reported_residual_is_the_checked_one(self):
-        # tol_term alone sets the ladder's stop tolerance here, so tol_tail
-        # only moves the check: on the nodes and on the ladder, the largest
-        # reported residual passes it, one ulp below raises, and the error
-        # carries that same residual
+        # tol_tail only moves the check: on the nodes, for pure and for
+        # MA-factored noise, the largest reported residual passes it, one ulp
+        # below raises, and the error carries that same residual
         n = 8
-        policy = TruncationPolicy(V=256, levels=3, tol_term=1e-14, tol_tail=1.0)
+        policy = TruncationPolicy(V=256, tol_term=1e-14, tol_tail=1.0)
         for model in (pl.Farima(0.3), pl.Farima(0.3, ma_poly=(1.0, 0.5))):
             res = pl.finite_predictor_explicit(model, n, policy)
             resid = max(s.tail_estimate for s in res.series)
@@ -321,30 +310,6 @@ class TestFinitePredictor:
         want = pl.multistep_normal_solve(gamma, n, m).coefficients
         np.testing.assert_allclose(res.table.coefficients, want, atol=1e-6)
 
-    @pytest.mark.parametrize("V, m", [
-        (6, 3),
-        # the ladder's single-scale residual is no bound at so small a V:
-        # here the largest error is 1.07 times the largest residual
-        pytest.param(5, 2, marks=pytest.mark.xfail(
-            strict=True, reason="the ladder's single-scale residual under-covers at V = 5")),
-    ])
-    def test_single_scale_residual_at_uneven_half(self, V, m):
-        # the half run cannot go below m + 1, so it sits at 4 and 3, not at
-        # V/2; the residual must still cover the true error
-        model, n = pl.Farima(0.3, ma_poly=(1.0, 0.5)), 8
-        res = pl.finite_predictor_multistep(model, n, m,
-                                            TruncationPolicy(V=V, levels=1, tol_tail=1.0))
-        want = pl.multistep_normal_solve(pl.autocov(model, n + m), n, m).coefficients
-        err = float(np.max(np.abs(res.table.coefficients - want)))
-        assert max(s.tail_estimate for s in res.series) >= err
-
-    @pytest.mark.parametrize("V, m", [(4, 3), (1, 0)])
-    def test_single_scale_without_half_run_raises(self, V, m):
-        # max(V // 2, m + 1) is V itself: no second cutoff to measure against
-        with pytest.raises(ValueError, match="half run"):
-            pl.finite_predictor_multistep(pl.Farima(0.3, ma_poly=(1.0, 0.5)), 8, m,
-                                          TruncationPolicy(V=V, levels=1, tol_tail=1.0))
-
     def test_short_memory_residual_covers_rounding(self):
         # an inexact short-memory beta is cut where its factors are dead, so
         # rounding is all its error, and the residual must cover it
@@ -355,9 +320,10 @@ class TestFinitePredictor:
         assert max(s.tail_estimate for s in res.series) >= err
 
     def test_truncation_gate_raises(self):
-        with pytest.raises(TruncationError):
+        # the quadrature's residual for an MA-factored model is about 1e-9
+        with pytest.raises(TruncationError, match="quadrature"):
             pl.finite_predictor_explicit(
-                pl.Farima(0.3, ma_poly=(1.0, 0.5)), 64, TruncationPolicy(V=64, levels=1))
+                pl.Farima(0.3, ma_poly=(1.0, 0.5)), 64, TruncationPolicy(tol_tail=1e-12))
 
     @pytest.mark.parametrize("tol_tail", [float("nan"), 0.0, -1.0])
     def test_tol_tail_must_be_positive(self, tol_tail):
@@ -367,21 +333,21 @@ class TestFinitePredictor:
 
     def test_exhausted_depth_raises_with_its_error(self):
         # K = 2 kernel applies (one solve iteration) cannot reach the default
-        # tol_tail at n = 4, and the raised residual covers what the missing
-        # iterations change
-        model, n = pl.Farima(0.3, ma_poly=(1.0, 0.5)), 4
+        # tol_tail for this short-memory model at n = 4, and the raised
+        # residual covers what the missing iterations change
+        model, n = pl.Farima(0.0, ma_poly=(1.0, 0.5, 0.3)), 4
         want = pl.multistep_normal_solve(pl.autocov(model, n), n, 0).coefficients
         relaxed = pl.finite_predictor_explicit(model, n, TruncationPolicy(K=2, tol_tail=1e6))
         err = float(np.max(np.abs(relaxed.table.coefficients - want)))
-        assert err >= 1.0e-3
-        with pytest.raises(TruncationError, match="levels or K") as info:
+        assert err >= 1.0e-6
+        with pytest.raises(TruncationError, match="increase K") as info:
             pl.finite_predictor_explicit(model, n, TruncationPolicy(K=2))
         assert info.value.achieved >= err
 
     @pytest.mark.parametrize("model, n", [
-        *((pl.Farima(d, ma_poly=(1.0, 0.5)), n) for d in (0.1, 0.3) for n in (4, 64)),
-        # ||H|| is about 0.83 here, above sin(0.3 pi) = 0.809
-        (pl.Farima(0.3, ma_poly=(1.0, 0.9)), 1),
+        *((pl.Farima(0.0, ma_poly=ma), n) for ma in ((1.0, 0.5, 0.3), (1.0, 0.9))
+          for n in (1, 4, 64)),
+        (pl.Farima(0.0, ma_poly=(1.0, 0.99)), 2),
     ], ids=lambda v: v if isinstance(v, int) else repr(v))
     def test_residual_covers_series_depth(self, model, n):
         # with the cap out of the way, the largest reported residual at a
@@ -418,17 +384,17 @@ def _neumann_sum(terms):
     return terms[0::2].sum(axis=0) + terms[1::2].sum(axis=0)
 
 
-#: long and short memory, AR- and MA-factored, and an exact-support kernel;
-#: the series solve serves all of them, the cutoff ladder the long memory
-_SOLVE_MODELS = [*(pl.Farima(d, ma_poly=(1.0, 0.5)) for d in (0.1, 0.2, 0.3, 0.4)),
-                 pl.Farima(0.3, ar_poly=(1.0, -0.5)), pl.Farima(0.0, ma_poly=(1.0, 0.5)),
-                 pl.Ar1(0.5)]
+#: short memory, AR- and MA-factored, and an exact-support kernel: the
+#: series solve serves all of them
+_SOLVE_MODELS = [pl.Farima(0.0, ma_poly=(1.0, 0.5)), pl.Farima(0.0, ma_poly=(1.0, 0.5, 0.3)),
+                 pl.Farima(0.0, ma_poly=(1.0, 0.9)), pl.Farima(0.0, ar_poly=(1.0, -0.5)),
+                 pl.Farima(0.0, ar_poly=(1.0, -0.5), ma_poly=(1.0, 0.4)), pl.Ar1(0.5)]
 
 
 def test_concurrent_calls_under_fast_switching():
-    # eight ladder calls on four threads, switching every microsecond, share
-    # the beta and expansion caches: a lost or torn cache entry would change
-    # a result
+    # eight calls on four threads, switching every microsecond, share the
+    # beta, factor and expansion caches: a lost or torn cache entry would
+    # change a result
     model, policy = pl.Farima(0.3, ma_poly=(1.0, 0.5)), TruncationPolicy(V=256, tol_tail=1.0)
     want = pl.finite_predictor_multistep(model, 16, 0, policy)
     interval = sys.getswitchinterval()
@@ -446,71 +412,16 @@ def test_concurrent_calls_under_fast_switching():
             _assert_same_fields(a, b)
 
 
-#: long memory, MA- and AR-factored, which the cutoff ladder serves, and
-#: AR(1), whose exact-support kernel runs one short-memory solve whatever
-#: V and levels say
-_LADDER_MODELS = [pl.Farima(0.1, ma_poly=(1.0, 0.5)), pl.Farima(0.3, ma_poly=(1.0, 0.5)),
-                  pl.Farima(0.3, ar_poly=(1.0, -0.5)), pl.Ar1(0.5)]
-
-
-class TestLadder:
-    """The cutoff ladder, run finest first on the calling thread."""
-
-    @pytest.mark.parametrize("model", _LADDER_MODELS, ids=repr)
-    @pytest.mark.parametrize("m", [0, 1])
-    def test_single_scale_residual_covers_normal_solve(self, model, m):
-        # one uncorrected cutoff: every weight is within its reported
-        # residual of the normal equations on the exact autocovariances,
-        # beyond the few ulp those round by
-        n, policy = 16, TruncationPolicy(V=256, levels=1, tol_tail=1.0)
-        res = pl.finite_predictor_multistep(model, n, m, policy)
-        assert len(res.series) == n
-        want = pl.multistep_normal_solve(pl.autocov(model, n + m), n, m).coefficients
-        ulps = 4.0 * np.finfo(float).eps * np.max(np.abs(want))
-        err = np.abs(res.table.coefficients - want)
-        assert np.all(err <= np.array([s.tail_estimate for s in res.series]) + ulps)
-
-    @pytest.mark.parametrize("model", _LADDER_MODELS, ids=repr)
-    @pytest.mark.parametrize("m", [0, 1])
-    @pytest.mark.parametrize("levels", [None, 1])
-    def test_kernel_budget_binds(self, model, m, levels):
-        # K = 2 binds at the default tol_tail: every long-memory model
-        # raises; AR(1) needs one stage and stays exact
-        policy = TruncationPolicy(V=256, K=2, levels=levels)
-        if isinstance(model, pl.Farima):
-            with pytest.raises(TruncationError):
-                pl.finite_predictor_multistep(model, 16, m, policy)
-            return
-        want = np.zeros(16)
-        want[0] = model.r ** (m + 1)
-        res = pl.finite_predictor_multistep(model, 16, m, policy)
-        np.testing.assert_array_equal(res.table.coefficients, want)
-
-    @pytest.mark.parametrize("model", _LADDER_MODELS, ids=repr)
-    @pytest.mark.parametrize("levels", [None, 1])
-    def test_delta_block_v0_is_d_vectors(self, model, levels):
-        # the block's v = 0 column is d_k, stage for stage, with and
-        # without a stage budget
-        beta = pl.beta_for_model(model, 16 + 2 * (256 << 5))
-        for K in (None, 6):
-            policy = TruncationPolicy(V=256, K=K, levels=levels)
-            block = pl.delta_block(beta, 16, 2, policy)
-            dv = pl.d_vectors(beta, 16, policy)
-            assert block.k_used == dv.k_used
-            np.testing.assert_allclose(block.values[:, :, 0], dv.vectors,
-                                       rtol=1e-10, atol=1e-15)
-
-
 class TestSolve:
     """The series solve against the stage-by-stage Neumann sum."""
 
     @pytest.mark.parametrize("model", _SOLVE_MODELS, ids=repr)
     @pytest.mark.parametrize("m", [0, 2])
     def test_matches_neumann_sum(self, monkeypatch, model, m):
-        # every ladder run of the solve is within its own depth bound of the
-        # Neumann sum at a tight per-term tolerance, and so the eliminated
-        # phi is within the reported residual of the summed one
-        n, policy = 16, TruncationPolicy(V=512, levels=3, tol_tail=1.0)
+        # the solve is within its own depth bound of the Neumann sum at a
+        # tight per-term tolerance, and so within the reported residual of
+        # the summed phi
+        n, policy = 16, TruncationPolicy(V=512, tol_tail=1.0)
         real, runs = explicit._solve_run, []
 
         def neumann(beta_vals, a_vals, c_head, n, m, V, K, tol_stop, s_floor):
@@ -526,7 +437,7 @@ class TestSolve:
         monkeypatch.setattr(explicit, "_solve_run", both)
         res = pl.finite_predictor_multistep(model, n, m, policy)
         # short memory runs one cutoff
-        assert len(runs) == (1 if pl.memory_exponent(model) == 0.0 else 3)
+        assert len(runs) == 1
         for (phi, bound, _), (want, left, _) in runs:
             # beyond that, the two sums round differently by a few ulp
             ulps = 4.0 * np.finfo(float).eps * np.max(np.abs(want))
@@ -542,7 +453,7 @@ class TestSolve:
         # (AR(1): an exactly zero right-hand side) stays exact
         policy = TruncationPolicy(K=1, tol_tail=1e6)
         with pytest.raises(TruncationError, match="K = 1 leaves no room"):
-            pl.finite_predictor_explicit(pl.Farima(0.3, ma_poly=(1.0, 0.5)), 4, policy)
+            pl.finite_predictor_explicit(pl.Farima(0.0, ma_poly=(1.0, 0.5, 0.3)), 4, policy)
         res = pl.finite_predictor_explicit(pl.Ar1(0.5), 4, policy)
         np.testing.assert_array_equal(res.table.coefficients, [0.5, 0.0, 0.0, 0.0])
 
@@ -566,7 +477,7 @@ _SHORT_MODELS = [pl.Ar1(0.7), pl.Farima(0.0, ar_poly=(1.0, -0.5, 0.3)),
 
 
 class TestShortMemory:
-    """d = 0: one solve at the cutoff the kernel's support sets, no ladder."""
+    """d = 0: one solve at the cutoff the kernel's support sets."""
 
     @pytest.mark.parametrize("model", _SHORT_MODELS, ids=repr)
     @pytest.mark.parametrize("n", [1, 2, 4, 16])
@@ -582,21 +493,27 @@ class TestShortMemory:
         assert np.all(err <= np.array([s.tail_estimate for s in res.series]) + ulps)
 
     @pytest.mark.parametrize("model", _SHORT_MODELS, ids=repr)
-    def test_one_path_whatever_the_policy(self, monkeypatch, capsys, model):
-        # with the ladder's elimination gone, every output still runs, and
-        # pinned V and levels, even ones the ladder refuses (V = 4 at m = 3
-        # leaves levels=1 no half run), leave the weights bitwise as they are
-        def no_ladder(*args):
-            raise AssertionError("short memory must not run the cutoff ladder")
-        monkeypatch.setattr(explicit, "_eliminate", no_ladder)
-        monkeypatch.setattr(explicit, "_cutoffs", no_ladder)
+    @pytest.mark.parametrize("n", [1, 2, 4, 16])
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_residual_covers_own_rounding(self, model, n, m):
+        # a solve whose depth bound and beta's share are zero or tiny still
+        # rounds; the residual covers that too, with nothing added
+        res = pl.finite_predictor_multistep(model, n, m)
+        want = pl.multistep_normal_solve(pl.autocov(model, n + m), n, m).coefficients
+        err = np.abs(res.table.coefficients - want)
+        assert np.all(err <= [s.tail_estimate for s in res.series])
+
+    @pytest.mark.parametrize("model", _SHORT_MODELS, ids=repr)
+    def test_one_path_whatever_the_policy(self, capsys, model):
+        # a pinned V, even one below the horizon, leaves the weights bitwise
+        # as they are
         n, m = 8, 3
         default = pl.finite_predictor_multistep(model, n, m)
         iterates = pl.projection_iterates(model, n, 2, m, K=6)
         # the record stops at its tolerance, the iterates at K
         record = default.series[1].terms[:6]
         np.testing.assert_array_equal(iterates[:len(record)], np.cumsum(record))
-        for pins in ({"V": 4, "levels": 1}, {"V": 64, "levels": 5}):
+        for pins in ({"V": 4}, {"V": 64}):
             policy = TruncationPolicy(**pins)
             res = pl.finite_predictor_multistep(model, n, m, policy)
             _assert_same_fields(default.table, res.table)
@@ -605,7 +522,7 @@ class TestShortMemory:
             np.testing.assert_array_equal(
                 pl.projection_iterates(model, n, 2, m, K=6, policy=policy), iterates)
         argv = ["predict", "--n", "4", "--terms", "--source", "explicit", "--vmax", "4",
-                "--levels", "1", "--model"]
+                "--model"]
         if isinstance(model, pl.Ar1):
             argv += ["ar1", "--r", str(model.r)]
         else:
@@ -616,16 +533,13 @@ class TestShortMemory:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("model", _SHORT_MODELS, ids=repr)
-    def test_d_vectors_reach_the_support(self, monkeypatch, model):
+    def test_d_vectors_reach_the_support(self, model):
         # V is only the output window: d_2(n, u) = sum_w beta_{n+u+w}
         # beta_{n+w} runs over the kernel's whole support, and the block's
         # v = 0 column is d_k
-        def no_ladder(*args):
-            raise AssertionError("short memory must not run the cutoff ladder")
-        monkeypatch.setattr(explicit, "_eliminate", no_ladder)
         n, V = 2, 16
         beta = pl.beta_for_model(model, 0)
-        policy = TruncationPolicy(V=V, K=2, levels=5)
+        policy = TruncationPolicy(V=V, K=2)
         dv = pl.d_vectors(beta, n, policy)
         block = pl.delta_block(beta, n, 2, policy)
         assert dv.vectors.shape[1] == V and block.values.shape[1:] == (V, 3)
@@ -644,6 +558,54 @@ class TestShortMemory:
                                        atol=1e-13 * np.max(np.abs(d2)))
 
 
+#: the ARMA factors of the calibration grid: AR, MA and ARMA, with roots of
+#: either sign, one AR(1) root at 0.9 and two of degree two
+_FACTORS = [{"ar_poly": (1.0, -0.5)}, {"ar_poly": (1.0, 0.5)}, {"ar_poly": (1.0, -0.9)},
+            {"ar_poly": (1.0, -0.5, 0.3)}, {"ma_poly": (1.0, 0.5)}, {"ma_poly": (1.0, -0.5)},
+            {"ma_poly": (1.0, -0.5, 0.3)}, {"ar_poly": (1.0, -0.5), "ma_poly": (1.0, 0.4)},
+            {"ar_poly": (1.0, 0.6), "ma_poly": (1.0, -0.6)}]
+_FACTOR_IDS = ["-".join(f"{k[:2]}{','.join(map(str, v[1:]))}" for k, v in f.items())
+               for f in _FACTORS]
+
+
+def _normal_solve_with_allowance(model, n, m):
+    """(normal-equation weights, what rounding the autocovariances by eps
+    relative can move them by): eps gamma(0) (1 + ||phi||_1) / lambda_min
+    of the Toeplitz matrix, the first-order perturbation bound."""
+    gamma = pl.autocov(model, n + m).values
+    want = pl.multistep_normal_solve(pl.autocov(model, n + m), n, m).coefficients
+    lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    lam = np.linalg.eigvalsh(gamma[lags])[0]
+    return want, np.finfo(float).eps * gamma[0] * (1.0 + np.sum(np.abs(want))) / lam
+
+
+def _factored_dk_oracle(model, k, n, u):
+    """d_k(n, u) for k <= 2 of a factored model from rho_j = sum_p r_p
+    s_{p-j}, r = ma/ar and s = ar/ma expanded by scipy's filter:
+    beta_i = c sum_j rho_j / (i + j - d), so d_1 is that sum at i = n + u
+    and d_2 = c^2 sum_{j,l} rho_j rho_l (psi(A) - psi(B)) / (A - B) with
+    A = n + u + j - d, B = n + l - d (psi'(A) where A = B)."""
+    from scipy.special import digamma, polygamma
+    d, T = model.d, 2048
+    ma, ar = model.ma_poly.coefficients, model.ar_poly.coefficients
+    impulse = np.zeros(T)
+    impulse[0] = 1.0
+    r, s = signal.lfilter(ma, ar, impulse), signal.lfilter(ar, ma, impulse)
+    rho, j = np.correlate(r, s, "full"), np.arange(1 - T, T)
+    keep = np.abs(rho) > 1e-30
+    rho, j = rho[keep], j[keep]
+    c = np.sin(np.pi * d) / np.pi
+    if k == 1:
+        return c * float(np.sum(rho / (n + u + j - d)))
+    A = (n + u + j - d)[:, None]
+    B = (n + j - d)[None, :]
+    diff = A - B
+    same = diff == 0.0
+    ratio = np.where(same, polygamma(1, A + 0.0 * B),
+                     (digamma(A) - digamma(B)) / np.where(same, 1.0, diff))
+    return c * c * float(rho @ ratio @ rho)
+
+
 class TestMomentForm:
     """Pure fractional noise under the default policy: the moment form."""
 
@@ -653,8 +615,7 @@ class TestMomentForm:
     def test_residual_covers_true_error(self, d, n, m):
         # every weight's reported residual covers its true error: against
         # Hosking's closed form at m = 0, and the normal equations on the
-        # Gamma-ratio autocovariances at m = 2; at d = 0.45 the cutoff
-        # ladder cannot meet the default tol_tail
+        # Gamma-ratio autocovariances at m = 2
         res = pl.finite_predictor_multistep(pl.Farima(d), n, m)
         want = (hosking_phi(d, n) if m == 0 else
                 pl.multistep_normal_solve(farima_gamma_oracle(d, n + m), n, m).coefficients)
@@ -680,27 +641,32 @@ class TestMomentForm:
         want = pl.durbin_levinson(pl.autocov(model, n), n)[-1].coefficients
         assert np.max(np.abs(res.table.coefficients - want)) <= 1e-12
 
+    @pytest.mark.parametrize("model", [pl.Farima(0.3), pl.Farima(0.3, ma_poly=(1.0, 0.5)),
+                                       pl.Farima(0.3, ar_poly=(1.0, -0.5))], ids=repr)
     @pytest.mark.parametrize("m", [0, 3])
-    def test_pinned_controls_stay_on_the_nodes(self, monkeypatch, m):
-        # V, K and levels, pinned alone or all together, even to values the
-        # ladder refuses (V = 4 at m = 3 leaves levels=1 no half run), leave
-        # pure fractional noise on the nodes: the default's table, bitwise,
-        # and d_k on the window V, the default's first V entries (up to the
-        # rounding of a matrix product of another shape)
-        model, n = pl.Farima(0.3), 8
+    def test_pinned_controls_stay_on_the_nodes(self, monkeypatch, model, m):
+        # V and K, pinned alone or together, even to a V below the horizon,
+        # leave every long-memory model on the nodes: the default's table,
+        # bitwise, the iterates, and d_k on the window V, the default's
+        # first V entries (up to the rounding of a matrix product of another
+        # shape)
+        n = 8
         beta = pl.beta_for_model(model, 0)
         default = pl.finite_predictor_multistep(model, n, m)
         dv = pl.d_vectors(beta, n)
+        iterates = pl.projection_iterates(model, n, 2, m, K=6)
 
-        def no_ladder(*args):
-            raise AssertionError("pure fractional noise must stay on the nodes")
+        def no_solve(*args):
+            raise AssertionError("long memory must stay on the nodes")
         for name in ("_solve_run", "_g_terms_run", "_delta_run"):
-            monkeypatch.setattr(explicit, name, no_ladder)
-        for pins in ({"V": 4}, {"K": 2}, {"levels": 1}, {"V": 4, "K": 2, "levels": 1}):
+            monkeypatch.setattr(explicit, name, no_solve)
+        for pins in ({"V": 4}, {"K": 2}, {"V": 4, "K": 2}):
             policy = TruncationPolicy(**pins)
             res = pl.finite_predictor_multistep(model, n, m, policy)
             _assert_same_fields(default.table, res.table)
             assert len(res.series[0].terms) <= policy.resolve_k(model)
+            np.testing.assert_array_equal(
+                pl.projection_iterates(model, n, 2, m, K=6, policy=policy), iterates)
             window = pl.d_vectors(beta, n, policy)
             V = policy.resolve_v(n, model)
             assert window.vectors.shape == (min(dv.k_used, policy.resolve_k(model)), V)
@@ -709,23 +675,73 @@ class TestMomentForm:
 
     @pytest.mark.parametrize("m", [0, 2])
     @pytest.mark.parametrize("n", [1, 8, 64])
-    @pytest.mark.parametrize("d", [0.05, 0.1, 0.3, 0.45])
-    def test_record_sums_to_table(self, d, n, m):
+    @pytest.mark.parametrize("d, factors", [
+        *((d, {}) for d in (0.05, 0.1, 0.3, 0.45)),
+        # a factored record at d = 0.45 takes about a thousand stages
+        *((d, f) for f in _FACTORS for d in (0.1, 0.3))],
+        ids=[*(f"pure-{d}" for d in (0.05, 0.1, 0.3, 0.45)),
+             *(f"{i}-{d}" for i in _FACTOR_IDS for d in (0.1, 0.3))])
+    def test_record_sums_to_table(self, d, factors, n, m):
         # the per-term record is the Neumann sum of the same quadrature, so
         # its running sums reach the table they stop against
-        res = pl.finite_predictor_multistep(pl.Farima(d), n, m)
+        model = pl.Farima(d, **factors)
+        res = pl.finite_predictor_multistep(model, n, m)
         record = np.array([s.terms for s in res.series])
-        assert record.shape[1] <= TruncationPolicy().resolve_k(pl.Farima(d))
+        assert record.shape[1] <= TruncationPolicy().resolve_k(model)
         assert np.max(np.abs(record.sum(axis=1) - res.table.coefficients)) <= 1e-10
+
+    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("n", [1, 2, 8, 512])
+    @pytest.mark.parametrize("d", [0.1, 0.3, 0.45])
+    @pytest.mark.parametrize("factors", _FACTORS, ids=_FACTOR_IDS)
+    def test_factored_residual_covers_normal_solve(self, factors, d, n, m):
+        # AR, MA and ARMA factors on the nodes: every weight is within its
+        # reported residual of the normal equations, beyond what those move
+        # by when the autocovariances round (a few e-13 at gamma(0) = 255,
+        # AR(1) at 0.9 and d = 0.45), and every error is far below 1e-10
+        model = pl.Farima(d, **factors)
+        res = pl.finite_predictor_multistep(model, n, m)
+        want, allowance = _normal_solve_with_allowance(model, n, m)
+        err = np.abs(res.table.coefficients - want)
+        assert np.all(err <= np.array([s.tail_estimate for s in res.series]) + allowance)
+        assert np.max(err) <= 1e-10
+
+    @pytest.mark.parametrize("model, n", [
+        (pl.Farima(0.4, ar_poly=(1.0, -0.5)), 512),
+        (pl.Farima(0.3, ma_poly=(1.0, 0.99)), 1),
+        (pl.Farima(0.3, ma_poly=(1.0, -0.99)), 64),
+        (pl.Farima(0.1, ma_poly=(1.0, -0.99)), 8),
+        (pl.Farima(0.45, ma_poly=(1.0, -0.98)), 8),
+        (pl.Farima(0.45, ma_poly=(1.0, 0.97)), 1),
+    ], ids=repr)
+    def test_factored_served_against_levinson(self, model, n):
+        # an AR factor at strong memory and a long past; MA roots of modulus
+        # near 1/0.99, which put rho's negative end, and so the corner, past
+        # 3500 entries at small n: every system stays under the cap, and the
+        # weights agree with Levinson to rounding
+        res = pl.finite_predictor_explicit(model, n)
+        want = pl.durbin_levinson(pl.autocov(model, n), n)[-1].coefficients
+        err = np.abs(res.table.coefficients - want)
+        assert np.all(err <= [s.tail_estimate for s in res.series])
+        assert np.max(err) <= 1e-12
+
+    def test_corner_above_node_cap_refused_up_front(self, monkeypatch):
+        # an MA root still nearer the circle needs a corner of about 40000
+        # at n = 8: refused before any system is built
+        def no_system(*args, **kwargs):
+            raise AssertionError("the system must be refused before it is built")
+        monkeypatch.setattr(explicit, "_moment_system", no_system)
+        with pytest.raises(TruncationError, match="corner"):
+            pl.finite_predictor_explicit(pl.Farima(0.3, ma_poly=(1.0, 0.999)), 8)
 
     @pytest.mark.parametrize("n", [1, 8, 64, 1024])
     @pytest.mark.parametrize("d", [0.05, 0.1, 0.2, 0.3, 0.4, 0.45])
     def test_d_vectors_against_closed_forms(self, monkeypatch, d, n):
         # d_1 and d_2 on the nodes, with no cutoff: within the reported
         # residual of their closed forms, at the cutoff's length in u
-        def no_ladder(*args):
+        def no_solve(*args):
             raise AssertionError("d_k of fractional noise must run on the nodes")
-        monkeypatch.setattr(explicit, "_delta_run", no_ladder)
+        monkeypatch.setattr(explicit, "_delta_run", no_solve)
         model, policy = pl.Farima(d), TruncationPolicy(K=2)
         dv = pl.d_vectors(pl.beta_for_model(model, 0), n, policy)
         assert dv.vectors.shape == (2, policy.resolve_v(n, model))
@@ -733,10 +749,29 @@ class TestMomentForm:
                   for k in (1, 2) for u in (0, 5))
         assert err <= dv.tail_estimate
 
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    @pytest.mark.parametrize("d", [0.1, 0.3, 0.45])
+    @pytest.mark.parametrize("factors", _FACTORS[::2], ids=_FACTOR_IDS[::2])
+    def test_factored_d_vectors_against_closed_forms(self, monkeypatch, factors, d, n):
+        # with beta_i = c sum_j rho_j / (i + j - d), d_2(n, u) is a double
+        # sum over rho of digamma differences (partial fractions, as for
+        # pure noise); d_k of a factored model, corner and nodes, is within
+        # its reported residual of it
+        def no_solve(*args):
+            raise AssertionError("d_k of long memory must run on the nodes")
+        monkeypatch.setattr(explicit, "_delta_run", no_solve)
+        model, policy = pl.Farima(d, **factors), TruncationPolicy(K=2, V=64)
+        dv = pl.d_vectors(pl.beta_for_model(model, 0), n, policy)
+        assert dv.vectors.shape == (2, 64)
+        for k in (1, 2):
+            for u in (0, 5, 63):
+                want = _factored_dk_oracle(model, k, n, u)
+                assert abs(dv.vectors[k - 1][u] - want) <= dv.tail_estimate
+
     def test_delta_block_symmetric_corner(self, monkeypatch):
-        def no_ladder(*args):
+        def no_solve(*args):
             raise AssertionError("delta_k of fractional noise must run on the nodes")
-        monkeypatch.setattr(explicit, "_delta_run", no_ladder)
+        monkeypatch.setattr(explicit, "_delta_run", no_solve)
         block = pl.delta_block(pl.beta_for_model(pl.Farima(0.35), 0), 16, 4,
                                TruncationPolicy(K=4))
         corner = block.values[:, :5, :5]
@@ -774,20 +809,15 @@ class TestProjectionIterates:
 
     def test_geometric_decay_rate(self):
         # the iterate error contracts per double-stage at least as fast as
-        # the large-n envelope sin^2(pi d).  On the ladder's finite kernel
-        # (an MA-factored model) it decays cleanly geometrically; the
-        # quadrature resolves the kernel's continuous spectrum, on which the
-        # ratio creeps toward the envelope instead, so only the envelope is
-        # checked there
+        # the large-n envelope sin^2(pi d); the quadrature resolves the
+        # kernel's continuous spectrum, on which the ratio creeps toward the
+        # envelope rather than settling on one value
         n, j = 32, 1
         envelope = 1.05 * np.sin(np.pi * 0.3) ** 2
-        ladder = pl.Farima(0.3, ma_poly=(1.0, 0.5))
-        for model in (ladder, pl.Farima(0.3)):
+        for model in (pl.Farima(0.3, ma_poly=(1.0, 0.5)), pl.Farima(0.3)):
             ps = pl.projection_iterates(model, n, j, K=48)
             err = np.abs(ps - ps[-1])[:40]
             ratios = err[12:28:2] / err[10:26:2]
-            if model is ladder:
-                assert float(ratios.max() / ratios.min()) < 1.01
             assert 0.05 < float(np.mean(ratios)) < envelope
 
     @pytest.mark.parametrize("model", [pl.Ar1(0.5), pl.Farima(0.3, ma_poly=(1.0, 0.5))],
@@ -795,9 +825,8 @@ class TestProjectionIterates:
     @pytest.mark.parametrize("m", [0, 2])
     def test_cumulative_reported_terms(self, model, m):
         # the iterates are the running sums of the terms the predictor
-        # reports when it runs K stages with no early stop; after K = 12
-        # stages its ladder residual is above the default tol_tail, which
-        # the iterates are not checked against
+        # reports when it runs K stages with no early stop, on the nodes for
+        # the factored long-memory model and at the one cutoff for AR(1)
         n, K = 8, 12
         forced = TruncationPolicy(K=K, tol_term=1e-300, tol_tail=1.0)
         series = pl.finite_predictor_multistep(model, n, m, forced).series
