@@ -16,11 +16,13 @@ span of the infinite past, then onto the past window, alternating), so the
 per-term record doubles as a convergence diagnostic.
 
 The series is a Neumann series in the symmetric kernel H at offset n+1, so
-the predictor's value path does not sum it stage by stage: it solves
-(I - H^2) z = y by conjugate gradients and reads the sum off A H z and
-A z (see _solve_run), in a handful of iterations where the sum takes tens
-of stages.  The per-term record is the stage-by-stage sum, computed only
-when a caller reads it.
+the predictor's values do not sum it stage by stage: with y = H (c_{m-v})_v
+they solve (I - H^2) z = y and read the sum off A H z and A z, A the AR
+correlation.  Both regimes make H a small matrix M on a "corner plus
+state": explicit unknowns for the kernel's first rows, then a state whose
+read-out runs one recurrence (_f_tilde); _moment_solve and _moment_read
+serve both.  The per-term record is the stage-by-stage sum on the same
+matrix, computed only when a caller reads it.
 
 Long memory has no cutoff at all (see _moment_system): beta is the kernel
 beta0_k = c/(k - d), c = sin(pi d)/pi, correlated with the two-sided
@@ -36,21 +38,30 @@ has neither sign nor corner: 282 nodes at d = 0.3, n = 64, within about
 same solve on every other node.  The same nodes give the record and the
 iterates d_k, delta_k, under any policy, and no factor needs its roots.
 
-Short memory (d = 0) has no cutoff to choose either: its kernel ends at
-the support BetaSeq.inner_len, so one solve at the cutoff
-V* = max(inner_len - n - 1, m + 1) serves every output whatever V says
-(d_k and delta_k run once at max(V, inner_len - n) and return V entries in
-u).  An exact support stays exactly zero under rfft/irfft of zero blocks,
-so for AR(1) every stage k >= 2 is an exact zero.
+Short memory (d = 0) has a kernel of finite rank, so its series has an
+exact finite sum (see _short_kernel).  With p = deg(ar), q = deg(ma) and
+k0 = max(0, p + 1 - q), the AR expansion a_k obeys the MA recurrence from
+k0 on, and so does beta: beta_i = e1' F^(i-k0) b0 for i >= k0, with F the
+q x q companion matrix of ma (Kronecker's theorem: a Hankel operator with a
+rational symbol has finite rank; Peller, Hankel Operators and Their
+Applications, 2003).  The offset-N kernel is then an explicit corner of its
+first max(0, k0 - N) rows plus a q-dimensional state, through the Stein
+equations X - F X F = b0 e1' and Y - F' Y F = e1 e1' (Inoue, J. Multivariate
+Anal. 2021, derives closed forms of this kind for ARMA).  b0 comes from
+ar(F)^-1 ma(F), so no factor is truncated; AR(p), Ar1 and ExplicitModel
+(q = 0) are a corner alone, and for AR(1) every term after the first is an
+exact zero.  Nothing here has a cutoff or a depth budget: V is only the
+output window of d_k and delta_k, and K caps their stages and the
+long-memory record.
 
 Every correlation here (beta, the Hankel apply, the AR correlation) keeps a
 window of a linear convolution, so its FFT runs at the shortest circular
 length that leaves the window unaliased, max(lo + count, total - lo) for a
 window lo..lo+count-1 of a length-total convolution, rather than at the full
-length: the entries that wrap around land below the window.  That is about
-2V instead of 3V points per Hankel apply and L + 2T instead of L + 4T for
-long-memory beta, a closed-form kernel correlated with T terms of its ARMA
-factors; the window is exact either way, so only rounding changes.
+length: the entries that wrap around land below the window.  That is L + 2T
+instead of L + 4T points for long-memory beta, a closed-form kernel
+correlated with T terms of its ARMA factors; the window is exact either
+way, so only rounding changes.
 """
 
 from __future__ import annotations
@@ -58,15 +69,15 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property, lru_cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
 from .coeffs import (CoeffKind, _arma_series, _convolve_window, _decayed,
-                     _expansion_values, _window_fft_len, expand_ar, expand_ma)
+                     _expansion_values, expand_ar, expand_ma)
 from .errors import TruncationError
 from .levinson import PredictorSource, PredictorTable
-from .models import Farima, ProcessModel, memory_exponent
+from .models import Ar1, Farima, ProcessModel, memory_exponent
 
 __all__ = [
     "TruncationPolicy",
@@ -84,31 +95,24 @@ __all__ = [
     "projection_iterates",
 ]
 
-#: exact-support path is used when the AR expansion support is at most this
-_EXACT_SUPPORT_MAX = 4096
-
 #: hard ceiling on the resolved series depth
 _K_CAP = 20000
-
-#: floor for the effective per-term stopping tolerance of a series run
-_STOP_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Controls for the truncation of the explicit series.
 
-    Long memory (d > 0) runs on a quadrature with no cutoff, so V and K only
-    bound what d_k, delta_k and the per-term record return.  Short memory
-    (d = 0) solves at the cutoff its kernel's support sets: V is only d_k's
-    output window there, and K the solve's budget.
+    No model's weights depend on V or K: long memory (d > 0) runs on a
+    quadrature and short memory (d = 0) in closed form, neither with a
+    cutoff.  V and K only bound what d_k, delta_k and the long-memory
+    per-term record return.
 
     V: output window of d_k and delta_k (None -> max(8192, 32 n), or
     max(16384, 64 n) from d = 1/3 on).
-    K: budget of kernel applies of the short-memory solve (None -> from the
-    geometric decay rate); d_vectors, delta_block and the record return at
-    most K stages.  A solve that spends it before its stopping tolerance
-    shows what it left out in the residual, so a K too small raises.
+    K: most stages d_vectors, delta_block and the long-memory record return
+    (None -> from the geometric decay rate for pure fractional noise, else
+    their stop rules end them).
     tol_term: absolute stopping tolerance for the k-series.
     tol_tail: cap on the estimated residual of the final coefficients;
     exceeded -> TruncationError.
@@ -142,24 +146,19 @@ class TruncationPolicy:
         benchmark's tracing and criterion 2 read its top entry."""
         return [self.resolve_v(n, model)]
 
-    def resolve_k(self, model: ProcessModel, tol: float | None = None) -> int:
+    def resolve_k(self, model: ProcessModel) -> int:
         if self.K is not None:
             return self.K
-        t = tol if tol is not None else self.tol_term
+        k = _K_CAP
         d = memory_exponent(model)
-        if d > 0.0 and not _pure_noise(model):
-            # an ARMA factor's kernel can contract far more slowly than
-            # sin(pi d) at small n: the record's and d_k's stop rules end it
-            k = _K_CAP
-        elif d > 0.0:
+        if d > 0.0 and _pure_noise(model):
             s = np.sin(np.pi * d)
-            # geometric tail s^K s/(1-s) below t: the stage count of the
-            # summed series
-            k = int(np.ceil(np.log(t * (1.0 - s) / s) / np.log(s))) + 8
-        else:
-            # short memory: geometric products decay at least as fast as the
-            # expansions themselves; the stop rule does the real work
-            k = 64
+            # geometric tail s^K s/(1-s) below tol_term: the stage count of
+            # the summed series
+            k = int(np.ceil(np.log(self.tol_term * (1.0 - s) / s) / np.log(s))) + 8
+        # an ARMA factor's kernel can contract far more slowly than sin(pi d)
+        # at small n, and short memory's contracts at its MA roots: the
+        # record's and d_k's stop rules end them
         return max(4, min(k, _K_CAP))
 
 
@@ -171,20 +170,15 @@ class BetaSeq:
     """Correlation sequence beta_0..beta_L with its truncation residual bound.
 
     ``model`` is the generating process, whose memory regime sets the path
-    of every kernel built on it; ``inner_len`` is the factor length,
-    the terms of each short-memory factor correlated (1 when there are none;
-    the support on the exact path); ``tail_estimate`` bounds the absolute
-    error per entry, rounding included, so it is 0 only on the exact path,
-    which ``exact`` marks: a finite-support correlation, computed exactly.
-    At d = 0 entries from inner_len on are zero or within that bound, so
-    inner_len bounds the cutoff a short-memory solve needs.
+    of every kernel built on it; ``tail_estimate`` bounds the absolute error
+    per entry, rounding included.  At d = 0 beta is in closed form
+    (_short_kernel), exact up to rounding, and 0 where it is a finite sum
+    of products (q = 0: AR(p), Ar1, ExplicitModel).
     """
 
     values: np.ndarray
     model: ProcessModel
-    inner_len: int | None = None
     tail_estimate: float = 0.0
-    exact: bool = False
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -203,15 +197,15 @@ class SeriesTerms:
     """Per-term diagnostics of the explicit series for one coefficient.
 
     ``terms[k-1]`` is g^m_k(n, j) (their cumulative sums are the
-    alternating-projection iterates), summed stage by stage, at the
-    short-memory cutoff under the series' own stop rule or on the
-    quadrature's fine grid until the running sums are within tol_term of
-    the table; computed on first read, once for all j of a result.
+    alternating-projection iterates), summed stage by stage on the system
+    that gave the weights (the quadrature's fine grid, or short memory's
+    corner plus state) until the running sums are within tol_term of the
+    table; computed on first read, once for all j of a result.
     ``tail_estimate`` is the coefficient's residual, the number the
-    ``tol_tail`` check compares: beta's share plus the short-memory solve's
-    depth bound and rounding, or the quadrature's distance from its coarse
-    grid.  ``k_used`` is the short-memory solve's kernel applies (0 on the
-    quadrature).
+    ``tol_tail`` check compares: beta's share plus the quadrature's distance
+    from its coarse grid, or the short-memory closed form's rounding.
+    ``k_used`` counts kernel applies spent on the weights: 0, as no model
+    iterates its kernel for them (the benchmark's tracing reads it).
     """
 
     tail_estimate: float
@@ -266,24 +260,22 @@ class ExplicitPredictor:
 # beta
 
 def _fn_kernel(d: float, lo: int, count: int) -> np.ndarray:
-    """beta0_k = sin(pi d) / (pi (k - d)), k = lo..lo+count-1: the beta of
-    fractional noise in closed form (Gauss's 2F1 sum), negative k included;
-    at d = 0 it is -[k = 0], the beta of white noise."""
+    """beta0_k = sin(pi d) / (pi (k - d)), k = lo..lo+count-1, d > 0: the
+    beta of fractional noise in closed form (Gauss's 2F1 sum), negative k
+    included."""
     k = np.arange(lo, lo + count, dtype=float)
-    if d == 0.0:
-        return np.where(k == 0.0, -1.0, 0.0)
     return np.sin(np.pi * d) / (np.pi * (k - d))
 
 
 @lru_cache(maxsize=4)
-def _arma_factor(model: ProcessModel) -> tuple[np.ndarray, np.ndarray, float]:
+def _arma_factor(model: Farima) -> tuple[np.ndarray, np.ndarray, float]:
     """(r, s, dropped): the MA expansion r and the negated AR expansion s of
-    the model's short-memory part (itself at d = 0), each cut where it has
+    a long-memory model's short-memory part, each cut where it has
     decayed (_decayed), and a bound on what their dropped tails move
     rho_j = sum_p r_p s_{p-j} by in l1: a factor's last quarter bounds its
     dropped tail, times the other factor's sum.  An undecayed factor is not
     refused here: its last quarter enters the bound."""
-    arma = replace(model, d=0.0) if memory_exponent(model) > 0.0 else model
+    arma = replace(model, d=0.0)
     rows, last = _decayed(lambda T: np.stack([_expansion_values(arma, T, CoeffKind.MA),
                                               -_expansion_values(arma, T, CoeffKind.AR)]))
     rows.setflags(write=False)  # cached: every caller shares them
@@ -292,36 +284,32 @@ def _arma_factor(model: ProcessModel) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 @lru_cache(maxsize=6)
-def _beta_values(model: ProcessModel, L: int) -> tuple[np.ndarray, float, int, bool]:
-    """(beta values 0..L, tail bound, factor length, exact flag).
+def _beta_values(model: ProcessModel, L: int) -> tuple[np.ndarray, float]:
+    """(beta values 0..L, per-entry error bound).
 
-    c = b * r and a = a0 * s, with b and a0 the fractional-noise expansions
-    and r, -s those of the short-memory part of the model (itself at d = 0,
-    where b = -a0 is the unit impulse), so beta is the kernel beta0 of
-    _fn_kernel correlated with rho_j = sum_p r_p s_{p-j}.  In long memory
-    the bound also carries the mass the moment form cuts from rho's
-    negative end (_moment_weight), so that it covers the quadrature's
-    kernel rows too.
+    At d = 0 beta is the closed form of _short_kernel: its first k0 entries,
+    then the MA recurrence run from b0.  In long memory c = b * r and
+    a = a0 * s, with b and a0 the fractional-noise expansions and r, -s
+    those of the short-memory part of the model, so beta is the kernel
+    beta0 of _fn_kernel correlated with rho_j = sum_p r_p s_{p-j}; the bound
+    also carries the mass the moment form cuts from rho's negative end
+    (_moment_weight), so that it covers the quadrature's kernel rows too.
     """
     d = memory_exponent(model)
     if d == 0.0:
-        # probe for exact support of the AR expansion (probe longer than any
-        # support the exact path accepts, so a hit cannot be a false positive;
-        # a_0 = -1/c_0 is never zero)
-        probe = expand_ar(model, _EXACT_SUPPORT_MAX + 1).values
-        support = int(np.nonzero(probe)[0][-1]) + 1
-        if support <= _EXACT_SUPPORT_MAX:
-            c = expand_ma(model, support - 1).values
-            out = np.zeros(L + 1)
-            for i in range(min(L + 1, support)):
-                out[i] = np.dot(c[:support - i], probe[i:support])
-            return out, 0.0, support, True
-    elif model.ma_poly.coefficients == model.ar_poly.coefficients == (1.0,):
+        k0, ma = _short_shape(model)
+        _, head, b0, bound = _short_kernel(model)
+        out = np.zeros(L + 1)
+        out[:k0] = head[:L + 1]
+        if len(b0) and L + 1 > k0:
+            num = tuple(np.convolve(ma, b0)[:len(b0)])
+            out[k0:] = _arma_series(num, ma, 0.0, L + 1 - k0)
+        return out, bound
+    if _pure_noise(model):
         beta0 = _fn_kernel(d, 0, L + 1)
-        return beta0, 4.0 * np.finfo(float).eps * float(np.max(np.abs(beta0))), 1, False
+        return beta0, 4.0 * np.finfo(float).eps * float(np.max(np.abs(beta0)))
     r, s, dropped = _arma_factor(model)
-    if d > 0.0:
-        dropped += _moment_weight(model)[2]
+    dropped += _moment_weight(model)[2]
     T = len(r)
     # rho_rev[q] = rho_{T-1-q} = (r reversed * s)_q pairs with beta0_{i+T-1-q}
     rho_rev = _convolve_window(r[::-1], s, 0, 2 * T - 1)
@@ -329,7 +317,7 @@ def _beta_values(model: ProcessModel, L: int) -> tuple[np.ndarray, float, int, b
     # plus the correlation's rounding
     rounding = np.finfo(float).eps * np.log2(L + 2 * T) * np.abs(rho_rev).sum()
     return (_convolve_window(beta0, rho_rev, 2 * T - 2, L + 1),
-            float((dropped + rounding) * np.max(np.abs(beta0))), T, False)
+            float((dropped + rounding) * np.max(np.abs(beta0))))
 
 
 def beta_for_model(model: ProcessModel, L: int) -> BetaSeq:
@@ -339,76 +327,9 @@ def beta_for_model(model: ProcessModel, L: int) -> BetaSeq:
     sweeps over many n share one computation.
     """
     bucket = 1 << max(8, int(L).bit_length())
-    vals, bound, used, exact = _beta_values(model, bucket)
+    vals, bound = _beta_values(model, bucket)
     vals.setflags(write=False)  # the cached array itself, not only this view
-    return BetaSeq(vals[:L + 1], model=model, inner_len=used,
-                   tail_estimate=bound, exact=exact)
-
-
-# ---------------------------------------------------------------------------
-# Hankel kernel machinery
-
-class _HankelFFT:
-    """Fast application of x -> y, y_j = sum_{v<V} beta_{offset+j+v} x_v.
-
-    The kernel matrix is constant along anti-diagonals, so the product is a
-    correlation: precompute the rfft of the kernel band once and reuse it for
-    every apply (the series iteration applies the same kernel K times).
-
-    Both products read a window of a linear convolution with the reversed
-    input, so the transform length is the aliasing-free one of
-    ``coeffs._window_fft_len``, not the full convolution length: the kernel
-    apply keeps entries V-1..2V-2 of a (2V-1) * V convolution, exact at 2V-1
-    points (the full length is 3V-2), and the AR correlation keeps entries
-    V..V+n_out-1 of an (n_out+V) * V one, exact at n_out+V points.  What
-    wraps around lands below the window.
-    """
-
-    def __init__(self, beta_vals: np.ndarray, offset: int, V: int,
-                 a_vals: np.ndarray | None = None, n_out: int = 0):
-        if len(beta_vals) < offset + 2 * V - 1:
-            raise ValueError(
-                f"beta too short: need index {offset + 2 * V - 2}, "
-                f"have {len(beta_vals) - 1}")
-        self.V = V
-        self.n_out = n_out
-        # kernel window: entries V-1..2V-2 of band * reversed x
-        self.npts = _window_fft_len(2 * V - 1, V, V - 1, V)
-        if a_vals is not None:
-            # AR window: entries V..V+n_out-1 of a[:n_out+V] * reversed x
-            self.npts = max(self.npts, _window_fft_len(n_out + V, V, V, n_out))
-        self.rb = np.fft.rfft(beta_vals[offset:offset + 2 * V - 1], self.npts)
-        self._a = a_vals
-
-    @cached_property
-    def ra(self) -> np.ndarray:
-        """Transform of the AR sequence, made on first use (a solve needs it
-        only after its iteration, so it is not held during the iteration).
-        The correlation against it shares the forward transform."""
-        return np.fft.rfft(self._a[:self.n_out + self.V], self.npts)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """rfft of the reversed input block(s); axis -1 is the V axis."""
-        return np.fft.rfft(x[..., ::-1], self.npts, axis=-1)
-
-    def apply_from(self, fx: np.ndarray) -> np.ndarray:
-        """Kernel apply given a forward() transform."""
-        out = np.fft.irfft(fx * self.rb, self.npts, axis=-1)
-        return out[..., self.V - 1:2 * self.V - 1]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Kernel apply, transforming in place and copying the window out,
-        so no transform-length buffer outlives the call."""
-        fx = self.forward(x)
-        fx *= self.rb
-        out = np.fft.irfft(fx, self.npts, axis=-1)
-        del fx
-        return out[..., self.V - 1:2 * self.V - 1].copy()
-
-    def a_correlate_from(self, fx: np.ndarray) -> np.ndarray:
-        """t_j = sum_{u<V} a_{j+u} x_u for j = 1..n_out, given forward(x)."""
-        out = np.fft.irfft(fx * self.ra, self.npts, axis=-1)
-        return out[..., self.V:self.V + self.n_out].copy()
+    return BetaSeq(vals[:L + 1], model=model, tail_estimate=bound)
 
 
 def hankel_apply(beta: BetaSeq, n: int, x: np.ndarray, method: str = "fft") -> np.ndarray:
@@ -434,29 +355,12 @@ def hankel_apply(beta: BetaSeq, n: int, x: np.ndarray, method: str = "fft") -> n
         return vals[n + np.add.outer(range(V), range(V))] @ x
     if method != "fft":
         raise ValueError(f"unknown method {method!r}")
-    return _HankelFFT(vals, n, V).apply(x)
+    # entries V-1..2V-2 of the band convolved with the reversed input
+    return _convolve_window(vals[n:n + 2 * V - 1], x[::-1], V - 1, V)
 
 
 # ---------------------------------------------------------------------------
 # d_k vectors and delta blocks
-
-def _delta_run(beta_vals: np.ndarray, n: int, v_max: int, V: int, K: int,
-               tol_term: float) -> np.ndarray:
-    """Iterate delta_1(n, ., v) = beta_{n+v+.}, delta_{k+1} = H delta_k at
-    offset n, for v = 0..v_max at inner cutoff V.
-
-    Returns the stages, shape (K_used, v_max + 1, V).  Iteration stops at K
-    stages or once a stage's sup-norm falls below tol_term (never, at
-    tol_term = 0).
-    """
-    eng = _HankelFFT(beta_vals, n, V)
-    cols = np.stack([beta_vals[n + v:n + v + V] for v in range(v_max + 1)])
-    out = [cols]
-    while len(out) < K and np.max(np.abs(cols)) >= tol_term:
-        cols = eng.apply(cols)
-        out.append(cols)
-    return np.array(out)
-
 
 def d_vectors(beta: BetaSeq, n: int,
               policy: TruncationPolicy = DEFAULT_POLICY) -> DVectors:
@@ -480,7 +384,7 @@ def delta_block(beta: BetaSeq, n: int, v_max: int,
     Iteration stops when the sup-norm falls below tol_term or after K
     stages; each stage is a returned value, not a term of a sum, so K only
     returns fewer stages.  Long memory iterates on the quadrature's nodes
-    (_moment_delta), short memory once at the cutoff max(V, inner_len - n);
+    (_moment_delta), short memory on its corner plus state (_short_delta);
     either rebuilds a beta too short for it.
     """
     if n < 1 or v_max < 0:
@@ -489,13 +393,7 @@ def delta_block(beta: BetaSeq, n: int, v_max: int,
     K = policy.resolve_k(model)
     if memory_exponent(model) > 0.0:
         return DeltaBlock(n, *_moment_delta(model, n, v_max, V, K, policy.tol_term, beta))
-    W = max(V, beta_for_model(model, 0).inner_len - n)
-    if len(beta) < n + v_max + 2 * W:
-        beta = beta_for_model(model, n + v_max + 2 * W)
-    block = _delta_run(beta.values, n, v_max, W, K, policy.tol_term)[:, :, :V]
-    # (k, v, u) -> (k, u, v)
-    return DeltaBlock(n=n, values=np.transpose(block, (0, 2, 1)),
-                      tail_estimate=4.0 * beta.tail_estimate)
+    return DeltaBlock(n, *_short_delta(model, n, v_max, V, K, policy.tol_term))
 
 
 # ---------------------------------------------------------------------------
@@ -510,140 +408,6 @@ def _weighted_column(beta_vals: np.ndarray, c_rev: np.ndarray, n: int, m: int, V
     """sum_v c_{m-v} delta_1(n+1, u, v) for u < V, from direct slices
     beta_{n+1+u+v}: weighted once, so that every later stage is one column."""
     return c_rev @ np.stack([beta_vals[n + 1 + v:n + 1 + v + V] for v in range(m + 1)])
-
-
-def _g_terms_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
-                 n: int, m: int, V: int, K: int,
-                 tol_term: float) -> tuple[np.ndarray, float]:
-    """One full series evaluation at inner cutoff V.
-
-    Returns (terms matrix, read-only, rows k = 1..K_used, columns j = 1..n;
-    what the run left out): the geometric tail bound |g_k| r/(1-r) at the last stage,
-    with r the recent decay ratio (0.999 before one is measured).  Stopping
-    requires that bound and |g_k| under tol_term on two consecutive stages,
-    so a slowly contracting series is not cut while its remaining mass is
-    still large; a run that ends at the budget K reports what it left.
-    """
-    c_rev = c_head[::-1]  # c_rev[v] = c_{m-v}
-    col = _weighted_column(beta_vals, c_rev, n, m, V)
-    g1 = _stage_one(a_vals, c_rev, n, m)
-    terms = [g1]
-    prev_max = float(np.max(np.abs(g1)))
-    left = prev_max * 0.999 / (1.0 - 0.999)
-    ratios: list[float] = []
-    consec = 1 if prev_max < tol_term else 0
-    if K >= 2:
-        eng = _HankelFFT(beta_vals, n + 1, V, a_vals=a_vals, n_out=n)
-        for k in range(2, K + 1):
-            fx = eng.forward(col)
-            bvec = eng.a_correlate_from(fx)
-            gk = bvec if k % 2 == 1 else bvec[::-1]
-            terms.append(gk)
-            cur = float(np.max(np.abs(gk)))
-            if prev_max > 0.0 and cur > 0.0:
-                ratios.append(min(cur / prev_max, 0.999))
-            r = max(ratios[-3:], default=0.999)
-            left = cur * r / (1.0 - r)
-            if cur < tol_term and left < tol_term:
-                consec += 1
-                if consec >= 2:
-                    break
-            else:
-                consec = 0
-            prev_max = cur
-            if k < K:
-                col = eng.apply_from(fx)
-    out = np.array(terms)
-    out.setflags(write=False)
-    return out, left
-
-
-def _a_frobenius(a_vals: np.ndarray, n: int, V: int) -> float:
-    """||A||_F of the AR correlation t_j = sum_{u<V} a_{j+u} x_u, j = 1..n,
-    from prefix sums of a^2."""
-    sq = np.cumsum(a_vals[:n + V] ** 2)
-    return float(np.sqrt(np.sum(sq[V:n + V] - sq[:n])))
-
-
-def _cg(eng: _HankelFFT, r: np.ndarray, a_norm: float, K: int, tol_stop: float,
-        s_floor: float) -> tuple[np.ndarray, np.ndarray, float, float, int]:
-    """Conjugate gradients on (I - H^2) z = r, H the kernel of ``eng``;
-    ``r`` is updated in place into the residual.
-
-    Returns (z, H z, |r|^2, s, kernel applies).  s estimates ||H|| from the
-    smallest eigenvalue theta of the iteration's Lanczos matrix,
-    ||H||^2 >= 1 - theta, floored at s_floor; s = 1 stands for no estimate
-    below 1 (no iteration run, or I - H^2 shown indefinite).  The iteration
-    stops once a_norm |r| / (1 - s) is under tol_stop or when one more
-    iteration (two applies) would pass the budget K.
-    """
-    z, hz, p = np.zeros_like(r), np.zeros_like(r), r.copy()
-    rr, s, applies = float(r @ r), 1.0, 0
-    diag: list[float] = []
-    off: list[float] = []
-    while rr > 0.0 and (s >= 1.0 or a_norm * np.sqrt(rr) / (1.0 - s) > tol_stop):
-        if applies + 2 > K:
-            break
-        hp = eng.apply(p)
-        pq = float(p @ p - hp @ hp)  # p . (I - H^2) p
-        if not pq > 0.0:
-            return z, hz, rr, 1.0, applies + 1
-        alpha = rr / pq
-        z += alpha * p
-        hz += alpha * hp
-        q = eng.apply(hp)
-        applies += 2
-        np.subtract(p, q, out=q)
-        r -= alpha * q
-        rr_next = float(r @ r)
-        # Lanczos matrix of the step sizes alpha_i and residual ratios
-        # rho_i = |r_{i+1}|^2/|r_i|^2: diagonal 1/alpha_i + rho_{i-1}/alpha_{i-1},
-        # off-diagonal sqrt(rho_{i-1})/alpha_{i-1}
-        if diag:
-            diag.append(1.0 / alpha + rho / alpha_prev)
-            off.append(np.sqrt(rho) / alpha_prev)
-        else:
-            diag.append(1.0 / alpha)
-        theta = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0]
-        s = max(s_floor, np.sqrt(max(1.0 - theta, 0.0))) if theta > 0.0 else 1.0
-        rho, alpha_prev = rr_next / rr, alpha
-        p *= rho
-        p += r
-        rr = rr_next
-    return z, hz, rr, s, applies
-
-
-def _solve_run(beta_vals: np.ndarray, a_vals: np.ndarray, c_head: np.ndarray,
-               n: int, m: int, V: int, K: int, tol_stop: float,
-               s_floor: float) -> tuple[np.ndarray, float, int]:
-    """One series value at inner cutoff V, by conjugate gradients.
-
-    Stage k >= 2 of the series is c_rev @ A H^(k-2) cols, reversed in j for
-    even k, with A the AR correlation and H the offset-(n+1) kernel.  Both
-    are linear, so the c-weighted columns make one right-hand side y, and
-    the stages k >= 2 sum to A H z + rev(A z) with (I - H^2) z = y.  H is
-    symmetric, so I - H^2 is positive definite while ||H|| < 1.
-
-    Returns (phi, depth bound, kernel applies).  With s an estimate of
-    ||H||, the residual r left by _cg moves each phi_j by at most
-    ||A||_F ||r|| (1 + s) / (1 - s^2) = ||A||_F ||r|| / (1 - s): that is the
-    depth bound.  A residual left with no estimate below 1 has no bound, so
-    it raises TruncationError; an exactly zero right-hand side leaves none
-    at any K.
-    """
-    c_rev = c_head[::-1]
-    eng = _HankelFFT(beta_vals, n + 1, V, a_vals=a_vals, n_out=n)
-    a_norm = _a_frobenius(a_vals, n, V)
-    z, hz, rr, s, applies = _cg(eng, _weighted_column(beta_vals, c_rev, n, m, V),
-                                a_norm, K, tol_stop, s_floor)
-    if rr > 0.0 and s >= 1.0:
-        why = (f"K = {K} leaves no room for one iteration (two kernel applies)" if K < 2
-               else f"I - H^2 shows as indefinite within K = {K} kernel applies")
-        raise TruncationError(f"the series solve at n = {n} left a residual it cannot "
-                              f"bound: {why}")
-    bound = a_norm * np.sqrt(rr) / (1.0 - s) if rr > 0.0 else 0.0
-    tail = eng.a_correlate_from(eng.forward(hz)) + eng.a_correlate_from(eng.forward(z))[::-1]
-    return _stage_one(a_vals, c_rev, n, m) + tail, float(bound), applies
 
 
 # ---------------------------------------------------------------------------
@@ -801,13 +565,15 @@ def _f_top(model: Farima, f: np.ndarray, r: np.ndarray, t: np.ndarray,
     return out
 
 
-def _f_tilde(f: np.ndarray, root: np.ndarray, t: np.ndarray, a_vals: np.ndarray,
-             n: int):
+def _f_tilde(f: np.ndarray, root: np.ndarray, shift: Callable[[np.ndarray], np.ndarray],
+             a_vals: np.ndarray, n: int):
     """F~_j for j = n down to 1, from F~_n = f by F~_j = root a_j
-    + t F~_{j+1} (see _moment_setup)."""
+    + shift(F~_{j+1}): shift multiplies by the state's transition, t on the
+    nodes (see _moment_setup), the companion matrix F in short memory (see
+    _short_setup)."""
     for j in range(n, 0, -1):
         yield f
-        f = root * a_vals[j - 1] + t * f
+        f = root * a_vals[j - 1] + shift(f)
 
 
 def _a_corner(a_vals: np.ndarray, xi: np.ndarray, n: int) -> np.ndarray:
@@ -833,17 +599,15 @@ def _moment_setup(model: Farima, a_vals: np.ndarray, c_head: np.ndarray, n: int,
     if U0:
         corner = _weighted_column(beta.values, c_head[::-1], n, len(c_head) - 1, U0)
         y = np.concatenate((corner, y))
-    return mat, y, _f_tilde(_f_top(model, f, r, t, n + U0), r, t, a_vals[U0:], n)
+    return mat, y, _f_tilde(_f_top(model, f, r, t, n + U0), r, partial(np.multiply, t),
+                            a_vals[U0:], n)
 
 
-def _moment_run(model: Farima, a_vals: np.ndarray, c_head: np.ndarray, n: int, U0: int,
-                grid: tuple[np.ndarray, float], beta: BetaSeq | None) -> np.ndarray:
-    """phi^m_{n,.} from the moment form on one grid: with _moment_setup's
-    M and y, (I - M) u = y and (I + M) g = u give z = g and H z = u - g, so
-    phi_j = g_1(j) + A(u - g)_j + A(g)_{n+1-j}.  One matrix of the system's
-    size is live at a time besides the solver's copy.
-    """
-    mat, y, rows = _moment_setup(model, a_vals, c_head, n, U0, grid, beta)
+def _moment_solve(mat: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(u - g, g) as columns, from (I - M) u = y and (I + M) g = u: then
+    z = g and H z = u - g.  Both systems are built in M's own buffer, which
+    is overwritten, so one matrix of the system's size is live at a time
+    besides the solver's copy."""
     diag = mat.reshape(-1)[::len(mat) + 1]
     # I - M and then I + M in the same buffer
     np.negative(mat, out=mat)
@@ -852,9 +616,13 @@ def _moment_run(model: Farima, a_vals: np.ndarray, c_head: np.ndarray, n: int, U
     np.negative(mat, out=mat)
     diag += 2.0
     g = np.linalg.solve(mat, u)
-    del mat, diag
-    weights = np.stack((u - g, g), axis=1)
-    # F~_{j+U0} for j = n down to 1, each read against (u - g, g)
+    return np.stack((u - g, g), axis=1)
+
+
+def _moment_read(weights: np.ndarray, rows, a_vals: np.ndarray, c_head: np.ndarray,
+                 n: int, U0: int) -> np.ndarray:
+    """phi^m_{n,.} = g_1(j) + A(u - g)_j + A(g)_{n+1-j} from _moment_solve's
+    weights, with ``rows`` the read-out rows F~_{j+U0}, j = n down to 1."""
     fw = np.empty((n, 2))
     for j, row in zip(range(n, 0, -1), rows):
         fw[j - 1] = row @ weights[U0:]
@@ -863,16 +631,25 @@ def _moment_run(model: Farima, a_vals: np.ndarray, c_head: np.ndarray, n: int, U
     return _stage_one(a_vals, c_head[::-1], n, len(c_head) - 1) + fw[:, 0] + fw[::-1, 1]
 
 
-def _moment_terms(model: Farima, a_vals: np.ndarray, c_head: np.ndarray, n: int, U0: int,
-                  grid: tuple[np.ndarray, float], beta: BetaSeq | None, K: int,
+def _moment_run(model: Farima, a_vals: np.ndarray, c_head: np.ndarray, n: int, U0: int,
+                grid: tuple[np.ndarray, float], beta: BetaSeq | None) -> np.ndarray:
+    """phi^m_{n,.} from the moment form on one grid."""
+    mat, y, rows = _moment_setup(model, a_vals, c_head, n, U0, grid, beta)
+    weights = _moment_solve(mat, y)
+    del mat
+    return _moment_read(weights, rows, a_vals, c_head, n, U0)
+
+
+def _moment_terms(mat: np.ndarray, gamma: np.ndarray, rows, a_vals: np.ndarray,
+                  c_head: np.ndarray, n: int, U0: int, K: int,
                   table: np.ndarray | None = None, tol: float = 0.0) -> np.ndarray:
-    """The per-term record g_1..g_K on ``grid`` (the fine grid of
-    _moment_run), read-only; with a ``table``, it stops at the first term
-    whose running sums are within ``tol`` of it.  Stage k >= 2 is
-    A M^(k-2) y, so g_k(j) is A(gamma^k)_j for odd k and A(gamma^k)_{n+1-j}
-    for even k, with gamma^2 = y and gamma^(k+1) = M gamma^k.
+    """The per-term record g_1..g_K of a system (M, y, rows) from
+    _moment_setup (the fine grid of _moment_run) or _short_setup,
+    read-only; with a ``table``, it stops at the first term whose running
+    sums are within ``tol`` of it.  Stage k >= 2 is A M^(k-2) y, so g_k(j)
+    is A(gamma^k)_j for odd k and A(gamma^k)_{n+1-j} for even k, with
+    gamma^2 = y and gamma^(k+1) = M gamma^k.
     """
-    mat, gamma, rows = _moment_setup(model, a_vals, c_head, n, U0, grid, beta)
     rows = np.array(list(rows))
     terms = [_stage_one(a_vals, c_head[::-1], n, len(c_head) - 1)]
     total = terms[0].copy()
@@ -944,6 +721,216 @@ def _moment_delta(model: Farima, n: int, v_max: int, V: int, K: int, tol_term: f
     return out, dist + share
 
 
+# ---------------------------------------------------------------------------
+# short memory: a kernel of finite rank, in closed form
+
+#: why a short-memory residual is no policy control's to reduce
+_ROUNDING_REMEDY = "it is the closed form's rounding, which no V or K sets"
+
+
+def _short_shape(model: ProcessModel) -> tuple[int, tuple[float, ...]]:
+    """(k0, ma) of a short-memory model: from k0 on, a_k satisfies the
+    recurrence ma * a = 0, so every kernel entry beta_i with i >= k0 does
+    too.  k0 = max(0, p + 1 - q) with p and q the degrees of ar and ma, and
+    ma = (1,) (q = 0) where a has finite support: Ar1's is 2, an
+    ExplicitModel's is its a up to the last nonzero entry."""
+    if isinstance(model, Farima):
+        ar, ma = model.ar_poly.coefficients, model.ma_poly.coefficients
+        return max(0, len(ar) - len(ma) + 1), ma
+    if isinstance(model, Ar1):
+        return 2, (1.0,)
+    return len(np.trim_zeros(np.asarray(model.a), "b")), (1.0,)
+
+
+def _short_size(model: ProcessModel, N: int) -> int:
+    """U0 = max(0, k0 - N), the corner of the offset-N kernel; a corner
+    plus state above _MOMENT_NODES_MAX unknowns raises before anything is
+    built."""
+    k0, ma = _short_shape(model)
+    U0 = max(0, k0 - N)
+    if U0 + len(ma) - 1 > _MOMENT_NODES_MAX:
+        raise TruncationError(f"the closed form for {model!r} at offset {N} needs a corner "
+                              f"of {U0} and a state of {len(ma) - 1}, above its cap of "
+                              f"{_MOMENT_NODES_MAX} unknowns")
+    return U0
+
+
+def _at_matrix(poly, F: np.ndarray) -> np.ndarray:
+    """sum_k poly_k F^k, by Horner's rule."""
+    out = np.zeros_like(F)
+    for coef in poly[::-1]:
+        out = out @ F
+        out[np.diag_indices_from(out)] += coef
+    return out
+
+
+def _orbit(v: np.ndarray, F: np.ndarray, count: int) -> np.ndarray:
+    """The rows v, v F, v F^2, .., ``count`` of them."""
+    out = np.empty((count, len(v)))
+    for i in range(count):
+        out[i] = v
+        v = v @ F
+    return out
+
+
+def _stein(left: np.ndarray, c: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_w left^w c right^w, the solution of X - left X right = c, by
+    doubling: each step adds the next 2^k terms at once, until the squared
+    powers underflow (both spectral radii are below 1)."""
+    x = c
+    for _ in range(64):
+        step = left @ x @ right
+        if not np.any(step):
+            break
+        x = x + step
+        left, right = left @ left, right @ right
+    return x
+
+
+@lru_cache(maxsize=4)
+def _short_kernel(model: ProcessModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(F, head, b0, bound) of a short-memory kernel: beta_i = head[i] for
+    i < k0 and e1' F^(i-k0) b0 from k0 on, with F the companion matrix of
+    ma, which maps (x_i, .., x_{i+q-1}) to (x_{i+1}, .., x_{i+q}) for any
+    sequence with ma * x = 0 there; ``bound`` is each entry's rounding (0
+    for q = 0, where every entry is a finite sum of products).
+
+    With a~_k = (a_k, .., a_{k+q-1}) = F^(k-k0) a~_k0, what c contributes
+    from its r-th term on is sum_{v>=r} c_v a~_{k0+v-r} = T_r(F) a~_k0, with
+    T_r(z) = sum_{v>=r} c_v z^(v-r) = N_r(z) / ar(z) and N_r the polynomial
+    (ma - ar c_{<r}) / z^r, as c = ma/ar.  So b0 = ar(F)^-1 ma(F) a~_k0
+    (r = 0), and head[i] is the finite sum over v < k0 - i plus the first
+    entry of T_{k0-i}(F) a~_k0: no factor is expanded past k0 + 2q terms.
+    """
+    k0, ma = _short_shape(model)
+    q = len(ma) - 1
+    F = np.eye(q, k=1)
+    if q:
+        F[-1] = -np.asarray(ma[:0:-1]) / ma[0]
+    c = expand_ma(model, k0).values
+    a = expand_ar(model, k0 + 2 * q).values
+    ar = model.ar_poly.coefficients if q else (1.0,)
+    ar_f = _at_matrix(ar, F)
+
+    def tail(r: int) -> np.ndarray:
+        num = np.zeros(max(len(ma), len(ar) + r - 1))
+        num[:len(ma)] = ma
+        if r:
+            num[:len(ar) + r - 1] -= np.convolve(ar, c[:r])
+        return np.linalg.solve(ar_f, _at_matrix(num[r:], F) @ a[k0:k0 + q])
+
+    head = np.array([np.dot(c[:k0 - i], a[i:k0]) + (tail(k0 - i)[0] if q else 0.0)
+                     for i in range(k0)])
+    bound = 0.0
+    if q:
+        # eps per term summed, on the largest term: c and the polynomials'
+        # coefficients times a, through ar(F)^-1
+        inv_norm = float(np.abs(np.linalg.inv(ar_f)).sum(axis=1).max())
+        terms = np.abs(c).sum() + inv_norm * (np.abs(ma).sum() + np.abs(ar).sum())
+        bound = float(np.finfo(float).eps * (k0 + 2 * q + 2) * terms * np.abs(a).max())
+    return F, head, tail(0), bound
+
+
+def _short_system(model: ProcessModel, N: int, beta: BetaSeq) -> tuple[int, int, np.ndarray]:
+    """(U0, e, M) of the offset-N kernel in the unknowns xi_u, u < U0 =
+    max(0, k0 - N), and a state sigma that stands for x_u = e1' F^(u-U0)
+    sigma, u >= U0; e = max(0, N - k0).  Where u or w is past the corner,
+    beta_{N+u+w} = e1' F^u' F^(e+U0) F^w' b0 (u', w' counted from U0), and
+    X = sum_w F^w b0 e1' F^w solves X - F X F = b0 e1', so
+    M = [[C, P X], [Q, F^(e+U0) X]]: the corner C_uw = beta_{N+u+w}, P's
+    rows e1' F^u and Q's columns F^w b0 for u, w < U0.  q = 0 leaves C."""
+    k0, _ = _short_shape(model)
+    F, _, b0, _ = _short_kernel(model)
+    q, U0, e = len(b0), max(0, k0 - N), max(0, N - k0)
+    x = _stein(F, np.outer(b0, np.eye(q)[:1]), F)
+    state = np.linalg.matrix_power(F, e + U0) @ x
+    if not U0:
+        return U0, e, state
+    p, qm = _orbit(np.eye(q)[:1].ravel(), F, U0), _orbit(b0, F.T, U0).T
+    corner = np.lib.stride_tricks.sliding_window_view(beta.values[N:N + 2 * U0 - 1], U0)
+    return U0, e, np.block([[corner, p @ x], [qm, state]])
+
+
+def _short_setup(model: ProcessModel, a_vals: np.ndarray, c_head: np.ndarray, n: int,
+                 beta: BetaSeq):
+    """(M, y, the rows R_{j+U0} for j = n down to 1) of the predictor's
+    system at offset n + 1, as _moment_setup's: y is the beta slices on the
+    corner and F^e s, s = sum_v c_{m-v} F^v b0, on the state.  The AR
+    correlation of the state is R_k = sum_u a_{k+u} e1' F^u, which is
+    a~_k' Y for k >= k0, with Y - F' Y F = e1 e1', and runs down by
+    R_k = a_k e1' + R_{k+1} F (_f_tilde) from the row past the top."""
+    F, _, b0, _ = _short_kernel(model)
+    U0, e, mat = _short_system(model, n + 1, beta)
+    q, c_rev = len(b0), c_head[::-1]
+    s, col = np.zeros(q), b0
+    for coef in c_rev:
+        s = s + coef * col
+        col = F @ col
+    y = np.concatenate((_weighted_column(beta.values, c_rev, n, len(c_rev) - 1, U0),
+                        np.linalg.matrix_power(F, e) @ s))
+    e1 = np.eye(q)[:1].ravel()
+    top = n + U0  # top + 1 = max(n + 1, k0)
+    f = e1 * a_vals[top] + a_vals[top + 1:top + 1 + q] @ _stein(F.T, np.outer(e1, e1), F) @ F
+    return mat, y, _f_tilde(f, e1, partial(np.matmul, F.T), a_vals[U0:], n)
+
+
+def _short_inputs(model: ProcessModel, n: int, m: int) -> tuple[int, BetaSeq, np.ndarray,
+                                                                 np.ndarray]:
+    """(U0, the corner's beta, a_0..a_{n+max(m, U0+q)}, c_0..c_m) of a
+    short-memory predictor; the cap is checked before anything is built."""
+    U0 = _short_size(model, n + 1)
+    q = len(_short_shape(model)[1]) - 1
+    return (U0, beta_for_model(model, n + 1 + 2 * U0 + m),
+            expand_ar(model, n + max(m, U0 + q)).values, expand_ma(model, m).values)
+
+
+def _short_predictor(model: ProcessModel, n: int, m: int, policy: TruncationPolicy
+                     ) -> tuple[np.ndarray, np.ndarray, Callable[[], np.ndarray]]:
+    """(phi, per-coefficient residual, per-term record) of
+    short memory: one solve on the corner plus state, read out as on the
+    nodes.  The residual is beta's share plus the rounding: 8 ulp of the
+    largest weight and of the largest sum of the read-out's terms in
+    magnitude (Wiener, state and corner terms), times ||(I - M^2)^-1||, by
+    which the solve can magnify a relative error in M or y.  The record
+    stops only at tol_term from the table, whatever K says."""
+    U0, beta, a_vals, c_head = _short_inputs(model, n, m)
+    mat, y, rows = _short_setup(model, a_vals, c_head, n, beta)
+    rows = np.array(list(rows))
+    # ||(I - M^2)^-1||_F bounds the spectral norm, at the cost of one inverse
+    gain = float(np.linalg.norm(np.linalg.inv(np.eye(len(mat)) - mat @ mat))) if len(mat) else 1.0
+    weights = _moment_solve(mat, y)
+    phi = _moment_read(weights, rows, a_vals, c_head, n, U0)
+    sizes = _moment_read(np.abs(weights), np.abs(rows), np.abs(a_vals), np.abs(c_head), n, U0)
+    resid = 4.0 * beta.tail_estimate + 8.0 * np.finfo(float).eps * gain * float(
+        np.max(np.abs(phi)) + np.max(sizes))
+    _check_tail(resid, policy, n, _ROUNDING_REMEDY)
+    return phi, np.full(n, resid), cache(lambda: _moment_terms(
+        *_short_setup(model, a_vals, c_head, n, beta), a_vals, c_head, n, U0, _K_CAP,
+        phi, policy.tol_term))
+
+
+def _short_delta(model: ProcessModel, n: int, v_max: int, V: int, K: int,
+                 tol_term: float) -> tuple[np.ndarray, float]:
+    """(delta_k(n, u, v) for u < V, v <= v_max, shape (K_used, V, v_max + 1);
+    beta's share).  In _short_system's unknowns at offset n, stage 1 is
+    xi = beta_{n+u+v} and sigma = F^(e+v) b0, returned as the beta slice,
+    and each stage applies M and is read back at u < V through the rows
+    e1' F^(u-U0).  The stop rule reads the returned window."""
+    U0 = _short_size(model, n)
+    beta = beta_for_model(model, n + v_max + max(V, 2 * U0))
+    F, _, b0, _ = _short_kernel(model)
+    _, e, mat = _short_system(model, n, beta)
+    cols = np.stack([beta.values[n + v:n + v + max(V, U0)] for v in range(v_max + 1)], axis=1)
+    sigma = _orbit(np.linalg.matrix_power(F, e) @ b0, F.T, v_max + 1).T
+    state = np.concatenate((cols[:U0], sigma))
+    obs = _orbit(np.eye(len(b0))[:1].ravel(), F, max(V - U0, 0))
+    out = [cols[:V]]
+    while len(out) < K and np.max(np.abs(out[-1])) >= tol_term:
+        state = mat @ state
+        out.append(np.concatenate((state[:min(U0, V)], obs @ state[U0:])))
+    return np.array(out), 4.0 * beta.tail_estimate
+
+
 def _check_request(model: ProcessModel, n: int, m: int, beta: BetaSeq | None) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -963,8 +950,7 @@ def _beta_share(beta: BetaSeq, policy: TruncationPolicy, n: int) -> float:
     return share
 
 
-def _check_tail(resid: float, policy: TruncationPolicy, n: int,
-                remedy: str = "increase K") -> None:
+def _check_tail(resid: float, policy: TruncationPolicy, n: int, remedy: str) -> None:
     if not resid <= policy.tol_tail:  # a NaN residual fails too
         raise TruncationError(
             f"truncation residual {resid:.3e} exceeds tol_tail "
@@ -988,52 +974,17 @@ def _moment_inputs(model: Farima, n: int, m: int, policy: TruncationPolicy):
 
 
 def _moment_predictor(model: Farima, n: int, m: int, policy: TruncationPolicy
-                      ) -> tuple[np.ndarray, np.ndarray, int, Callable[[], np.ndarray]]:
-    """(phi, per-coefficient residual, kernel applies, per-term record) of
+                      ) -> tuple[np.ndarray, np.ndarray, Callable[[], np.ndarray]]:
+    """(phi, per-coefficient residual, per-term record) of
     long memory: _moment_run on both grids, their difference plus beta's
     share, and _moment_terms."""
     U0, grids, beta, share, a_vals, c_head = _moment_inputs(model, n, m, policy)
     fine, coarse = (_moment_run(model, a_vals, c_head, n, U0, grid, beta) for grid in grids)
     resid = np.abs(fine - coarse) + share
     _check_tail(float(np.max(resid)), policy, n, _QUADRATURE_REMEDY)
-    return fine, resid, 0, cache(lambda: _moment_terms(
-        model, a_vals, c_head, n, U0, grids[0], beta, policy.resolve_k(model), fine,
-        policy.tol_term))
-
-
-def _series_inputs(model: ProcessModel, n: int, m: int, policy: TruncationPolicy,
-                   beta: BetaSeq | None) -> tuple[int, BetaSeq, np.ndarray, np.ndarray]:
-    """What a short-memory series run reads: (its cutoff
-    V* = max(inner_len - n - 1, m + 1), beta, a_0..a_{n+V*}, c_0..c_m).
-    Every kernel entry beta_{n+1+u+w} the cutoff drops lies past beta's
-    support; beta's share is checked first."""
-    probe = beta_for_model(model, 0)
-    _beta_share(probe, policy, n)
-    V = max(probe.inner_len - n - 1, m + 1)
-    if beta is None or len(beta) < n + 2 * V + m + 3:
-        beta = beta_for_model(model, n + 2 * V + m + 3)
-    return V, beta, expand_ar(model, n + V).values, expand_ma(model, m).values
-
-
-def _series_predictor(model: ProcessModel, n: int, m: int, policy: TruncationPolicy,
-                      beta: BetaSeq | None
-                      ) -> tuple[np.ndarray, np.ndarray, int, Callable[[], np.ndarray]]:
-    """(phi, per-coefficient residual, kernel applies, per-term record) of
-    short memory: one series solve at the cutoff that reaches its kernel's
-    support.  The residual is beta's share, the solve's depth bound and its
-    rounding: a few ulp of the largest weight or of the Wiener weights'
-    terms, which may cancel to a weight far below them."""
-    V, beta, a_vals, c_head = _series_inputs(model, n, m, policy, beta)
-    beta_share = _beta_share(beta, policy, n)
-    tol_stop = min(policy.tol_term, max(policy.tol_tail / 16.0, _STOP_FLOOR))
-    K = policy.resolve_k(model, tol_stop)
-    phi, left, applies = _solve_run(beta.values, a_vals, c_head, n, m, V, K, tol_stop, 0.0)
-    terms = _stage_one(np.abs(a_vals), np.abs(c_head[::-1]), n, m)
-    rounding = 8.0 * np.finfo(float).eps * float(np.max(np.abs(phi)) + np.max(terms))
-    tail_j = np.full(n, beta_share + left + rounding)
-    _check_tail(float(np.max(tail_j)), policy, n)
-    return phi, tail_j, applies, cache(lambda: _g_terms_run(
-        beta.values, a_vals, c_head, n, m, V, K, tol_stop)[0])
+    return fine, resid, cache(lambda: _moment_terms(
+        *_moment_setup(model, a_vals, c_head, n, U0, grids[0], beta), a_vals, c_head, n, U0,
+        policy.resolve_k(model), fine, policy.tol_term))
 
 
 def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
@@ -1043,8 +994,8 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
 
     Long memory (d > 0) is solved on a quadrature of the series' moment
     form (_moment_run), with no cutoff, and so is its per-term record,
-    whose terms a pinned K caps.  Short memory runs one solve at the cutoff
-    its kernel's support sets, whatever V says.
+    whose terms a pinned K caps.  Short memory is solved in closed form on
+    its kernel's corner plus state (_short_predictor), whatever V or K say.
 
     Parameters
     ----------
@@ -1055,35 +1006,33 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
         Prediction horizon (m = 0: one-step).
     policy : TruncationPolicy
     beta : BetaSeq, optional
-        Precomputed correlation sequence of ``model`` for short memory; must
-        cover the required index range or it is recomputed.  One built for
-        another model raises ValueError.  The moment form reads none.
+        Correlation sequence of ``model``.  One built for another model
+        raises ValueError; neither regime reads it, as each builds the
+        entries its corner needs from the (cached) beta_for_model.
 
     Returns
     -------
     ExplicitPredictor
         ``table.coefficients[j-1]`` = phi^m_{n,j}; ``series[j-1]`` the
-        per-term diagnostics for that j (terms from the short-memory cutoff
+        per-term diagnostics for that j (terms from the short-memory system
         or the quadrature's fine grid; the table carries the solve's
         coefficients).
 
     Raises
     ------
     TruncationError
-        Residual above policy.tol_tail: beta's, the quadrature's, or what
-        the short-memory solve left unsolved within the budget of K kernel
-        applies (which a diverging series also exhausts); a solve left with
-        a residual it cannot bound (K = 1, or I - H^2 shown indefinite); a
-        quadrature system above its node cap.
+        Residual above policy.tol_tail: beta's, the quadrature's, or the
+        short-memory closed form's rounding; a quadrature, or a corner plus
+        state, above its cap of unknowns.
     """
     _check_request(model, n, m, beta)
     if memory_exponent(model) > 0.0:
-        phi, tail_j, k_used, terms = _moment_predictor(model, n, m, policy)
+        phi, tail_j, terms = _moment_predictor(model, n, m, policy)
     else:
-        phi, tail_j, k_used, terms = _series_predictor(model, n, m, policy, beta)
+        phi, tail_j, terms = _short_predictor(model, n, m, policy)
     table = PredictorTable(n=n, horizon=m, coefficients=phi,
                            source=PredictorSource.EXPLICIT_SERIES)
-    series = tuple(SeriesTerms(tail_estimate=float(tail_j[j]), k_used=k_used,
+    series = tuple(SeriesTerms(tail_estimate=float(tail_j[j]), k_used=0,
                                _matrix=terms, _j=j)
                    for j in range(n))
     return ExplicitPredictor(table=table, series=series)
@@ -1106,8 +1055,8 @@ def projection_iterates(model: ProcessModel, n: int, j: int, m: int = 0,
     projections (infinite past, then the window back to -n, alternating);
     the sequence converges to phi^m_{n,j}.  The terms are those that
     finite_predictor_multistep reports, with no stop before K: on the
-    quadrature's fine grid for long memory, at the one cutoff of short
-    memory (fewer only if the terms vanish exactly).
+    quadrature's fine grid for long memory, on the corner plus state of
+    short memory.
     """
     if not 1 <= j <= n:
         raise ValueError(f"need 1 <= j <= n, got j = {j}, n = {n}")
@@ -1116,8 +1065,9 @@ def projection_iterates(model: ProcessModel, n: int, j: int, m: int = 0,
     _check_request(model, n, m, None)
     if memory_exponent(model) > 0.0:
         U0, grids, beta, _, a_vals, c_head = _moment_inputs(model, n, m, policy)
-        terms = _moment_terms(model, a_vals, c_head, n, U0, grids[0], beta, K)
+        setup = _moment_setup(model, a_vals, c_head, n, U0, grids[0], beta)
     else:
-        V, beta, a_vals, c_head = _series_inputs(model, n, m, policy, None)
-        terms, _ = _g_terms_run(beta.values, a_vals, c_head, n, m, V, K, 1e-300)
+        U0, beta, a_vals, c_head = _short_inputs(model, n, m)
+        setup = _short_setup(model, a_vals, c_head, n, beta)
+    terms = _moment_terms(*setup, a_vals, c_head, n, U0, K)
     return np.cumsum(terms[:, j - 1])

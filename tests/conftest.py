@@ -97,6 +97,29 @@ def brute_phi(gamma_vals: np.ndarray, n: int, m: int = 0) -> np.ndarray:
     return np.linalg.solve(G, rhs)
 
 
+def arma_phi_mpmath(ar, ma, n: int, m: int = 0, dps: int = 30) -> np.ndarray:
+    """phi^m_{n,.} of Farima(0, ar, ma) from the normal equations solved in
+    mpmath at ``dps`` digits.  The autocovariances are gamma(k) =
+    sum_v c_v c_{v+k} over c = ma/ar, run by its recurrence until max(p, 1)
+    terms in a row are below 10^-(dps + 10): a finite sum for pure MA."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        ar_m, ma_m = [mp.mpf(x) for x in ar], [mp.mpf(x) for x in ma]
+        tiny, run = mp.mpf(10) ** -(dps + 10), max(len(ar) - 1, 1)
+        c: list = []
+        while len(c) < len(ma) or any(abs(x) >= tiny for x in c[-run:]):
+            k = len(c)
+            val = ma_m[k] if k < len(ma_m) else mp.mpf(0)
+            val -= mp.fsum(ar_m[i] * c[k - i] for i in range(1, min(k, len(ar) - 1) + 1))
+            c.append(val / ar_m[0])
+        c += [mp.mpf(0)] * (n + m + 1)
+        gamma = [mp.fsum(c[v] * c[v + k] for v in range(len(c) - n - m - 1))
+                 for k in range(n + m + 1)]
+        toeplitz = mp.matrix([[gamma[abs(i - j)] for j in range(n)] for i in range(n)])
+        x = mp.lu_solve(toeplitz, mp.matrix(gamma[m + 1:m + n + 1]))
+        return np.array([float(x[i]) for i in range(n)])
+
+
 def series_by_cauchy(fn, N: int, radius: float = 0.9) -> np.ndarray:
     """Taylor coefficients of an analytic function by FFT on a circle.
 

@@ -435,14 +435,6 @@ class TestExitCodes:
         assert code == 3
         assert "error=model" in err
 
-    def test_truncation_budget(self, capsys):
-        # a short-memory solve cut at two kernel applies leaves a residual of
-        # about 5e-6, above the default tol_tail
-        code, _, err = run(capsys, "predict", "--model", "farima", "--d", "0",
-                           "--mapoly=1,0.5,0.3", "--n", "4", "--kmax", "2")
-        assert code == 4
-        assert "error=truncation" in err
-
     def test_levels_is_unknown(self, capsys, tmp_path):
         # no policy control sets a ladder of cutoffs: the flag and the key are unknown
         code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0.3",
@@ -456,15 +448,6 @@ class TestExitCodes:
                              "--n", "8", "--config", str(cfg))
         assert code == 2 and out == ""
         assert "unknown config key 'levels'" in err
-
-    def test_exhausted_series_depth(self, capsys):
-        # two kernel applies leave most of a short-memory series unsolved;
-        # what they leave is one truncation line, not phi
-        code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0",
-                             "--mapoly=1,0.5,0.3", "--n", "4", "--kmax", "2",
-                             "--source", "explicit")
-        assert code == 4 and out == ""
-        assert err.count("\n") == 1 and "error=truncation" in err
 
     def test_kmax_leaves_long_memory_values(self, capsys):
         # on the quadrature K only caps the per-term record: the weights of
@@ -505,14 +488,6 @@ class TestExitCodes:
         assert code == 0
         assert err == "predictorlab: warning: first line second line\n"
 
-    def test_budget_below_one_iteration(self, capsys):
-        # K = 1 leaves the solve no iteration: one truncation line naming K
-        code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0",
-                             "--mapoly=1,0.5,0.3", "--n", "4", "--kmax", "1", "--tol", "1e6",
-                             "--source", "explicit")
-        assert code == 4 and out == ""
-        assert err.count("\n") == 1 and "error=truncation" in err and "K = 1" in err
-
     def test_depth_budget_past_exact_zeros(self, capsys):
         # every AR(1) term after g_1 is an exact zero, so K = 2 leaves nothing
         code, out, err = run(capsys, "predict", "--model", "ar1", "--r", "0.5",
@@ -532,6 +507,24 @@ class TestExitCodes:
                              *argv[1:])
         assert code == 4 and out == ""
         assert err.count("\n") == 1 and "error=truncation" in err
+
+    def test_short_memory_rounding_refused(self, capsys):
+        # at d = 0 no factor is expanded, so an MA root at 1/0.9999999 is no
+        # undecayed factor; the closed form's rounding bound refuses it
+        code, out, err = run(capsys, "predict", "--model", "farima", "--d", "0",
+                             "--mapoly=1,0.9999999", "--n", "4", "--source", "explicit")
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 and "error=truncation" in err and "rounding" in err
+
+    def test_kmax_leaves_short_memory_output(self, capsys):
+        # no short-memory output depends on K: --kmax 2 prints the default's
+        # bytes, weights, route check and per-term record alike
+        argv = ("predict", "--model", "farima", "--d", "0", "--mapoly=1,0.5,0.3", "--n", "4")
+        for extra in ((), ("--source", "explicit", "--terms")):
+            code, want, err = run(capsys, *argv, *extra)
+            assert code == 0 and err == ""
+            code, out, err = run(capsys, *argv, *extra, "--kmax", "2")
+            assert code == 0 and err == "" and out == want
 
     def test_dkscale_strong_memory(self, capsys):
         # the quadrature's d_k have no cutoff whose error d = 0.45 outruns

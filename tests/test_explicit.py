@@ -13,10 +13,9 @@ import predictorlab as pl
 from predictorlab import TruncationError, TruncationPolicy, explicit
 from predictorlab.asymptotics import check_routes, fk0
 from predictorlab.cli import main
-from predictorlab.explicit import _HankelFFT
 
-from conftest import (exact_phi, farima_a_oracle, farima_c_oracle, farima_dk_oracle,
-                      farima_gamma_oracle, farima_models, hosking_phi)
+from conftest import (arma_phi_mpmath, exact_phi, farima_a_oracle, farima_c_oracle,
+                      farima_dk_oracle, farima_gamma_oracle, farima_models, hosking_phi)
 
 
 class TestBeta:
@@ -25,7 +24,6 @@ class TestBeta:
         expected = np.zeros(11)
         expected[0], expected[1] = -0.75, 0.5
         np.testing.assert_array_equal(beta.values, expected)
-        assert beta.exact
         assert beta.tail_estimate == 0.0
 
     def test_white_noise(self):
@@ -84,22 +82,22 @@ class TestBeta:
 
         def no_run(*args):
             raise AssertionError("beta's share alone exceeds tol_tail; no run should start")
-        for name in ("_solve_run", "_moment_system"):
-            monkeypatch.setattr(explicit, name, no_run)
+        monkeypatch.setattr(explicit, "_moment_system", no_run)
         with pytest.raises(TruncationError, match="ARMA factor has not decayed") as info:
             pl.finite_predictor_explicit(model, 4)
         assert "increase" not in str(info.value)
 
     @pytest.mark.parametrize("model", [
-        # AR expansion decays like 0.9^n without underflowing: no exact support
+        # AR expansion decays like 0.9^n without underflowing: no finite support
         pl.Farima(0.0, ma_poly=pl.RealPolynomial((1.0, 0.9))),
-    ], ids=["short-inexact"])
+        # and a corner of k0 = 3 entries ahead of the MA recurrence
+        pl.Farima(0.0, ar_poly=(1.0, -0.5, 0.3, -0.1), ma_poly=(1.0, 0.4)),
+    ], ids=["short-inexact", "short-corner"])
     def test_matches_full_length_convolution(self, model):
-        # reference: scipy's "valid" correlation, padded to the full length
-        L = 300
+        # reference: scipy's "valid" correlation of expansions long enough
+        # to have underflowed, against the closed form
+        L, M = 300, 8192
         beta = pl.beta_for_model(model, L)
-        assert not beta.exact
-        M = beta.inner_len
         c = pl.expand_ma(model, M).values
         a = pl.expand_ar(model, M + L).values
         ref = signal.fftconvolve(a, c[::-1], mode="valid")
@@ -137,23 +135,6 @@ class TestHankelApply:
         fast = pl.hankel_apply(beta, 7, x, method="fft")
         direct = pl.hankel_apply(beta, 7, x, method="direct")
         np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=1e-15)
-
-    @pytest.mark.parametrize("n_out", ["1", "V", "2V+3"])
-    @pytest.mark.parametrize("V", [1, 2, 3, 5, 64])
-    def test_windows_against_direct_sums(self, V, n_out):
-        n_out = {"1": 1, "V": V, "2V+3": 2 * V + 3}[n_out]
-        rng = np.random.default_rng(100 * V + n_out)
-        offset = 3
-        beta_vals = rng.uniform(-1.0, 1.0, offset + 2 * V - 1)
-        a_vals = rng.uniform(-1.0, 1.0, n_out + V)
-        x = rng.uniform(-1.0, 1.0, (2, V))
-        eng = _HankelFFT(beta_vals, offset, V, a_vals=a_vals, n_out=n_out)
-        kernel = np.array([[beta_vals[offset + j + v] for v in range(V)] for j in range(V)])
-        np.testing.assert_allclose(eng.apply(x), x @ kernel.T, rtol=0, atol=1e-12)
-        # t_j = sum_{u<V} a_{j+u} x_u for j = 1..n_out
-        corr = np.array([[a_vals[j + u] for u in range(V)] for j in range(1, n_out + 1)])
-        np.testing.assert_allclose(eng.a_correlate_from(eng.forward(x)), x @ corr.T,
-                                   rtol=0, atol=1e-12)
 
     def test_insufficient_beta_rejected(self):
         beta = pl.beta_for_model(pl.Farima(0.3), 50)
@@ -331,33 +312,6 @@ class TestFinitePredictor:
         with pytest.raises(ValueError, match="tol_tail"):
             TruncationPolicy(tol_tail=tol_tail)
 
-    def test_exhausted_depth_raises_with_its_error(self):
-        # K = 2 kernel applies (one solve iteration) cannot reach the default
-        # tol_tail for this short-memory model at n = 4, and the raised
-        # residual covers what the missing iterations change
-        model, n = pl.Farima(0.0, ma_poly=(1.0, 0.5, 0.3)), 4
-        want = pl.multistep_normal_solve(pl.autocov(model, n), n, 0).coefficients
-        relaxed = pl.finite_predictor_explicit(model, n, TruncationPolicy(K=2, tol_tail=1e6))
-        err = float(np.max(np.abs(relaxed.table.coefficients - want)))
-        assert err >= 1.0e-6
-        with pytest.raises(TruncationError, match="increase K") as info:
-            pl.finite_predictor_explicit(model, n, TruncationPolicy(K=2))
-        assert info.value.achieved >= err
-
-    @pytest.mark.parametrize("model, n", [
-        *((pl.Farima(0.0, ma_poly=ma), n) for ma in ((1.0, 0.5, 0.3), (1.0, 0.9))
-          for n in (1, 4, 64)),
-        (pl.Farima(0.0, ma_poly=(1.0, 0.99)), 2),
-    ], ids=lambda v: v if isinstance(v, int) else repr(v))
-    def test_residual_covers_series_depth(self, model, n):
-        # with the cap out of the way, the largest reported residual at a
-        # short depth budget K covers how far phi is from the default K's
-        want = pl.finite_predictor_explicit(model, n).table.coefficients
-        for K in (2, 3, 5, 8, 12):
-            res = pl.finite_predictor_explicit(model, n, TruncationPolicy(K=K, tol_tail=1e6))
-            moved = float(np.max(np.abs(res.table.coefficients - want)))
-            assert max(s.tail_estimate for s in res.series) >= moved, K
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             pl.finite_predictor_explicit(pl.Farima(0.3), 0)
@@ -376,19 +330,6 @@ def _assert_same_fields(a, b):
             np.testing.assert_array_equal(x, y, strict=True)
         else:
             assert x == y, name
-
-
-def _neumann_sum(terms):
-    """The series summed term by term, odd-k and even-k terms apart: they
-    live on different index geometries (j and n+1-j)."""
-    return terms[0::2].sum(axis=0) + terms[1::2].sum(axis=0)
-
-
-#: short memory, AR- and MA-factored, and an exact-support kernel: the
-#: series solve serves all of them
-_SOLVE_MODELS = [pl.Farima(0.0, ma_poly=(1.0, 0.5)), pl.Farima(0.0, ma_poly=(1.0, 0.5, 0.3)),
-                 pl.Farima(0.0, ma_poly=(1.0, 0.9)), pl.Farima(0.0, ar_poly=(1.0, -0.5)),
-                 pl.Farima(0.0, ar_poly=(1.0, -0.5), ma_poly=(1.0, 0.4)), pl.Ar1(0.5)]
 
 
 def test_concurrent_calls_under_fast_switching():
@@ -412,72 +353,25 @@ def test_concurrent_calls_under_fast_switching():
             _assert_same_fields(a, b)
 
 
-class TestSolve:
-    """The series solve against the stage-by-stage Neumann sum."""
-
-    @pytest.mark.parametrize("model", _SOLVE_MODELS, ids=repr)
-    @pytest.mark.parametrize("m", [0, 2])
-    def test_matches_neumann_sum(self, monkeypatch, model, m):
-        # the solve is within its own depth bound of the Neumann sum at a
-        # tight per-term tolerance, and so within the reported residual of
-        # the summed phi
-        n, policy = 16, TruncationPolicy(V=512, tol_tail=1.0)
-        real, runs = explicit._solve_run, []
-
-        def neumann(beta_vals, a_vals, c_head, n, m, V, K, tol_stop, s_floor):
-            terms, left = explicit._g_terms_run(beta_vals, a_vals, c_head, n, m, V,
-                                                20000, 1e-15)
-            return _neumann_sum(terms), left, len(terms)
-
-        def both(*args):
-            solved, summed = real(*args), neumann(*args)
-            runs.append((solved, summed))
-            return solved
-
-        monkeypatch.setattr(explicit, "_solve_run", both)
-        res = pl.finite_predictor_multistep(model, n, m, policy)
-        # short memory runs one cutoff
-        assert len(runs) == 1
-        for (phi, bound, _), (want, left, _) in runs:
-            # beyond that, the two sums round differently by a few ulp
-            ulps = 4.0 * np.finfo(float).eps * np.max(np.abs(want))
-            assert np.max(np.abs(phi - want)) <= bound + left + ulps
-        monkeypatch.setattr(explicit, "_solve_run", neumann)
-        summed = pl.finite_predictor_multistep(model, n, m, policy)
-        diff = np.abs(res.table.coefficients - summed.table.coefficients)
-        assert np.all(diff <= [s.tail_estimate for s in res.series])
-
-    def test_budget_below_one_iteration_raises(self):
-        # K = 1 leaves no room for a solve iteration, so the residual has no
-        # bound, whatever tol_tail allows; a kernel with nothing to solve
-        # (AR(1): an exactly zero right-hand side) stays exact
-        policy = TruncationPolicy(K=1, tol_tail=1e6)
-        with pytest.raises(TruncationError, match="K = 1 leaves no room"):
-            pl.finite_predictor_explicit(pl.Farima(0.0, ma_poly=(1.0, 0.5, 0.3)), 4, policy)
-        res = pl.finite_predictor_explicit(pl.Ar1(0.5), 4, policy)
-        np.testing.assert_array_equal(res.table.coefficients, [0.5, 0.0, 0.0, 0.0])
-
-    def test_indefinite_system_raises(self, monkeypatch):
-        # conjugate gradients that meet I - H^2 as indefinite leave a
-        # residual with no norm estimate below 1: an error naming K
-        def indefinite(eng, r, a_norm, K, tol_stop, s_floor):
-            return np.zeros_like(r), np.zeros_like(r), 1.0, 1.0, 1
-        monkeypatch.setattr(explicit, "_cg", indefinite)
-        with pytest.raises(TruncationError, match="indefinite within K = 64"):
-            pl.finite_predictor_explicit(pl.Farima(0.0, ma_poly=(1.0, 0.9)), 4,
-                                         TruncationPolicy(K=64))
-
-
-#: short memory: AR(1) and AR(2) (exact support), ARMA(1, 1), and MA(1)
-#: whose AR expansion decays slowly and very slowly
+#: short memory: AR(1) and AR(2) (finite support), ARMA(1, 1), MA(1) whose
+#: AR expansion decays slowly and very slowly, and a grid with q from 1 to 3
+#: and p from 0 to 3: MA roots at +-1/0.999, a double-sided pair near the
+#: circle, MA(3), ARMA(1, 2), ARMA(2, 3), and AR(3) x MA(1), whose corner of
+#: k0 = 3 entries meets offset N = 2 at n = 1
 _SHORT_MODELS = [pl.Ar1(0.7), pl.Farima(0.0, ar_poly=(1.0, -0.5, 0.3)),
                  pl.Farima(0.0, ma_poly=(1.0, 0.9)),
                  pl.Farima(0.0, ar_poly=(1.0, -0.5), ma_poly=(1.0, 0.4)),
-                 pl.Farima(0.0, ma_poly=(1.0, 0.99))]
+                 pl.Farima(0.0, ma_poly=(1.0, 0.99)),
+                 pl.Farima(0.0, ma_poly=(1.0, 0.999)), pl.Farima(0.0, ma_poly=(1.0, -0.999)),
+                 pl.Farima(0.0, ma_poly=(1.0, 0.0, -0.998001)),
+                 pl.Farima(0.0, ma_poly=(1.0, 0.5, 0.3, -0.2)),
+                 pl.Farima(0.0, ar_poly=(1.0, 0.6), ma_poly=(1.0, -1.2, 0.35)),
+                 pl.Farima(0.0, ar_poly=(1.0, -0.5, 0.3), ma_poly=(1.0, 0.4, -0.3, 0.2)),
+                 pl.Farima(0.0, ar_poly=(1.0, -0.5, 0.3, -0.1), ma_poly=(1.0, 0.4))]
 
 
 class TestShortMemory:
-    """d = 0: one solve at the cutoff the kernel's support sets."""
+    """d = 0: one solve on the kernel's corner plus state, in closed form."""
 
     @pytest.mark.parametrize("model", _SHORT_MODELS, ids=repr)
     @pytest.mark.parametrize("n", [1, 2, 4, 16])
@@ -496,24 +390,64 @@ class TestShortMemory:
     @pytest.mark.parametrize("n", [1, 2, 4, 16])
     @pytest.mark.parametrize("m", [0, 2])
     def test_residual_covers_own_rounding(self, model, n, m):
-        # a solve whose depth bound and beta's share are zero or tiny still
-        # rounds; the residual covers that too, with nothing added
+        # the closed form truncates nothing but still rounds; the residual
+        # covers that, with nothing added
         res = pl.finite_predictor_multistep(model, n, m)
         want = pl.multistep_normal_solve(pl.autocov(model, n + m), n, m).coefficients
         err = np.abs(res.table.coefficients - want)
         assert np.all(err <= [s.tail_estimate for s in res.series])
 
     @pytest.mark.parametrize("model", _SHORT_MODELS, ids=repr)
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_long_past_covers_normal_solve(self, model, m):
+        # at n = 512 the normal equations round by up to 5e-13 for MA roots
+        # near the circle (against MA(1)'s closed form below, the closed form
+        # is 2e-16 off), so the comparison allows what rounding the
+        # autocovariances by eps relative moves them by
+        res = pl.finite_predictor_multistep(model, 512, m)
+        want, allowance = _normal_solve_with_allowance(model, 512, m)
+        err = np.abs(res.table.coefficients - want)
+        assert np.all(err <= np.array([s.tail_estimate for s in res.series]) + allowance)
+
+    @pytest.mark.parametrize("n", [16, 512])
+    @pytest.mark.parametrize("theta", [0.9, 0.99, -0.99, 0.999, -0.999])
+    def test_ma1_against_its_closed_form(self, theta, n):
+        # phi_j = -(-theta)^j (1 - theta^(2(n+1-j))) / (1 - theta^(2(n+1))),
+        # evaluated at 40 digits: every weight within its residual
+        import mpmath as mp
+        with mp.workdps(40):
+            t = mp.mpf(theta)
+            want = np.array([float(-(-t) ** j * (1 - t ** (2 * (n + 1 - j)))
+                                   / (1 - t ** (2 * (n + 1)))) for j in range(1, n + 1)])
+        res = pl.finite_predictor_explicit(pl.Farima(0.0, ma_poly=(1.0, theta)), n)
+        err = np.abs(res.table.coefficients - want)
+        assert np.all(err <= [s.tail_estimate for s in res.series])
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16])
+    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("ar, ma", [
+        ((1.0,), (1.0, 0.999)), ((1.0,), (1.0, -0.999)), ((1.0,), (1.0, 0.5, 0.3, -0.2)),
+        ((1.0, -0.5, 0.3), (1.0, 0.4, -0.3, 0.2)), ((1.0, -0.5, 0.3, -0.1), (1.0, 0.4))],
+        ids=["ma1+", "ma1-", "ma3", "arma23", "corner"])
+    def test_closed_form_against_mpmath(self, ar, ma, n, m):
+        # every weight is within its reported residual of a 30-digit solve of
+        # the normal equations; q >= 2 on purpose, where a transposed Y
+        # would be far off, and N < k0 for the corner at n = 1
+        res = pl.finite_predictor_multistep(pl.Farima(0.0, ar_poly=ar, ma_poly=ma), n, m)
+        err = np.abs(res.table.coefficients - arma_phi_mpmath(ar, ma, n, m))
+        assert np.all(err <= [s.tail_estimate for s in res.series])
+
+    @pytest.mark.parametrize("model", _SHORT_MODELS, ids=repr)
     def test_one_path_whatever_the_policy(self, capsys, model):
-        # a pinned V, even one below the horizon, leaves the weights bitwise
-        # as they are
+        # a pinned V, even one below the horizon, or a pinned K leaves the
+        # weights, residuals, record and iterates bitwise as they are
         n, m = 8, 3
         default = pl.finite_predictor_multistep(model, n, m)
         iterates = pl.projection_iterates(model, n, 2, m, K=6)
         # the record stops at its tolerance, the iterates at K
         record = default.series[1].terms[:6]
         np.testing.assert_array_equal(iterates[:len(record)], np.cumsum(record))
-        for pins in ({"V": 4}, {"V": 64}):
+        for pins in ({"V": 4}, {"V": 64}, {"K": 1}, {"K": 2}):
             policy = TruncationPolicy(**pins)
             res = pl.finite_predictor_multistep(model, n, m, policy)
             _assert_same_fields(default.table, res.table)
@@ -535,27 +469,48 @@ class TestShortMemory:
     @pytest.mark.parametrize("model", _SHORT_MODELS, ids=repr)
     def test_d_vectors_reach_the_support(self, model):
         # V is only the output window: d_2(n, u) = sum_w beta_{n+u+w}
-        # beta_{n+w} runs over the kernel's whole support, and the block's
-        # v = 0 column is d_k
+        # beta_{n+w} runs over the whole kernel, and the block's v = 0
+        # column is d_k
         n, V = 2, 16
         beta = pl.beta_for_model(model, 0)
         policy = TruncationPolicy(V=V, K=2)
         dv = pl.d_vectors(beta, n, policy)
         block = pl.delta_block(beta, n, 2, policy)
         assert dv.vectors.shape[1] == V and block.values.shape[1:] == (V, 3)
-        # beta's share, of a beta long enough for the support
+        # beta's share: its rounding
         assert 4.0 * beta.tail_estimate <= dv.tail_estimate < 1e-12
         k = min(dv.k_used, block.k_used)
         np.testing.assert_allclose(block.values[:k, :, 0], dv.vectors[:k],
                                    rtol=1e-10, atol=1e-15)
-        full = pl.beta_for_model(model, 4 * beta.inner_len + 4 * V).values
-        W = beta.inner_len + V
+        # the kernel as far as it is above 1e-18 of its largest entry
+        # (0.999^i gets there by i = 41400)
+        full = pl.beta_for_model(model, 1 << 17).values
+        W = int(np.nonzero(np.abs(full) > 1e-18 * np.max(np.abs(full)))[0][-1]) + 1 - n
         d2 = full[n + np.add.outer(np.arange(V), np.arange(W))] @ full[n:n + W]
         if dv.k_used == 1:  # the first stage is exactly zero
             assert not np.any(dv.vectors)
         else:
             np.testing.assert_allclose(dv.vectors[1], d2, rtol=0,
                                        atol=1e-13 * np.max(np.abs(d2)))
+
+    def test_undecayed_root_refused_by_its_rounding(self):
+        # MA root at 1/0.9999999: no factor is expanded, but I - M^2 is
+        # ill-conditioned enough that the rounding bound exceeds tol_tail
+        with pytest.raises(TruncationError, match="closed form's rounding") as info:
+            pl.finite_predictor_explicit(pl.Farima(0.0, ma_poly=(1.0, 0.9999999)), 4)
+        assert "increase" not in str(info.value)
+
+    def test_corner_above_cap_refused_up_front(self, monkeypatch):
+        # an ExplicitModel whose a ends at 5000 entries has a corner of 4998
+        # rows at n = 1: refused before any system is built
+        def no_system(*args, **kwargs):
+            raise AssertionError("the system must be refused before it is built")
+        monkeypatch.setattr(explicit, "_short_system", no_system)
+        model = pl.ExplicitModel(c=(1.0,), a=(-1.0,) + (0.0,) * 4998 + (1e-3,))
+        with pytest.raises(TruncationError, match="corner of 4998"):
+            pl.finite_predictor_explicit(model, 1)
+        with pytest.raises(TruncationError, match="corner of 4999"):
+            pl.d_vectors(pl.BetaSeq(np.zeros(1), model=model), 1)
 
 
 #: the ARMA factors of the calibration grid: AR, MA and ARMA, with roots of
@@ -658,7 +613,7 @@ class TestMomentForm:
 
         def no_solve(*args):
             raise AssertionError("long memory must stay on the nodes")
-        for name in ("_solve_run", "_g_terms_run", "_delta_run"):
+        for name in ("_short_setup", "_short_delta"):
             monkeypatch.setattr(explicit, name, no_solve)
         for pins in ({"V": 4}, {"K": 2}, {"V": 4, "K": 2}):
             policy = TruncationPolicy(**pins)
@@ -678,12 +633,16 @@ class TestMomentForm:
     @pytest.mark.parametrize("d, factors", [
         *((d, {}) for d in (0.05, 0.1, 0.3, 0.45)),
         # a factored record at d = 0.45 takes about a thousand stages
-        *((d, f) for f in _FACTORS for d in (0.1, 0.3))],
+        *((d, f) for f in _FACTORS for d in (0.1, 0.3)),
+        # and short memory's, on its corner plus state
+        *((0.0, f) for f in _FACTORS)],
         ids=[*(f"pure-{d}" for d in (0.05, 0.1, 0.3, 0.45)),
-             *(f"{i}-{d}" for i in _FACTOR_IDS for d in (0.1, 0.3))])
+             *(f"{i}-{d}" for i in _FACTOR_IDS for d in (0.1, 0.3)),
+             *(f"{i}-0.0" for i in _FACTOR_IDS)])
     def test_record_sums_to_table(self, d, factors, n, m):
-        # the per-term record is the Neumann sum of the same quadrature, so
-        # its running sums reach the table they stop against
+        # the per-term record is the Neumann sum of the same system (the
+        # quadrature, or short memory's corner plus state), so its running
+        # sums reach the table they stop against
         model = pl.Farima(d, **factors)
         res = pl.finite_predictor_multistep(model, n, m)
         record = np.array([s.terms for s in res.series])
@@ -741,7 +700,7 @@ class TestMomentForm:
         # residual of their closed forms, at the cutoff's length in u
         def no_solve(*args):
             raise AssertionError("d_k of fractional noise must run on the nodes")
-        monkeypatch.setattr(explicit, "_delta_run", no_solve)
+        monkeypatch.setattr(explicit, "_short_delta", no_solve)
         model, policy = pl.Farima(d), TruncationPolicy(K=2)
         dv = pl.d_vectors(pl.beta_for_model(model, 0), n, policy)
         assert dv.vectors.shape == (2, policy.resolve_v(n, model))
@@ -759,7 +718,7 @@ class TestMomentForm:
         # its reported residual of it
         def no_solve(*args):
             raise AssertionError("d_k of long memory must run on the nodes")
-        monkeypatch.setattr(explicit, "_delta_run", no_solve)
+        monkeypatch.setattr(explicit, "_short_delta", no_solve)
         model, policy = pl.Farima(d, **factors), TruncationPolicy(K=2, V=64)
         dv = pl.d_vectors(pl.beta_for_model(model, 0), n, policy)
         assert dv.vectors.shape == (2, 64)
@@ -771,7 +730,7 @@ class TestMomentForm:
     def test_delta_block_symmetric_corner(self, monkeypatch):
         def no_solve(*args):
             raise AssertionError("delta_k of fractional noise must run on the nodes")
-        monkeypatch.setattr(explicit, "_delta_run", no_solve)
+        monkeypatch.setattr(explicit, "_short_delta", no_solve)
         block = pl.delta_block(pl.beta_for_model(pl.Farima(0.35), 0), 16, 4,
                                TruncationPolicy(K=4))
         corner = block.values[:, :5, :5]
@@ -825,14 +784,19 @@ class TestProjectionIterates:
     @pytest.mark.parametrize("m", [0, 2])
     def test_cumulative_reported_terms(self, model, m):
         # the iterates are the running sums of the terms the predictor
-        # reports when it runs K stages with no early stop, on the nodes for
-        # the factored long-memory model and at the one cutoff for AR(1)
+        # reports, on the nodes for the factored long-memory model, which run
+        # K stages with no early stop, and on AR(1)'s corner, whose record
+        # reaches the table exactly at g_1 and stops there: every later term
+        # is an exact zero
         n, K = 8, 12
         forced = TruncationPolicy(K=K, tol_term=1e-300, tol_tail=1.0)
         series = pl.finite_predictor_multistep(model, n, m, forced).series
         for j in (1, 3, n):
-            np.testing.assert_array_equal(pl.projection_iterates(model, n, j, m, K, forced),
-                                          np.cumsum(series[j - 1].terms), strict=True)
+            iterates = pl.projection_iterates(model, n, j, m, K, forced)
+            terms = series[j - 1].terms
+            assert len(iterates) == K
+            np.testing.assert_array_equal(iterates[:len(terms)], np.cumsum(terms), strict=True)
+            np.testing.assert_array_equal(iterates[len(terms):], iterates[len(terms) - 1])
 
     @pytest.mark.parametrize("m", [0, 2])
     def test_cumulative_quadrature_terms(self, m):
