@@ -97,6 +97,29 @@ def brute_phi(gamma_vals: np.ndarray, n: int, m: int = 0) -> np.ndarray:
     return np.linalg.solve(G, rhs)
 
 
+def levinson_longdouble(gamma_vals: np.ndarray, n: int, m: int = 0) -> np.ndarray:
+    """Levinson's recursion for the normal equations Gamma_n x =
+    gamma(m+1..m+n), run in np.longdouble from the float64 gamma: a reference
+    about three digits closer to the exact solution than a float64 solve
+    where long double is the 80-bit x87 format."""
+    g = np.asarray(gamma_vals[:n + m + 1], dtype=np.longdouble)
+    phi = np.zeros(n, dtype=np.longdouble)
+    x = np.zeros(n, dtype=np.longdouble)
+    sigma2 = g[0]
+    for k in range(1, n + 1):
+        lags = g[k - 1:0:-1]
+        back = phi[k - 2::-1] if k > 1 else phi[:0]
+        if m:
+            mu = (g[m + k] - np.dot(x[:k - 1], lags)) / sigma2
+            x[:k - 1] -= mu * back
+            x[k - 1] = mu
+        refl = (g[k] - np.dot(phi[:k - 1], lags)) / sigma2
+        phi[:k - 1] -= refl * back
+        phi[k - 1] = refl
+        sigma2 *= 1 - refl * refl
+    return (x if m else phi).astype(float)
+
+
 def arma_phi_mpmath(ar, ma, n: int, m: int = 0, dps: int = 30) -> np.ndarray:
     """phi^m_{n,.} of Farima(0, ar, ma) from the normal equations solved in
     mpmath at ``dps`` digits.  The autocovariances are gamma(k) =

@@ -1,15 +1,17 @@
 """Durbin-Levinson recursion and the normal-equations solver."""
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import predictorlab as pl
-from predictorlab import DegeneracyError
+from predictorlab import DegeneracyError, levinson
 
-from conftest import brute_phi, farima_ar1_gamma_oracle, farima_gamma_oracle
+from conftest import (brute_phi, farima_ar1_gamma_oracle, farima_gamma_oracle,
+                      levinson_longdouble)
 
 
 class TestDurbinLevinson:
@@ -70,7 +72,8 @@ class TestMultistepNormalSolve:
         gamma = farima_gamma_oracle(0.3, 32)
         lev = pl.durbin_levinson(gamma, 32)[-1]
         direct = pl.multistep_normal_solve(gamma, 32, 0)
-        # one recursion serves both, so m = 0 is the same arithmetic
+        # below CG_MIN_ORDER one recursion serves both, so m = 0 is the same
+        # arithmetic
         np.testing.assert_array_equal(direct.coefficients, lev.coefficients)
         assert direct.sigma2 == lev.sigma2
 
@@ -106,7 +109,7 @@ class TestMultistepNormalSolve:
             pl.multistep_normal_solve(farima_gamma_oracle(0.3, 8), 8, 1)
 
 
-#: models of the dense-solve comparison, with gamma(0..1029) computed once
+#: models of the dense-solve and long-double comparisons, with gamma computed once
 _DENSE_MODELS = {
     "ar0.9": pl.Ar1(0.9),
     "ar-0.9": pl.Ar1(-0.9),
@@ -117,13 +120,14 @@ _DENSE_MODELS = {
 
 
 @functools.cache
-def _dense_gamma(name):
-    return pl.autocov(_DENSE_MODELS[name], 1024 + 5).values
+def _dense_gamma(name, n=1024):
+    return pl.autocov(_DENSE_MODELS[name], n + 5).values
 
 
 class TestMultistepAgainstDenseSolve:
     """The two-row recursion solves the multistep normal equations, needs
-    only Gamma_n to be nonsingular, and holds O(n) memory whatever m is."""
+    only Gamma_n to be nonsingular, and holds O(n) memory whatever m is;
+    from CG_MIN_ORDER up (here n = 1024) CG solves them."""
 
     @pytest.mark.parametrize("name", list(_DENSE_MODELS))
     @pytest.mark.parametrize("n", [1, 2, 64, 1024])
@@ -164,6 +168,80 @@ class TestMultistepAgainstDenseSolve:
         table = pl.multistep_normal_solve(gamma, 8, m)
         np.testing.assert_allclose(table.coefficients, brute_phi(gamma, 8, m),
                                    rtol=1e-10, atol=0)
+
+
+_LONG_DOUBLE_WIDER = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+
+
+class TestConjugateGradients:
+    """From CG_MIN_ORDER up the normal equations are solved by preconditioned
+    CG with a long-double refinement step; the recursion decides wherever CG
+    fails or its answer does not pass the checks."""
+
+    @pytest.mark.skipif(not _LONG_DOUBLE_WIDER,
+                        reason="np.longdouble is float64 here: neither the refinement "
+                               "nor the reference is more accurate than a float64 solve")
+    @pytest.mark.parametrize("name", ["fn0.45", "fn0.45-ar0.6", "fn0.45-ar-0.6",
+                                      "ar0.9", "ar-0.9"])
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_against_long_double_recursion(self, name, m):
+        gamma = _dense_gamma(name, 4096)
+        table = pl.multistep_normal_solve(gamma, 4096, m)
+        np.testing.assert_allclose(table.coefficients, levinson_longdouble(gamma, 4096, m),
+                                   rtol=0, atol=1e-15)
+
+    def test_sigma2_is_prediction_error(self):
+        gamma = _dense_gamma("fn0.45")
+        table = pl.multistep_normal_solve(gamma, 1024, 0)
+        lev = pl.durbin_levinson(gamma, 1024)[-1]
+        np.testing.assert_allclose(table.sigma2, lev.sigma2, rtol=1e-13)
+        assert table.sigma2 == pytest.approx(
+            gamma[0] - np.dot(table.coefficients, gamma[1:1025]), rel=1e-14)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("gamma, order", [
+        (np.ones(levinson.CG_MIN_ORDER + 2), 1),
+        # a random-phase sinusoid: Gamma_n has rank 2
+        (np.cos(0.7 * np.arange(levinson.CG_MIN_ORDER + 2)), 2),
+    ], ids=["ones", "cos"])
+    def test_degenerate_names_recursion_order(self, gamma, order, m):
+        # refused before any division by a zero eigenvalue of the preconditioner
+        with warnings.catch_warnings(), pytest.raises(DegeneracyError) as err:
+            warnings.simplefilter("error", RuntimeWarning)
+            pl.multistep_normal_solve(gamma, levinson.CG_MIN_ORDER, m)
+        assert err.value.order == order
+
+    def test_breakdown_refused(self):
+        # an indefinite operator: p^T A p < 0 at the first step
+        assert levinson._pcg(lambda v: -v, lambda v: v, np.ones((1, 4)), 10) is None
+
+    def test_sigma2_floor_applies(self):
+        # gamma periodic with period n: Gamma_n is the identity, which CG solves
+        # at once, but X_0 = X_{-n}, so sigma_n^2 = 0
+        n = levinson.CG_MIN_ORDER
+        gamma = np.zeros(n + 1)
+        gamma[[0, n]] = 1.0
+        with pytest.raises(DegeneracyError) as err:
+            pl.multistep_normal_solve(gamma, n, 0)
+        assert err.value.order == n
+
+    def test_nan_refused(self):
+        gamma = _dense_gamma("fn0.45").copy()
+        gamma[3] = np.nan
+        with pytest.raises(DegeneracyError):
+            pl.multistep_normal_solve(gamma, 1024, 1)
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_iteration_cap_falls_back(self, m):
+        # MA(1) with a zero at 1.001 and n = 1024 needs about 70 iterations,
+        # past the cap, so the recursion's table is returned as it is
+        gamma = pl.autocov(pl.Farima(0, ma_poly=(1.0, 0.999)), 1024 + m).values
+        table = pl.multistep_normal_solve(gamma, 1024, m)
+        x = np.zeros(1024)
+        for x, sigma2 in levinson._levinson(gamma, 1024, m):
+            pass
+        np.testing.assert_array_equal(table.coefficients, x)
+        assert table.sigma2 == (sigma2 if m == 0 else None)
 
 
 @settings(deadline=None, max_examples=30)
