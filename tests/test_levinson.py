@@ -237,7 +237,6 @@ class TestConjugateGradients:
         # past the cap, so the recursion's table is returned as it is
         gamma = pl.autocov(pl.Farima(0, ma_poly=(1.0, 0.999)), 1024 + m).values
         table = pl.multistep_normal_solve(gamma, 1024, m)
-        x = np.zeros(1024)
         for x, sigma2 in levinson._levinson(gamma, 1024, m):
             pass
         np.testing.assert_array_equal(table.coefficients, x)
