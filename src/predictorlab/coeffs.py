@@ -153,11 +153,17 @@ def _arma_series(num: tuple[float, ...], den: tuple[float, ...], d: float,
     out = _binomial_series(d, n_terms)
     if _is_unit_poly(num) and _is_unit_poly(den):
         return out
+    return _forward_solve(den, np.convolve(out, num)[:n_terms, None])[:, 0]
+
+
+def _forward_solve(den: tuple[float, ...], rhs: np.ndarray) -> np.ndarray:
+    """x with den * x = rhs in each column of rhs, by forward substitution
+    (one banded triangular solve for all columns; den_0 != 0)."""
     # imported lazily: only models with ARMA factors need scipy.linalg
     from scipy.linalg.lapack import dtbtrs
     # den as a lower triangular band: row k holds den_k, the k-th subdiagonal
-    band = np.repeat(np.asarray(den, dtype=float)[:, None], n_terms, axis=1)
-    return dtbtrs(band, np.convolve(out, num)[:n_terms, None], uplo="L")[0][:, 0]
+    band = np.repeat(np.asarray(den, dtype=float)[:, None], len(rhs), axis=1)
+    return dtbtrs(band, rhs, uplo="L")[0]
 
 
 def _decayed(series: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -197,13 +203,14 @@ def _window_fft_len(len_x: int, len_y: int, lo: int, count: int) -> int:
 
 def _convolve_window(x: np.ndarray, y: np.ndarray, lo: int, count: int) -> np.ndarray:
     """Entries lo..lo+count-1 of the linear convolution x * y, by FFT at the
-    length of _window_fft_len.  An input longer than that length is cut to
-    it, which drops only terms that land past the window."""
+    length of _window_fft_len; a 2-D y is columns, all convolved with x in
+    one transform.  An input longer than that length is cut to it, which
+    drops only terms that land past the window."""
     npts = _window_fft_len(len(x), len(y), lo, count)
     fx = np.fft.rfft(x, npts)
-    fx *= np.fft.rfft(y, npts)
+    fx = fx * np.fft.rfft(np.ascontiguousarray(y.T), npts)  # y's columns as rows
     # a copy, so that a cached window does not keep the whole transform alive
-    return np.fft.irfft(fx, npts)[lo:lo + count].copy()
+    return np.fft.irfft(fx, npts)[..., lo:lo + count].T.copy()
 
 
 def _farima_expansion(model: Farima, n_terms: int, kind: CoeffKind) -> np.ndarray:

@@ -19,10 +19,12 @@ The series is a Neumann series in the symmetric kernel H at offset n+1, so
 the predictor's values do not sum it stage by stage: with y = H (c_{m-v})_v
 they solve (I - H^2) z = y and read the sum off A H z and A z, A the AR
 correlation.  Both regimes make H a small matrix M on a "corner plus
-state": explicit unknowns for the kernel's first rows, then a state whose
-read-out runs one recurrence (_f_tilde); _moment_solve and _moment_read
-serve both.  The per-term record is the stage-by-stage sum on the same
-matrix, computed only when a caller reads it.
+state": explicit unknowns for the kernel's first rows, then a state.  Each
+regime's setup reads any columns of those unknowns as the sequence they
+stand for, up to the top row, plus its tail past it, so one FFT
+correlation (_read_out) gives A for the weights, the short-memory
+residual's magnitudes and the per-term record, the stage-by-stage sum on
+the same matrix, computed in blocks of stages only when a caller reads it.
 
 Long memory has no cutoff at all (see _moment_system): beta is the kernel
 beta0_k = c/(k - d), c = sin(pi d)/pi, correlated with the two-sided
@@ -69,12 +71,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 
 import numpy as np
 
-from .coeffs import (CoeffKind, _arma_series, _convolve_window, _decayed,
-                     _expansion_values, expand_ar, expand_ma)
+from .coeffs import (CoeffKind, _convolve_window, _decayed,
+                     _expansion_values, _forward_solve, expand_ar, expand_ma)
 from .errors import TruncationError
 from .levinson import PredictorSource, PredictorTable
 from .models import Ar1, Farima, ProcessModel, memory_exponent
@@ -143,7 +145,7 @@ class TruncationPolicy:
 
     def resolve_scales(self, model: ProcessModel, n: int) -> list[int]:
         """[resolve_v]: the one inner cutoff, as a list because the
-        benchmark's tracing and criterion 2 read its top entry."""
+        benchmark's tracing reads its top entry."""
         return [self.resolve_v(n, model)]
 
     def resolve_k(self, model: ProcessModel) -> int:
@@ -288,12 +290,13 @@ def _beta_values(model: ProcessModel, L: int) -> tuple[np.ndarray, float]:
     """(beta values 0..L, per-entry error bound).
 
     At d = 0 beta is the closed form of _short_kernel: its first k0 entries,
-    then the MA recurrence run from b0.  In long memory c = b * r and
-    a = a0 * s, with b and a0 the fractional-noise expansions and r, -s
-    those of the short-memory part of the model, so beta is the kernel
-    beta0 of _fn_kernel correlated with rho_j = sum_p r_p s_{p-j}; the bound
-    also carries the mass the moment form cuts from rho's negative end
-    (_moment_weight), so that it covers the quadrature's kernel rows too.
+    then the MA recurrence run from b0 (_ma_orbit).  In long memory
+    c = b * r and a = a0 * s, with b and a0 the fractional-noise expansions
+    and r, -s those of the short-memory part of the model, so beta is the
+    kernel beta0 of _fn_kernel correlated with rho_j = sum_p r_p s_{p-j},
+    as _moment_weight keeps it: beta_i = sum_k R_k beta0_{i+jmin+k}.  The
+    bound carries the factors' dropped tails and the mass cut from rho's
+    negative end, so that it covers the quadrature's kernel rows too.
     """
     d = memory_exponent(model)
     if d == 0.0:
@@ -301,23 +304,18 @@ def _beta_values(model: ProcessModel, L: int) -> tuple[np.ndarray, float]:
         _, head, b0, bound = _short_kernel(model)
         out = np.zeros(L + 1)
         out[:k0] = head[:L + 1]
-        if len(b0) and L + 1 > k0:
-            num = tuple(np.convolve(ma, b0)[:len(b0)])
-            out[k0:] = _arma_series(num, ma, 0.0, L + 1 - k0)
+        if L + 1 > k0:
+            out[k0:] = _ma_orbit(ma, b0[:, None], L + 1 - k0)[:, 0]
         return out, bound
     if _pure_noise(model):
         beta0 = _fn_kernel(d, 0, L + 1)
         return beta0, 4.0 * np.finfo(float).eps * float(np.max(np.abs(beta0)))
-    r, s, dropped = _arma_factor(model)
-    dropped += _moment_weight(model)[2]
-    T = len(r)
-    # rho_rev[q] = rho_{T-1-q} = (r reversed * s)_q pairs with beta0_{i+T-1-q}
-    rho_rev = _convolve_window(r[::-1], s, 0, 2 * T - 1)
-    beta0 = _fn_kernel(d, 1 - T, L + 2 * T - 1)
-    # plus the correlation's rounding
-    rounding = np.finfo(float).eps * np.log2(L + 2 * T) * np.abs(rho_rev).sum()
-    return (_convolve_window(beta0, rho_rev, 2 * T - 2, L + 1),
-            float((dropped + rounding) * np.max(np.abs(beta0))))
+    R, jmin, cut = _moment_weight(model)
+    beta0 = _fn_kernel(d, jmin, L + len(R))
+    # the factors' dropped tails and the cut, plus the correlation's rounding
+    rounding = np.finfo(float).eps * np.log2(L + 2 * len(R)) * np.abs(R).sum()
+    return (_convolve_window(beta0, R[::-1], len(R) - 1, L + 1),
+            float((_arma_factor(model)[2] + cut + rounding) * np.max(np.abs(beta0))))
 
 
 def beta_for_model(model: ProcessModel, L: int) -> BetaSeq:
@@ -399,15 +397,30 @@ def delta_block(beta: BetaSeq, n: int, v_max: int,
 # ---------------------------------------------------------------------------
 # predictor series engine
 
-def _stage_one(a_vals: np.ndarray, c_rev: np.ndarray, n: int, m: int) -> np.ndarray:
-    """g_1: the Wiener weights b_j^m = sum_v c_{m-v} a_{j+v}, exact."""
-    return c_rev @ np.stack([a_vals[1 + v:1 + v + n] for v in range(m + 1)])
+def _hankel(vals: np.ndarray, lo: int, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols Hankel matrix [u, w] -> vals[lo+u+w], as a view."""
+    return np.lib.stride_tricks.sliding_window_view(vals[lo:lo + rows + cols - 1], cols)
 
 
-def _weighted_column(beta_vals: np.ndarray, c_rev: np.ndarray, n: int, m: int, V: int):
-    """sum_v c_{m-v} delta_1(n+1, u, v) for u < V, from direct slices
-    beta_{n+1+u+v}: weighted once, so that every later stage is one column."""
-    return c_rev @ np.stack([beta_vals[n + 1 + v:n + 1 + v + V] for v in range(m + 1)])
+def _read_out(a_vals: np.ndarray, z: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """A(x)_j = sum_u a_{j+u} z_u + h_{n-j}, j = 1..n, for each column of a
+    state x as a system's read gives it (_moment_setup, _short_setup): z is
+    x at u = 0..L-1, L = U0 + n - 1, the rows below the top row
+    j + u = n + U0, and h the tail from the top row on, at k = 0..n-1.
+    One FFT correlation serves all columns."""
+    n, L = len(h), len(z)
+    if not L:
+        return h[::-1].copy()
+    return _convolve_window(a_vals[1:L + 1], z[::-1], L - 1, n) + h[::-1]
+
+
+def _phi(a_vals: np.ndarray, c_head: np.ndarray, z: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """phi^m_{n,.} = g_1(j) + A(u - g)_j + A(g)_{n+1-j} from a read (z, h)
+    of _moment_solve's columns, with g_1 the Wiener weights
+    sum_v c_{m-v} a_{j+v}; on magnitudes, each weight's sum of its terms'
+    sizes."""
+    fw = _read_out(a_vals, z, h)
+    return c_head[::-1] @ _hankel(a_vals, 1, len(c_head), len(h)) + fw[:, 0] + fw[::-1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +448,10 @@ def _moment_weight(model: Farima) -> tuple[np.ndarray | None, int, float]:
     for pure noise, whose rho is 1).
 
     Below j = -deg(ar), ma * rho = 0 (s = ar/ma), so rho's negative end is
-    the expansion num/ma continuing rho_{-deg(ar)}..: unlike the FFT's, its
-    small entries keep their relative accuracy, and with no MA factor they
-    are exact zeros.  That end is cut while what it drops stays under
-    eps sum |rho|, and ``cut``, that l1 mass, joins beta's bound.
+    that recurrence run on from rho_{-deg(ar)}.. (_ma_orbit): unlike the
+    FFT's, its small entries keep their relative accuracy, and with no MA
+    factor they are exact zeros.  That end is cut while what it drops stays
+    under eps sum |rho|, and ``cut``, that l1 mass, joins beta's bound.
     """
     if _pure_noise(model):
         return None, 0, 0.0
@@ -448,11 +461,9 @@ def _moment_weight(model: Farima) -> tuple[np.ndarray | None, int, float]:
     rho = rho[T - 1 - deg:T + int(np.nonzero(r)[0][-1])]  # j = -deg .. support of r
     lo, ma = -deg, model.ma_poly.coefficients
     if len(ma) > 1:
-        # rho_{-deg-1-k} for k >= 0 is num/ma, num_k = -sum_{i>k} ma_i
-        # rho_{-deg-1+i-k}: the recurrence's seeds moved to its right side
-        num = tuple(-sum(ma[i] * rho[i - k - 1] for i in range(k + 1, len(ma)))
-                    for k in range(len(ma) - 1))
-        (tail,), _ = _decayed(partial(_arma_series, num, ma, 0.0))
+        # rho_{-deg-1-k}, k >= 0, continues rho_{-deg+q-1}, .., rho_{-deg}
+        q = len(ma) - 1
+        (tail,), _ = _decayed(lambda T: _ma_orbit(ma, rho[q - 1::-1, None], q + T)[q:, 0])
         rho, lo = np.concatenate((tail[::-1], rho)), lo - len(tail)
     mass = np.cumsum(np.abs(rho))
     k = int(np.searchsorted(mass, np.finfo(float).eps * mass[-1], side="right"))
@@ -540,7 +551,7 @@ def _moment_system(model: Farima, N: int, U0: int, grid: tuple[np.ndarray, float
     if U0:
         p = t[:, None] ** np.arange(U0)
         # a view of the Hankel corner: no U0 x U0 index or copy before the block
-        corner = np.lib.stride_tricks.sliding_window_view(beta.values[N:N + 2 * U0 - 1], U0)
+        corner = _hankel(beta.values, N, U0, U0)
         k = np.block([[corner, p.T @ (a[:, None] * k)], [a[:, None] * p, b[:, None] * k]])
     elif np.any(b != 1.0):
         k *= b[:, None]
@@ -565,42 +576,30 @@ def _f_top(model: Farima, f: np.ndarray, r: np.ndarray, t: np.ndarray,
     return out
 
 
-def _f_tilde(f: np.ndarray, root: np.ndarray, shift: Callable[[np.ndarray], np.ndarray],
-             a_vals: np.ndarray, n: int):
-    """F~_j for j = n down to 1, from F~_n = f by F~_j = root a_j
-    + shift(F~_{j+1}): shift multiplies by the state's transition, t on the
-    nodes (see _moment_setup), the companion matrix F in short memory (see
-    _short_setup)."""
-    for j in range(n, 0, -1):
-        yield f
-        f = root * a_vals[j - 1] + shift(f)
-
-
-def _a_corner(a_vals: np.ndarray, xi: np.ndarray, n: int) -> np.ndarray:
-    """sum_{u<U0} a_{j+u} xi_u for j = 1..n, for each column of xi (U0 rows)."""
-    U0 = len(xi)
-    return np.stack([_convolve_window(a_vals[1:n + U0], col[::-1], U0 - 1, n)
-                     for col in xi.T], axis=1)
-
-
-def _moment_setup(model: Farima, a_vals: np.ndarray, c_head: np.ndarray, n: int, U0: int,
+def _moment_setup(model: Farima, c_head: np.ndarray, n: int, U0: int,
                   grid: tuple[np.ndarray, float], beta: BetaSeq | None):
-    """(M, y, the rows F~_{j+U0} for j = n down to 1) of the predictor's
-    system at offset n + 1 on one grid.  (I - H^2) z = y, y = H (c_{m-v})_v,
-    stays in the span of _moment_system's unknowns: y is the beta slices on
-    the corner and a P(t), P(t) = sum_v c_{m-v} t^v, on the nodes.  The AR
-    correlation of psi_q is F_{j+U0}(t_q), F_k(t) = sum_u a_{k+u} t^u, run
-    down from _f_top's row by F_k = a_k + t F_{k+1} and carried as r F; with
-    the corner's sum_{u<U0} a_{j+u} xi_u (_a_corner) it reads a state back
-    as A(z)_j.
+    """(M, y, read) of the predictor's system at offset n + 1 on one grid.
+    (I - H^2) z = y, y = H (c_{m-v})_v, stays in the span of
+    _moment_system's unknowns: y is the beta slices on the corner and
+    a P(t), P(t) = sum_v c_{m-v} t^v, on the nodes.  read(x) is what
+    _read_out needs of columns x of the unknowns: x at u = 0..U0+n-2 (the
+    corner's rows, then sum_q r_q x_q t_q^(u-U0) through _on_nodes), and
+    the tail past the top row, h_k = sum_q f_q x_q t_q^k for k < n, with
+    f = r F_{n+U0} from _f_top, F_k(t) = sum_u a_{k+u} t^u.
     """
     t, r, a, mat, f = _moment_system(model, n + 1, U0, grid, beta, top=n + U0)
     y = a * np.polyval(c_head, t)
     if U0:
-        corner = _weighted_column(beta.values, c_head[::-1], n, len(c_head) - 1, U0)
-        y = np.concatenate((corner, y))
-    return mat, y, _f_tilde(_f_top(model, f, r, t, n + U0), r, partial(np.multiply, t),
-                            a_vals[U0:], n)
+        y = np.concatenate((c_head[::-1] @ _hankel(beta.values, n + 1, len(c_head), U0), y))
+    f = _f_top(model, f, r, t, n + U0)
+
+    def read(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the state's rows and the tail share each block of powers t^u
+        cols = x.shape[1]
+        alpha = (x[U0:, None, :] * np.stack((r, f), axis=1)[:, :, None]).reshape(-1, 2 * cols)
+        both = np.concatenate(list(_on_nodes(t, alpha, n)))
+        return np.concatenate((x[:U0], both[:n - 1, :cols])), both[:, cols:]
+    return mat, y, read
 
 
 def _moment_solve(mat: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -619,47 +618,51 @@ def _moment_solve(mat: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack((u - g, g), axis=1)
 
 
-def _moment_read(weights: np.ndarray, rows, a_vals: np.ndarray, c_head: np.ndarray,
-                 n: int, U0: int) -> np.ndarray:
-    """phi^m_{n,.} = g_1(j) + A(u - g)_j + A(g)_{n+1-j} from _moment_solve's
-    weights, with ``rows`` the read-out rows F~_{j+U0}, j = n down to 1."""
-    fw = np.empty((n, 2))
-    for j, row in zip(range(n, 0, -1), rows):
-        fw[j - 1] = row @ weights[U0:]
-    if U0:
-        fw += _a_corner(a_vals, weights[:U0], n)
-    return _stage_one(a_vals, c_head[::-1], n, len(c_head) - 1) + fw[:, 0] + fw[::-1, 1]
-
-
 def _moment_run(model: Farima, a_vals: np.ndarray, c_head: np.ndarray, n: int, U0: int,
                 grid: tuple[np.ndarray, float], beta: BetaSeq | None) -> np.ndarray:
     """phi^m_{n,.} from the moment form on one grid."""
-    mat, y, rows = _moment_setup(model, a_vals, c_head, n, U0, grid, beta)
+    mat, y, read = _moment_setup(model, c_head, n, U0, grid, beta)
     weights = _moment_solve(mat, y)
     del mat
-    return _moment_read(weights, rows, a_vals, c_head, n, U0)
+    return _phi(a_vals, c_head, *read(weights))
 
 
-def _moment_terms(mat: np.ndarray, gamma: np.ndarray, rows, a_vals: np.ndarray,
-                  c_head: np.ndarray, n: int, U0: int, K: int,
-                  table: np.ndarray | None = None, tol: float = 0.0) -> np.ndarray:
-    """The per-term record g_1..g_K of a system (M, y, rows) from
-    _moment_setup (the fine grid of _moment_run) or _short_setup,
-    read-only; with a ``table``, it stops at the first term whose running
-    sums are within ``tol`` of it.  Stage k >= 2 is A M^(k-2) y, so g_k(j)
-    is A(gamma^k)_j for odd k and A(gamma^k)_{n+1-j} for even k, with
-    gamma^2 = y and gamma^(k+1) = M gamma^k.
-    """
-    rows = np.array(list(rows))
-    terms = [_stage_one(a_vals, c_head[::-1], n, len(c_head) - 1)]
-    total = terms[0].copy()
-    while len(terms) < K and (table is None or np.max(np.abs(total - table)) > tol):
-        b = rows @ gamma[U0:]  # A(gamma^k)_j for j = n down to 1
-        if U0:
-            b += _a_corner(a_vals, gamma[:U0, None], n)[::-1, 0]
-        terms.append(b if len(terms) % 2 else b[::-1])
-        total += terms[-1]
-        gamma = mat @ gamma
+#: stages the per-term record reads back at once, in one correlation
+_RECORD_BLOCK = 64
+
+
+def _record(model: ProcessModel, n: int, m: int, policy: TruncationPolicy, K: int,
+            table: np.ndarray | None = None) -> np.ndarray:
+    """The per-term record g_1..g_K on the system (M, y, read) that gives the
+    weights (the fine grid of _moment_run, or _short_setup), read-only; with
+    a ``table``, it stops at the first term whose running sums are within
+    tol_term of it.  g_k(j) is A(gamma^k)_j for odd k and A(gamma^k)_{n+1-j}
+    for even k, with gamma^2 = y and gamma^(k+1) = M gamma^k, read back in
+    blocks of _RECORD_BLOCK stages: whatever K, the same blocks."""
+    if memory_exponent(model) > 0.0:
+        U0, grids, beta, _, a_vals, c_head = _moment_inputs(model, n, m, policy)
+        mat, gamma, read = _moment_setup(model, c_head, n, U0, grids[0], beta)
+    else:
+        beta, a_vals, c_head = _short_inputs(model, n, m)
+        mat, gamma, read = _short_setup(model, a_vals, c_head, n, beta)
+    terms = [c_head[::-1] @ _hankel(a_vals, 1, len(c_head), n)]
+    total = terms[0]
+    while len(terms) < K and (table is None or np.max(np.abs(total - table)) > policy.tol_term):
+        stages = np.empty((_RECORD_BLOCK + 1, len(gamma)))
+        stages[0] = gamma
+        for i in range(_RECORD_BLOCK):
+            np.matmul(mat, stages[i], out=stages[i + 1])
+        gamma = stages[-1]
+        block = _read_out(a_vals, *read(stages[:-1].T)).T
+        block[::2] = block[::2, ::-1]  # each block starts at an even k
+        block = block[:K - len(terms)]
+        # the running sums after each term, added in order
+        sums = np.cumsum(np.vstack((total, block)), axis=0)[1:]
+        if table is not None:
+            near = np.max(np.abs(sums - table), axis=1) <= policy.tol_term
+            block = block[:np.argmax(near) + 1 if near.any() else len(block)]
+        terms.extend(block)
+        total = sums[len(block) - 1]
     out = np.array(terms)
     out.setflags(write=False)
     return out
@@ -675,7 +678,7 @@ def _on_nodes(t: np.ndarray, alpha: np.ndarray, V: int, U0: int = 0):
     V -= U0
     powers = t ** np.arange(min(256, max(V, 0)))[:, None]
     for lo in range(0, V, 256):
-        yield powers[:V - lo] @ (t[:, None] ** lo * alpha[U0:])
+        yield powers[:V - lo] @ (t[:, None] ** lo * alpha[U0:] if lo else alpha[U0:])
 
 
 def _moment_delta(model: Farima, n: int, v_max: int, V: int, K: int, tol_term: float,
@@ -693,7 +696,7 @@ def _moment_delta(model: Farima, n: int, v_max: int, V: int, K: int, tol_term: f
     grids = _moment_grids(model, n, U0)
     if len(beta) <= n + v_max + max(V, 2 * U0):
         beta = beta_for_model(model, n + v_max + max(V, 2 * U0))
-    cols = np.stack([beta.values[n + v:n + v + max(V, U0)] for v in range(v_max + 1)], axis=1)
+    cols = _hankel(beta.values, n, max(V, U0), v_max + 1)
     first, corner = cols[:V], cols[:U0]
     systems = [_moment_system(model, n, U0, grid, beta) for grid in grids]
     states = [np.concatenate((corner, a[:, None] * t[:, None] ** np.arange(v_max + 1)))
@@ -764,13 +767,18 @@ def _at_matrix(poly, F: np.ndarray) -> np.ndarray:
     return out
 
 
-def _orbit(v: np.ndarray, F: np.ndarray, count: int) -> np.ndarray:
-    """The rows v, v F, v F^2, .., ``count`` of them."""
-    out = np.empty((count, len(v)))
-    for i in range(count):
-        out[i] = v
-        v = v @ F
-    return out
+def _ma_orbit(ma: tuple[float, ...], head: np.ndarray, count: int) -> np.ndarray:
+    """e1' F^u x for u < count and each column x of ``head`` (q rows), F
+    the companion matrix of ma: x_0..x_{q-1} continued by the recurrence
+    ma * x = 0, one banded solve for all columns (zeros for q = 0)."""
+    q = len(ma) - 1
+    rhs = np.zeros((max(count, q), head.shape[1]))
+    if not q:
+        return rhs[:count]
+    # the first q entries of ma * x, the seeds of the recurrence
+    for k in range(q):
+        rhs[k:q] += ma[k] * head[:q - k]
+    return _forward_solve(ma, rhs)[:count]
 
 
 def _stein(left: np.ndarray, c: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -831,56 +839,59 @@ def _short_kernel(model: ProcessModel) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return F, head, tail(0), bound
 
 
-def _short_system(model: ProcessModel, N: int, beta: BetaSeq) -> tuple[int, int, np.ndarray]:
-    """(U0, e, M) of the offset-N kernel in the unknowns xi_u, u < U0 =
+def _short_system(model: ProcessModel, N: int, beta: BetaSeq) -> tuple[int, np.ndarray]:
+    """(U0, M) of the offset-N kernel in the unknowns xi_u, u < U0 =
     max(0, k0 - N), and a state sigma that stands for x_u = e1' F^(u-U0)
-    sigma, u >= U0; e = max(0, N - k0).  Where u or w is past the corner,
-    beta_{N+u+w} = e1' F^u' F^(e+U0) F^w' b0 (u', w' counted from U0), and
+    sigma, u >= U0.  Where u or w is past the corner, beta_{N+u+w} =
+    e1' F^u' F^|N-k0| F^w' b0 (u', w' counted from U0), and
     X = sum_w F^w b0 e1' F^w solves X - F X F = b0 e1', so
-    M = [[C, P X], [Q, F^(e+U0) X]]: the corner C_uw = beta_{N+u+w}, P's
-    rows e1' F^u and Q's columns F^w b0 for u, w < U0.  q = 0 leaves C."""
-    k0, _ = _short_shape(model)
+    M = [[C, P X], [Q, F^|N-k0| X]]: the corner C_uw = beta_{N+u+w}, P's
+    rows e1' F^u (_ma_orbit) and Q's columns F^w b0, whose entries are
+    beta_{k0+w+l}, for u, w < U0.  q = 0 leaves C."""
+    k0, ma = _short_shape(model)
     F, _, b0, _ = _short_kernel(model)
-    q, U0, e = len(b0), max(0, k0 - N), max(0, N - k0)
+    q, U0 = len(b0), max(0, k0 - N)
     x = _stein(F, np.outer(b0, np.eye(q)[:1]), F)
-    state = np.linalg.matrix_power(F, e + U0) @ x
+    state = np.linalg.matrix_power(F, abs(N - k0)) @ x
     if not U0:
-        return U0, e, state
-    p, qm = _orbit(np.eye(q)[:1].ravel(), F, U0), _orbit(b0, F.T, U0).T
-    corner = np.lib.stride_tricks.sliding_window_view(beta.values[N:N + 2 * U0 - 1], U0)
-    return U0, e, np.block([[corner, p @ x], [qm, state]])
+        return U0, state
+    return U0, np.block([[_hankel(beta.values, N, U0, U0), _ma_orbit(ma, np.eye(q), U0) @ x],
+                         [_hankel(beta.values, k0, U0, q).T, state]])
 
 
 def _short_setup(model: ProcessModel, a_vals: np.ndarray, c_head: np.ndarray, n: int,
                  beta: BetaSeq):
-    """(M, y, the rows R_{j+U0} for j = n down to 1) of the predictor's
-    system at offset n + 1, as _moment_setup's: y is the beta slices on the
-    corner and F^e s, s = sum_v c_{m-v} F^v b0, on the state.  The AR
-    correlation of the state is R_k = sum_u a_{k+u} e1' F^u, which is
-    a~_k' Y for k >= k0, with Y - F' Y F = e1 e1', and runs down by
-    R_k = a_k e1' + R_{k+1} F (_f_tilde) from the row past the top."""
+    """(M, y, read) of the predictor's system at offset n + 1, as
+    _moment_setup's, with y the beta slices.  read(x) continues the state
+    sigma by ma * x = 0 (_ma_orbit) to u = U0+n-2, after the corner's rows,
+    and reads the tail past the top row as h_k = f F^k sigma = sum_i f_i
+    e1' F^(k+i) sigma, with f = sum_u a_{top+u} e1' F^u = a_top e1' +
+    a~_{top+1}' Y F, Y - F' Y F = e1 e1'."""
     F, _, b0, _ = _short_kernel(model)
-    U0, e, mat = _short_system(model, n + 1, beta)
-    q, c_rev = len(b0), c_head[::-1]
-    s, col = np.zeros(q), b0
-    for coef in c_rev:
-        s = s + coef * col
-        col = F @ col
-    y = np.concatenate((_weighted_column(beta.values, c_rev, n, len(c_rev) - 1, U0),
-                        np.linalg.matrix_power(F, e) @ s))
+    ma = _short_shape(model)[1]
+    U0, mat = _short_system(model, n + 1, beta)
+    q = len(b0)
+    y = c_head[::-1] @ _hankel(beta.values, n + 1, len(c_head), U0 + q)
     e1 = np.eye(q)[:1].ravel()
     top = n + U0  # top + 1 = max(n + 1, k0)
     f = e1 * a_vals[top] + a_vals[top + 1:top + 1 + q] @ _stein(F.T, np.outer(e1, e1), F) @ F
-    return mat, y, _f_tilde(f, e1, partial(np.matmul, F.T), a_vals[U0:], n)
+
+    def read(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        orbit = _ma_orbit(ma, x[U0:], n + q - 1)
+        h = np.zeros((n, x.shape[1]))
+        for i, coef in enumerate(f):
+            h += coef * orbit[i:i + n]
+        return np.concatenate((x[:U0], orbit[:n - 1])), h
+    return mat, y, read
 
 
-def _short_inputs(model: ProcessModel, n: int, m: int) -> tuple[int, BetaSeq, np.ndarray,
-                                                                 np.ndarray]:
-    """(U0, the corner's beta, a_0..a_{n+max(m, U0+q)}, c_0..c_m) of a
-    short-memory predictor; the cap is checked before anything is built."""
+def _short_inputs(model: ProcessModel, n: int, m: int) -> tuple[BetaSeq, np.ndarray, np.ndarray]:
+    """(beta for the corner and the state, a_0..a_{n+max(m, U0+q)},
+    c_0..c_m) of a short-memory predictor; the cap is checked before
+    anything is built."""
     U0 = _short_size(model, n + 1)
     q = len(_short_shape(model)[1]) - 1
-    return (U0, beta_for_model(model, n + 1 + 2 * U0 + m),
+    return (beta_for_model(model, n + 1 + U0 + max(U0, q) + m),
             expand_ar(model, n + max(m, U0 + q)).values, expand_ma(model, m).values)
 
 
@@ -890,54 +901,49 @@ def _short_predictor(model: ProcessModel, n: int, m: int, policy: TruncationPoli
     short memory: one solve on the corner plus state, read out as on the
     nodes.  The residual is beta's share plus the rounding: 8 ulp of the
     largest weight and of the largest sum of the read-out's terms in
-    magnitude (Wiener, state and corner terms), times ||(I - M^2)^-1||, by
-    which the solve can magnify a relative error in M or y.  The record
-    stops only at tol_term from the table, whatever K says."""
-    U0, beta, a_vals, c_head = _short_inputs(model, n, m)
-    mat, y, rows = _short_setup(model, a_vals, c_head, n, beta)
-    rows = np.array(list(rows))
+    magnitude (the correlation on |a|, |z| and |h|), times
+    ||(I - M^2)^-1||, by which the solve can magnify a relative error in M
+    or y.  The record stops only at tol_term from the table, whatever K
+    says."""
+    beta, a_vals, c_head = _short_inputs(model, n, m)
+    mat, y, read = _short_setup(model, a_vals, c_head, n, beta)
     # ||(I - M^2)^-1||_F bounds the spectral norm, at the cost of one inverse
     gain = float(np.linalg.norm(np.linalg.inv(np.eye(len(mat)) - mat @ mat))) if len(mat) else 1.0
-    weights = _moment_solve(mat, y)
-    phi = _moment_read(weights, rows, a_vals, c_head, n, U0)
-    sizes = _moment_read(np.abs(weights), np.abs(rows), np.abs(a_vals), np.abs(c_head), n, U0)
+    z, h = read(_moment_solve(mat, y))
+    phi = _phi(a_vals, c_head, z, h)
+    sizes = _phi(np.abs(a_vals), np.abs(c_head), np.abs(z), np.abs(h))
     resid = 4.0 * beta.tail_estimate + 8.0 * np.finfo(float).eps * gain * float(
         np.max(np.abs(phi)) + np.max(sizes))
     _check_tail(resid, policy, n, _ROUNDING_REMEDY)
-    return phi, np.full(n, resid), cache(lambda: _moment_terms(
-        *_short_setup(model, a_vals, c_head, n, beta), a_vals, c_head, n, U0, _K_CAP,
-        phi, policy.tol_term))
+    return phi, np.full(n, resid), cache(lambda: _record(model, n, m, policy, _K_CAP, phi))
 
 
 def _short_delta(model: ProcessModel, n: int, v_max: int, V: int, K: int,
                  tol_term: float) -> tuple[np.ndarray, float]:
     """(delta_k(n, u, v) for u < V, v <= v_max, shape (K_used, V, v_max + 1);
     beta's share).  In _short_system's unknowns at offset n, stage 1 is
-    xi = beta_{n+u+v} and sigma = F^(e+v) b0, returned as the beta slice,
-    and each stage applies M and is read back at u < V through the rows
-    e1' F^(u-U0).  The stop rule reads the returned window."""
+    the beta slice beta_{n+u+v} on both the corner and the state; each
+    stage applies M and is read back at u < V by continuing sigma with
+    _ma_orbit.  The stop rule reads the returned window."""
     U0 = _short_size(model, n)
-    beta = beta_for_model(model, n + v_max + max(V, 2 * U0))
-    F, _, b0, _ = _short_kernel(model)
-    _, e, mat = _short_system(model, n, beta)
-    cols = np.stack([beta.values[n + v:n + v + max(V, U0)] for v in range(v_max + 1)], axis=1)
-    sigma = _orbit(np.linalg.matrix_power(F, e) @ b0, F.T, v_max + 1).T
-    state = np.concatenate((cols[:U0], sigma))
-    obs = _orbit(np.eye(len(b0))[:1].ravel(), F, max(V - U0, 0))
-    out = [cols[:V]]
+    ma = _short_shape(model)[1]
+    q = len(ma) - 1
+    beta = beta_for_model(model, n + v_max + max(V, U0 + max(U0, q)))
+    mat = _short_system(model, n, beta)[1]
+    cols = _hankel(beta.values, n, max(V, U0 + q), v_max + 1)
+    state, out = cols[:U0 + q], [cols[:V]]
     while len(out) < K and np.max(np.abs(out[-1])) >= tol_term:
         state = mat @ state
-        out.append(np.concatenate((state[:min(U0, V)], obs @ state[U0:])))
+        out.append(np.concatenate((state[:min(U0, V)],
+                                   _ma_orbit(ma, state[U0:], max(V - U0, 0)))))
     return np.array(out), 4.0 * beta.tail_estimate
 
 
-def _check_request(model: ProcessModel, n: int, m: int, beta: BetaSeq | None) -> None:
+def _check_request(n: int, m: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if beta is not None and beta.model != model:
-        raise ValueError(f"beta was built for {beta.model!r}, not for {model!r}")
 
 
 def _beta_share(beta: BetaSeq, policy: TruncationPolicy, n: int) -> float:
@@ -977,19 +983,16 @@ def _moment_predictor(model: Farima, n: int, m: int, policy: TruncationPolicy
                       ) -> tuple[np.ndarray, np.ndarray, Callable[[], np.ndarray]]:
     """(phi, per-coefficient residual, per-term record) of
     long memory: _moment_run on both grids, their difference plus beta's
-    share, and _moment_terms."""
+    share, and _record."""
     U0, grids, beta, share, a_vals, c_head = _moment_inputs(model, n, m, policy)
     fine, coarse = (_moment_run(model, a_vals, c_head, n, U0, grid, beta) for grid in grids)
     resid = np.abs(fine - coarse) + share
     _check_tail(float(np.max(resid)), policy, n, _QUADRATURE_REMEDY)
-    return fine, resid, cache(lambda: _moment_terms(
-        *_moment_setup(model, a_vals, c_head, n, U0, grids[0], beta), a_vals, c_head, n, U0,
-        policy.resolve_k(model), fine, policy.tol_term))
+    return fine, resid, cache(lambda: _record(model, n, m, policy, policy.resolve_k(model), fine))
 
 
 def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
-                               policy: TruncationPolicy = DEFAULT_POLICY,
-                               beta: BetaSeq | None = None) -> ExplicitPredictor:
+                               policy: TruncationPolicy = DEFAULT_POLICY) -> ExplicitPredictor:
     """Finite predictor coefficients phi^m_{n,j} from the explicit series.
 
     Long memory (d > 0) is solved on a quadrature of the series' moment
@@ -1005,10 +1008,6 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
     m : int
         Prediction horizon (m = 0: one-step).
     policy : TruncationPolicy
-    beta : BetaSeq, optional
-        Correlation sequence of ``model``.  One built for another model
-        raises ValueError; neither regime reads it, as each builds the
-        entries its corner needs from the (cached) beta_for_model.
 
     Returns
     -------
@@ -1025,7 +1024,7 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
         short-memory closed form's rounding; a quadrature, or a corner plus
         state, above its cap of unknowns.
     """
-    _check_request(model, n, m, beta)
+    _check_request(n, m)
     if memory_exponent(model) > 0.0:
         phi, tail_j, terms = _moment_predictor(model, n, m, policy)
     else:
@@ -1039,11 +1038,10 @@ def finite_predictor_multistep(model: ProcessModel, n: int, m: int,
 
 
 def finite_predictor_explicit(model: ProcessModel, n: int,
-                              policy: TruncationPolicy = DEFAULT_POLICY,
-                              beta: BetaSeq | None = None) -> ExplicitPredictor:
+                              policy: TruncationPolicy = DEFAULT_POLICY) -> ExplicitPredictor:
     """One-step finite predictor coefficients phi_{n,j}; the m = 0 case of
     finite_predictor_multistep (same code path)."""
-    return finite_predictor_multistep(model, n, 0, policy, beta=beta)
+    return finite_predictor_multistep(model, n, 0, policy)
 
 
 def projection_iterates(model: ProcessModel, n: int, j: int, m: int = 0,
@@ -1062,12 +1060,5 @@ def projection_iterates(model: ProcessModel, n: int, j: int, m: int = 0,
         raise ValueError(f"need 1 <= j <= n, got j = {j}, n = {n}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    _check_request(model, n, m, None)
-    if memory_exponent(model) > 0.0:
-        U0, grids, beta, _, a_vals, c_head = _moment_inputs(model, n, m, policy)
-        setup = _moment_setup(model, a_vals, c_head, n, U0, grids[0], beta)
-    else:
-        U0, beta, a_vals, c_head = _short_inputs(model, n, m)
-        setup = _short_setup(model, a_vals, c_head, n, beta)
-    terms = _moment_terms(*setup, a_vals, c_head, n, U0, K)
-    return np.cumsum(terms[:, j - 1])
+    _check_request(n, m)
+    return np.cumsum(_record(model, n, m, policy, K)[:, j - 1])

@@ -51,13 +51,9 @@ def test_criterion_2_oracle_equivalence():
     worst = 0.0
     for d in (0.1, 0.25, 0.4):
         model = pl.Farima(d)
-        policy = TruncationPolicy()
-        vtop = policy.resolve_scales(model, 512)[-1]
-        beta = pl.beta_for_model(model, 512 + 1 + 2 * vtop + 2)
         gamma = farima_gamma_oracle(d, 512)
         for n in (8, 32, 128, 512):
-            phi_exp = pl.finite_predictor_explicit(
-                model, n, policy, beta=beta).table.coefficients
+            phi_exp = pl.finite_predictor_explicit(model, n).table.coefficients
             phi_lev = pl.durbin_levinson(gamma, n)[-1].coefficients
             worst = max(worst, float(np.max(np.abs(phi_exp - phi_lev))))
     _report(2, "oracle equivalence", worst < 1e-6, f"max dev {worst:.2e}")

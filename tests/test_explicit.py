@@ -114,6 +114,21 @@ def test_factored_explicit_matches_levinson(model, n):
     check_routes(res, pl.durbin_levinson(pl.autocov(model, n), n)[-1].coefficients)
 
 
+@pytest.mark.parametrize("model", [pl.Farima(0.3), pl.Farima(0.3, ar_poly=(1.0, -0.5)),
+                                   pl.Farima(0.0, ar_poly=(1.0, -0.5), ma_poly=(1.0, 0.4))],
+                         ids=repr)
+def test_explicit_at_large_n_matches_normal_solve(model):
+    # at n = 2^14 the read-out is one long FFT correlation over many blocks
+    # of the nodes' powers, or of the MA recurrence; every weight is within
+    # 1e-9 and within its own residual of the normal equations
+    n = 2 ** 14
+    res = pl.finite_predictor_explicit(model, n)
+    want = pl.multistep_normal_solve(pl.autocov(model, n), n, 0).coefficients
+    err = np.abs(res.table.coefficients - want)
+    assert np.max(err) < 1e-9
+    assert np.all(err <= [s.tail_estimate for s in res.series])
+
+
 class TestHankelApply:
     def test_unit_vector_extracts_column(self):
         beta = pl.beta_for_model(pl.Farima(0.3), 200)
@@ -262,14 +277,6 @@ class TestFinitePredictor:
             with pytest.raises(TruncationError) as info:
                 pl.finite_predictor_explicit(model, n, below)
             assert info.value.achieved == resid
-
-    def test_beta_of_another_model_rejected(self):
-        # long enough to be used as given, but built for another d
-        beta = pl.beta_for_model(pl.Farima(0.1), 2 ** 19 + 100)
-        with pytest.raises(ValueError, match=r"Farima\(d=0\.1.*Farima\(d=0\.3"):
-            pl.finite_predictor_explicit(pl.Farima(0.3), 8, beta=beta)
-        with pytest.raises(ValueError, match="beta was built for"):
-            pl.finite_predictor_multistep(pl.Farima(0.3), 8, 2, beta=beta)
 
     def test_multistep_m0_same_path(self):
         res0 = pl.finite_predictor_explicit(pl.Farima(0.3), 32)
@@ -647,6 +654,21 @@ class TestMomentForm:
         res = pl.finite_predictor_multistep(model, n, m)
         record = np.array([s.terms for s in res.series])
         assert record.shape[1] <= TruncationPolicy().resolve_k(model)
+        assert np.max(np.abs(record.sum(axis=1) - res.table.coefficients)) <= 1e-10
+
+    @pytest.mark.parametrize("model", [
+        # an MA root near the circle: a corner of 341 rows at n = 4096
+        pl.Farima(0.45, ma_poly=(1.0, 0.992)),
+        # short memory, on the state of an MA root at 1/0.99999
+        pl.Farima(0.0, ma_poly=(1.0, 0.99999))], ids=["corner-0.45", "ma1-0.0"])
+    def test_record_sums_to_table_across_blocks(self, model):
+        # at n = 4096 the record reads its stages back over several blocks,
+        # and its running sums still reach the table
+        n = 4096
+        assert model.d == 0.0 or explicit._corner(model, n + 1) > 0
+        res = pl.finite_predictor_explicit(model, n)
+        record = np.array([s.terms for s in res.series])
+        assert record.shape[1] > 2 * explicit._RECORD_BLOCK
         assert np.max(np.abs(record.sum(axis=1) - res.table.coefficients)) <= 1e-10
 
     @pytest.mark.parametrize("m", [0, 2])
