@@ -638,31 +638,30 @@ def _record(model: ProcessModel, n: int, m: int, policy: TruncationPolicy, K: in
     a ``table``, it stops at the first term whose running sums are within
     tol_term of it.  g_k(j) is A(gamma^k)_j for odd k and A(gamma^k)_{n+1-j}
     for even k, with gamma^2 = y and gamma^(k+1) = M gamma^k, read back in
-    blocks of _RECORD_BLOCK stages: whatever K, the same blocks."""
+    blocks of up to _RECORD_BLOCK stages, none past K.  A is linear, so a
+    system of fewer unknowns than that (short memory's, as a rule) reads
+    each unknown once, and a block is then a product with those n rows."""
     if memory_exponent(model) > 0.0:
         U0, grids, beta, _, a_vals, c_head = _moment_inputs(model, n, m, policy)
         mat, gamma, read = _moment_setup(model, c_head, n, U0, grids[0], beta)
     else:
         beta, a_vals, c_head = _short_inputs(model, n, m)
         mat, gamma, read = _short_setup(model, a_vals, c_head, n, beta)
+    rows = _read_out(a_vals, *read(np.eye(len(gamma)))) if len(gamma) < _RECORD_BLOCK else None
     terms = [c_head[::-1] @ _hankel(a_vals, 1, len(c_head), n)]
-    total = terms[0]
+    total, block = terms[0], ()  # block: stages read back, not yet recorded
     while len(terms) < K and (table is None or np.max(np.abs(total - table)) > policy.tol_term):
-        stages = np.empty((_RECORD_BLOCK + 1, len(gamma)))
-        stages[0] = gamma
-        for i in range(_RECORD_BLOCK):
-            np.matmul(mat, stages[i], out=stages[i + 1])
-        gamma = stages[-1]
-        block = _read_out(a_vals, *read(stages[:-1].T)).T
-        block[::2] = block[::2, ::-1]  # each block starts at an even k
-        block = block[:K - len(terms)]
-        # the running sums after each term, added in order
-        sums = np.cumsum(np.vstack((total, block)), axis=0)[1:]
-        if table is not None:
-            near = np.max(np.abs(sums - table), axis=1) <= policy.tol_term
-            block = block[:np.argmax(near) + 1 if near.any() else len(block)]
-        terms.extend(block)
-        total = sums[len(block) - 1]
+        if not len(block):
+            stages = np.empty((min(_RECORD_BLOCK, K - len(terms)) + 1, len(gamma)))
+            stages[0] = gamma
+            for i in range(len(stages) - 1):
+                np.matmul(mat, stages[i], out=stages[i + 1])
+            gamma = stages[-1]
+            block = (_read_out(a_vals, *read(stages[:-1].T)).T if rows is None
+                     else stages[:-1] @ rows.T)
+            block[::2] = block[::2, ::-1]  # each block starts at an even k
+        terms.append(block[0])
+        total, block = total + block[0], block[1:]
     out = np.array(terms)
     out.setflags(write=False)
     return out
@@ -886,12 +885,12 @@ def _short_setup(model: ProcessModel, a_vals: np.ndarray, c_head: np.ndarray, n:
 
 
 def _short_inputs(model: ProcessModel, n: int, m: int) -> tuple[BetaSeq, np.ndarray, np.ndarray]:
-    """(beta for the corner and the state, a_0..a_{n+max(m, U0+q)},
-    c_0..c_m) of a short-memory predictor; the cap is checked before
-    anything is built."""
+    """(beta_0..beta_{n+U0+q+max(U0, m)} for the corner, its columns F^w b0
+    and y, a_0..a_{n+max(m, U0+q)}, c_0..c_m) of a short-memory predictor;
+    the cap is checked before anything is built."""
     U0 = _short_size(model, n + 1)
     q = len(_short_shape(model)[1]) - 1
-    return (beta_for_model(model, n + 1 + U0 + max(U0, q) + m),
+    return (beta_for_model(model, n + U0 + q + max(U0, m)),
             expand_ar(model, n + max(m, U0 + q)).values, expand_ma(model, m).values)
 
 
@@ -928,7 +927,7 @@ def _short_delta(model: ProcessModel, n: int, v_max: int, V: int, K: int,
     U0 = _short_size(model, n)
     ma = _short_shape(model)[1]
     q = len(ma) - 1
-    beta = beta_for_model(model, n + v_max + max(V, U0 + max(U0, q)))
+    beta = beta_for_model(model, n + v_max + max(V, 2 * U0 + q))
     mat = _short_system(model, n, beta)[1]
     cols = _hankel(beta.values, n, max(V, U0 + q), v_max + 1)
     state, out = cols[:U0 + q], [cols[:V]]

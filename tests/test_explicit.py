@@ -364,7 +364,10 @@ def test_concurrent_calls_under_fast_switching():
 #: AR expansion decays slowly and very slowly, and a grid with q from 1 to 3
 #: and p from 0 to 3: MA roots at +-1/0.999, a double-sided pair near the
 #: circle, MA(3), ARMA(1, 2), ARMA(2, 3), and AR(3) x MA(1), whose corner of
-#: k0 = 3 entries meets offset N = 2 at n = 1
+#: k0 = 3 entries meets offset N = 2 at n = 1; AR(7) x MA(3) has a corner of
+#: U0 = 3 rows beside a state of q = 3 there, whose columns reach furthest
+#: into beta
+_AR7 = (1.0, -0.3, 0.1, -0.05, 0.02, -0.01, 0.005, -0.002)
 _SHORT_MODELS = [pl.Ar1(0.7), pl.Farima(0.0, ar_poly=(1.0, -0.5, 0.3)),
                  pl.Farima(0.0, ma_poly=(1.0, 0.9)),
                  pl.Farima(0.0, ar_poly=(1.0, -0.5), ma_poly=(1.0, 0.4)),
@@ -374,7 +377,8 @@ _SHORT_MODELS = [pl.Ar1(0.7), pl.Farima(0.0, ar_poly=(1.0, -0.5, 0.3)),
                  pl.Farima(0.0, ma_poly=(1.0, 0.5, 0.3, -0.2)),
                  pl.Farima(0.0, ar_poly=(1.0, 0.6), ma_poly=(1.0, -1.2, 0.35)),
                  pl.Farima(0.0, ar_poly=(1.0, -0.5, 0.3), ma_poly=(1.0, 0.4, -0.3, 0.2)),
-                 pl.Farima(0.0, ar_poly=(1.0, -0.5, 0.3, -0.1), ma_poly=(1.0, 0.4))]
+                 pl.Farima(0.0, ar_poly=(1.0, -0.5, 0.3, -0.1), ma_poly=(1.0, 0.4)),
+                 pl.Farima(0.0, ar_poly=_AR7, ma_poly=(1.0, 0.3, 0.2, 0.1))]
 
 
 class TestShortMemory:
@@ -434,12 +438,14 @@ class TestShortMemory:
     @pytest.mark.parametrize("m", [0, 2])
     @pytest.mark.parametrize("ar, ma", [
         ((1.0,), (1.0, 0.999)), ((1.0,), (1.0, -0.999)), ((1.0,), (1.0, 0.5, 0.3, -0.2)),
-        ((1.0, -0.5, 0.3), (1.0, 0.4, -0.3, 0.2)), ((1.0, -0.5, 0.3, -0.1), (1.0, 0.4))],
-        ids=["ma1+", "ma1-", "ma3", "arma23", "corner"])
+        ((1.0, -0.5, 0.3), (1.0, 0.4, -0.3, 0.2)), ((1.0, -0.5, 0.3, -0.1), (1.0, 0.4)),
+        (_AR7, (1.0, 0.3, 0.2, 0.1))],
+        ids=["ma1+", "ma1-", "ma3", "arma23", "corner", "corner-ma3"])
     def test_closed_form_against_mpmath(self, ar, ma, n, m):
         # every weight is within its reported residual of a 30-digit solve of
         # the normal equations; q >= 2 on purpose, where a transposed Y
-        # would be far off, and N < k0 for the corner at n = 1
+        # would be far off, and N < k0 for the corners at n = 1 (beside a
+        # state of q = 3 for AR(7) x MA(3))
         res = pl.finite_predictor_multistep(pl.Farima(0.0, ar_poly=ar, ma_poly=ma), n, m)
         err = np.abs(res.table.coefficients - arma_phi_mpmath(ar, ma, n, m))
         assert np.all(err <= [s.tail_estimate for s in res.series])
@@ -488,6 +494,11 @@ class TestShortMemory:
         assert 4.0 * beta.tail_estimate <= dv.tail_estimate < 1e-12
         k = min(dv.k_used, block.k_used)
         np.testing.assert_allclose(block.values[:k, :, 0], dv.vectors[:k],
+                                   rtol=1e-10, atol=1e-15)
+        # a window narrower than the corner plus state still gets the beta
+        # its system reads, and is the wide window's first entry
+        narrow = pl.delta_block(beta, n, 0, TruncationPolicy(V=1, K=2))
+        np.testing.assert_allclose(narrow.values, block.values[:narrow.k_used, :1, :1],
                                    rtol=1e-10, atol=1e-15)
         # the kernel as far as it is above 1e-18 of its largest entry
         # (0.999^i gets there by i = 41400)
@@ -635,17 +646,19 @@ class TestMomentForm:
             np.testing.assert_allclose(window.vectors, dv.vectors[:window.k_used, :V],
                                        rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("m", [0, 2])
-    @pytest.mark.parametrize("n", [1, 8, 64])
-    @pytest.mark.parametrize("d, factors", [
-        *((d, {}) for d in (0.05, 0.1, 0.3, 0.45)),
-        # a factored record at d = 0.45 takes about a thousand stages
-        *((d, f) for f in _FACTORS for d in (0.1, 0.3)),
-        # and short memory's, on its corner plus state
-        *((0.0, f) for f in _FACTORS)],
-        ids=[*(f"pure-{d}" for d in (0.05, 0.1, 0.3, 0.45)),
-             *(f"{i}-{d}" for i in _FACTOR_IDS for d in (0.1, 0.3)),
-             *(f"{i}-0.0" for i in _FACTOR_IDS)])
+    @pytest.mark.parametrize("d, factors, n, m", [
+        *(pytest.param(d, f, n, m, id=f"{name}-{n}-{m}") for m in (0, 2) for n in (1, 8, 64)
+          for name, d, f in [
+              *((f"pure-{d}", d, {}) for d in (0.05, 0.1, 0.3, 0.45)),
+              # a factored record at d = 0.45 takes about a thousand stages
+              *((f"{i}-{d}", d, f) for i, f in zip(_FACTOR_IDS, _FACTORS) for d in (0.1, 0.3)),
+              # and short memory's, on its corner plus state
+              *((f"{i}-0.0", 0.0, f) for i, f in zip(_FACTOR_IDS, _FACTORS))]),
+        # at n = 4096 the stages are read over several blocks: an MA root
+        # near the circle, with a corner of 341 rows, and short memory on
+        # the state of an MA root at 1/0.99999
+        pytest.param(0.45, {"ma_poly": (1.0, 0.992)}, 4096, 0, id="corner-0.45-4096-0"),
+        pytest.param(0.0, {"ma_poly": (1.0, 0.99999)}, 4096, 0, id="ma1-0.0-4096-0")])
     def test_record_sums_to_table(self, d, factors, n, m):
         # the per-term record is the Neumann sum of the same system (the
         # quadrature, or short memory's corner plus state), so its running
@@ -654,21 +667,8 @@ class TestMomentForm:
         res = pl.finite_predictor_multistep(model, n, m)
         record = np.array([s.terms for s in res.series])
         assert record.shape[1] <= TruncationPolicy().resolve_k(model)
-        assert np.max(np.abs(record.sum(axis=1) - res.table.coefficients)) <= 1e-10
-
-    @pytest.mark.parametrize("model", [
-        # an MA root near the circle: a corner of 341 rows at n = 4096
-        pl.Farima(0.45, ma_poly=(1.0, 0.992)),
-        # short memory, on the state of an MA root at 1/0.99999
-        pl.Farima(0.0, ma_poly=(1.0, 0.99999))], ids=["corner-0.45", "ma1-0.0"])
-    def test_record_sums_to_table_across_blocks(self, model):
-        # at n = 4096 the record reads its stages back over several blocks,
-        # and its running sums still reach the table
-        n = 4096
-        assert model.d == 0.0 or explicit._corner(model, n + 1) > 0
-        res = pl.finite_predictor_explicit(model, n)
-        record = np.array([s.terms for s in res.series])
-        assert record.shape[1] > 2 * explicit._RECORD_BLOCK
+        if n == 4096:
+            assert record.shape[1] > 2 * explicit._RECORD_BLOCK
         assert np.max(np.abs(record.sum(axis=1) - res.table.coefficients)) <= 1e-10
 
     @pytest.mark.parametrize("m", [0, 2])
