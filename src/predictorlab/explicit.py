@@ -18,13 +18,13 @@ per-term record doubles as a convergence diagnostic.
 The series is a Neumann series in the symmetric kernel H at offset n+1, so
 the predictor's values do not sum it stage by stage: with y = H (c_{m-v})_v
 they solve (I - H^2) z = y and read the sum off A H z and A z, A the AR
-correlation.  Both regimes make H a small matrix M on a "corner plus
-state": explicit unknowns for the kernel's first rows, then a state.  Each
-regime's setup reads any columns of those unknowns as the sequence they
-stand for, up to the top row, plus its tail past it, so one FFT
-correlation (_read_out) gives A for the weights, the short-memory
-residual's magnitudes and the per-term record, the stage-by-stage sum on
-the same matrix, computed in blocks of stages only when a caller reads it.
+correlation.  Both regimes make the offset-N kernel a small matrix M on a
+"corner plus state" (explicit unknowns for its first rows, then a state)
+with one read of any columns of the unknowns as the sequence they stand
+for.  d_k and delta_k (offset n, from the kernel's first columns, read at
+V rows) and the per-term record (offset n+1, from y, read through the FFT
+correlation _read_out that also gives A for the weights) are then the same
+stages: powers of M, run in blocks by one loop (_stages).
 
 Long memory has no cutoff at all (see _moment_system): beta is the kernel
 beta0_k = c/(k - d), c = sin(pi d)/pi, correlated with the two-sided
@@ -379,19 +379,54 @@ def delta_block(beta: BetaSeq, n: int, v_max: int,
 
     delta_1(n, u, v) = beta_{n+u+v}; each stage applies the offset-n Hankel
     kernel to every column.  values[k-1, u, v]; v = 0 reproduces d_vectors.
-    Iteration stops when the sup-norm falls below tol_term or after K
-    stages; each stage is a returned value, not a term of a sum, so K only
-    returns fewer stages.  Long memory iterates on the quadrature's nodes
-    (_moment_delta), short memory on its corner plus state (_short_delta);
-    either rebuilds a beta too short for it.
+    Iteration stops at the first stage whose window is below tol_term in
+    sup-norm, or after K stages; each stage is a returned value, not a term
+    of a sum, so K only returns fewer stages.  The stages are the record's
+    (_stages) on the offset-n system, from the kernel's first columns, read
+    at V rows: on the quadrature's fine grid, whose distance from the
+    coarse grid's stages is the residual, or on short memory's corner plus
+    state.  A beta too short for the system is rebuilt.
     """
     if n < 1 or v_max < 0:
         raise ValueError(f"need n >= 1 and v_max >= 0, got n = {n}, v_max = {v_max}")
     model, V = beta.model, policy.resolve_v(n, beta.model)
-    K = policy.resolve_k(model)
-    if memory_exponent(model) > 0.0:
-        return DeltaBlock(n, *_moment_delta(model, n, v_max, V, K, policy.tol_term, beta))
-    return DeltaBlock(n, *_short_delta(model, n, v_max, V, K, policy.tol_term))
+    K, long = policy.resolve_k(model), memory_exponent(model) > 0.0
+    U0 = _corner(model, n) if long else _short_size(model, n)
+    grids = _moment_grids(model, n, U0) if long else ()
+    need = n + v_max + max(V, 2 * U0 + (0 if long else len(_short_shape(model)[1]) - 1))
+    if len(beta) <= need:
+        beta = beta_for_model(model, need)
+    systems = ([_moment_setup(model, n, U0, grid, beta, v_max) for grid in grids] if long
+               else [_short_setup(model, n, beta, v_max)])
+
+    def stages(system, count: int):
+        # each block's rows at u < V, with the stages on axis 1
+        mat, cols, read = system
+
+        def rows(s: np.ndarray) -> np.ndarray:
+            x = np.ascontiguousarray(s.swapaxes(0, 1))
+            return read(x.reshape(len(x), -1), V)[0].reshape(V, *x.shape[1:])
+        return _stages(mat, mat @ cols, count, rows)
+
+    first = _hankel(beta.values, n, V, v_max + 1)
+    blocks = []  # stages 2.. on the fine grid, on axis 1
+    if np.max(np.abs(first)) >= policy.tol_term:
+        for block in stages(systems[0], K - 1):
+            # a stage's first rows bound its sup from below
+            small = np.max(np.abs(block[:256]), axis=0).max(axis=1) < policy.tol_term
+            if small.any():
+                small = np.max(np.abs(block), axis=0).max(axis=1) < policy.tol_term
+            blocks.append(block[:, :np.argmax(small) + 1] if small.any() else block)
+            if small.any():
+                break
+    dist = 0.0
+    if long:
+        for coarse, fine in zip(stages(systems[1], sum(b.shape[1] for b in blocks)), blocks):
+            coarse -= fine
+            dist = max(dist, float(np.max(np.abs(coarse, out=coarse))))
+    share = 0.0 if long and _pure_noise(model) else 4.0 * beta.tail_estimate
+    values = np.concatenate([first[None]] + [block.swapaxes(0, 1) for block in blocks])
+    return DeltaBlock(n, values, dist + share)
 
 
 # ---------------------------------------------------------------------------
@@ -576,30 +611,46 @@ def _f_top(model: Farima, f: np.ndarray, r: np.ndarray, t: np.ndarray,
     return out
 
 
-def _moment_setup(model: Farima, c_head: np.ndarray, n: int, U0: int,
-                  grid: tuple[np.ndarray, float], beta: BetaSeq | None):
-    """(M, y, read) of the predictor's system at offset n + 1 on one grid.
-    (I - H^2) z = y, y = H (c_{m-v})_v, stays in the span of
-    _moment_system's unknowns: y is the beta slices on the corner and
-    a P(t), P(t) = sum_v c_{m-v} t^v, on the nodes.  read(x) is what
-    _read_out needs of columns x of the unknowns: x at u = 0..U0+n-2 (the
-    corner's rows, then sum_q r_q x_q t_q^(u-U0) through _on_nodes), and
-    the tail past the top row, h_k = sum_q f_q x_q t_q^k for k < n, with
-    f = r F_{n+U0} from _f_top, F_k(t) = sum_u a_{k+u} t^u.
+def _moment_setup(model: Farima, N: int, U0: int, grid: tuple[np.ndarray, float],
+                  beta: BetaSeq | None, v_max: int, c_head: np.ndarray | None = None):
+    """(M, first, read) of the offset-N kernel on one grid: first is its
+    columns v <= v_max in _moment_system's unknowns, the beta slices
+    beta_{N+u+v} on the corner and a t^v on the nodes, and read(x, rows)
+    gives (z, h) for any columns x of the unknowns: z is x at u < rows, the
+    corner's rows and then sum_q r_q x_q t_q^(u-U0).  The predictor's
+    system (N = n + 1, with c_head) has the one column y = H (c_{m-v})_v
+    instead, a P(t), P(t) = sum_v c_{m-v} t^v, on the nodes, and h is the
+    tail past the top row n + U0 that _read_out needs (empty otherwise):
+    h_k = sum_q f_q x_q t_q^k for k < n, with f = r F_{n+U0} (_f_top),
+    F_k(t) = sum_u a_{k+u} t^u.
     """
-    t, r, a, mat, f = _moment_system(model, n + 1, U0, grid, beta, top=n + U0)
-    y = a * np.polyval(c_head, t)
+    top = None if c_head is None else N - 1 + U0
+    t, r, a, mat, f = _moment_system(model, N, U0, grid, beta, top)
+    if c_head is None:
+        first = a[:, None] * t[:, None] ** np.arange(v_max + 1)
+        corner = _hankel(beta.values, N, U0, v_max + 1) if U0 else None
+    else:
+        first, f = a * np.polyval(c_head, t), _f_top(model, f, r, t, top)
+        corner = c_head[::-1] @ _hankel(beta.values, N, len(c_head), U0) if U0 else None
     if U0:
-        y = np.concatenate((c_head[::-1] @ _hankel(beta.values, n + 1, len(c_head), U0), y))
-    f = _f_top(model, f, r, t, n + U0)
+        first = np.concatenate((corner, first))
+    lead = r[:, None] if f is None else np.stack((r, f), axis=1)
+    powers = cache(lambda count: t ** np.arange(count)[:, None])  # shared by every read
 
-    def read(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the state's rows and the tail share each block of powers t^u
-        cols = x.shape[1]
-        alpha = (x[U0:, None, :] * np.stack((r, f), axis=1)[:, :, None]).reshape(-1, 2 * cols)
-        both = np.concatenate(list(_on_nodes(t, alpha, n)))
-        return np.concatenate((x[:U0], both[:n - 1, :cols])), both[:, cols:]
-    return mat, y, read
+    def read(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        # the state's rows and the tail share each block of 256 powers t^u,
+        # which scales alpha block by block, so no rows x Q matrix is built
+        cols, count = x.shape[1], max(rows - U0, 0 if f is None else N - 1)
+        alpha = (x[U0:, None, :] * lead[:, :, None]).reshape(len(t), -1)
+        nodes, head = np.empty((count, alpha.shape[1])), powers(min(256, count))
+        for lo in range(0, count, 256):
+            np.matmul(head[:count - lo], t[:, None] ** lo * alpha if lo else alpha,
+                      out=nodes[lo:lo + 256])
+        z = nodes[:max(rows - U0, 0), :cols]
+        if U0:
+            z = np.concatenate((x[:min(U0, rows)], z))
+        return z, nodes[:, cols:]
+    return mat, first, read
 
 
 def _moment_solve(mat: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -621,14 +672,31 @@ def _moment_solve(mat: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _moment_run(model: Farima, a_vals: np.ndarray, c_head: np.ndarray, n: int, U0: int,
                 grid: tuple[np.ndarray, float], beta: BetaSeq | None) -> np.ndarray:
     """phi^m_{n,.} from the moment form on one grid."""
-    mat, y, read = _moment_setup(model, c_head, n, U0, grid, beta)
+    mat, y, read = _moment_setup(model, n + 1, U0, grid, beta, len(c_head) - 1, c_head)
     weights = _moment_solve(mat, y)
     del mat
-    return _phi(a_vals, c_head, *read(weights))
+    return _phi(a_vals, c_head, *read(weights, U0 + n - 1))
 
 
-#: stages the per-term record reads back at once, in one correlation
+#: most stages _stages forms and reads back at once
 _RECORD_BLOCK = 64
+
+
+def _stages(mat: np.ndarray, first: np.ndarray, count: int,
+            read: Callable[[np.ndarray], np.ndarray]):
+    """read(s) of the stages M^k first, k < count, in blocks s of up to
+    _RECORD_BLOCK stages on a leading axis.  The powers are written in place
+    into one buffer, which the next block overwrites, and none past count is
+    formed."""
+    block = np.empty((min(_RECORD_BLOCK, count),) + first.shape)
+    for k in range(count):
+        i = k % len(block)
+        if k:
+            np.matmul(mat, block[i - 1], out=block[i])
+        else:
+            block[0] = first
+        if i + 1 == len(block) or k + 1 == count:
+            yield read(block[:i + 1])
 
 
 def _record(model: ProcessModel, n: int, m: int, policy: TruncationPolicy, K: int,
@@ -637,90 +705,32 @@ def _record(model: ProcessModel, n: int, m: int, policy: TruncationPolicy, K: in
     weights (the fine grid of _moment_run, or _short_setup), read-only; with
     a ``table``, it stops at the first term whose running sums are within
     tol_term of it.  g_k(j) is A(gamma^k)_j for odd k and A(gamma^k)_{n+1-j}
-    for even k, with gamma^2 = y and gamma^(k+1) = M gamma^k, read back in
-    blocks of up to _RECORD_BLOCK stages, none past K.  A is linear, so a
-    system of fewer unknowns than that (short memory's, as a rule) reads
-    each unknown once, and a block is then a product with those n rows."""
+    for even k, with gamma^2 = y and gamma^(k+1) = M gamma^k (_stages).  A
+    is linear, so a system of fewer unknowns than a block (short memory's,
+    as a rule) reads each unknown once, and a block is then a product with
+    those n rows."""
     if memory_exponent(model) > 0.0:
         U0, grids, beta, _, a_vals, c_head = _moment_inputs(model, n, m, policy)
-        mat, gamma, read = _moment_setup(model, c_head, n, U0, grids[0], beta)
+        mat, gamma, read = _moment_setup(model, n + 1, U0, grids[0], beta, m, c_head)
     else:
-        beta, a_vals, c_head = _short_inputs(model, n, m)
-        mat, gamma, read = _short_setup(model, a_vals, c_head, n, beta)
-    rows = _read_out(a_vals, *read(np.eye(len(gamma)))) if len(gamma) < _RECORD_BLOCK else None
+        U0, beta, a_vals, c_head = _short_inputs(model, n, m)
+        mat, gamma, read = _short_setup(model, n + 1, beta, m, c_head)
+
+    def readout(x: np.ndarray) -> np.ndarray:
+        return _read_out(a_vals, *read(x, U0 + n - 1))
+    rows = readout(np.eye(len(gamma))) if len(gamma) < _RECORD_BLOCK else None
+    blocks = _stages(mat, gamma, K - 1, lambda s: readout(s.T).T if rows is None else s @ rows.T)
     terms = [c_head[::-1] @ _hankel(a_vals, 1, len(c_head), n)]
     total, block = terms[0], ()  # block: stages read back, not yet recorded
     while len(terms) < K and (table is None or np.max(np.abs(total - table)) > policy.tol_term):
         if not len(block):
-            stages = np.empty((min(_RECORD_BLOCK, K - len(terms)) + 1, len(gamma)))
-            stages[0] = gamma
-            for i in range(len(stages) - 1):
-                np.matmul(mat, stages[i], out=stages[i + 1])
-            gamma = stages[-1]
-            block = (_read_out(a_vals, *read(stages[:-1].T)).T if rows is None
-                     else stages[:-1] @ rows.T)
+            block = next(blocks)
             block[::2] = block[::2, ::-1]  # each block starts at an even k
         terms.append(block[0])
         total, block = total + block[0], block[1:]
     out = np.array(terms)
     out.setflags(write=False)
     return out
-
-
-def _on_nodes(t: np.ndarray, alpha: np.ndarray, V: int, U0: int = 0):
-    """A state (rows xi_u, u < U0, then alpha_q) read at u = 0..V-1 in
-    blocks: the corner's rows, then sum_q alpha_q t_q^(u-U0) in blocks of
-    256 u, one block of powers t^i times the block-scaled alpha, so no
-    V x Q matrix is built."""
-    if U0:
-        yield alpha[:min(U0, V)]
-    V -= U0
-    powers = t ** np.arange(min(256, max(V, 0)))[:, None]
-    for lo in range(0, V, 256):
-        yield powers[:V - lo] @ (t[:, None] ** lo * alpha[U0:] if lo else alpha[U0:])
-
-
-def _moment_delta(model: Farima, n: int, v_max: int, V: int, K: int, tol_term: float,
-                  beta: BetaSeq) -> tuple[np.ndarray, float]:
-    """(delta_k(n, u, v) for u < V, v <= v_max, shape (K_used, V, v_max + 1);
-    its largest distance from the coarse grid, plus beta's share for a
-    factored model).  In _moment_system's unknowns at offset n, stage 1 is
-    xi = beta_{n+u+v} and alpha = w1 t^v, returned as the beta slice, and
-    each stage applies M.  A stage's sup-norm is at most the larger of |xi|
-    and sum_q |alpha_q| (for pure noise, with alpha > 0, its u = 0 value),
-    which the stop rule reads on the fine grid; the coarse grid runs in
-    step, and is read only for its distance.
-    """
-    U0 = _corner(model, n)
-    grids = _moment_grids(model, n, U0)
-    if len(beta) <= n + v_max + max(V, 2 * U0):
-        beta = beta_for_model(model, n + v_max + max(V, 2 * U0))
-    cols = _hankel(beta.values, n, max(V, U0), v_max + 1)
-    first, corner = cols[:V], cols[:U0]
-    systems = [_moment_system(model, n, U0, grid, beta) for grid in grids]
-    states = [np.concatenate((corner, a[:, None] * t[:, None] ** np.arange(v_max + 1)))
-              for t, _, a, _, _ in systems]
-    # each run starts with an empty block in stage 1's place
-    runs, top = [[np.empty((len(s), 0))] for s in states], float(np.max(np.abs(first)))
-    while len(runs[0]) < K and top >= tol_term:
-        states = [mat @ state for (*_, mat, _), state in zip(systems, states)]
-        for (_, r, *_), state, run in zip(systems, states, runs):
-            alpha = state.copy()
-            alpha[U0:] *= r[:, None]
-            run.append(alpha)
-        last = runs[0][-1]
-        top = max(float(np.max(np.abs(last[:U0]), initial=0.0)),
-                  float(np.max(np.sum(np.abs(last[U0:]), axis=0))))
-    out = np.empty((len(runs[0]), V, v_max + 1))
-    out[0], lo, dist = first, 0, 0.0
-    for fine, coarse in zip(*(_on_nodes(t, np.concatenate(run, axis=1), V, U0)
-                              for (t, *_), run in zip(systems, runs))):
-        block = np.reshape(fine, (len(fine), len(out) - 1, v_max + 1))
-        out[1:, lo:lo + len(fine)] = block.swapaxes(0, 1)
-        dist = max(dist, float(np.max(np.abs(fine - coarse), initial=0.0)))
-        lo += len(fine)
-    share = 0.0 if _pure_noise(model) else 4.0 * beta.tail_estimate
-    return out, dist + share
 
 
 # ---------------------------------------------------------------------------
@@ -858,39 +868,45 @@ def _short_system(model: ProcessModel, N: int, beta: BetaSeq) -> tuple[int, np.n
                          [_hankel(beta.values, k0, U0, q).T, state]])
 
 
-def _short_setup(model: ProcessModel, a_vals: np.ndarray, c_head: np.ndarray, n: int,
-                 beta: BetaSeq):
-    """(M, y, read) of the predictor's system at offset n + 1, as
-    _moment_setup's, with y the beta slices.  read(x) continues the state
-    sigma by ma * x = 0 (_ma_orbit) to u = U0+n-2, after the corner's rows,
-    and reads the tail past the top row as h_k = f F^k sigma = sum_i f_i
-    e1' F^(k+i) sigma, with f = sum_u a_{top+u} e1' F^u = a_top e1' +
-    a~_{top+1}' Y F, Y - F' Y F = e1 e1'."""
+def _short_setup(model: ProcessModel, N: int, beta: BetaSeq, v_max: int,
+                 c_head: np.ndarray | None = None):
+    """(M, first, read) of the offset-N kernel, as _moment_setup's, in
+    _short_system's unknowns: first is the beta slices beta_{N+u+v},
+    u < U0 + q, on the corner and the state alike (the predictor's y their
+    sum over c_{m-v}).  read's z continues the state sigma by ma * x = 0
+    (_ma_orbit) after the corner's rows, and the predictor's h, the tail
+    past the top row, is h_k = f F^k sigma = sum_i f_i e1' F^(k+i) sigma,
+    with f = sum_u a_{top+u} e1' F^u = a_top e1' + a~_{top+1}' Y F,
+    Y - F' Y F = e1 e1'."""
     F, _, b0, _ = _short_kernel(model)
     ma = _short_shape(model)[1]
-    U0, mat = _short_system(model, n + 1, beta)
+    U0, mat = _short_system(model, N, beta)
     q = len(b0)
-    y = c_head[::-1] @ _hankel(beta.values, n + 1, len(c_head), U0 + q)
-    e1 = np.eye(q)[:1].ravel()
-    top = n + U0  # top + 1 = max(n + 1, k0)
-    f = e1 * a_vals[top] + a_vals[top + 1:top + 1 + q] @ _stein(F.T, np.outer(e1, e1), F) @ F
+    first, f, tail = _hankel(beta.values, N, v_max + 1, U0 + q).T, (), 0
+    if c_head is not None:
+        top, tail = N - 1 + U0, N - 1  # top + 1 = max(N, k0)
+        a_vals = expand_ar(model, top + q).values
+        e1 = np.eye(q)[:1].ravel()
+        f = e1 * a_vals[top] + a_vals[top + 1:top + 1 + q] @ _stein(F.T, np.outer(e1, e1), F) @ F
+        first = c_head[::-1] @ first.T
 
-    def read(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        orbit = _ma_orbit(ma, x[U0:], n + q - 1)
-        h = np.zeros((n, x.shape[1]))
+    def read(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        orbit = _ma_orbit(ma, x[U0:], max(rows - U0, tail + q - 1))
+        z = np.concatenate((x[:min(U0, rows)], orbit[:max(rows - U0, 0)]))
+        h = np.zeros((tail, x.shape[1]))
         for i, coef in enumerate(f):
-            h += coef * orbit[i:i + n]
-        return np.concatenate((x[:U0], orbit[:n - 1])), h
-    return mat, y, read
+            h += coef * orbit[i:i + tail]
+        return z, h
+    return mat, first, read
 
 
-def _short_inputs(model: ProcessModel, n: int, m: int) -> tuple[BetaSeq, np.ndarray, np.ndarray]:
-    """(beta_0..beta_{n+U0+q+max(U0, m)} for the corner, its columns F^w b0
-    and y, a_0..a_{n+max(m, U0+q)}, c_0..c_m) of a short-memory predictor;
-    the cap is checked before anything is built."""
+def _short_inputs(model: ProcessModel, n: int, m: int):
+    """(U0, beta_0..beta_{n+U0+q+max(U0, m)} for the corner, its columns
+    F^w b0 and y, a_0..a_{n+max(m, U0+q)}, c_0..c_m) of a short-memory
+    predictor; the cap is checked before anything is built."""
     U0 = _short_size(model, n + 1)
     q = len(_short_shape(model)[1]) - 1
-    return (beta_for_model(model, n + U0 + q + max(U0, m)),
+    return (U0, beta_for_model(model, n + U0 + q + max(U0, m)),
             expand_ar(model, n + max(m, U0 + q)).values, expand_ma(model, m).values)
 
 
@@ -904,38 +920,17 @@ def _short_predictor(model: ProcessModel, n: int, m: int, policy: TruncationPoli
     ||(I - M^2)^-1||, by which the solve can magnify a relative error in M
     or y.  The record stops only at tol_term from the table, whatever K
     says."""
-    beta, a_vals, c_head = _short_inputs(model, n, m)
-    mat, y, read = _short_setup(model, a_vals, c_head, n, beta)
+    U0, beta, a_vals, c_head = _short_inputs(model, n, m)
+    mat, y, read = _short_setup(model, n + 1, beta, m, c_head)
     # ||(I - M^2)^-1||_F bounds the spectral norm, at the cost of one inverse
     gain = float(np.linalg.norm(np.linalg.inv(np.eye(len(mat)) - mat @ mat))) if len(mat) else 1.0
-    z, h = read(_moment_solve(mat, y))
+    z, h = read(_moment_solve(mat, y), U0 + n - 1)
     phi = _phi(a_vals, c_head, z, h)
     sizes = _phi(np.abs(a_vals), np.abs(c_head), np.abs(z), np.abs(h))
     resid = 4.0 * beta.tail_estimate + 8.0 * np.finfo(float).eps * gain * float(
         np.max(np.abs(phi)) + np.max(sizes))
     _check_tail(resid, policy, n, _ROUNDING_REMEDY)
     return phi, np.full(n, resid), cache(lambda: _record(model, n, m, policy, _K_CAP, phi))
-
-
-def _short_delta(model: ProcessModel, n: int, v_max: int, V: int, K: int,
-                 tol_term: float) -> tuple[np.ndarray, float]:
-    """(delta_k(n, u, v) for u < V, v <= v_max, shape (K_used, V, v_max + 1);
-    beta's share).  In _short_system's unknowns at offset n, stage 1 is
-    the beta slice beta_{n+u+v} on both the corner and the state; each
-    stage applies M and is read back at u < V by continuing sigma with
-    _ma_orbit.  The stop rule reads the returned window."""
-    U0 = _short_size(model, n)
-    ma = _short_shape(model)[1]
-    q = len(ma) - 1
-    beta = beta_for_model(model, n + v_max + max(V, 2 * U0 + q))
-    mat = _short_system(model, n, beta)[1]
-    cols = _hankel(beta.values, n, max(V, U0 + q), v_max + 1)
-    state, out = cols[:U0 + q], [cols[:V]]
-    while len(out) < K and np.max(np.abs(out[-1])) >= tol_term:
-        state = mat @ state
-        out.append(np.concatenate((state[:min(U0, V)],
-                                   _ma_orbit(ma, state[U0:], max(V - U0, 0)))))
-    return np.array(out), 4.0 * beta.tail_estimate
 
 
 def _check_request(n: int, m: int) -> None:

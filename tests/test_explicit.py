@@ -169,7 +169,7 @@ class TestDVectors:
         d, n = 0.3, 2048
         model = pl.Farima(d)
         pol = TruncationPolicy(K=2)
-        beta = pl.beta_for_model(model, n + 2 * pol.resolve_scales(model, n)[-1])
+        beta = pl.beta_for_model(model, n + 2 * pol.resolve_v(n, model))
         dv = pl.d_vectors(beta, n, pol)
         for k in (1, 2):
             target = fk0(k)[k - 1] * np.sin(np.pi * d) ** k
@@ -183,7 +183,7 @@ class TestDVectors:
             model = pl.Farima(d)
             pol = TruncationPolicy(K=3)
             for n in (512, 2048):
-                L = n + 2 * pol.resolve_scales(model, n)[-1]
+                L = n + 2 * pol.resolve_v(n, model)
                 dv = pl.d_vectors(pl.beta_for_model(model, L), n, pol)
                 f = fk0(dv.k_used)
                 for k in range(1, dv.k_used + 1):
@@ -227,6 +227,36 @@ class TestDeltaBlock:
         beta = pl.beta_for_model(pl.Farima(0.3), 1024)
         with pytest.raises(ValueError):
             pl.delta_block(beta, 8, -1)
+
+    @pytest.mark.parametrize("model, n, v_max", [
+        (pl.Farima(0.35), 8, 0),
+        # a corner of 338 kernel rows beside the nodes
+        (pl.Farima(0.3, ma_poly=(1.0, 0.9)), 1, 1),
+        (pl.Farima(0.0, ma_poly=(1.0, 0.9)), 1, 0),
+    ], ids=["pure", "corner", "short"])
+    def test_stages_across_block_boundaries(self, model, n, v_max):
+        # the stages run in blocks of _RECORD_BLOCK: a run over several
+        # blocks ends at the first stage whose window is below tol_term, and
+        # starts as the K = 3 run does
+        beta = pl.beta_for_model(model, 0)
+        policy = TruncationPolicy(V=16, K=500)
+        block = pl.delta_block(beta, n, v_max, policy)
+        assert explicit._RECORD_BLOCK + 1 < block.k_used < policy.K
+        sup = np.max(np.abs(block.values), axis=(1, 2))
+        assert np.all(sup[:-1] >= policy.tol_term) and sup[-1] < policy.tol_term
+        head = pl.delta_block(beta, n, v_max, dataclasses.replace(policy, K=3))
+        scale = np.max(np.abs(head.values))
+        np.testing.assert_allclose(block.values[:3], head.values, rtol=0, atol=1e-14 * scale)
+        if model.d == 0.0:
+            # every stage is the kernel applied to the last, over the whole
+            # kernel as far as it is above 1e-18 of its largest entry
+            full = pl.beta_for_model(model, 1 << 12)
+            W = int(np.nonzero(np.abs(full.values) > 1e-18 * scale)[0][-1]) + 1 - n
+            x = full.values[n:n + W]
+            for k in range(block.k_used):
+                np.testing.assert_allclose(block.values[k, :, 0], x[:16], rtol=0,
+                                           atol=1e-13 * scale)
+                x = pl.hankel_apply(full, n, x, method="direct")
 
 
 class TestFinitePredictor:
@@ -631,7 +661,7 @@ class TestMomentForm:
 
         def no_solve(*args):
             raise AssertionError("long memory must stay on the nodes")
-        for name in ("_short_setup", "_short_delta"):
+        for name in ("_short_setup", "_short_system"):
             monkeypatch.setattr(explicit, name, no_solve)
         for pins in ({"V": 4}, {"K": 2}, {"V": 4, "K": 2}):
             policy = TruncationPolicy(**pins)
@@ -722,7 +752,7 @@ class TestMomentForm:
         # residual of their closed forms, at the cutoff's length in u
         def no_solve(*args):
             raise AssertionError("d_k of fractional noise must run on the nodes")
-        monkeypatch.setattr(explicit, "_short_delta", no_solve)
+        monkeypatch.setattr(explicit, "_short_system", no_solve)
         model, policy = pl.Farima(d), TruncationPolicy(K=2)
         dv = pl.d_vectors(pl.beta_for_model(model, 0), n, policy)
         assert dv.vectors.shape == (2, policy.resolve_v(n, model))
@@ -740,7 +770,7 @@ class TestMomentForm:
         # its reported residual of it
         def no_solve(*args):
             raise AssertionError("d_k of long memory must run on the nodes")
-        monkeypatch.setattr(explicit, "_short_delta", no_solve)
+        monkeypatch.setattr(explicit, "_short_system", no_solve)
         model, policy = pl.Farima(d, **factors), TruncationPolicy(K=2, V=64)
         dv = pl.d_vectors(pl.beta_for_model(model, 0), n, policy)
         assert dv.vectors.shape == (2, 64)
@@ -752,7 +782,7 @@ class TestMomentForm:
     def test_delta_block_symmetric_corner(self, monkeypatch):
         def no_solve(*args):
             raise AssertionError("delta_k of fractional noise must run on the nodes")
-        monkeypatch.setattr(explicit, "_short_delta", no_solve)
+        monkeypatch.setattr(explicit, "_short_system", no_solve)
         block = pl.delta_block(pl.beta_for_model(pl.Farima(0.35), 0), 16, 4,
                                TruncationPolicy(K=4))
         corner = block.values[:, :5, :5]
