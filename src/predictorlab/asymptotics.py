@@ -161,6 +161,10 @@ def check_routes(result: ExplicitPredictor, phi_levinson: np.ndarray) -> float:
     return diff
 
 
+#: ((model, policy), {n: read-only phi_{n,.}}) of the last sweep's model
+_sweep_store: tuple = (None, {})
+
+
 def _checked_sweep(model: ProcessModel, n_list: list[int],
                    policy: TruncationPolicy) -> tuple[np.ndarray, list[np.ndarray]]:
     """(phi_inf, the cross-checked explicit phi_{n,.} for each n in n_list).
@@ -168,16 +172,27 @@ def _checked_sweep(model: ProcessModel, n_list: list[int],
     phi_inf is the infinite predictor to _PHI_TAIL_LEN terms, or one past
     the largest n where that is longer, so that every phi_{n,.} has a
     tail.
+
+    The weights are kept in a per-process store for one (model, policy),
+    until a sweep on another replaces it; each stored n passed check_routes
+    when it was first computed, and an n that raised is not stored.  Only
+    the n missing from it are solved and cross-checked.
     """
+    global _sweep_store
+    key = (model, policy)
+    held, stored = _sweep_store  # read once: another sweep may replace it
+    if held != key:
+        stored = {}
+        _sweep_store = (key, stored)
     c = expand_ma(model, 0)
     length = max(_PHI_TAIL_LEN, max(n_list) + 1)
     phi_inf = infinite_predictor(c, expand_ar(model, length), length)
-    phis = []
     for n in n_list:
-        res = finite_predictor_explicit(model, n, policy)
-        check_routes(res, multistep_normal_solve(autocov(model, n), n, 0).coefficients)
-        phis.append(res.table.coefficients)
-    return phi_inf, phis
+        if n not in stored:
+            res = finite_predictor_explicit(model, n, policy)
+            check_routes(res, multistep_normal_solve(autocov(model, n), n, 0).coefficients)
+            stored[n] = res.table.coefficients
+    return phi_inf, [stored[n] for n in n_list]
 
 
 def rate_experiment(model: ProcessModel, j: int, n_list,
@@ -193,7 +208,8 @@ def rate_experiment(model: ProcessModel, j: int, n_list,
 
     Raises RegimeError for short-memory models (the limit statement needs
     long memory) and OracleDisagreementError if the two predictor routes
-    disagree.
+    disagree.  Weights come from _checked_sweep's store of the last model
+    and policy, each cross-checked when first computed.
     """
     d = _require_long_memory(model, "rate experiment")
     if j < 1:
@@ -223,7 +239,8 @@ def baxter_experiment(model: ProcessModel, n_list,
     """Measure the Baxter ratio sum_j |phi_{n,j} - phi_j| / sum_{k>n} |phi_k|.
 
     Both sides decay like n^{-d}; the ratio stays bounded (the empirical
-    sup over n_list stands in for the inequality's constant).
+    sup over n_list stands in for the inequality's constant).  The weights
+    are cross-checked, and stored, as in rate_experiment.
     """
     d = _require_long_memory(model, "Baxter experiment")
     n_list = sorted(int(n) for n in n_list)

@@ -1,4 +1,4 @@
-"""Shared oracles and strategies for the test suite.
+"""Shared oracles, strategies and fixtures for the test suite.
 
 The FARIMA oracles use closed forms independent of the library's series
 machinery: multiplicative recurrences for the binomial expansions and the
@@ -11,11 +11,20 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 from scipy.special import digamma, polygamma
 from scipy.special import gamma as Gamma
 
 import predictorlab as pl
+from predictorlab import asymptotics
+
+
+@pytest.fixture(autouse=True)
+def _empty_sweep_store():
+    """Start every test on an empty store of cross-checked sweep weights, so
+    a test that patches a route reaches it whatever ran before."""
+    asymptotics._sweep_store = (None, {})
 
 
 def farima_c_oracle(d: float, N: int) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 
 import predictorlab as pl
 from predictorlab import (OracleDisagreementError, RegimeError, TruncationError,
-                          TruncationPolicy, asymptotics, f_u, fk0, semigroup_integral)
+                          TruncationPolicy, asymptotics, cli, f_u, fk0, semigroup_integral)
 from predictorlab.asymptotics import CROSS_CHECK_TOL, check_routes
 
 
@@ -276,3 +276,125 @@ class TestCrossChecking:
             check_routes(res, phi + 2.0 * tol)
         assert err.value.tol == tol
         assert err.value.max_diff == pytest.approx(2.0 * tol)
+
+
+class TestSweepStore:
+    """rate and baxter keep one model's cross-checked weights per process."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Wrap the sweep's explicit and Levinson routes; return the n each
+        is called at."""
+        calls = {"explicit": [], "levinson": []}
+        explicit, solve = asymptotics.finite_predictor_explicit, asymptotics.multistep_normal_solve
+
+        def counted_explicit(model, n, policy):
+            calls["explicit"].append(n)
+            return explicit(model, n, policy)
+
+        def counted_solve(gamma, n, m):
+            calls["levinson"].append(n)
+            return solve(gamma, n, m)
+        monkeypatch.setattr(asymptotics, "finite_predictor_explicit", counted_explicit)
+        monkeypatch.setattr(asymptotics, "multistep_normal_solve", counted_solve)
+        return calls
+
+    @staticmethod
+    def _sweep(model):
+        return [pl.rate_experiment(model, 1, [16, 32]),
+                pl.rate_experiment(model, 2, [16, 32]),
+                pl.baxter_experiment(model, [8, 16, 32])]
+
+    @staticmethod
+    def _empty():
+        asymptotics._sweep_store = (None, {})
+
+    def test_each_n_solved_once(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        self._sweep(pl.Farima(0.3))
+        assert calls == {"explicit": [16, 32, 8], "levinson": [16, 32, 8]}
+
+    def test_reports_equal_cold_store_reports(self):
+        warm = self._sweep(pl.Farima(0.3))
+        cold = []
+        for make in (lambda m: pl.rate_experiment(m, 1, [16, 32]),
+                     lambda m: pl.rate_experiment(m, 2, [16, 32]),
+                     lambda m: pl.baxter_experiment(m, [8, 16, 32])):
+            self._empty()
+            cold.append(make(pl.Farima(0.3)))
+        # repr prints every float to round trip: equal strings, equal bits
+        assert [repr(dataclasses.astuple(r)) for r in warm] \
+            == [repr(dataclasses.astuple(r)) for r in cold]
+
+    @pytest.mark.parametrize("model, policy", [
+        (pl.Farima(0.3), TruncationPolicy(tol_tail=1e-5)),
+        (pl.Farima(0.3, ar_poly=(1.0, -0.5)), TruncationPolicy()),
+    ], ids=["tol_tail", "ar_poly"])
+    def test_other_model_or_policy_misses(self, monkeypatch, model, policy):
+        pl.rate_experiment(pl.Farima(0.3), 1, [8, 16])
+        calls = self._count(monkeypatch)
+        pl.rate_experiment(model, 1, [8, 16], policy)
+        assert calls["explicit"] == [8, 16]
+
+    def test_second_model_evicts_first(self, monkeypatch):
+        pl.rate_experiment(pl.Farima(0.3), 1, [8, 16])
+        pl.rate_experiment(pl.Farima(0.25), 1, [8])
+        assert asymptotics._sweep_store[0] == (pl.Farima(0.25), TruncationPolicy())
+        assert list(asymptotics._sweep_store[1]) == [8]
+        calls = self._count(monkeypatch)
+        pl.rate_experiment(pl.Farima(0.3), 1, [8, 16])
+        assert calls["explicit"] == [8, 16]
+
+    def test_stored_weights_are_read_only(self):
+        _, (phi,) = asymptotics._checked_sweep(pl.Farima(0.3), [8], TruncationPolicy())
+        assert asymptotics._sweep_store[1][8] is phi
+        with pytest.raises(ValueError):
+            phi[0] = 1.0
+
+    def test_disagreement_is_not_stored(self, monkeypatch):
+        real = pl.multistep_normal_solve
+
+        def corrupted(gamma, n, m):
+            table = real(gamma, n, m)
+            return dataclasses.replace(table, coefficients=table.coefficients + 0.01)
+
+        monkeypatch.setattr(asymptotics, "multistep_normal_solve", corrupted)
+        for _ in range(2):
+            with pytest.raises(OracleDisagreementError):
+                pl.rate_experiment(pl.Farima(0.3), 1, [8, 16])
+            assert asymptotics._sweep_store[1] == {}
+
+    def test_predict_is_not_stored(self, capsys, monkeypatch):
+        calls = []
+        real = cli.finite_predictor_multistep
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+        monkeypatch.setattr(cli, "finite_predictor_multistep", counted)
+        argv = ["predict", "--model", "farima", "--d", "0.3", "--n", "8"]
+        assert cli.main(argv) == 0 and cli.main(argv) == 0
+        capsys.readouterr()
+        assert calls == [8, 8]
+
+    def test_sweep_replaced_midway(self, monkeypatch):
+        # another sweep (another thread, say) replaces the store while this
+        # one runs: each must keep its own model's weights
+        models, cold = [pl.Farima(0.3), pl.Farima(0.25)], []
+        for model in models:
+            self._empty()
+            cold.append(repr(dataclasses.astuple(pl.baxter_experiment(model, [8, 16, 32]))))
+        self._empty()
+        real, replaced = asymptotics.finite_predictor_explicit, []
+
+        def interleaved(model, n, policy):
+            if not replaced:
+                replaced.append(n)
+                pl.baxter_experiment(models[1], [8, 16, 32])
+            return real(model, n, policy)
+        monkeypatch.setattr(asymptotics, "finite_predictor_explicit", interleaved)
+        got = [repr(dataclasses.astuple(pl.baxter_experiment(model, [8, 16, 32])))
+               for model in models]
+        assert replaced == [8]
+        assert asymptotics._sweep_store[0][0] == models[1]
+        assert got == cold
