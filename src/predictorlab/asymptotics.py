@@ -161,8 +161,9 @@ def check_routes(result: ExplicitPredictor, phi_levinson: np.ndarray) -> float:
     return diff
 
 
-#: ((model, policy), {n: read-only phi_{n,.}}) of the last sweep's model
-_sweep_store: tuple = (None, {})
+#: ((model, policy), {n: read-only phi_{n,.}}, read-only phi_inf) of the
+#: last sweep's model
+_sweep_store: tuple = (None, {}, np.empty(0))
 
 
 def _checked_sweep(model: ProcessModel, n_list: list[int],
@@ -173,26 +174,29 @@ def _checked_sweep(model: ProcessModel, n_list: list[int],
     the largest n where that is longer, so that every phi_{n,.} has a
     tail.
 
-    The weights are kept in a per-process store for one (model, policy),
-    until a sweep on another replaces it; each stored n passed check_routes
-    when it was first computed, and an n that raised is not stored.  Only
-    the n missing from it are solved and cross-checked.
+    The weights and phi_inf are kept in a per-process store for one (model,
+    policy), until a sweep on another replaces it; each stored n passed
+    check_routes when it was first computed, and an n that raised is not
+    stored.  Only the n missing from it are solved and cross-checked, and
+    phi_inf is rebuilt only when a sweep needs it longer.  Its expansion is
+    a recurrence, so the head of a longer phi_inf is the shorter one.
     """
     global _sweep_store
     key = (model, policy)
-    held, stored = _sweep_store  # read once: another sweep may replace it
+    held, stored, phi_inf = _sweep_store  # read once: another sweep may replace it
     if held != key:
-        stored = {}
-        _sweep_store = (key, stored)
-    c = expand_ma(model, 0)
+        stored, phi_inf = {}, np.empty(0)
     length = max(_PHI_TAIL_LEN, max(n_list) + 1)
-    phi_inf = infinite_predictor(c, expand_ar(model, length), length)
+    if len(phi_inf) < length:
+        phi_inf = infinite_predictor(expand_ma(model, 0), expand_ar(model, length), length)
+        phi_inf.setflags(write=False)
+        _sweep_store = (key, stored, phi_inf)
     for n in n_list:
         if n not in stored:
             res = finite_predictor_explicit(model, n, policy)
             check_routes(res, multistep_normal_solve(autocov(model, n), n, 0).coefficients)
             stored[n] = res.table.coefficients
-    return phi_inf, [stored[n] for n in n_list]
+    return phi_inf[:length], [stored[n] for n in n_list]
 
 
 def rate_experiment(model: ProcessModel, j: int, n_list,
@@ -240,10 +244,11 @@ def baxter_experiment(model: ProcessModel, n_list,
 
     Both sides decay like n^{-d}; the ratio stays bounded (the empirical
     sup over n_list stands in for the inequality's constant).  The weights
-    are cross-checked, and stored, as in rate_experiment.
+    are cross-checked, and stored, as in rate_experiment.  A repeated n
+    counts once.
     """
     d = _require_long_memory(model, "Baxter experiment")
-    n_list = sorted(int(n) for n in n_list)
+    n_list = sorted({int(n) for n in n_list})
     phi_inf, phis = _checked_sweep(model, n_list, policy)
     entries = []
     for n, phi in zip(n_list, phis):
@@ -259,16 +264,16 @@ def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
     """Tabulate n d_k(n, u) against the limit f_k(0) sin^k(pi d).
 
     The d_k come from d_vectors, on the quadrature for the window up to u;
-    u must lie below resolve_v.  Raises TruncationError when their residual
-    at some n exceeds tol_tail.
+    u must lie below resolve_v.  A repeated k or n counts once.  Raises
+    TruncationError when their residual at some n exceeds tol_tail.
     """
     d = _require_long_memory(model, "d_k scaling experiment")
     if u < 0:
         raise ValueError(f"u must be >= 0, got {u}")
-    k_list = sorted(int(k) for k in k_list)
+    k_list = sorted({int(k) for k in k_list})
     if k_list[0] < 1:
         raise ValueError(f"k must be >= 1, got {k_list[0]}")
-    n_list = sorted(int(n) for n in n_list)
+    n_list = sorted({int(n) for n in n_list})
     # refused before any beta is built
     for n in n_list:
         if u >= policy.resolve_v(n, model):
@@ -285,7 +290,5 @@ def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
         _check_tail(dv.tail_estimate, policy, n, _QUADRATURE_REMEDY)
         rows += [(k, n, float(n * dv.vectors[k - 1][u]), targets[k])
                  for k in k_list if k <= dv.k_used]
-    entries = []
-    for k in k_list:
-        entries.extend(r for r in rows if r[0] == k)
-    return DkScalingReport(u=u, entries=tuple(entries))
+    # by k, then n: the sort is stable
+    return DkScalingReport(u=u, entries=tuple(sorted(rows, key=lambda r: r[0])))

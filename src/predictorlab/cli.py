@@ -141,7 +141,6 @@ _PARSERS = {
     "d": _to_float,
     "arpoly": _to_floats,
     "mapoly": _to_floats,
-    "vmax": partial(_to_int, lo=1),
     "kmax": partial(_to_int, lo=1),
     "tol": _to_positive_float,
     "format": partial(_choice, allowed=("csv", "json")),
@@ -160,19 +159,19 @@ _PARSERS = {
 _COMMON = {"model": None, "r": None, "d": None, "arpoly": None, "mapoly": None,
            "format": "csv", "out": None}
 
-#: truncation-policy keys, for the subcommands that run the explicit series
-_POLICY = {"vmax": None, "kmax": None, "tol": None}
+#: truncation-policy keys and their TruncationPolicy fields, in meta order;
+#: a subcommand takes only those that reach its output
+_POLICY = {"kmax": "K", "tol": "tol_tail"}
 
 #: each subcommand's keys with their built-in defaults
 _DEFAULTS = {
     "coeffs": {**_COMMON, "N": "32"},
-    "predict": {**_COMMON, **_POLICY, "n": None, "m": "0", "source": "both",
-                "terms": False},
-    "rate": {**_COMMON, **_POLICY, "n": "64..512", "j": "1"},
-    "baxter": {**_COMMON, **_POLICY, "n": "16..512"},
-    # dkscale runs as many kernel stages as its largest k, so it takes no kmax
-    "dkscale": {**_COMMON, **{key: None for key in _POLICY if key != "kmax"},
-                "n": "512,1024,2048", "k": "1,2,3", "u": "0"},
+    # kmax caps the long-memory --terms columns; no other output reads K
+    "predict": {**_COMMON, "kmax": None, "tol": None, "n": None, "m": "0",
+                "source": "both", "terms": False},
+    "rate": {**_COMMON, "tol": None, "n": "64..512", "j": "1"},
+    "baxter": {**_COMMON, "tol": None, "n": "16..512"},
+    "dkscale": {**_COMMON, "tol": None, "n": "512,1024,2048", "k": "1,2,3", "u": "0"},
 }
 
 
@@ -236,8 +235,7 @@ def _build_model(cfg: dict):
 
 
 def _build_policy(cfg: dict):
-    overrides = {field: cfg[key] for key, field in
-                 (("vmax", "V"), ("kmax", "K"), ("tol", "tol_tail"))
+    overrides = {field: cfg[key] for key, field in _POLICY.items()
                  if cfg.get(key) is not None}
     return dataclasses.replace(DEFAULT_POLICY, **overrides)
 
@@ -381,7 +379,7 @@ def _cmd_rate(cfg: dict):
 def _cmd_baxter(cfg: dict):
     model = _build_model(cfg)
     report = baxter_experiment(model, cfg["n"], _build_policy(cfg))
-    extra = {"n": sorted(cfg["n"]), "sup_ratio": report.sup_ratio}
+    extra = {"n": sorted(set(cfg["n"])), "sup_ratio": report.sup_ratio}
     return _meta(cfg, model, extra), dict(zip(("n", "lhs", "rhs", "ratio"),
                                               zip(*report.entries)))
 
@@ -390,7 +388,7 @@ def _cmd_dkscale(cfg: dict):
     model = _build_model(cfg)
     report = dk_scaling_experiment(model, cfg["k"], cfg["u"], cfg["n"],
                                    _build_policy(cfg))
-    extra = {"k": sorted(set(cfg["k"])), "u": cfg["u"], "n": sorted(cfg["n"])}
+    extra = {"k": sorted(set(cfg["k"])), "u": cfg["u"], "n": sorted(set(cfg["n"]))}
     return _meta(cfg, model, extra), dict(zip(("k", "n", "n_dk", "target"),
                                               zip(*report.entries)))
 

@@ -24,7 +24,7 @@ from predictorlab import asymptotics
 def _empty_sweep_store():
     """Start every test on an empty store of cross-checked sweep weights, so
     a test that patches a route reaches it whatever ran before."""
-    asymptotics._sweep_store = (None, {})
+    asymptotics._sweep_store = (None, {}, np.empty(0))
 
 
 def farima_c_oracle(d: float, N: int) -> np.ndarray:

@@ -307,12 +307,43 @@ class TestSweepStore:
 
     @staticmethod
     def _empty():
-        asymptotics._sweep_store = (None, {})
+        asymptotics._sweep_store = (None, {}, np.empty(0))
+
+    @staticmethod
+    def _count_phi_inf(monkeypatch):
+        """Wrap the infinite predictor; return the lengths it is built at."""
+        lengths, real = [], asymptotics.infinite_predictor
+
+        def counted(c, a, N):
+            lengths.append(N)
+            return real(c, a, N)
+        monkeypatch.setattr(asymptotics, "infinite_predictor", counted)
+        return lengths
 
     def test_each_n_solved_once(self, monkeypatch):
         calls = self._count(monkeypatch)
         self._sweep(pl.Farima(0.3))
         assert calls == {"explicit": [16, 32, 8], "levinson": [16, 32, 8]}
+
+    def test_phi_inf_built_once(self, monkeypatch):
+        lengths = self._count_phi_inf(monkeypatch)
+        self._sweep(pl.Farima(0.3))
+        assert lengths == [asymptotics._PHI_TAIL_LEN]
+
+    def test_longer_sweep_extends_phi_inf(self, monkeypatch):
+        # past the tail length phi_inf runs one past the largest n; a shorter
+        # sweep after it reads the head, the bits a cold store builds
+        monkeypatch.setattr(asymptotics, "_PHI_TAIL_LEN", 32)
+        model = pl.Farima(0.3)
+        cold = repr(dataclasses.astuple(pl.baxter_experiment(model, [8, 16])))
+        self._empty()
+        lengths = self._count_phi_inf(monkeypatch)
+        pl.baxter_experiment(model, [8, 16])
+        pl.baxter_experiment(model, [8, 64])
+        warm = repr(dataclasses.astuple(pl.baxter_experiment(model, [8, 16])))
+        assert lengths == [32, 65]
+        assert len(asymptotics._sweep_store[2]) == 65
+        assert warm == cold
 
     def test_reports_equal_cold_store_reports(self):
         warm = self._sweep(pl.Farima(0.3))

@@ -75,8 +75,6 @@ class TestCoeffs:
         assert doc["meta"]["model"] == "ar1"
         assert doc["meta"]["r"] == 0.5
         assert doc["meta"]["N"] == 3
-        # coeffs runs no explicit series, so it has no policy keys
-        assert not {"vmax", "kmax", "tol"} & set(doc["meta"])
         assert len(doc["rows"]) == 4
         assert doc["rows"][1][1] == 0.5
 
@@ -216,6 +214,23 @@ class TestExperimentCommands:
         (k, n, n_dk, target), = doc["rows"]
         assert (k, n) == (1, 256)
         assert abs(n_dk - target) / target < 0.02
+
+    def test_baxter_repeated_n(self, capsys):
+        code, out, _ = run(capsys, "baxter", "--model", "farima", "--d", "0.3",
+                           "--n", "16,16", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["meta"]["n"] == [16]
+        assert [row[0] for row in doc["rows"]] == [16]
+
+    def test_dkscale_repeated_n_and_k(self, capsys):
+        code, out, _ = run(capsys, "dkscale", "--model", "farima", "--d", "0.3",
+                           "--n", "64,64,32", "--k", "2,1,2", "--u", "0",
+                           "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["meta"]["n"], doc["meta"]["k"]) == ([32, 64], [1, 2])
+        assert [row[:2] for row in doc["rows"]] == [[1, 32], [1, 64], [2, 32], [2, 64]]
 
     def test_range_and_list_mix(self, capsys):
         code, out, _ = run(capsys, "baxter", "--model", "farima", "--d", "0.3",
@@ -386,22 +401,39 @@ class TestExitCodes:
         assert_one_config_line(err)
         assert "tol must be positive" in err
 
-    @pytest.mark.parametrize("flag", ["--vmax", "--kmax", "--tol"])
-    def test_policy_flags_rejected_by_coeffs(self, capsys, flag):
-        code, out, err = run(capsys, "coeffs", "--model", "ar1", "--r", "0.5",
-                             flag, "4096")
+    @pytest.mark.parametrize("command, key", [
+        ("coeffs", "vmax"), ("coeffs", "kmax"), ("coeffs", "tol"),
+        ("predict", "vmax"), ("rate", "vmax"), ("rate", "kmax"),
+        ("baxter", "vmax"), ("baxter", "kmax"), ("dkscale", "vmax"), ("dkscale", "kmax")])
+    def test_policy_keys_refused(self, capsys, tmp_path, command, key):
+        # a subcommand takes only the policy keys that reach its output:
+        # V reaches none, and K only predict's --terms columns
+        argv = (command, "--model", "farima", "--d", "0.3")
+        code, out, err = run(capsys, *argv, f"--{key}", "4")
         assert code == 2 and out == ""
         assert_one_config_line(err)
-        assert flag in err
+        assert f"--{key}" in err
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key}=4\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert_one_config_line(err)
+        assert f"unknown config key {key!r}" in err
 
-    def test_kmax_rejected_by_dkscale(self, capsys):
-        # dkscale runs as many stages as its largest k; a depth budget
-        # would never be read
-        code, out, err = run(capsys, "dkscale", "--model", "farima", "--d", "0.3",
-                             "--n", "512", "--k", "1,2,3", "--u", "0", "--kmax", "1")
-        assert code == 2 and out == ""
-        assert_one_config_line(err)
-        assert "--kmax" in err
+    @pytest.mark.parametrize("command, keys", [
+        ("coeffs", []), ("predict", ["kmax", "tol"]), ("rate", ["tol"]),
+        ("baxter", ["tol"]), ("dkscale", ["tol"])])
+    def test_policy_keys_in_meta(self, capsys, command, keys):
+        # meta carries each policy key the subcommand takes, null when unset;
+        # coeffs runs no explicit series, so it has none
+        argv = {"coeffs": ("--N", "2"), "predict": ("--n", "4"),
+                "rate": ("--n", "16"), "baxter": ("--n", "16"),
+                "dkscale": ("--n", "16", "--k", "1")}[command]
+        code, out, _ = run(capsys, command, "--model", "farima", "--d", "0.3",
+                           *argv, "--format", "json")
+        assert code == 0
+        meta = json.loads(out)["meta"]
+        assert [key for key in ("vmax", "kmax", "tol") if key in meta] == keys
 
     @pytest.mark.parametrize("model", [("farima", "--d", "0.3", "--arpoly", "abc"),
                                        ("explicit", "--arpoly=-1", "--mapoly", "abc")])

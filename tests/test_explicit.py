@@ -498,8 +498,7 @@ class TestShortMemory:
                 _assert_same_fields(a, b)
             np.testing.assert_array_equal(
                 pl.projection_iterates(model, n, 2, m, K=6, policy=policy), iterates)
-        argv = ["predict", "--n", "4", "--terms", "--source", "explicit", "--vmax", "4",
-                "--model"]
+        argv = ["predict", "--n", "4", "--terms", "--source", "explicit", "--model"]
         if isinstance(model, pl.Ar1):
             argv += ["ar1", "--r", str(model.r)]
         else:
