@@ -18,6 +18,7 @@ rate's 1/n extrapolation is the two-point one, at the n run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -161,42 +162,29 @@ def check_routes(result: ExplicitPredictor, phi_levinson: np.ndarray) -> float:
     return diff
 
 
-#: ((model, policy), {n: read-only phi_{n,.}}, read-only phi_inf) of the
-#: last sweep's model
-_sweep_store: tuple = (None, {}, np.empty(0))
+@lru_cache(maxsize=1)
+def _checked_store(model: ProcessModel, policy: TruncationPolicy) -> dict[int, np.ndarray]:
+    """{n: read-only phi_{n,.}} of the last (model, policy) swept; a sweep on
+    another replaces it.  Each entry passed check_routes when it was
+    computed, and an n that raised has none."""
+    return {}
 
 
 def _checked_sweep(model: ProcessModel, n_list: list[int],
-                   policy: TruncationPolicy) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(phi_inf, the cross-checked explicit phi_{n,.} for each n in n_list).
+                   policy: TruncationPolicy) -> list[np.ndarray]:
+    """The cross-checked explicit phi_{n,.} for each n in n_list.
 
-    phi_inf is the infinite predictor to _PHI_TAIL_LEN terms, or one past
-    the largest n where that is longer, so that every phi_{n,.} has a
-    tail.
-
-    The weights and phi_inf are kept in a per-process store for one (model,
-    policy), until a sweep on another replaces it; each stored n passed
-    check_routes when it was first computed, and an n that raised is not
-    stored.  Only the n missing from it are solved and cross-checked, and
-    phi_inf is rebuilt only when a sweep needs it longer.  Its expansion is
-    a recurrence, so the head of a longer phi_inf is the shorter one.
+    Only the n missing from _checked_store are solved and cross-checked.  A
+    sweep fills the dict it read at its start, so one that another sweep
+    replaces midway keeps its own weights.
     """
-    global _sweep_store
-    key = (model, policy)
-    held, stored, phi_inf = _sweep_store  # read once: another sweep may replace it
-    if held != key:
-        stored, phi_inf = {}, np.empty(0)
-    length = max(_PHI_TAIL_LEN, max(n_list) + 1)
-    if len(phi_inf) < length:
-        phi_inf = infinite_predictor(expand_ma(model, 0), expand_ar(model, length), length)
-        phi_inf.setflags(write=False)
-        _sweep_store = (key, stored, phi_inf)
+    stored = _checked_store(model, policy)
     for n in n_list:
         if n not in stored:
             res = finite_predictor_explicit(model, n, policy)
             check_routes(res, multistep_normal_solve(autocov(model, n), n, 0).coefficients)
             stored[n] = res.table.coefficients
-    return phi_inf[:length], [stored[n] for n in n_list]
+    return [stored[n] for n in n_list]
 
 
 def rate_experiment(model: ProcessModel, j: int, n_list,
@@ -221,7 +209,8 @@ def rate_experiment(model: ProcessModel, j: int, n_list,
     n_list = sorted({int(n) for n in n_list})
     if j > n_list[0]:
         raise ValueError(f"j = {j} exceeds smallest n = {n_list[0]}")
-    phi_inf, phis = _checked_sweep(model, n_list, policy)
+    phi_inf = infinite_predictor(expand_ma(model, 0), expand_ar(model, j), j)
+    phis = _checked_sweep(model, n_list, policy)
     phi_j = float(phi_inf[j - 1])
     entries = []
     for n, phi in zip(n_list, phis):
@@ -249,7 +238,9 @@ def baxter_experiment(model: ProcessModel, n_list,
     """
     d = _require_long_memory(model, "Baxter experiment")
     n_list = sorted({int(n) for n in n_list})
-    phi_inf, phis = _checked_sweep(model, n_list, policy)
+    length = max(_PHI_TAIL_LEN, n_list[-1] + 1)  # every phi_{n,.} has a tail
+    phi_inf = infinite_predictor(expand_ma(model, 0), expand_ar(model, length), length)
+    phis = _checked_sweep(model, n_list, policy)
     entries = []
     for n, phi in zip(n_list, phis):
         lhs = float(np.sum(np.abs(phi - phi_inf[:n])))
@@ -264,7 +255,10 @@ def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
     """Tabulate n d_k(n, u) against the limit f_k(0) sin^k(pi d).
 
     The d_k come from d_vectors, on the quadrature for the window up to u;
-    u must lie below resolve_v.  A repeated k or n counts once.  Raises
+    u must lie inside the policy's d_k window (resolve_v).  Every requested
+    (k, n) has a row: each stage is an output here, not a term of a sum, so
+    the stages run to the largest k unless one underflows, which raises
+    ValueError naming k.  A repeated k or n counts once.  Raises
     TruncationError when their residual at some n exceeds tol_tail.
     """
     d = _require_long_memory(model, "d_k scaling experiment")
@@ -278,17 +272,22 @@ def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
     for n in n_list:
         if u >= policy.resolve_v(n, model):
             raise ValueError(
-                f"u = {u} outside inner cutoff V = {policy.resolve_v(n, model)}")
+                f"u = {u} outside the d_k window V = {policy.resolve_v(n, model)} at n = {n}")
     kmax = k_list[-1]
     s = np.sin(np.pi * d)
     targets = {k: float(f * s ** k) for k, f in zip(range(1, kmax + 1), fk0(kmax))}
 
     beta = beta_for_model(model, 0)
+    tiny = np.finfo(float).tiny
     rows = []
     for n in n_list:
-        dv = d_vectors(beta, n, replace(policy, K=kmax, V=u + 1))
+        # the stop rule ends the stages only at one below the smallest normal double
+        dv = d_vectors(beta, n, replace(policy, K=kmax, V=u + 1, tol_term=tiny))
         _check_tail(dv.tail_estimate, policy, n, _QUADRATURE_REMEDY)
-        rows += [(k, n, float(n * dv.vectors[k - 1][u]), targets[k])
-                 for k in k_list if k <= dv.k_used]
+        for k in k_list:
+            if k > dv.k_used or not abs(dv.vectors[k - 1][u]) >= tiny:
+                raise ValueError(f"d_{k}(n = {n}, u = {u}) underflows below the "
+                                 f"smallest normal double {tiny:.3g}")
+        rows += [(k, n, float(n * dv.vectors[k - 1][u]), targets[k]) for k in k_list]
     # by k, then n: the sort is stable
     return DkScalingReport(u=u, entries=tuple(sorted(rows, key=lambda r: r[0])))

@@ -144,8 +144,8 @@ class TruncationPolicy:
         return max(8192, 32 * n)
 
     def resolve_scales(self, model: ProcessModel, n: int) -> list[int]:
-        """[resolve_v]: the one inner cutoff, as a list because the
-        benchmark's tracing reads its top entry."""
+        """[resolve_v]: the output window of d_k and delta_k, as a list
+        because the benchmark's tracing reads its top entry."""
         return [self.resolve_v(n, model)]
 
     def resolve_k(self, model: ProcessModel) -> int:

@@ -211,6 +211,21 @@ class TestDkScalingExperiment:
         for k, _, n_dk, _ in report.entries:
             assert abs(n_dk - n * dv.vectors[k - 1][u]) <= n * dv.tail_estimate
 
+    def test_row_for_every_k_requested(self):
+        # each stage is an output, not a term of a sum: d_4 and d_5 at
+        # d = 0.001 are far below the series' stopping tolerance, and still
+        # tabulated, near their limits
+        report = pl.dk_scaling_experiment(pl.Farima(0.001), [5, 1, 2, 3, 4], 0, [512, 2048])
+        assert [e[:2] for e in report.entries] == [(k, n) for k in range(1, 6)
+                                                   for n in (512, 2048)]
+        for _, _, n_dk, target in report.entries:
+            assert n_dk == pytest.approx(target, rel=2e-3)
+
+    def test_underflow_raises_naming_k(self):
+        # d_70 at d = 1e-6 is about (pi 1e-6)^70: below the smallest normal double
+        with pytest.raises(ValueError, match=r"^d_70\(n = 512, u = 0\) underflows"):
+            pl.dk_scaling_experiment(pl.Farima(1e-6), [1, 70], 0, [512])
+
     def test_validation(self):
         model = pl.Farima(0.3)
         with pytest.raises(ValueError):
@@ -222,18 +237,18 @@ class TestDkScalingExperiment:
         with pytest.raises(ValueError):
             pl.dk_scaling_experiment(model, [1], 100,
                                      [64], TruncationPolicy(V=64))
-        # u = 32 n is past the default V, pure or factored, so the window on
-        # the nodes never grows past it
+        # u = 32 n is past the default window, pure or factored, so the
+        # window on the nodes never grows past it
         for m in (model, pl.Farima(0.3, ma_poly=(1.0, 0.5))):
-            with pytest.raises(ValueError, match="outside inner cutoff"):
+            with pytest.raises(ValueError, match="outside the d_k window"):
                 pl.dk_scaling_experiment(m, [1], 32 * 512, [512])
 
     def test_refuses_before_building_beta(self, monkeypatch):
-        # a window past the cutoff raises before any beta is built
+        # a window past the default one raises before any beta is built
         def no_beta(*args):
             raise AssertionError("a refused request must build no beta")
         monkeypatch.setattr(asymptotics, "beta_for_model", no_beta)
-        with pytest.raises(ValueError, match="outside inner cutoff"):
+        with pytest.raises(ValueError, match="outside the d_k window"):
             pl.dk_scaling_experiment(pl.Farima(0.3, ma_poly=(1.0, 0.5)), [1], 16384, [512])
 
 
@@ -307,43 +322,25 @@ class TestSweepStore:
 
     @staticmethod
     def _empty():
-        asymptotics._sweep_store = (None, {}, np.empty(0))
-
-    @staticmethod
-    def _count_phi_inf(monkeypatch):
-        """Wrap the infinite predictor; return the lengths it is built at."""
-        lengths, real = [], asymptotics.infinite_predictor
-
-        def counted(c, a, N):
-            lengths.append(N)
-            return real(c, a, N)
-        monkeypatch.setattr(asymptotics, "infinite_predictor", counted)
-        return lengths
+        asymptotics._checked_store.cache_clear()
 
     def test_each_n_solved_once(self, monkeypatch):
         calls = self._count(monkeypatch)
         self._sweep(pl.Farima(0.3))
         assert calls == {"explicit": [16, 32, 8], "levinson": [16, 32, 8]}
 
-    def test_phi_inf_built_once(self, monkeypatch):
-        lengths = self._count_phi_inf(monkeypatch)
-        self._sweep(pl.Farima(0.3))
-        assert lengths == [asymptotics._PHI_TAIL_LEN]
+    def test_rate_reads_j_terms_of_phi_inf(self, monkeypatch):
+        # the rate's phi_j and limit need only phi_1..phi_j, which it reads
+        # off the cached expansion
+        asked, real = [], asymptotics.expand_ar
 
-    def test_longer_sweep_extends_phi_inf(self, monkeypatch):
-        # past the tail length phi_inf runs one past the largest n; a shorter
-        # sweep after it reads the head, the bits a cold store builds
-        monkeypatch.setattr(asymptotics, "_PHI_TAIL_LEN", 32)
-        model = pl.Farima(0.3)
-        cold = repr(dataclasses.astuple(pl.baxter_experiment(model, [8, 16])))
-        self._empty()
-        lengths = self._count_phi_inf(monkeypatch)
-        pl.baxter_experiment(model, [8, 16])
-        pl.baxter_experiment(model, [8, 64])
-        warm = repr(dataclasses.astuple(pl.baxter_experiment(model, [8, 16])))
-        assert lengths == [32, 65]
-        assert len(asymptotics._sweep_store[2]) == 65
-        assert warm == cold
+        def counted(model, N):
+            asked.append(N)
+            return real(model, N)
+        monkeypatch.setattr(asymptotics, "expand_ar", counted)
+        for j in (1, 2):
+            pl.rate_experiment(pl.Farima(0.3), j, [16, 32])
+        assert asked and max(asked) <= 2
 
     def test_reports_equal_cold_store_reports(self):
         warm = self._sweep(pl.Farima(0.3))
@@ -370,15 +367,15 @@ class TestSweepStore:
     def test_second_model_evicts_first(self, monkeypatch):
         pl.rate_experiment(pl.Farima(0.3), 1, [8, 16])
         pl.rate_experiment(pl.Farima(0.25), 1, [8])
-        assert asymptotics._sweep_store[0] == (pl.Farima(0.25), TruncationPolicy())
-        assert list(asymptotics._sweep_store[1]) == [8]
+        # the store holds the second model's weights alone
+        assert list(asymptotics._checked_store(pl.Farima(0.25), TruncationPolicy())) == [8]
         calls = self._count(monkeypatch)
         pl.rate_experiment(pl.Farima(0.3), 1, [8, 16])
         assert calls["explicit"] == [8, 16]
 
     def test_stored_weights_are_read_only(self):
-        _, (phi,) = asymptotics._checked_sweep(pl.Farima(0.3), [8], TruncationPolicy())
-        assert asymptotics._sweep_store[1][8] is phi
+        (phi,) = asymptotics._checked_sweep(pl.Farima(0.3), [8], TruncationPolicy())
+        assert asymptotics._checked_store(pl.Farima(0.3), TruncationPolicy())[8] is phi
         with pytest.raises(ValueError):
             phi[0] = 1.0
 
@@ -393,7 +390,7 @@ class TestSweepStore:
         for _ in range(2):
             with pytest.raises(OracleDisagreementError):
                 pl.rate_experiment(pl.Farima(0.3), 1, [8, 16])
-            assert asymptotics._sweep_store[1] == {}
+            assert asymptotics._checked_store(pl.Farima(0.3), TruncationPolicy()) == {}
 
     def test_predict_is_not_stored(self, capsys, monkeypatch):
         calls = []
@@ -427,5 +424,6 @@ class TestSweepStore:
         got = [repr(dataclasses.astuple(pl.baxter_experiment(model, [8, 16, 32])))
                for model in models]
         assert replaced == [8]
-        assert asymptotics._sweep_store[0][0] == models[1]
         assert got == cold
+        # the store holds the last model swept, every n of it
+        assert list(asymptotics._checked_store(models[1], TruncationPolicy())) == [8, 16, 32]

@@ -625,6 +625,48 @@ class TestExitCodes:
         assert "error=config" in err
 
 
+#: edge requests of the exit-code contract, each with the code it returns
+_EDGE_REQUESTS = [
+    ("predict --model ar1 --r 0.5 --n 1 --source explicit --terms", 0),
+    ("predict --model farima --d 0.3 --n 1 --terms", 0),
+    ("predict --model farima --d 0.3 --n 4 --m 8", 0),
+    ("predict --model farima --d 0.3 --n 8 --kmax 1 --source explicit --terms", 0),
+    ("predict --model farima --d 1e-9 --n 8", 0),
+    ("predict --model farima --d 0.3 --n 8 --tol 1e-300", 4),
+    ("predict --model ar1 --r 1.5 --n 4", 3),
+    # an explicit a sequence cut short is another process than its c: the
+    # routes disagree
+    ("predict --model explicit --mapoly=1,0.5 --arpoly=-1,0.5,-0.25 --n 4", 5),
+    ("predict --model explicit --mapoly=1,0.5 --arpoly=-1,0.5,-0.25 --n 4 "
+     "--source explicit --terms", 0),
+    ("rate --model farima --d 0.3 --n 8 --j 8", 0),
+    ("rate --model farima --d 0.3 --n 8 --j 9", 2),
+    ("rate --model farima --d 1e-9 --n 8,16", 0),
+    # the default d_k window at d < 1/3, n = 512 is 16384
+    ("dkscale --model farima --d 0.3 --n 512 --k 1 --u 16383", 0),
+    ("dkscale --model farima --d 0.3 --n 512 --k 1 --u 16384", 2),
+    # d_4 and d_5 are below the series' stopping tolerance; d_70 underflows
+    ("dkscale --model farima --d 0.001 --n 512 --k 5 --u 0", 0),
+    ("dkscale --model farima --d 0.001 --n 512,1024 --k 1,2,3,4,5 --u 0", 0),
+    ("dkscale --model farima --d 1e-6 --n 512 --k 70 --u 0", 2),
+]
+
+
+@pytest.mark.parametrize("argv, want", _EDGE_REQUESTS, ids=[a for a, _ in _EDGE_REQUESTS])
+def test_exit_code_contract(capsys, argv, want):
+    # every request ends in a documented exit code, with at most one stderr
+    # line and no exception; a dkscale that succeeds has a row for every
+    # (k, n) it was asked for
+    code, out, err = run(capsys, *argv.split(), "--format", "json")
+    assert code == want
+    assert err.count("\n") <= 1
+    assert (out == "") == (code != 0)
+    doc = json.loads(out) if code == 0 else None
+    if doc and argv.startswith("dkscale"):
+        meta = doc["meta"]
+        assert [row[:2] for row in doc["rows"]] == [[k, n] for k in meta["k"] for n in meta["n"]]
+
+
 def test_import_leaves_slow_scipy_modules_out():
     # scipy.signal, scipy.integrate, scipy.special (which scipy.fft pulls in)
     # and scipy.linalg take most of a cold start; neither the CLI import nor
