@@ -24,13 +24,13 @@ import numpy as np
 
 from .coeffs import autocov, expand_ar, expand_ma, infinite_predictor, tail_sum_phi
 from .errors import OracleDisagreementError, RegimeError
-from .explicit import (_QUADRATURE_REMEDY, DEFAULT_POLICY, ExplicitPredictor,
-                       TruncationPolicy, _check_tail, beta_for_model, d_vectors,
+from .explicit import (DEFAULT_POLICY, ExplicitPredictor, TruncationPolicy, d_vectors,
                        finite_predictor_explicit)
-# durbin_levinson has no caller here; bench/layers.py wraps it by name in
-# this module, so the name stays
+# beta_for_model and durbin_levinson have no caller here; bench/layers.py
+# wraps them by name in this module, so the names stay
+from .explicit import beta_for_model  # noqa: F401
 from .levinson import durbin_levinson, multistep_normal_solve  # noqa: F401
-from .models import ProcessModel, Regime, memory_exponent, regime
+from .models import ProcessModel, memory_exponent
 
 __all__ = [
     "RateReport",
@@ -137,9 +137,10 @@ class DkScalingReport:
 
 
 def _require_long_memory(model: ProcessModel, what: str) -> float:
-    if regime(model) is not Regime.LONG:
+    d = memory_exponent(model)
+    if not d > 0.0:
         raise RegimeError(f"{what} requires a long-memory model, got {model!r}")
-    return memory_exponent(model)
+    return d
 
 
 def check_routes(result: ExplicitPredictor, phi_levinson: np.ndarray) -> float:
@@ -277,13 +278,11 @@ def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
     s = np.sin(np.pi * d)
     targets = {k: float(f * s ** k) for k, f in zip(range(1, kmax + 1), fk0(kmax))}
 
-    beta = beta_for_model(model, 0)
     tiny = np.finfo(float).tiny
     rows = []
     for n in n_list:
         # the stop rule ends the stages only at one below the smallest normal double
-        dv = d_vectors(beta, n, replace(policy, K=kmax, V=u + 1, tol_term=tiny))
-        _check_tail(dv.tail_estimate, policy, n, _QUADRATURE_REMEDY)
+        dv = d_vectors(model, n, replace(policy, K=kmax, V=u + 1, tol_term=tiny))
         for k in k_list:
             if k > dv.k_used or not abs(dv.vectors[k - 1][u]) >= tiny:
                 raise ValueError(f"d_{k}(n = {n}, u = {u}) underflows below the "

@@ -327,8 +327,8 @@ def _meta(cfg: dict, model, extra: dict) -> dict:
 def _cmd_coeffs(cfg: dict):
     model = _build_model(cfg)
     N = cfg["N"]
-    c = expand_ma(model, N).values
-    a = expand_ar(model, N).values
+    c = expand_ma(model, N)
+    a = expand_ar(model, N)
     gamma = autocov(model, N).values
     phi = phi_for_model(model, N) if N >= 1 else np.empty(0)
     # the predictor weight sequence starts at lag 1; the n = 0 cell holds 0

@@ -35,8 +35,6 @@ from .errors import DegeneracyError, TruncationError
 from .models import Ar1, ExplicitModel, Farima, ProcessModel, memory_exponent
 
 __all__ = [
-    "CoeffKind",
-    "CoeffSeq",
     "AutocovSeq",
     "expand_ma",
     "expand_ar",
@@ -58,33 +56,10 @@ _FAST_LENS = _FAST_LENS[_FAST_LENS <= 2.0 ** 40]
 
 
 class CoeffKind(str, enum.Enum):
+    """Which expansion of the outer function: MA (h) or AR (-1/h)."""
+
     MA = "ma"
     AR = "ar"
-
-
-@dataclass(frozen=True, eq=False)
-class CoeffSeq:
-    """Truncated coefficient expansion c_0..c_N (MA) or a_0..a_N (AR)."""
-
-    kind: CoeffKind
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        if self.kind is CoeffKind.MA and not vals[0] > 0.0:
-            raise ValueError(f"MA expansion must have c_0 > 0, got {vals[0]!r}")
-
-    @property
-    def truncation_length(self) -> int:
-        return len(self.values) - 1
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, idx):
-        return self.values[idx]
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +229,7 @@ def _expansion(model: ProcessModel, min_terms: int, kind: CoeffKind) -> np.ndarr
     return _expansion_cached(model, n_terms, kind)[:min_terms]
 
 
-def expand_ma(model: ProcessModel, N: int) -> CoeffSeq:
+def expand_ma(model: ProcessModel, N: int) -> np.ndarray:
     """MA coefficients c_0..c_N of the model's outer function h(z).
 
     Parameters
@@ -266,18 +241,19 @@ def expand_ma(model: ProcessModel, N: int) -> CoeffSeq:
 
     Returns
     -------
-    CoeffSeq with kind MA; c_0 > 0.
+    Read-only array of N + 1 entries, a view of the per-model cache; c_0 > 0.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    return CoeffSeq(CoeffKind.MA, _expansion(model, N + 1, CoeffKind.MA))
+    return _expansion(model, N + 1, CoeffKind.MA)
 
 
-def expand_ar(model: ProcessModel, N: int) -> CoeffSeq:
-    """AR coefficients a_0..a_N of -1/h(z); a_0 = -1/c_0."""
+def expand_ar(model: ProcessModel, N: int) -> np.ndarray:
+    """AR coefficients a_0..a_N of -1/h(z), a_0 = -1/c_0, as a read-only
+    array like expand_ma's."""
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    return CoeffSeq(CoeffKind.AR, _expansion(model, N + 1, CoeffKind.AR))
+    return _expansion(model, N + 1, CoeffKind.AR)
 
 
 def _fn_autocov(d: float, count: int) -> tuple[np.ndarray, float]:
@@ -342,13 +318,14 @@ def autocov(model: ProcessModel, N: int) -> AutocovSeq:
                                                   + rho_sum * kernel_err))
 
 
-def infinite_predictor(c: CoeffSeq, a: CoeffSeq, N: int) -> np.ndarray:
-    """Infinite-past predictor coefficients phi_j = c_0 * a_j for j = 1..N."""
+def infinite_predictor(c: np.ndarray, a: np.ndarray, N: int) -> np.ndarray:
+    """Infinite-past predictor coefficients phi_j = c_0 * a_j for j = 1..N,
+    from the expansions c_0.. and a_0..a_N (or longer)."""
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    if a.truncation_length < N:
-        raise ValueError(f"AR sequence too short: have {a.truncation_length}, need {N}")
-    return c.values[0] * a.values[1:N + 1]
+    if len(a) - 1 < N:
+        raise ValueError(f"AR sequence too short: have {len(a) - 1}, need {N}")
+    return c[0] * a[1:N + 1]
 
 
 def tail_sum_phi(phi: np.ndarray, n: int, d: float = 0.0) -> float:

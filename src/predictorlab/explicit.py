@@ -116,8 +116,8 @@ class TruncationPolicy:
     (None -> from the geometric decay rate for pure fractional noise, else
     their stop rules end them).
     tol_term: absolute stopping tolerance for the k-series.
-    tol_tail: cap on the estimated residual of the final coefficients;
-    exceeded -> TruncationError.
+    tol_tail: cap on the estimated residual of the final coefficients, of
+    d_k and of delta_k; exceeded -> TruncationError.
     """
 
     V: int | None = None
@@ -171,15 +171,13 @@ DEFAULT_POLICY = TruncationPolicy()
 class BetaSeq:
     """Correlation sequence beta_0..beta_L with its truncation residual bound.
 
-    ``model`` is the generating process, whose memory regime sets the path
-    of every kernel built on it; ``tail_estimate`` bounds the absolute error
-    per entry, rounding included.  At d = 0 beta is in closed form
-    (_short_kernel), exact up to rounding, and 0 where it is a finite sum
-    of products (q = 0: AR(p), Ar1, ExplicitModel).
+    ``tail_estimate`` bounds the absolute error per entry, rounding
+    included.  At d = 0 beta is in closed form (_short_kernel), exact up to
+    rounding, and 0 where it is a finite sum of products (q = 0: AR(p),
+    Ar1, ExplicitModel).
     """
 
     values: np.ndarray
-    model: ProcessModel
     tail_estimate: float = 0.0
 
     def __post_init__(self):
@@ -327,7 +325,7 @@ def beta_for_model(model: ProcessModel, L: int) -> BetaSeq:
     bucket = 1 << max(8, int(L).bit_length())
     vals, bound = _beta_values(model, bucket)
     vals.setflags(write=False)  # the cached array itself, not only this view
-    return BetaSeq(vals[:L + 1], model=model, tail_estimate=bound)
+    return BetaSeq(vals[:L + 1], tail_estimate=bound)
 
 
 def hankel_apply(beta: BetaSeq, n: int, x: np.ndarray, method: str = "fft") -> np.ndarray:
@@ -360,22 +358,23 @@ def hankel_apply(beta: BetaSeq, n: int, x: np.ndarray, method: str = "fft") -> n
 # ---------------------------------------------------------------------------
 # d_k vectors and delta blocks
 
-def d_vectors(beta: BetaSeq, n: int,
+def d_vectors(model: ProcessModel, n: int,
               policy: TruncationPolicy = DEFAULT_POLICY) -> DVectors:
-    """Iterated kernel vectors d_k(n, u), u = 0..V-1, k = 1..K_used.
+    """Iterated kernel vectors d_k(n, u), u = 0..V-1, k = 1..K_used, of the
+    model's kernel.
 
     d_1 is the beta slice at offset n; each further vector is one kernel
     apply.  This is the v = 0 column of delta_block, so it takes the same
-    path, with the same stopping rule and residual estimate.
+    path, with the same stopping rule, residual estimate and tol_tail check.
     """
-    block = delta_block(beta, n, 0, policy)
+    block = delta_block(model, n, 0, policy)
     return DVectors(n=n, vectors=block.values[:, :, 0], tail_estimate=block.tail_estimate)
 
 
-def delta_block(beta: BetaSeq, n: int, v_max: int,
+def delta_block(model: ProcessModel, n: int, v_max: int,
                 policy: TruncationPolicy = DEFAULT_POLICY) -> DeltaBlock:
-    """Iterated kernel block delta_k(n, u, v) for v = 0..v_max, u = 0..V-1
-    with V = ``policy.resolve_v``, n >= 1.
+    """Iterated kernel block delta_k(n, u, v) of the model's kernel for
+    v = 0..v_max, u = 0..V-1 with V = ``policy.resolve_v``, n >= 1.
 
     delta_1(n, u, v) = beta_{n+u+v}; each stage applies the offset-n Hankel
     kernel to every column.  values[k-1, u, v]; v = 0 reproduces d_vectors.
@@ -385,17 +384,17 @@ def delta_block(beta: BetaSeq, n: int, v_max: int,
     (_stages) on the offset-n system, from the kernel's first columns, read
     at V rows: on the quadrature's fine grid, whose distance from the
     coarse grid's stages is the residual, or on short memory's corner plus
-    state.  A beta too short for the system is rebuilt.
+    state, whose residual is beta's rounding.  A residual above tol_tail
+    raises TruncationError, as the weights' does.
     """
     if n < 1 or v_max < 0:
         raise ValueError(f"need n >= 1 and v_max >= 0, got n = {n}, v_max = {v_max}")
-    model, V = beta.model, policy.resolve_v(n, beta.model)
-    K, long = policy.resolve_k(model), memory_exponent(model) > 0.0
+    V, K = policy.resolve_v(n, model), policy.resolve_k(model)
+    long = memory_exponent(model) > 0.0
     U0 = _corner(model, n) if long else _short_size(model, n)
     grids = _moment_grids(model, n, U0) if long else ()
     need = n + v_max + max(V, 2 * U0 + (0 if long else len(_short_shape(model)[1]) - 1))
-    if len(beta) <= need:
-        beta = beta_for_model(model, need)
+    beta = beta_for_model(model, need)  # the entries the system reads
     systems = ([_moment_setup(model, n, U0, grid, beta, v_max) for grid in grids] if long
                else [_short_setup(model, n, beta, v_max)])
 
@@ -424,9 +423,10 @@ def delta_block(beta: BetaSeq, n: int, v_max: int,
         for coarse, fine in zip(stages(systems[1], sum(b.shape[1] for b in blocks)), blocks):
             coarse -= fine
             dist = max(dist, float(np.max(np.abs(coarse, out=coarse))))
-    share = 0.0 if long and _pure_noise(model) else 4.0 * beta.tail_estimate
+    resid = dist + (0.0 if long and _pure_noise(model) else 4.0 * beta.tail_estimate)
+    _check_tail(resid, policy, n, _QUADRATURE_REMEDY if long else _ROUNDING_REMEDY)
     values = np.concatenate([first[None]] + [block.swapaxes(0, 1) for block in blocks])
-    return DeltaBlock(n, values, dist + share)
+    return DeltaBlock(n, values, resid)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +601,7 @@ def _f_top(model: Farima, f: np.ndarray, r: np.ndarray, t: np.ndarray,
     if _pure_noise(model):
         return f
     s = _arma_factor(model)[1]
-    a0 = expand_ar(Farima(model.d), top).values
+    a0 = expand_ar(Farima(model.d), top)
     out = s[0] * f
     for p in range(1, int(np.nonzero(s)[0][-1]) + 1):
         f = t * f
@@ -824,8 +824,8 @@ def _short_kernel(model: ProcessModel) -> tuple[np.ndarray, np.ndarray, np.ndarr
     F = np.eye(q, k=1)
     if q:
         F[-1] = -np.asarray(ma[:0:-1]) / ma[0]
-    c = expand_ma(model, k0).values
-    a = expand_ar(model, k0 + 2 * q).values
+    c = expand_ma(model, k0)
+    a = expand_ar(model, k0 + 2 * q)
     ar = model.ar_poly.coefficients if q else (1.0,)
     ar_f = _at_matrix(ar, F)
 
@@ -885,7 +885,7 @@ def _short_setup(model: ProcessModel, N: int, beta: BetaSeq, v_max: int,
     first, f, tail = _hankel(beta.values, N, v_max + 1, U0 + q).T, (), 0
     if c_head is not None:
         top, tail = N - 1 + U0, N - 1  # top + 1 = max(N, k0)
-        a_vals = expand_ar(model, top + q).values
+        a_vals = expand_ar(model, top + q)
         e1 = np.eye(q)[:1].ravel()
         f = e1 * a_vals[top] + a_vals[top + 1:top + 1 + q] @ _stein(F.T, np.outer(e1, e1), F) @ F
         first = c_head[::-1] @ first.T
@@ -907,7 +907,7 @@ def _short_inputs(model: ProcessModel, n: int, m: int):
     U0 = _short_size(model, n + 1)
     q = len(_short_shape(model)[1]) - 1
     return (U0, beta_for_model(model, n + U0 + q + max(U0, m)),
-            expand_ar(model, n + max(m, U0 + q)).values, expand_ma(model, m).values)
+            expand_ar(model, n + max(m, U0 + q)), expand_ma(model, m))
 
 
 def _short_predictor(model: ProcessModel, n: int, m: int, policy: TruncationPolicy
@@ -969,8 +969,8 @@ def _moment_inputs(model: Farima, n: int, m: int, policy: TruncationPolicy):
     grids = _moment_grids(model, n, U0)
     beta = beta_for_model(model, n + 1 + 2 * U0 + m) if factored else None
     share = _beta_share(beta, policy, n) if factored else 0.0
-    return (U0, grids, beta, share, expand_ar(model, n + max(m, U0)).values,
-            expand_ma(model, m).values)
+    return (U0, grids, beta, share, expand_ar(model, n + max(m, U0)),
+            expand_ma(model, m))
 
 
 def _moment_predictor(model: Farima, n: int, m: int, policy: TruncationPolicy

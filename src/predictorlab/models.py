@@ -10,7 +10,6 @@ Models are frozen (hashable) so expansions can be memoized on the model itself.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +22,6 @@ __all__ = [
     "Ar1",
     "ExplicitModel",
     "ProcessModel",
-    "Regime",
-    "regime",
     "memory_exponent",
 ]
 
@@ -178,28 +175,9 @@ class ExplicitModel:
 ProcessModel = Farima | Ar1 | ExplicitModel
 
 
-class Regime(str, enum.Enum):
-    """Memory regime of a model.
-
-    SHORT: summable MA/AR coefficients with geometric-type decay.
-    LONG: regularly varying decay governed by a memory parameter ``0 < d < 1/2``.
-    """
-
-    SHORT = "short"
-    LONG = "long"
-
-
-def regime(model: ProcessModel) -> Regime:
-    """Classify a model's memory regime."""
-    if isinstance(model, Farima):
-        return Regime.LONG if model.d > 0.0 else Regime.SHORT
-    if isinstance(model, (Ar1, ExplicitModel)):
-        return Regime.SHORT
-    raise TypeError(f"not a process model: {model!r}")
-
-
 def memory_exponent(model: ProcessModel) -> float:
-    """Memory parameter ``d`` of a model (0 for short-memory models)."""
+    """Memory parameter ``d`` of a model: long memory (regularly varying
+    decay) for d > 0, short memory (summable, geometric-type decay) at 0."""
     if isinstance(model, Farima):
         return model.d
     if isinstance(model, (Ar1, ExplicitModel)):

@@ -153,8 +153,8 @@ def test_criterion_8_structural_invariants():
     @given(model=any_model())
     def check_convolution(model):
         N = 24
-        c = pl.expand_ma(model, N).values
-        a = pl.expand_ar(model, N).values
+        c = pl.expand_ma(model, N)
+        a = pl.expand_ar(model, N)
         if isinstance(model, pl.ExplicitModel):
             N = min(len(model.c), len(model.a)) - 1
         conv = np.convolve(c, a)[:N + 1]
@@ -181,8 +181,7 @@ def test_criterion_8_structural_invariants():
         # both index orders are stored only on the u, v <= v_max corner
         model = pl.Farima(d)
         pol = TruncationPolicy(V=128, K=3)
-        beta = pl.beta_for_model(model, n + 4 * 128)
-        block = pl.delta_block(beta, n, 4, pol).values
+        block = pl.delta_block(model, n, 4, pol).values
         corner = block[:, :5, :5]
         assert np.max(np.abs(corner - np.transpose(corner, (0, 2, 1)))) <= 1e-10
 
@@ -191,7 +190,7 @@ def test_criterion_8_structural_invariants():
     def check_first_term(model, n):
         res = pl.finite_predictor_explicit(model, n, fast_policy)
         c0 = pl.expand_ma(model, 0)[0]
-        a = pl.expand_ar(model, n).values
+        a = pl.expand_ar(model, n)
         assert all(res.series[j - 1].terms[0] == c0 * a[j]
                    for j in range(1, n + 1))
 

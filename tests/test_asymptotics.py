@@ -126,7 +126,7 @@ class TestRateExperiment:
         # sweep must build none
         def no_beta(*args):
             raise AssertionError("the moment form needs no shared beta")
-        monkeypatch.setattr("predictorlab.asymptotics.beta_for_model", no_beta)
+        monkeypatch.setattr("predictorlab.explicit.beta_for_model", no_beta)
         report = pl.rate_experiment(pl.Farima(0.3), 1, [64, 128])
         assert [e[0] for e in report.entries] == [64, 128]
 
@@ -205,7 +205,7 @@ class TestDkScalingExperiment:
         # each row is n d_k(n, u) of the default d_vectors within its tail
         # estimate
         model, n = pl.Farima(0.3), 512
-        dv = pl.d_vectors(pl.beta_for_model(model, 0), n)
+        dv = pl.d_vectors(model, n)
         report = pl.dk_scaling_experiment(model, [1, 2, 3], u, [n])
         assert [e[0] for e in report.entries] == [1, 2, 3]
         for k, _, n_dk, _ in report.entries:
@@ -247,7 +247,7 @@ class TestDkScalingExperiment:
         # a window past the default one raises before any beta is built
         def no_beta(*args):
             raise AssertionError("a refused request must build no beta")
-        monkeypatch.setattr(asymptotics, "beta_for_model", no_beta)
+        monkeypatch.setattr("predictorlab.explicit.beta_for_model", no_beta)
         with pytest.raises(ValueError, match="outside the d_k window"):
             pl.dk_scaling_experiment(pl.Farima(0.3, ma_poly=(1.0, 0.5)), [1], 16384, [512])
 

@@ -260,6 +260,22 @@ class TestConfigPrecedence:
         assert doc["meta"]["r"] == 0.5
         assert doc["rows"][0][2] == 0.5
 
+    def test_config_text_values(self, capsys, tmp_path):
+        # a boolean is read from its text; a bad boolean and a line with no
+        # "=" are one config line each
+        cfg = tmp_path / "run.cfg"
+        base = ("predict", "--config", str(cfg), "--model", "farima", "--d", "0.3",
+                "--n", "2", "--source", "explicit", "--format", "json")
+        cfg.write_text("terms = yes\n")
+        code, out, _ = run(capsys, *base)
+        assert code == 0
+        assert any(c.startswith("g") for c in json.loads(out)["columns"])
+        for text in ("terms = maybe\n", "terms\n"):
+            cfg.write_text(text)
+            code, out, err = run(capsys, *base)
+            assert code == 2 and out == ""
+            assert_one_config_line(err)
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n")
@@ -649,6 +665,15 @@ _EDGE_REQUESTS = [
     ("dkscale --model farima --d 0.001 --n 512 --k 5 --u 0", 0),
     ("dkscale --model farima --d 0.001 --n 512,1024 --k 1,2,3,4,5 --u 0", 0),
     ("dkscale --model farima --d 1e-6 --n 512 --k 70 --u 0", 2),
+    # malformed values and models: one config line each
+    ("rate --model farima --d 0.3 --n 8,,16", 2),
+    ("rate --model farima --d 0.3 --n 64..8", 2),
+    ("coeffs --model ar1 --r 0.5 --N x", 2),
+    ("coeffs --model ar1 --r 0.5 --N -1", 2),
+    ("coeffs --N 4", 2),
+    ("coeffs --model ar1", 2),
+    ("coeffs --model farima", 2),
+    ("coeffs --model explicit --mapoly=1,0.5", 2),
 ]
 
 

@@ -98,8 +98,8 @@ class TestBeta:
         # to have underflowed, against the closed form
         L, M = 300, 8192
         beta = pl.beta_for_model(model, L)
-        c = pl.expand_ma(model, M).values
-        a = pl.expand_ar(model, M + L).values
+        c = pl.expand_ma(model, M)
+        a = pl.expand_ar(model, M + L)
         ref = signal.fftconvolve(a, c[::-1], mode="valid")
         assert np.max(np.abs(beta.values - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -159,18 +159,22 @@ class TestHankelApply:
 
 class TestDVectors:
     def test_ar1_terminates_immediately(self):
-        beta = pl.beta_for_model(pl.Ar1(0.5), 1 << 14)
-        dv = pl.d_vectors(beta, 2, TruncationPolicy(V=64))
+        dv = pl.d_vectors(pl.Ar1(0.5), 2, TruncationPolicy(V=64))
         assert dv.k_used == 1
         np.testing.assert_array_equal(dv.vectors[0], np.zeros(64))
+
+    def test_residual_above_tol_tail_raises(self):
+        # d_k check their own residual, as the weights do: the quadrature's
+        # is about 2.7e-10 at d = 0.3, n = 512
+        with pytest.raises(TruncationError, match="quadrature's own error") as info:
+            pl.d_vectors(pl.Farima(0.3), 512, TruncationPolicy(K=2, V=8, tol_tail=1e-12))
+        assert 1e-10 < info.value.achieved < 1e-9
 
     def test_scaling_limits(self):
         # n d_k(n, 0) approaches f_k(0) sin^k(pi d)
         d, n = 0.3, 2048
         model = pl.Farima(d)
-        pol = TruncationPolicy(K=2)
-        beta = pl.beta_for_model(model, n + 2 * pol.resolve_v(n, model))
-        dv = pl.d_vectors(beta, n, pol)
+        dv = pl.d_vectors(model, n, TruncationPolicy(K=2))
         for k in (1, 2):
             target = fk0(k)[k - 1] * np.sin(np.pi * d) ** k
             assert abs(n * dv.vectors[k - 1][0] - target) / target < 0.005
@@ -183,8 +187,7 @@ class TestDVectors:
             model = pl.Farima(d)
             pol = TruncationPolicy(K=3)
             for n in (512, 2048):
-                L = n + 2 * pol.resolve_v(n, model)
-                dv = pl.d_vectors(pl.beta_for_model(model, L), n, pol)
+                dv = pl.d_vectors(model, n, pol)
                 f = fk0(dv.k_used)
                 for k in range(1, dv.k_used + 1):
                     head = dv.vectors[k - 1][:32]
@@ -200,9 +203,8 @@ class TestDeltaBlock:
         # the block's v = 0 column is d_k, stage for stage, with and without
         # a stage budget
         pol = TruncationPolicy(V=256, K=K)
-        beta = pl.beta_for_model(model, 32 + 4 * 256)
-        block = pl.delta_block(beta, 32, 2, pol)
-        dv = pl.d_vectors(beta, 32, pol)
+        block = pl.delta_block(model, 32, 2, pol)
+        dv = pl.d_vectors(model, 32, pol)
         kk = min(block.k_used, dv.k_used)
         np.testing.assert_allclose(block.values[:kk, :, 0], dv.vectors[:kk],
                                    rtol=1e-10, atol=1e-15)
@@ -211,22 +213,19 @@ class TestDeltaBlock:
         # delta_1(n, u, v) = beta_{n+u+v}; at n = 32, u = 2, v = 3 that is beta_37
         model = pl.Farima(0.3)
         beta = pl.beta_for_model(model, 32 + 4 * 256)
-        block = pl.delta_block(beta, 32, 3, TruncationPolicy(V=256, K=2))
+        block = pl.delta_block(model, 32, 3, TruncationPolicy(V=256, K=2))
         assert block.values[0, 2, 3] == pytest.approx(beta[37], rel=1e-12)
 
     def test_symmetry(self):
-        model = pl.Farima(0.35)
-        beta = pl.beta_for_model(model, 16 + 4 * 512)
-        block = pl.delta_block(beta, 16, 5, TruncationPolicy(V=512, K=4))
+        block = pl.delta_block(pl.Farima(0.35), 16, 5, TruncationPolicy(V=512, K=4))
         vals = block.values
         for u in range(6):
             for v in range(6):
                 assert vals[:, u, v] == pytest.approx(vals[:, v, u], abs=1e-10)
 
     def test_negative_vmax_rejected(self):
-        beta = pl.beta_for_model(pl.Farima(0.3), 1024)
         with pytest.raises(ValueError):
-            pl.delta_block(beta, 8, -1)
+            pl.delta_block(pl.Farima(0.3), 8, -1)
 
     @pytest.mark.parametrize("model, n, v_max", [
         (pl.Farima(0.35), 8, 0),
@@ -238,13 +237,12 @@ class TestDeltaBlock:
         # the stages run in blocks of _RECORD_BLOCK: a run over several
         # blocks ends at the first stage whose window is below tol_term, and
         # starts as the K = 3 run does
-        beta = pl.beta_for_model(model, 0)
         policy = TruncationPolicy(V=16, K=500)
-        block = pl.delta_block(beta, n, v_max, policy)
+        block = pl.delta_block(model, n, v_max, policy)
         assert explicit._RECORD_BLOCK + 1 < block.k_used < policy.K
         sup = np.max(np.abs(block.values), axis=(1, 2))
         assert np.all(sup[:-1] >= policy.tol_term) and sup[-1] < policy.tol_term
-        head = pl.delta_block(beta, n, v_max, dataclasses.replace(policy, K=3))
+        head = pl.delta_block(model, n, v_max, dataclasses.replace(policy, K=3))
         scale = np.max(np.abs(head.values))
         np.testing.assert_allclose(block.values[:3], head.values, rtol=0, atol=1e-14 * scale)
         if model.d == 0.0:
@@ -289,7 +287,7 @@ class TestFinitePredictor:
         ]:
             res = pl.finite_predictor_explicit(model, 16, policy)
             c0 = pl.expand_ma(model, 0)[0]
-            a = pl.expand_ar(model, 16).values
+            a = pl.expand_ar(model, 16)
             for j, s in enumerate(res.series, start=1):
                 assert s.terms[0] == c0 * a[j]
 
@@ -516,8 +514,8 @@ class TestShortMemory:
         n, V = 2, 16
         beta = pl.beta_for_model(model, 0)
         policy = TruncationPolicy(V=V, K=2)
-        dv = pl.d_vectors(beta, n, policy)
-        block = pl.delta_block(beta, n, 2, policy)
+        dv = pl.d_vectors(model, n, policy)
+        block = pl.delta_block(model, n, 2, policy)
         assert dv.vectors.shape[1] == V and block.values.shape[1:] == (V, 3)
         # beta's share: its rounding
         assert 4.0 * beta.tail_estimate <= dv.tail_estimate < 1e-12
@@ -526,7 +524,7 @@ class TestShortMemory:
                                    rtol=1e-10, atol=1e-15)
         # a window narrower than the corner plus state still gets the beta
         # its system reads, and is the wide window's first entry
-        narrow = pl.delta_block(beta, n, 0, TruncationPolicy(V=1, K=2))
+        narrow = pl.delta_block(model, n, 0, TruncationPolicy(V=1, K=2))
         np.testing.assert_allclose(narrow.values, block.values[:narrow.k_used, :1, :1],
                                    rtol=1e-10, atol=1e-15)
         # the kernel as far as it is above 1e-18 of its largest entry
@@ -557,7 +555,7 @@ class TestShortMemory:
         with pytest.raises(TruncationError, match="corner of 4998"):
             pl.finite_predictor_explicit(model, 1)
         with pytest.raises(TruncationError, match="corner of 4999"):
-            pl.d_vectors(pl.BetaSeq(np.zeros(1), model=model), 1)
+            pl.d_vectors(model, 1)
 
 
 #: the ARMA factors of the calibration grid: AR, MA and ARMA, with roots of
@@ -653,9 +651,8 @@ class TestMomentForm:
         # first V entries (up to the rounding of a matrix product of another
         # shape)
         n = 8
-        beta = pl.beta_for_model(model, 0)
         default = pl.finite_predictor_multistep(model, n, m)
-        dv = pl.d_vectors(beta, n)
+        dv = pl.d_vectors(model, n)
         iterates = pl.projection_iterates(model, n, 2, m, K=6)
 
         def no_solve(*args):
@@ -669,7 +666,7 @@ class TestMomentForm:
             assert len(res.series[0].terms) <= policy.resolve_k(model)
             np.testing.assert_array_equal(
                 pl.projection_iterates(model, n, 2, m, K=6, policy=policy), iterates)
-            window = pl.d_vectors(beta, n, policy)
+            window = pl.d_vectors(model, n, policy)
             V = policy.resolve_v(n, model)
             assert window.vectors.shape == (min(dv.k_used, policy.resolve_k(model)), V)
             np.testing.assert_allclose(window.vectors, dv.vectors[:window.k_used, :V],
@@ -753,7 +750,7 @@ class TestMomentForm:
             raise AssertionError("d_k of fractional noise must run on the nodes")
         monkeypatch.setattr(explicit, "_short_system", no_solve)
         model, policy = pl.Farima(d), TruncationPolicy(K=2)
-        dv = pl.d_vectors(pl.beta_for_model(model, 0), n, policy)
+        dv = pl.d_vectors(model, n, policy)
         assert dv.vectors.shape == (2, policy.resolve_v(n, model))
         err = max(abs(dv.vectors[k - 1][u] - farima_dk_oracle(d, k, n, u))
                   for k in (1, 2) for u in (0, 5))
@@ -771,7 +768,7 @@ class TestMomentForm:
             raise AssertionError("d_k of long memory must run on the nodes")
         monkeypatch.setattr(explicit, "_short_system", no_solve)
         model, policy = pl.Farima(d, **factors), TruncationPolicy(K=2, V=64)
-        dv = pl.d_vectors(pl.beta_for_model(model, 0), n, policy)
+        dv = pl.d_vectors(model, n, policy)
         assert dv.vectors.shape == (2, 64)
         for k in (1, 2):
             for u in (0, 5, 63):
@@ -782,8 +779,7 @@ class TestMomentForm:
         def no_solve(*args):
             raise AssertionError("delta_k of fractional noise must run on the nodes")
         monkeypatch.setattr(explicit, "_short_system", no_solve)
-        block = pl.delta_block(pl.beta_for_model(pl.Farima(0.35), 0), 16, 4,
-                               TruncationPolicy(K=4))
+        block = pl.delta_block(pl.Farima(0.35), 16, 4, TruncationPolicy(K=4))
         corner = block.values[:, :5, :5]
         assert block.k_used == 4
         assert np.max(np.abs(corner - np.transpose(corner, (0, 2, 1)))) <= 1e-10

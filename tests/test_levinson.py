@@ -242,6 +242,26 @@ class TestConjugateGradients:
         np.testing.assert_array_equal(table.coefficients, x)
         assert table.sigma2 == (sigma2 if m == 0 else None)
 
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_failed_residual_check_falls_back(self, monkeypatch, m):
+        # CG converges here, so its answer differs from the recursion's in
+        # the last bits; when its residual check fails, the recursion's
+        # table is returned as it is
+        gamma = _dense_gamma("fn0.45")
+        for x, sigma2 in levinson._levinson(gamma, 1024, m):
+            pass
+        assert not np.array_equal(pl.multistep_normal_solve(gamma, 1024, m).coefficients, x)
+        real, calls = levinson._residual, []
+
+        def first_fails(*args):
+            calls.append(args)
+            return np.inf if len(calls) == 1 else real(*args)
+        monkeypatch.setattr(levinson, "_residual", first_fails)
+        table = pl.multistep_normal_solve(gamma, 1024, m)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(table.coefficients, x)
+        assert table.sigma2 == (sigma2 if m == 0 else None)
+
 
 @settings(deadline=None, max_examples=30)
 @given(st.floats(min_value=1e-6, max_value=1e6),

@@ -1,4 +1,4 @@
-"""Model construction, validation, and regime classification."""
+"""Model construction, validation, and memory exponents."""
 
 import numpy as np
 import pytest
@@ -43,18 +43,16 @@ class TestAr1:
             pl.Ar1(r)
 
     def test_regime(self):
-        assert pl.regime(pl.Ar1(0.5)) is pl.Regime.SHORT
         assert pl.memory_exponent(pl.Ar1(0.5)) == 0.0
 
 
 class TestFarima:
     def test_plain_long_memory(self):
         m = pl.Farima(0.3)
-        assert pl.regime(m) is pl.Regime.LONG
         assert pl.memory_exponent(m) == 0.3
 
     def test_d_zero_is_short(self):
-        assert pl.regime(pl.Farima(0.0)) is pl.Regime.SHORT
+        assert pl.memory_exponent(pl.Farima(0.0)) == 0.0
 
     @pytest.mark.parametrize("d", [-0.1, 0.5, 0.7, np.nan])
     def test_bad_d(self, d):
@@ -89,7 +87,7 @@ class TestFarima:
 class TestExplicitModel:
     def test_valid_pair(self):
         m = pl.ExplicitModel(c=(2.0, 1.0), a=(-0.5, 0.25, -0.125))
-        assert pl.regime(m) is pl.Regime.SHORT
+        assert pl.memory_exponent(m) == 0.0
 
     def test_nonpositive_head_rejected(self):
         with pytest.raises(ModelValidationError):
@@ -110,12 +108,10 @@ class TestExplicitModel:
 
 @given(any_model())
 def test_generated_models_classify(model):
-    assert pl.regime(model) in (pl.Regime.SHORT, pl.Regime.LONG)
     d = pl.memory_exponent(model)
     assert 0.0 <= d < 0.5
 
 
 @given(st.floats(min_value=0.0, max_value=0.45))
 def test_farima_regime_matches_d(d):
-    m = pl.Farima(d)
-    assert (pl.regime(m) is pl.Regime.LONG) == (d > 0.0)
+    assert pl.memory_exponent(pl.Farima(d)) == d
