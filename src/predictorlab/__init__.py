@@ -6,9 +6,8 @@ recursion — plus experiments reproducing the long-memory asymptotics of the
 predictor coefficients (convergence rate, Baxter-type ratio, kernel scaling).
 """
 
-from .asymptotics import (BaxterReport, DkScalingReport, RateReport,
-                          baxter_experiment, dk_scaling_experiment, f_u, fk0,
-                          rate_experiment, semigroup_integral)
+from .asymptotics import (LawReport, baxter_experiment, dk_scaling_experiment,
+                          f_u, fk0, rate_experiment, semigroup_integral)
 from .coeffs import (AutocovSeq, autocov, expand_ar, expand_ma, infinite_predictor,
                      phi_for_model, tail_sum_phi)
 from .errors import (ConfigError, DegeneracyError, ModelValidationError,
@@ -27,11 +26,10 @@ from .models import (Ar1, ExplicitModel, Farima, ProcessModel, RealPolynomial,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ar1", "AutocovSeq", "BaxterReport", "BetaSeq",
-    "ConfigError", "DegeneracyError", "DeltaBlock", "DkScalingReport",
-    "DVectors", "ExplicitModel", "ExplicitPredictor", "Farima",
-    "ModelValidationError", "OracleDisagreementError", "PredictorLabError",
-    "PredictorSource", "PredictorTable", "ProcessModel", "RateReport",
+    "Ar1", "AutocovSeq", "BetaSeq", "ConfigError", "DegeneracyError",
+    "DeltaBlock", "DVectors", "ExplicitModel", "ExplicitPredictor", "Farima",
+    "LawReport", "ModelValidationError", "OracleDisagreementError",
+    "PredictorLabError", "PredictorSource", "PredictorTable", "ProcessModel",
     "RealPolynomial", "RegimeError", "SeriesTerms",
     "TruncationError", "TruncationPolicy", "autocov", "baxter_experiment",
     "beta_for_model", "d_vectors", "delta_block",

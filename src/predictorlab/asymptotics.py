@@ -8,9 +8,12 @@ Three quantitative limits are reproduced at desk scale:
 * the kernel scaling ``n d_k(n, u) -> f_k(0) sin^k(pi d)`` with the f_k(0)
   read off the Taylor series of ``arcsin(x)/pi`` and its square.
 
-Every experiment computes the predictor both ways (explicit series and
-Durbin-Levinson on the series autocovariance) and aborts if they disagree,
-so an asymptotic "pass" can never be an artifact of one broken route.
+Each experiment returns one LawReport: the table of its law along the
+sweep, and the scalars it summarises it by.  The rate and Baxter
+experiments compute the predictor both ways (explicit series and
+Durbin-Levinson on the series autocovariance) and abort if they disagree,
+so an asymptotic "pass" can never be an artifact of one broken route; the
+kernel scaling reads d_k off d_vectors alone, whose own residual gates it.
 phi_j = c_0 a_j comes from the one expansion recurrence of ``coeffs``; the
 rate's 1/n extrapolation is the two-point one, at the n run.
 """
@@ -33,9 +36,7 @@ from .levinson import durbin_levinson, multistep_normal_solve  # noqa: F401
 from .models import ProcessModel, memory_exponent
 
 __all__ = [
-    "RateReport",
-    "BaxterReport",
-    "DkScalingReport",
+    "LawReport",
     "fk0",
     "f_u",
     "semigroup_integral",
@@ -111,29 +112,13 @@ def semigroup_integral(i: int, j: int) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class RateReport:
-    """Convergence-rate experiment: entries (n, phi_nj, n(phi_nj - phi_j))."""
+class LawReport:
+    """One law measured along a sweep: ``columns`` maps each column name to
+    a 1-D array, in table order; ``summary`` maps each scalar's name to its
+    value."""
 
-    j: int
-    entries: tuple[tuple[int, float, float], ...]
-    theoretical_limit: float
-    extrapolated: float
-
-
-@dataclass(frozen=True, eq=False)
-class BaxterReport:
-    """Baxter-ratio experiment: entries (n, lhs, rhs, ratio); sup over n."""
-
-    entries: tuple[tuple[int, float, float, float], ...]
-    sup_ratio: float
-
-
-@dataclass(frozen=True, eq=False)
-class DkScalingReport:
-    """Kernel scaling experiment: entries (k, n, n*d_k(n,u), f_k(0) sin^k(pi d))."""
-
-    u: int
-    entries: tuple[tuple[int, int, float, float], ...]
+    columns: dict[str, np.ndarray]
+    summary: dict[str, float]
 
 
 def _require_long_memory(model: ProcessModel, what: str) -> float:
@@ -189,15 +174,15 @@ def _checked_sweep(model: ProcessModel, n_list: list[int],
 
 
 def rate_experiment(model: ProcessModel, j: int, n_list,
-                    policy: TruncationPolicy = DEFAULT_POLICY) -> RateReport:
+                    policy: TruncationPolicy = DEFAULT_POLICY) -> LawReport:
     """Measure n (phi_{n,j} - phi_j) along n_list and compare with the limit
-    d^2 sum_{u>=j} phi_u.
+    d^2 sum_{u>=j} phi_u: columns n, phi_nj, rate and limit.
 
     For d > 0 the infinite predictor's weights sum to one, so the limit is
     the signed closed form d^2 (1 - sum_{u<j} phi_u).  The rates approach it
-    with a finite-n correction ~ 1/n, so the report also carries the rate
-    with that power eliminated between the two largest n (repeated n count
-    once).
+    with a finite-n correction ~ 1/n, so the summary carries the limit and
+    the rate with that power eliminated between the two largest n
+    (extrapolated; repeated n count once).
 
     Raises RegimeError for short-memory models (the limit statement needs
     long memory) and OracleDisagreementError if the two predictor routes
@@ -212,28 +197,28 @@ def rate_experiment(model: ProcessModel, j: int, n_list,
         raise ValueError(f"j = {j} exceeds smallest n = {n_list[0]}")
     phi_inf = infinite_predictor(expand_ma(model, 0), expand_ar(model, j), j)
     phis = _checked_sweep(model, n_list, policy)
-    phi_j = float(phi_inf[j - 1])
-    entries = []
-    for n, phi in zip(n_list, phis):
-        phi_nj = float(phi[j - 1])
-        entries.append((n, phi_nj, n * (phi_nj - phi_j)))
+    ns = np.array(n_list)
+    phi_nj = np.array([phi[j - 1] for phi in phis])
+    rate = ns * (phi_nj - float(phi_inf[j - 1]))
     limit = d * d * (1.0 - float(np.sum(phi_inf[:j - 1])))
     # the gap n (phi_{n,j} - phi_j) - limit closes like 1/n (successive
     # differences halve per doubling of n, measured), so eliminate 1/n
-    n2, _, extrap = entries[-1]
-    if len(entries) > 1:
-        n1, _, r1 = entries[-2]
-        extrap = (n2 * extrap - n1 * r1) / (n2 - n1)
-    return RateReport(j=j, entries=tuple(entries), theoretical_limit=float(limit),
-                      extrapolated=extrap)
+    extrap = rate[-1]
+    if len(ns) > 1:
+        extrap = (ns[-1] * rate[-1] - ns[-2] * rate[-2]) / (ns[-1] - ns[-2])
+    return LawReport({"n": ns, "phi_nj": phi_nj, "rate": rate,
+                      "limit": np.full(len(ns), limit)},
+                     {"limit": limit, "extrapolated": float(extrap)})
 
 
 def baxter_experiment(model: ProcessModel, n_list,
-                      policy: TruncationPolicy = DEFAULT_POLICY) -> BaxterReport:
-    """Measure the Baxter ratio sum_j |phi_{n,j} - phi_j| / sum_{k>n} |phi_k|.
+                      policy: TruncationPolicy = DEFAULT_POLICY) -> LawReport:
+    """Measure the Baxter ratio sum_j |phi_{n,j} - phi_j| / sum_{k>n} |phi_k|:
+    columns n, lhs, rhs and ratio.
 
     Both sides decay like n^{-d}; the ratio stays bounded (the empirical
-    sup over n_list stands in for the inequality's constant).  The weights
+    sup over n_list, the summary's sup_ratio, stands in for the
+    inequality's constant).  The weights
     are cross-checked, and stored, as in rate_experiment.  A repeated n
     counts once.
     """
@@ -242,18 +227,17 @@ def baxter_experiment(model: ProcessModel, n_list,
     length = max(_PHI_TAIL_LEN, n_list[-1] + 1)  # every phi_{n,.} has a tail
     phi_inf = infinite_predictor(expand_ma(model, 0), expand_ar(model, length), length)
     phis = _checked_sweep(model, n_list, policy)
-    entries = []
-    for n, phi in zip(n_list, phis):
-        lhs = float(np.sum(np.abs(phi - phi_inf[:n])))
-        rhs = tail_sum_phi(phi_inf, n, d)
-        entries.append((n, lhs, rhs, lhs / rhs))
-    sup_ratio = max(e[3] for e in entries)
-    return BaxterReport(entries=tuple(entries), sup_ratio=float(sup_ratio))
+    lhs = np.array([np.sum(np.abs(phi - phi_inf[:n])) for n, phi in zip(n_list, phis)])
+    rhs = np.array([tail_sum_phi(phi_inf, n, d) for n in n_list])
+    ratio = lhs / rhs
+    return LawReport({"n": np.array(n_list), "lhs": lhs, "rhs": rhs, "ratio": ratio},
+                     {"sup_ratio": float(max(ratio))})
 
 
 def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
-                          policy: TruncationPolicy = DEFAULT_POLICY) -> DkScalingReport:
-    """Tabulate n d_k(n, u) against the limit f_k(0) sin^k(pi d).
+                          policy: TruncationPolicy = DEFAULT_POLICY) -> LawReport:
+    """Tabulate n d_k(n, u) against the limit f_k(0) sin^k(pi d): columns
+    k, n, n_dk and target, by k and then n, and an empty summary.
 
     The d_k come from d_vectors, on the quadrature for the window up to u;
     u must lie inside the policy's d_k window (resolve_v).  Every requested
@@ -276,17 +260,19 @@ def dk_scaling_experiment(model: ProcessModel, k_list, u: int, n_list,
                 f"u = {u} outside the d_k window V = {policy.resolve_v(n, model)} at n = {n}")
     kmax = k_list[-1]
     s = np.sin(np.pi * d)
-    targets = {k: float(f * s ** k) for k, f in zip(range(1, kmax + 1), fk0(kmax))}
+    f = fk0(kmax)
+    targets = [float(f[k - 1] * s ** k) for k in k_list]
 
     tiny = np.finfo(float).tiny
-    rows = []
-    for n in n_list:
+    n_dk = np.empty((len(k_list), len(n_list)))  # [k, n]
+    for i, n in enumerate(n_list):
         # the stop rule ends the stages only at one below the smallest normal double
         dv = d_vectors(model, n, replace(policy, K=kmax, V=u + 1, tol_term=tiny))
         for k in k_list:
             if k > dv.k_used or not abs(dv.vectors[k - 1][u]) >= tiny:
                 raise ValueError(f"d_{k}(n = {n}, u = {u}) underflows below the "
                                  f"smallest normal double {tiny:.3g}")
-        rows += [(k, n, float(n * dv.vectors[k - 1][u]), targets[k]) for k in k_list]
-    # by k, then n: the sort is stable
-    return DkScalingReport(u=u, entries=tuple(sorted(rows, key=lambda r: r[0])))
+        n_dk[:, i] = [n * dv.vectors[k - 1][u] for k in k_list]
+    per_k = len(n_list)
+    return LawReport({"k": np.repeat(k_list, per_k), "n": np.tile(n_list, len(k_list)),
+                      "n_dk": n_dk.ravel(), "target": np.repeat(targets, per_k)}, {})

@@ -366,39 +366,27 @@ def _cmd_predict(cfg: dict):
     return _meta(cfg, model, extra), cols
 
 
-def _cmd_rate(cfg: dict):
+def _cmd_law(cfg: dict):
+    """An experiment's table and summary.  Its config keys are both its
+    positional arguments and their meta order; a list is echoed sorted,
+    a repeat once, as the experiment reads it."""
+    # looked up at each call, so a wrapper on this module's names is what runs
+    experiment, keys = {"rate": (rate_experiment, ("j", "n")),
+                        "baxter": (baxter_experiment, ("n",)),
+                        "dkscale": (dk_scaling_experiment, ("k", "u", "n"))}[cfg["command"]]
     model = _build_model(cfg)
-    report = rate_experiment(model, cfg["j"], cfg["n"], _build_policy(cfg))
-    cols = dict(zip(("n", "phi_nj", "rate"), zip(*report.entries)))
-    cols["limit"] = [report.theoretical_limit] * len(report.entries)
-    extra = {"j": cfg["j"], "n": sorted(set(cfg["n"])), "limit": report.theoretical_limit,
-             "extrapolated": report.extrapolated}
-    return _meta(cfg, model, extra), cols
-
-
-def _cmd_baxter(cfg: dict):
-    model = _build_model(cfg)
-    report = baxter_experiment(model, cfg["n"], _build_policy(cfg))
-    extra = {"n": sorted(set(cfg["n"])), "sup_ratio": report.sup_ratio}
-    return _meta(cfg, model, extra), dict(zip(("n", "lhs", "rhs", "ratio"),
-                                              zip(*report.entries)))
-
-
-def _cmd_dkscale(cfg: dict):
-    model = _build_model(cfg)
-    report = dk_scaling_experiment(model, cfg["k"], cfg["u"], cfg["n"],
-                                   _build_policy(cfg))
-    extra = {"k": sorted(set(cfg["k"])), "u": cfg["u"], "n": sorted(set(cfg["n"]))}
-    return _meta(cfg, model, extra), dict(zip(("k", "n", "n_dk", "target"),
-                                              zip(*report.entries)))
+    report = experiment(model, *(cfg[key] for key in keys), _build_policy(cfg))
+    extra = {key: sorted(set(cfg[key])) if isinstance(cfg[key], list) else cfg[key]
+             for key in keys}
+    return _meta(cfg, model, {**extra, **report.summary}), report.columns
 
 
 _HANDLERS = {
     "coeffs": _cmd_coeffs,
     "predict": _cmd_predict,
-    "rate": _cmd_rate,
-    "baxter": _cmd_baxter,
-    "dkscale": _cmd_dkscale,
+    "rate": _cmd_law,
+    "baxter": _cmd_law,
+    "dkscale": _cmd_law,
 }
 
 _HELP = {

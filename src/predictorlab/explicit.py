@@ -385,12 +385,15 @@ def delta_block(model: ProcessModel, n: int, v_max: int,
     at V rows: on the quadrature's fine grid, whose distance from the
     coarse grid's stages is the residual, or on short memory's corner plus
     state, whose residual is beta's rounding.  A residual above tol_tail
-    raises TruncationError, as the weights' does.
+    raises TruncationError, as the weights' does; a factored long-memory
+    model's beta share is checked first, before any grid is built.
     """
     if n < 1 or v_max < 0:
         raise ValueError(f"need n >= 1 and v_max >= 0, got n = {n}, v_max = {v_max}")
     V, K = policy.resolve_v(n, model), policy.resolve_k(model)
     long = memory_exponent(model) > 0.0
+    if long and not _pure_noise(model):
+        _beta_share(beta_for_model(model, 0), policy, n)
     U0 = _corner(model, n) if long else _short_size(model, n)
     grids = _moment_grids(model, n, U0) if long else ()
     need = n + v_max + max(V, 2 * U0 + (0 if long else len(_short_shape(model)[1]) - 1))

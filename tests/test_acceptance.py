@@ -82,9 +82,8 @@ def test_criterion_4_convergence_rate():
     limits = {}
     for j in (1, 2):
         report = pl.rate_experiment(model, j, [128, 256, 512])
-        devs[j] = abs(report.extrapolated - report.theoretical_limit) \
-            / abs(report.theoretical_limit)
-        limits[j] = report.theoretical_limit
+        limits[j] = report.summary["limit"]
+        devs[j] = abs(report.summary["extrapolated"] - limits[j]) / abs(limits[j])
     ok = devs[1] < 0.05 and devs[2] < 0.05 and abs(limits[1] - 0.09) < 1e-6
     _report(4, "convergence rate", ok,
             f"j=1 dev {devs[1]:.2%}, j=2 dev {devs[2]:.2%}")
@@ -94,16 +93,18 @@ def test_criterion_5_baxter_ratio():
     model = pl.Farima(0.3)
     n_list = [16, 32, 64, 128, 256, 512]
     report = pl.baxter_experiment(model, n_list)
-    ratios = {n: ratio for (n, _, _, ratio) in report.entries}
+    rows = list(zip(*report.columns.values()))
+    ratios = {n: ratio for (n, _, _, ratio) in rows}
     octave_var = abs(ratios[512] - ratios[256]) / ratios[256]
-    tail = [e for e in report.entries if e[0] >= 128]
+    tail = [e for e in rows if e[0] >= 128]
     logn = np.log([e[0] for e in tail])
     slope_lhs = float(np.polyfit(logn, np.log([e[1] for e in tail]), 1)[0])
     slope_rhs = float(np.polyfit(logn, np.log([e[2] for e in tail]), 1)[0])
-    ok = np.isfinite(report.sup_ratio) and octave_var < 0.25 \
+    sup_ratio = report.summary["sup_ratio"]
+    ok = np.isfinite(sup_ratio) and octave_var < 0.25 \
         and abs(slope_lhs + 0.3) < 0.05 and abs(slope_rhs + 0.3) < 0.05
     _report(5, "baxter ratio", ok,
-            f"sup {report.sup_ratio:.3f}, octave var {octave_var:.2%}, "
+            f"sup {sup_ratio:.3f}, octave var {octave_var:.2%}, "
             f"slopes {slope_lhs:.4f}/{slope_rhs:.4f}")
 
 
@@ -112,7 +113,7 @@ def test_criterion_6_kernel_scaling():
     vals = {}
     for u in (0, 5):
         rep = pl.dk_scaling_experiment(model, [1, 2, 3], u, [2048])
-        for k, _, n_dk, target in rep.entries:
+        for k, _, n_dk, target in zip(*rep.columns.values()):
             vals[(k, u)] = (n_dk, target)
     dev = max(abs(v - t) / t for v, t in vals.values())
     u_dev = max(abs(vals[(k, 0)][0] - vals[(k, 5)][0]) / vals[(k, 0)][1]

@@ -88,25 +88,24 @@ class TestRateExperiment:
         # so the j = 1 limit d^2 sum_{u>=1} phi_u equals d^2
         d = 0.3
         report = pl.rate_experiment(pl.Farima(d), 1, [64, 128, 256])
-        assert report.theoretical_limit == pytest.approx(d * d, abs=1e-6)
-        assert abs(report.extrapolated - report.theoretical_limit) \
-            / report.theoretical_limit < 0.05
-        ns = [e[0] for e in report.entries]
-        assert ns == [64, 128, 256]
+        limit = report.summary["limit"]
+        assert limit == pytest.approx(d * d, abs=1e-6)
+        assert abs(report.summary["extrapolated"] - limit) / limit < 0.05
+        assert report.columns["n"].tolist() == [64, 128, 256]
 
     def test_extrapolation_at_non_doubling_n(self):
         # the 1/n elimination at the ratio actually run; assuming a doubling
         # pair puts 64, 96 at 0.09014
         report = pl.rate_experiment(pl.Farima(0.3), 1, [64, 96])
-        assert report.extrapolated == pytest.approx(0.09, abs=1e-5)
+        assert report.summary["extrapolated"] == pytest.approx(0.09, abs=1e-5)
 
     def test_repeated_n_count_once(self):
         once = pl.rate_experiment(pl.Farima(0.3), 1, [64, 128])
         twice = pl.rate_experiment(pl.Farima(0.3), 1, [128, 64, 128])
-        assert [e[0] for e in twice.entries] == [64, 128]
-        assert twice.extrapolated == once.extrapolated
-        r64, r128 = (e[2] for e in once.entries)
-        assert once.extrapolated == 2.0 * r128 - r64
+        assert twice.columns["n"].tolist() == [64, 128]
+        assert twice.summary["extrapolated"] == once.summary["extrapolated"]
+        r64, r128 = once.columns["rate"]
+        assert once.summary["extrapolated"] == 2.0 * r128 - r64
 
     @pytest.mark.parametrize("model, j, limit", [
         (pl.Farima(0.3, ar_poly=(1.0, 0.6)), 1, 0.09),
@@ -118,8 +117,8 @@ class TestRateExperiment:
         # the limit d^2 sum_{u>=j} phi_u sums signed weights, which add to one;
         # absolute tolerances, since the last limit is 0
         report = pl.rate_experiment(model, j, [128, 256, 512])
-        assert report.theoretical_limit == pytest.approx(limit, abs=1e-15)
-        assert report.extrapolated == pytest.approx(limit, abs=1e-5)
+        assert report.summary["limit"] == pytest.approx(limit, abs=1e-15)
+        assert report.summary["extrapolated"] == pytest.approx(limit, abs=1e-5)
 
     def test_moment_form_sweep_builds_no_ladder_beta(self, monkeypatch):
         # the explicit route of pure fractional noise reads no beta, so the
@@ -128,11 +127,11 @@ class TestRateExperiment:
             raise AssertionError("the moment form needs no shared beta")
         monkeypatch.setattr("predictorlab.explicit.beta_for_model", no_beta)
         report = pl.rate_experiment(pl.Farima(0.3), 1, [64, 128])
-        assert [e[0] for e in report.entries] == [64, 128]
+        assert report.columns["n"].tolist() == [64, 128]
 
     def test_rate_values_close_in_by_doubling(self):
         report = pl.rate_experiment(pl.Farima(0.3), 1, [64, 128, 256])
-        rates = [e[2] for e in report.entries]
+        rates = report.columns["rate"]
         d1 = abs(rates[1] - rates[0])
         d2 = abs(rates[2] - rates[1])
         assert d1 / d2 > 1.5
@@ -145,13 +144,13 @@ class TestBaxterExperiment:
 
     def test_ratio_bounded_and_stable(self):
         report = pl.baxter_experiment(pl.Farima(0.3), [16, 32, 64])
-        assert 0.1 < report.sup_ratio < 0.5
-        for n, lhs, rhs, ratio in report.entries:
+        assert 0.1 < report.summary["sup_ratio"] < 0.5
+        for n, lhs, rhs, ratio in zip(*report.columns.values()):
             assert lhs > 0.0 and rhs > 0.0
             assert ratio == pytest.approx(lhs / rhs, rel=1e-12)
         # both sides decay like n^{-d}
-        assert report.entries[-1][1] < report.entries[0][1]
-        assert report.entries[-1][2] < report.entries[0][2]
+        assert report.columns["lhs"][-1] < report.columns["lhs"][0]
+        assert report.columns["rhs"][-1] < report.columns["rhs"][0]
 
     def test_sweep_past_tail_length(self, monkeypatch):
         # phi_inf reaches past the largest n however short its default
@@ -160,7 +159,8 @@ class TestBaxterExperiment:
         full = pl.baxter_experiment(pl.Farima(0.3), [128, 512])
         monkeypatch.setattr(asymptotics, "_PHI_TAIL_LEN", 256)
         short = pl.baxter_experiment(pl.Farima(0.3), [128, 512])
-        for (n, lhs, rhs, _), want in zip(short.entries, full.entries):
+        for (n, lhs, rhs, _), want in zip(zip(*short.columns.values()),
+                                          zip(*full.columns.values())):
             assert (n, lhs) == want[:2]
             assert rhs == pytest.approx(want[2], rel=1e-3)
 
@@ -169,16 +169,15 @@ class TestBaxterExperiment:
         # budget on the quadrature, and its ratio is above the milder one's
         strong = pl.baxter_experiment(pl.Farima(0.45, ma_poly=(1.0, 0.5)), [8, 16, 32, 64])
         mild = pl.baxter_experiment(pl.Farima(0.3, ma_poly=(1.0, 0.5)), [8, 16, 32, 64])
-        assert np.isfinite(strong.sup_ratio)
-        assert strong.sup_ratio > mild.sup_ratio
+        assert np.isfinite(strong.summary["sup_ratio"])
+        assert strong.summary["sup_ratio"] > mild.summary["sup_ratio"]
 
 
 class TestDkScalingExperiment:
     def test_matches_targets(self):
         report = pl.dk_scaling_experiment(pl.Farima(0.3), [1, 2], 0, [512])
-        assert report.u == 0
-        assert len(report.entries) == 2
-        for k, n, val, target in report.entries:
+        assert len(report.columns["k"]) == 2
+        for k, n, val, target in zip(*report.columns.values()):
             assert n == 512
             assert abs(val - target) / target < 0.01
 
@@ -207,8 +206,8 @@ class TestDkScalingExperiment:
         model, n = pl.Farima(0.3), 512
         dv = pl.d_vectors(model, n)
         report = pl.dk_scaling_experiment(model, [1, 2, 3], u, [n])
-        assert [e[0] for e in report.entries] == [1, 2, 3]
-        for k, _, n_dk, _ in report.entries:
+        assert report.columns["k"].tolist() == [1, 2, 3]
+        for k, _, n_dk, _ in zip(*report.columns.values()):
             assert abs(n_dk - n * dv.vectors[k - 1][u]) <= n * dv.tail_estimate
 
     def test_row_for_every_k_requested(self):
@@ -216,9 +215,9 @@ class TestDkScalingExperiment:
         # d = 0.001 are far below the series' stopping tolerance, and still
         # tabulated, near their limits
         report = pl.dk_scaling_experiment(pl.Farima(0.001), [5, 1, 2, 3, 4], 0, [512, 2048])
-        assert [e[:2] for e in report.entries] == [(k, n) for k in range(1, 6)
-                                                   for n in (512, 2048)]
-        for _, _, n_dk, target in report.entries:
+        assert list(zip(report.columns["k"], report.columns["n"])) == [
+            (k, n) for k in range(1, 6) for n in (512, 2048)]
+        for _, _, n_dk, target in zip(*report.columns.values()):
             assert n_dk == pytest.approx(target, rel=2e-3)
 
     def test_underflow_raises_naming_k(self):

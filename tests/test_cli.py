@@ -232,6 +232,43 @@ class TestExperimentCommands:
         assert (doc["meta"]["n"], doc["meta"]["k"]) == ([32, 64], [1, 2])
         assert [row[:2] for row in doc["rows"]] == [[1, 32], [1, 64], [2, 32], [2, 64]]
 
+    @pytest.mark.parametrize("argv, keys, columns", [
+        (["rate", "--n", "128,64,128", "--j", "1"],
+         ["j", "n", "limit", "extrapolated"], ["n", "phi_nj", "rate", "limit"]),
+        (["baxter", "--n", "32,16,32"], ["n", "sup_ratio"], ["n", "lhs", "rhs", "ratio"]),
+        (["dkscale", "--n", "64,32,64", "--k", "2,1,2", "--u", "0"],
+         ["k", "u", "n"], ["k", "n", "n_dk", "target"]),
+    ], ids=["rate", "baxter", "dkscale"])
+    def test_meta_order_and_columns(self, capsys, argv, keys, columns):
+        # each experiment's keys in its own order, then its summary, between
+        # the model and the policy
+        code, out, _ = run(capsys, argv[0], "--model", "farima", "--d", "0.3", *argv[1:],
+                           "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc["meta"]) == ["command", "model", "d", "arpoly", "mapoly",
+                                     *keys, "tol", "format"]
+        assert doc["columns"] == columns
+
+    @pytest.mark.parametrize("name, argv", [
+        ("rate_experiment", ["rate", "--n", "64,32", "--j", "1"]),
+        ("baxter_experiment", ["baxter", "--n", "32,16"]),
+        ("dk_scaling_experiment", ["dkscale", "--n", "64", "--k", "2,1", "--u", "0"]),
+    ], ids=["rate", "baxter", "dkscale"])
+    def test_experiment_looked_up_in_cli(self, capsys, monkeypatch, name, argv):
+        # a wrapper set on predictorlab.cli's name is the one the command
+        # calls, once, and its output is the unwrapped run's bytes
+        argv = [argv[0], "--model", "farima", "--d", "0.3", *argv[1:]]
+        want = run(capsys, *argv)
+        real, calls = getattr(cli, name), []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+        assert run(capsys, *argv) == want
+        assert want[0] == 0 and len(calls) == 1
+
     def test_range_and_list_mix(self, capsys):
         code, out, _ = run(capsys, "baxter", "--model", "farima", "--d", "0.3",
                            "--n", "8,16..32", "--format", "json")

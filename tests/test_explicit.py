@@ -170,6 +170,15 @@ class TestDVectors:
             pl.d_vectors(pl.Farima(0.3), 512, TruncationPolicy(K=2, V=8, tol_tail=1e-12))
         assert 1e-10 < info.value.achieved < 1e-9
 
+    def test_undecayed_factor_refused_before_any_stage(self, monkeypatch):
+        # beta's share is checked before the grids and their stages are
+        # built, and the refusal names beta, as the weights' does
+        def no_stages(*args):
+            raise AssertionError("the refusal needs no stage")
+        monkeypatch.setattr(explicit, "_stages", no_stages)
+        with pytest.raises(TruncationError, match="beta's own error"):
+            pl.d_vectors(pl.Farima(0.3, ar_poly=(1, -0.999999)), 512)
+
     def test_scaling_limits(self):
         # n d_k(n, 0) approaches f_k(0) sin^k(pi d)
         d, n = 0.3, 2048
